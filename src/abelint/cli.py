@@ -19,14 +19,13 @@ from .config import RunConfig
 from .counting import (ContourPath, annulus_zero_bound, count_zeros,
                        headline_bound, is_quasiunipotent, monodromy)
 from .division import Hamiltonian, basis_exponents
-from .errors import AbelintError, ParseError, UnsupportedInput
+from .errors import AbelintError, ParseError
 from .integrals import abelian_integral, critical_values
-from .operators import (DiffOperator, affine_slope, invariant_slope_sampled,
-                        reduce_to_scalar)
+from .operators import DiffOperator, invariant_slope_sampled, reduce_to_scalar
 from .parsing import parse_complex, parse_operator, parse_poly
 from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
 from .serialize import dumps, loads
-from .slits import Circle, SlitSystem, build_slits, is_admissible, svg_export
+from .slits import Circle, build_slits, is_admissible, svg_export
 
 
 def _fmt(x):

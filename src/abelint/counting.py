@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .config import RunConfig
-from .errors import (BoundViolated, NonIntegerWinding, NotQuasiunipotent,
+from .errors import (NonIntegerWinding, NotQuasiunipotent,
                      PathTooClose, ToleranceNotMet, UnsupportedInput,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
@@ -473,8 +473,7 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
     b1 = var_arg_bound(Dsym, _full_arc(Circle(0, rho1 / req)), sing, config)
     b2 = var_arg_bound(Dsym, _full_arc(Circle(0, rho2 / req)), sing, config)
     B = int(math.ceil(max(b1.value, b2.value)))
-    value = (2 * kp + 1) * (2 * B + 1)
-    return AnnulusBound(kp, B, value, True, orders,
+    return AnnulusBound(kp, B, annulus_bound_formula(kp, B), True, orders,
                         {"rho_ratio": rho2 / rho1, "var_bounds": (b1.value, b2.value)})
 
 

@@ -24,10 +24,9 @@ of the resulting matrices as non-degenerate as the family allows.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .errors import DegenerateBasis, NoSolution, SingularDivision, UnsupportedInput
+from .errors import NoSolution, SingularDivision, UnsupportedInput
 from .linalg import FieldMatrix, solve_linear
 from .polynomials import MultiPoly, NEG_INF
 from .ratfunc import RatFunc, ratfunc_lcm_den
@@ -50,24 +49,6 @@ class Hamiltonian:
         if d is NEG_INF or d < 1:
             raise UnsupportedInput("Hamiltonian must be nonconstant in x1, x2")
         self.n = int(d) - 1
-
-    @staticmethod
-    def generic(n):
-        """Fully symbolic H = sum over |a| <= n+1 of l<a1><a2> x^a."""
-        lvars = [f"l{a1}{a2}" for a1 in range(n + 2) for a2 in range(n + 2)
-                 if a1 + a2 <= n + 1 and (a1, a2) != (0, 0)]
-        lvars.append("l00")
-        vs = sorted(set(lvars) | set(XVARS))
-        terms = {}
-        for a1 in range(n + 2):
-            for a2 in range(n + 2):
-                if a1 + a2 > n + 1:
-                    continue
-                name = f"l{a1}{a2}"
-                exp = tuple((1 if v == name else 0) + (a1 if v == "x1" else 0)
-                            + (a2 if v == "x2" else 0) for v in vs)
-                terms[exp] = Fraction(1)
-        return Hamiltonian(MultiPoly(vs, terms), lvars)
 
     @staticmethod
     def from_x_poly(poly: MultiPoly, free_term_var="l00"):
@@ -103,9 +84,6 @@ class Hamiltonian:
     def grad(self):
         return self.poly.diff("x1"), self.poly.diff("x2")
 
-    def subs_lambdas(self, mapping):
-        keep = tuple(v for v in self.lvars if v not in mapping)
-        return Hamiltonian(self.poly.subs(mapping), keep)
 
 
 def basis_exponents(n):
@@ -208,9 +186,6 @@ class Decomposition:
         self.eta = eta    # (E1, E2) RatFunc over x+lambda, or None
         self.u = u
         self.v = v
-
-    def p_matrix_row(self):
-        return self.p
 
     def verify(self) -> bool:
         """Recheck the defining identity exactly."""

@@ -201,15 +201,6 @@ def abelian_integral(H: MultiPoly, t: float, seed, alphas, h=1e-2,
     raise ToleranceNotMet("oval quadrature did not self-converge")
 
 
-def integral_samples(H: MultiPoly, alphas, t_values, seed_fn, h=1e-2,
-                     rel_tol=1e-8):
-    """abelian_integral at several t; seed_fn(t) supplies a nearby seed point."""
-    out = {}
-    for t in t_values:
-        out[t] = abelian_integral(H, t, seed_fn(t), alphas, h=h, rel_tol=rel_tol)
-    return out
-
-
 def count_real_zeros(fn, a, b, samples=400, tol=1e-12):
     """Sign changes of a real function on (a, b), refined by bisection.
 

@@ -8,11 +8,9 @@ inconsistent ones raise NoSolution.  Solutions are verified by substitution.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NoSolution
 from .polynomials import MultiPoly
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, ratfunc_lcm_den
 
 
 class FieldMatrix:
@@ -96,17 +94,8 @@ def _clear_rows(A, b):
     rows = []
     for i in range(A.rows):
         entries = list(A.data[i]) + [b[i]]
-        den = MultiPoly.const(1)
-        for e in entries:
-            from .polynomials import poly_lcm
-
-            den = poly_lcm(den, e.den)
-            _, den = den.primitive()
-        row = []
-        for e in entries:
-            scaled = e * RatFunc(den)
-            row.append(scaled.as_poly())
-        rows.append(row)
+        den = RatFunc(ratfunc_lcm_den(entries))
+        rows.append([(e * den).as_poly() for e in entries])
     return rows
 
 
@@ -132,7 +121,7 @@ def solve_linear(A: FieldMatrix, b, verify=True):
         for r in range(row, m):
             e = M[r][col]
             if not e.is_zero():
-                k = len(e.terms)
+                k = e.nterms()
                 if best is None or k < best:
                     best = k
                     piv = r
@@ -190,42 +179,3 @@ def invert(A: FieldMatrix) -> FieldMatrix:
         except NoSolution as exc:
             raise NoSolution(f"matrix is singular: {exc}") from exc
     return FieldMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-def det(A: FieldMatrix) -> RatFunc:
-    """Determinant via fraction-free elimination."""
-    n = A.rows
-    if A.cols != n:
-        raise ValueError("determinant of a non-square matrix")
-    M = _clear_rows(A, [RatFunc.zero() for _ in range(n)])
-    dens = []
-    for i in range(n):
-        # recover the row scaling factor: cleared row = den_i * original row
-        for j in range(n):
-            if not A.data[i][j].is_zero():
-                dens.append(RatFunc(M[i][j]) / A.data[i][j])
-                break
-        else:
-            return RatFunc.zero()
-    prev = MultiPoly.const(1)
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not M[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return RatFunc.zero()
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        p = M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col]
-            M[r] = [(p * e - f * M[col][j]).divexact(prev) for j, e in enumerate(M[r])]
-        prev = p
-    d = RatFunc(M[n - 1][n - 1]) * sign
-    for q in dens:
-        d = d / q
-    return d

@@ -19,10 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
-                       basis_one_form, basis_two_form, divide_one_form,
-                       divide_two_form, is_basis_regular)
+                       basis_two_form, divide_one_form, divide_two_form,
+                       is_basis_regular)
 from .errors import DegenerateBasis, LineInLocus, NoSolution, UnsupportedInput
-from .linalg import FieldMatrix, invert, solve_linear
+from .linalg import FieldMatrix, solve_linear
 from .polynomials import MultiPoly
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
@@ -43,11 +43,6 @@ class PfaffianSystem:
     def Pstar0(self):
         return self.Pstar.subs({"t": MultiPoly.const(0)})
 
-    def Ps0(self, s):
-        """Matrix P^s with d/dlambda_s (Pstar0 X) = P^s X."""
-        dP = self.Pstar0.diff(_lname(s, self.free_var))
-        return dP + self.Q[tuple(s)]
-
     def check_identities(self) -> bool:
         """Re-verify every division identity exactly."""
         H = self.H
@@ -58,12 +53,6 @@ class PfaffianSystem:
                                 eta=self.etas[ai])
             ok = ok and dec.verify()
         return ok
-
-
-def _lname(s, free_var):
-    if tuple(s) == (0, 0):
-        return free_var
-    return f"l{s[0]}{s[1]}"
 
 
 def derive_pfaffian(H: Hamiltonian, s_list=None, check_regular=False) -> PfaffianSystem:

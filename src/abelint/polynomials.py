@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over Q (or Q(i)) with exact coefficients.
 
-Terms live in a dict mapping exponent tuples to Fraction (or GaussianRational)
-coefficients.  Variables are always stored as a sorted tuple of names, so two
-polynomials in the same variables compare structurally.  The graded
-lexicographic order fixes leading terms, canonical signs and serialization
+A MultiPoly is a sorted tuple of variable names plus one element of sympy's
+sparse ring Q[vars], or Q(i)[vars] when some coefficient has a nonzero
+imaginary part, under graded lexicographic order.  Two polynomials in
+different variables are lifted to the ring of the union before they meet.
+Arithmetic, exact division, gcd, differentiation and substitution are ring
+calls; coefficients leave the module as Fraction or GaussianRational.  The
+graded lexicographic order fixes leading terms, canonical signs and printed
 order.
 """
 
@@ -11,40 +14,99 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
+
+from sympy import Symbol
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rings import PolyRing
 
 from .errors import UnsupportedInput
-from .qi import GaussianRational, as_coef, coef_abs, coef_conj
+from .qi import GaussianRational
 
 NEG_INF = float("-inf")
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+@lru_cache(maxsize=None)
+def _ring(variables, domain):
+    return PolyRing([Symbol(v) for v in variables], domain, grlex)
+
+
+def _domain_of(coeffs):
+    gauss = any(isinstance(c, GaussianRational) and c.im for c in coeffs)
+    return QQ_I if gauss else QQ
+
+
+def _coef_in(c, domain):
+    """Fraction, int or GaussianRational as an element of `domain`."""
+    if isinstance(c, GaussianRational):
+        re, im = QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator)
+        return re if domain is QQ else QQ_I.dtype.new(re, im)
+    if isinstance(c, (int, Fraction)):
+        q = QQ(c.numerator, c.denominator)
+        return q if domain is QQ else QQ_I.dtype.new(q, QQ.zero)
+    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _frac(q):
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _coef_out(c, domain):
+    if domain is QQ:
+        return _frac(c)
+    return GaussianRational(_frac(c.x), _frac(c.y)) if c.y else _frac(c.x)
+
+
+def _in_ring(p, vs, domain):
+    """p's ring element in the ring over vs, which holds every variable p uses."""
+    return p.poly.set_ring(_ring(vs, domain))
+
+
+def _common(a, b):
+    """(vars, f, g): a and b as elements of one ring."""
+    f, g = a.poly, b.poly
+    if f.ring is g.ring:
+        return a.vars, f, g
+    vs = a.vars if a.vars == b.vars else tuple(sorted(set(a.vars) | set(b.vars)))
+    domain = QQ_I if QQ_I in (f.ring.domain, g.ring.domain) else QQ
+    return vs, _in_ring(a, vs, domain), _in_ring(b, vs, domain)
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "poly", "_numeric")
 
     def __init__(self, variables, terms=None):
         vs = tuple(variables)
         if list(vs) != sorted(vs):
             raise ValueError("variables must be sorted")
-        self.vars = vs
+        terms = terms or {}
+        domain = _domain_of(terms.values())
         clean = {}
-        if terms:
-            for exp, c in terms.items():
-                c = as_coef(c)
-                if isinstance(c, Fraction) and c == 0:
-                    continue
-                if isinstance(c, GaussianRational) and not c:
-                    continue
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != len(vs):
-                    raise ValueError("exponent arity mismatch")
-                if any(e < 0 for e in exp):
-                    raise ValueError("negative exponent")
+        for exp, c in terms.items():
+            c = _coef_in(c, domain)
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != len(vs):
+                raise ValueError("exponent arity mismatch")
+            if any(e < 0 for e in exp):
+                raise ValueError("negative exponent")
+            if c:
                 clean[exp] = c
-        self.terms = clean
+        self.vars = vs
+        self.poly = _ring(vs, domain).dtype(clean)
+        self._numeric = None
+
+    @staticmethod
+    def _new(vs, f):
+        """Wrap ring element f over vs, back in Q when no coefficient is complex."""
+        if f.ring.domain is QQ_I and not any(c.y for c in f.values()):
+            f = _ring(vs, QQ).dtype({m: c.x for m, c in f.items()})
+        p = object.__new__(MultiPoly)
+        p.vars = vs
+        p.poly = f
+        p._numeric = None
+        return p
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -53,8 +115,10 @@ class MultiPoly:
 
     @staticmethod
     def const(c, variables=()):
-        vs = sorted(variables)
-        return MultiPoly(vs, {tuple([0] * len(vs)): c})
+        vs = tuple(sorted(variables))
+        domain = _domain_of((c,))
+        c = _coef_in(c, domain)
+        return MultiPoly._new(vs, _ring(vs, domain).dtype({(0,) * len(vs): c} if c else {}))
 
     @staticmethod
     def var(name, variables=None):
@@ -63,33 +127,19 @@ class MultiPoly:
         return MultiPoly(vs, {exp: 1})
 
     # -- variable management ---------------------------------------------------
+    def _lift(self, vs):
+        return MultiPoly._new(vs, _in_ring(self, vs, self.poly.ring.domain))
+
     def extend(self, variables):
         """Reinterpret over a superset of variables."""
         vs = tuple(sorted(set(self.vars) | set(variables)))
-        if vs == self.vars:
-            return self
-        pos = [vs.index(v) for v in self.vars]
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(vs)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = c
-        return MultiPoly(vs, terms)
+        return self if vs == self.vars else self._lift(vs)
 
     def shrink(self):
         """Drop variables that do not occur."""
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        if len(used) == len(self.vars):
-            return self
-        keep = sorted(used)
-        vs = tuple(self.vars[i] for i in keep)
-        terms = {tuple(exp[i] for i in keep): c for exp, c in self.terms.items()}
-        return MultiPoly(vs, terms)
+        degs = self.poly.degrees() if self.poly else [0] * len(self.vars)
+        vs = tuple(v for v, d in zip(self.vars, degs) if d > 0)
+        return self if vs == self.vars else self._lift(vs)
 
     @staticmethod
     def align(a, b):
@@ -97,45 +147,53 @@ class MultiPoly:
         return a.extend(vs), b.extend(vs)
 
     # -- predicates / inspection ------------------------------------------------
+    @property
+    def terms(self):
+        """{exponent: Fraction or GaussianRational}."""
+        domain = self.poly.ring.domain
+        return {m: _coef_out(c, domain) for m, c in self.poly.items()}
+
+    def nterms(self):
+        return len(self.poly)
+
     def is_zero(self):
-        return not self.terms
+        return not self.poly
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return self.poly.is_ground
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
+        return self.coeff([0] * len(self.vars))
 
     def total_degree(self):
-        if not self.terms:
+        if not self.poly:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.poly.itermonoms())
 
     def degree_in(self, names):
         """Total degree counting only the listed variables."""
         if isinstance(names, str):
             names = (names,)
         idx = [self.vars.index(v) for v in names if v in self.vars]
-        if not self.terms:
+        if not self.poly:
             return NEG_INF
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(sum(e[i] for i in idx) for e in self.poly.itermonoms())
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.poly:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp, c = self.poly.LT
+        return exp, _coef_out(c, self.poly.ring.domain)
 
     def coeff(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
+        domain = self.poly.ring.domain
+        return _coef_out(self.poly.get(tuple(exp), domain.zero), domain)
 
     def has_gaussian(self):
-        return any(isinstance(c, GaussianRational) for c in self.terms.values())
+        return self.poly.ring.domain is QQ_I
 
     # -- arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -149,11 +207,8 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = MultiPoly.align(self, o)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(a.vars, terms)
+        vs, f, g = _common(self, o)
+        return MultiPoly._new(vs, f + g)
 
     __radd__ = __add__
 
@@ -161,65 +216,48 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        vs, f, g = _common(self, o)
+        return MultiPoly._new(vs, f - g)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.vars, -self.poly)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = MultiPoly.align(self, o)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, terms)
+        vs, f, g = _common(self, o)
+        return MultiPoly._new(vs, f * g)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of polynomial")
-        result = MultiPoly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return MultiPoly.const(1, self.vars)
+        return MultiPoly._new(self.vars, self.poly ** k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = MultiPoly.align(self, other)
-        return a.terms == b.terms
+        _, f, g = _common(self, other)
+        return f == g
 
     def __hash__(self):
         p = self.shrink()
-        return hash((p.vars, frozenset(p.terms.items())))
+        return hash((p.vars, frozenset(p.poly.items())))
 
     # -- calculus ---------------------------------------------------------------
     def diff(self, name):
         if name not in self.vars:
             return MultiPoly.zero(self.vars)
-        i = self.vars.index(name)
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._new(self.vars, self.poly.diff(self.vars.index(name)))
 
     def subs(self, mapping):
         """Substitute variables by polynomials/constants; absent names ignored."""
@@ -227,125 +265,89 @@ class MultiPoly:
                    for k, v in mapping.items() if k in self.vars}
         if not mapping:
             return self
-        keep = [v for v in self.vars if v not in mapping]
-        out_vars = set(keep)
-        for p in mapping.values():
-            out_vars |= set(p.vars)
-        result = MultiPoly.zero(sorted(out_vars))
-        # cache powers of substituted values
-        pow_cache = {k: {0: MultiPoly.const(1, sorted(out_vars))} for k in mapping}
-
-        def power(name, k):
-            cache = pow_cache[name]
-            if k not in cache:
-                cache[k] = power(name, k - 1) * mapping[name]
-            return cache[k]
-
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(c, sorted(out_vars))
-            for v, e in zip(self.vars, exp):
-                if e == 0:
-                    continue
-                if v in mapping:
-                    term = term * power(v, e)
-                else:
-                    term = term * MultiPoly.var(v, sorted(out_vars)) ** e
-            result = result + term
-        return result
+        out = {v for v in self.vars if v not in mapping}
+        out = tuple(sorted(out.union(*(p.vars for p in mapping.values()))))
+        gauss = any(p.has_gaussian() for p in (self, *mapping.values()))
+        domain = QQ_I if gauss else QQ
+        vs = tuple(sorted(set(self.vars) | set(out)))
+        R = _ring(vs, domain)
+        f = self.poly.set_ring(R).compose(
+            [(R.gens[vs.index(k)], p.poly.set_ring(R)) for k, p in mapping.items()])
+        return MultiPoly._new(out, f.set_ring(_ring(out, domain)))
 
     def eval_complex(self, point):
         """Numeric evaluation; point maps every variable to a complex number."""
+        if self._numeric is None:
+            domain = self.poly.ring.domain
+            self._numeric = [
+                (complex(float(c), 0.0) if domain is QQ else complex(float(c.x), float(c.y)),
+                 [(v, e) for v, e in zip(self.vars, exp) if e])
+                for exp, c in self.poly.items()]
         total = 0j
-        for exp, c in self.terms.items():
-            v = complex(c) if isinstance(c, GaussianRational) else complex(float(c), 0.0)
-            for name, e in zip(self.vars, exp):
-                if e:
-                    v *= point[name] ** e
+        for v, mono in self._numeric:
+            for name, e in mono:
+                v *= point[name] ** e
             total += v
         return total
 
     # -- norms / content -----------------------------------------------------------
     def l1_norm(self):
         """Sum of absolute values of coefficients; exact when all are exact."""
+        if not self.has_gaussian():
+            return _frac(self.poly.l1_norm())
         total = Fraction(0)
-        for c in self.terms.values():
-            total = total + coef_abs(c)
+        for c in self.poly.itercoeffs():
+            if c.x and c.y:
+                total = total + math.sqrt(float(c.x * c.x + c.y * c.y))
+            else:
+                total = total + _frac(abs(c.x or c.y))
         return total
 
     def conj_coeffs(self):
-        return MultiPoly(self.vars, {e: coef_conj(c) for e, c in self.terms.items()})
+        if not self.has_gaussian():
+            return self
+        new = QQ_I.dtype.new
+        return MultiPoly._new(self.vars, self.poly.ring.dtype(
+            {m: new(c.x, -c.y) for m, c in self.poly.items()}))
 
     def rational_content(self):
-        """Positive rational c with self/c having coprime integer coefficients.
-
-        Requires Fraction coefficients; sign excluded (content is positive).
-        """
-        if self.is_zero():
-            return Fraction(0)
+        """Positive rational c with self/c having coprime integer (Gaussian)
+        coefficients; 0 for the zero polynomial."""
+        parts = self.poly.itercoeffs()
         if self.has_gaussian():
-            num_g = 0
-            den_l = 1
-            for c in self.terms.values():
-                g = c if isinstance(c, GaussianRational) else GaussianRational(c, 0)
-                num_g = math.gcd(num_g, g.re.numerator, g.im.numerator)
-                den_l = den_l * g.re.denominator // math.gcd(den_l, g.re.denominator)
-                den_l = den_l * g.im.denominator // math.gcd(den_l, g.im.denominator)
-            return Fraction(num_g, den_l)
-        num_g = 0
-        den_l = 1
-        for c in self.terms.values():
-            num_g = math.gcd(num_g, c.numerator)
-            den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
-        return Fraction(num_g, den_l)
+            parts = [q for c in parts for q in (c.x, c.y)]
+        return _frac(reduce(QQ.gcd, parts, QQ.zero))
 
     def primitive(self):
         """(content*sign, primitive part) with positive leading coefficient."""
         if self.is_zero():
             return Fraction(0), self
         c = self.rational_content()
-        _, lead = self.leading()
-        if isinstance(lead, GaussianRational):
-            if lead.re < 0 or (lead.re == 0 and lead.im < 0):
-                c = -c
-        elif lead < 0:
+        lead = self.poly.LC
+        if (lead.x < 0 or (lead.x == 0 and lead.y < 0)) if self.has_gaussian() else lead < 0:
             c = -c
-        inv = 1 / c
-        return c, MultiPoly(self.vars, {e: v * inv for e, v in self.terms.items()})
+        return c, self.divexact(c)
 
     # -- division ------------------------------------------------------------------
     def divexact(self, divisor):
         """Exact division; raises ValueError if the division is not exact."""
-        if isinstance(divisor, (int, Fraction, GaussianRational)):
-            inv = 1 / as_coef(divisor)
-            return MultiPoly(self.vars, {e: c * inv for e, c in self.terms.items()})
-        q, r = self.divmod_multi(divisor)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        vs, f, g = _common(self, self._coerce(divisor))
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
+        if g.is_ground:
+            return MultiPoly._new(vs, f.quo_ground(g.LC))
+        try:
+            return MultiPoly._new(vs, f.exquo(g))
+        except ExactQuotientFailed:
+            raise ValueError("inexact polynomial division") from None
 
     def divmod_multi(self, divisor):
         """Multivariate division by a single divisor under graded lex."""
-        a, b = MultiPoly.align(self, divisor)
-        if b.is_zero():
+        vs, f, g = _common(self, divisor)
+        if not g:
             raise ZeroDivisionError("polynomial division by zero")
-        lead_exp, lead_c = b.leading()
-        q_terms = {}
-        rem = MultiPoly(a.vars, dict(a.terms))
-        r_terms = {}
-        while not rem.is_zero():
-            exp, c = rem.leading()
-            diff = tuple(x - y for x, y in zip(exp, lead_exp))
-            if any(d < 0 for d in diff):
-                # leading term cannot be reduced; move it to the remainder
-                r_terms[exp] = c
-                t = dict(rem.terms)
-                del t[exp]
-                rem = MultiPoly(a.vars, t)
-                continue
-            qc = c / lead_c
-            q_terms[diff] = q_terms.get(diff, Fraction(0)) + qc
-            rem = rem - MultiPoly(a.vars, {diff: qc}) * b
-        return MultiPoly(a.vars, q_terms), MultiPoly(a.vars, r_terms)
+        q, r = f.div(g)
+        return MultiPoly._new(vs, q), MultiPoly._new(vs, r)
 
     # -- univariate views -------------------------------------------------------
     def effective_vars(self):
@@ -357,100 +359,54 @@ class MultiPoly:
         if p.vars not in ((), (name,)):
             raise UnsupportedInput(f"polynomial is not univariate in {name}: vars {p.vars}")
         if p.vars == ():
-            return [p.constant_value()] if p.terms else [Fraction(0)]
-        deg = max(e[0] for e in p.terms) if p.terms else 0
-        out = [Fraction(0)] * (deg + 1)
-        for exp, c in p.terms.items():
-            out[exp[0]] = c
-        return out
-
-    @staticmethod
-    def from_univar_coeffs(coeffs, name):
-        return MultiPoly((name,), {(i,): c for i, c in enumerate(coeffs)})
+            return [p.constant_value()]
+        domain = p.poly.ring.domain
+        return [_coef_out(c, domain) for c in reversed(p.poly.to_dense())]
 
     def coeff_split(self, front):
         """Group terms by exponents of `front` variables.
 
         Returns dict: exponent-tuple over `front` -> MultiPoly in the rest.
         """
-        front = tuple(front)
-        idx = [self.vars.index(v) for v in front if v in self.vars]
-        rest = [v for v in self.vars if v not in front]
+        fidx = [self.vars.index(v) if v in self.vars else None for v in front]
+        rest = tuple(v for v in self.vars if v not in front)
+        ridx = [self.vars.index(v) for v in rest]
         out = {}
-        for exp, c in self.terms.items():
-            fexp = tuple(exp[self.vars.index(v)] if v in self.vars else 0 for v in front)
-            rexp = tuple(exp[self.vars.index(v)] for v in rest)
-            out.setdefault(fexp, {})[rexp] = c
-        return {fe: MultiPoly(rest, terms) for fe, terms in out.items()}
+        for exp, c in self.poly.items():
+            fexp = tuple(exp[i] if i is not None else 0 for i in fidx)
+            out.setdefault(fexp, {})[tuple(exp[i] for i in ridx)] = c
+        R = _ring(rest, self.poly.ring.domain)
+        return {fe: MultiPoly._new(rest, R.dtype(d)) for fe, d in out.items()}
 
     # -- gcd ----------------------------------------------------------------------
     @staticmethod
     def gcd(a, b):
-        """Monic/primitive gcd; Euclid for univariate, sympy for multivariate."""
+        """Primitive gcd: the last Euclidean remainder in one variable, the
+        ring gcd in several, and 1 for coprime arguments.  Over Q(i) the
+        unit factor of a nonconstant remainder, which primitive() keeps, is
+        part of the canonical form of rational functions and operators."""
         a = a.shrink()
         b = b.shrink()
         if a.is_zero():
             return b.primitive()[1] if not b.is_zero() else b
         if b.is_zero():
             return a.primitive()[1]
-        evars = sorted(set(a.vars) | set(b.vars))
-        if len(evars) <= 1:
-            return _gcd_univar(a.extend(evars), b.extend(evars))
-        return _gcd_sympy(a.extend(evars), b.extend(evars))
-
-    # -- sympy bridge ----------------------------------------------------------
-    def to_sympy(self):
-        import sympy
-
-        if self.has_gaussian():
-            syms = [sympy.Symbol(v) for v in self.vars]
-            expr = sympy.Integer(0)
-            for exp, c in self.terms.items():
-                cc = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) \
-                    if isinstance(c, GaussianRational) else sympy.Rational(c)
-                mono = sympy.Integer(1)
-                for s, e in zip(syms, exp):
-                    mono *= s ** e
-                expr += cc * mono
-            return expr
-        syms = [sympy.Symbol(v) for v in self.vars]
-        expr = sympy.Integer(0)
-        for exp, c in self.terms.items():
-            mono = sympy.Integer(1)
-            for s, e in zip(syms, exp):
-                mono *= s ** e
-            expr += sympy.Rational(c) * mono
-        return expr
-
-    @staticmethod
-    def from_sympy(expr, variables):
-        import sympy
-
-        vs = sorted(variables)
-        poly = sympy.Poly(expr, *[sympy.Symbol(v) for v in vs]) if vs else None
-        terms = {}
-        if poly is None:
-            q = sympy.Rational(expr)
-            return MultiPoly.const(Fraction(q.p, q.q))
-        for exp, c in poly.terms():
-            c = sympy.nsimplify(c)
-            re, im = c.as_real_imag()
-            re = sympy.Rational(re)
-            im = sympy.Rational(im)
-            if im == 0:
-                coef = Fraction(re.p, re.q)
-            else:
-                coef = GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
-            terms[tuple(int(e) for e in exp)] = coef
-        return MultiPoly(vs, terms)
+        vs, f, g = _common(a, b)
+        if f.is_ground or g.is_ground:
+            return MultiPoly.const(1, vs)
+        h = f.ring.dup_euclidean_prs(f, g)[-1] if len(vs) == 1 else f.gcd(g)
+        if h.is_ground:
+            return MultiPoly.const(1, vs)
+        return MultiPoly._new(vs, h).primitive()[1]
 
     # -- output ---------------------------------------------------------------
     def __repr__(self):
-        if not self.terms:
+        if not self.poly:
             return "0"
+        terms = self.terms
         bits = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            c = terms[exp]
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.vars, exp) if e)
             if mono:
@@ -458,60 +414,6 @@ class MultiPoly:
             else:
                 bits.append(f"{c}")
         return " + ".join(bits)
-
-
-def _gcd_univar(a, b):
-    """Primitive-monic Euclid over Q or Q(i) for (at most) one variable."""
-    if a.is_constant() or b.is_constant():
-        return MultiPoly.const(1, a.vars)
-    name = a.vars[0]
-    fa = a.univar_coeffs(name)
-    fb = b.univar_coeffs(name)
-
-    def deg(f):
-        return len(f) - 1
-
-    def rem(f, g):
-        f = list(f)
-        while deg(f) >= deg(g) and any(c != 0 for c in f):
-            if not f[-1]:
-                f.pop()
-                continue
-            q = f[-1] / g[-1]
-            shift = deg(f) - deg(g)
-            for i, gc in enumerate(g):
-                f[i + shift] = f[i + shift] - q * gc
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-            if not f:
-                return [Fraction(0)]
-        return f
-
-    f, g = fa, fb
-    if deg(f) < deg(g):
-        f, g = g, f
-    while any(c != 0 for c in g) and deg(g) >= 0:
-        f, g = g, rem(f, g)
-        if len(g) == 1 and g[0] == 0:
-            break
-        if deg(g) == 0 and g[0] != 0:
-            return MultiPoly.const(1, a.vars)
-    p = MultiPoly.from_univar_coeffs(f, name)
-    _, prim = p.primitive()
-    return prim
-
-
-def _gcd_sympy(a, b):
-    import sympy
-
-    g = sympy.gcd(a.to_sympy(), b.to_sympy())
-    vs = sorted(set(a.vars) | set(b.vars))
-    p = MultiPoly.from_sympy(g, vs)
-    if p.is_zero():
-        return p
-    _, prim = p.primitive()
-    return prim
 
 
 def poly_lcm(a, b):

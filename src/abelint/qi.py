@@ -1,13 +1,13 @@
 """Exact Gaussian rationals a + b*i with Fraction components.
 
 Used for operator coefficients after pullback by complex Moebius maps and for
-symmetrization across circles and lines.  Arithmetic is exact; only absolute
-values of genuinely complex numbers fall back to floats.
+symmetrization across circles and lines.  Arithmetic is exact.  Inside
+polynomials the coefficients live in sympy's QQ_I; this class is how they
+enter and leave.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -115,35 +115,3 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
-
-
-def coef_abs(c):
-    """|c| as Fraction when exact (real or purely imaginary), else float."""
-    if isinstance(c, (int, Fraction)):
-        return abs(_frac(c))
-    if isinstance(c, GaussianRational):
-        if c.im == 0:
-            return abs(c.re)
-        if c.re == 0:
-            return abs(c.im)
-        return math.sqrt(float(c.abs2()))
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def coef_conj(c):
-    if isinstance(c, GaussianRational):
-        return c.conjugate()
-    return c
-
-
-def as_coef(x):
-    """Normalize to Fraction or GaussianRational (keep real values as Fraction)."""
-    if isinstance(x, GaussianRational):
-        if x.im == 0:
-            return x.re
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"unsupported coefficient type {type(x).__name__}")

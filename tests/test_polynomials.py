@@ -13,11 +13,14 @@ from abelint.qi import GaussianRational
 V = ("x", "y")
 
 
-def rand_poly(rng, vars=V, deg=4, terms=5, span=9):
+def rand_poly(rng, vars=V, deg=4, terms=5, span=9, gaussian=False):
+    def q():
+        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
     d = {}
     for _ in range(terms):
         e = tuple(rng.randint(0, deg) for _ in vars)
-        d[e] = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        d[e] = GaussianRational(q(), q()) if gaussian else q()
     return MultiPoly(vars, d)
 
 
@@ -26,7 +29,10 @@ def to_sym(p):
         (sympy.Symbol(p.vars[0]),)
     expr = 0
     for e, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+        if isinstance(c, GaussianRational):
+            term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+        else:
+            term = sympy.Rational(c.numerator, c.denominator)
         for s, k in zip(syms, e):
             term *= s ** k
         expr += term
@@ -67,10 +73,13 @@ def test_divmod_exact():
 
 def test_gcd_oracle():
     rng = random.Random(4)
-    for _ in range(10):
-        g = rand_poly(rng, deg=2, terms=3)
-        a = rand_poly(rng, deg=2, terms=3) * g
-        b = rand_poly(rng, deg=2, terms=3) * g
+    # Q[x, y], then Q(i)[t] (the path of pullbacks and symmetrizations),
+    # then Q(i)[x, y]
+    cases = [(V, False)] * 10 + [(("t",), True)] * 10 + [(V, True)] * 4
+    for vars, gaussian in cases:
+        g = rand_poly(rng, vars, deg=2, terms=3, gaussian=gaussian)
+        a = rand_poly(rng, vars, deg=2, terms=3, gaussian=gaussian) * g
+        b = rand_poly(rng, vars, deg=2, terms=3, gaussian=gaussian) * g
         if a.is_zero() or b.is_zero():
             continue
         ours = MultiPoly.gcd(a, b)
@@ -78,6 +87,14 @@ def test_gcd_oracle():
         # gcds agree up to a constant: both must divide each other
         q1 = sympy.simplify(to_sym(ours) / theirs)
         assert q1.is_constant()
+
+
+def test_gcd_of_coprime_gaussian_is_one():
+    # rem(t, t - i) = i: a Gaussian unit, which primitive() would keep
+    t = MultiPoly.var("t")
+    ti = t - GaussianRational(0, 1)
+    assert MultiPoly.gcd(t, ti) == 1
+    assert poly_lcm(t, ti) == t * ti
 
 
 def test_lcm_divisible():

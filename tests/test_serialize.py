@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 from abelint.linalg import FieldMatrix
+from abelint.operators import circle_to_real_axis_map, pullback, standard_form
 from abelint.parsing import parse_operator, parse_poly
 from abelint.ratfunc import RatFunc
 from abelint.serialize import dumps, loads
 from abelint.slits import build_slits
 from abelint.config import RunConfig
 from abelint.polynomials import MultiPoly
+from abelint.qi import GaussianRational
 
 
 def test_poly_roundtrip():
@@ -23,6 +25,29 @@ def test_ratfunc_roundtrip():
     one = MultiPoly.const(Fraction(1), ("t",))
     r = RatFunc(t * t + one, t - one)
     assert (loads(dumps(r)) - r).is_zero()
+
+
+def test_canonical_encoding_golden():
+    """The encoding itself, not only the value: canonical forms fix which
+    representative is written, including its unit factor over Q(i)."""
+    t = ("t",)
+    r = RatFunc(parse_poly("t^5 - 1", t), parse_poly("2*t - 2", t))
+    assert dumps(r, indent=None) == (
+        '{"type": "ratfunc", "num": {"type": "poly", "vars": ["t"], "terms": '
+        '[[[0], "1/2"], [[1], "1/2"], [[2], "1/2"], [[3], "1/2"], [[4], "1/2"]]}, '
+        '"den": {"type": "poly", "vars": ["t"], "terms": [[[0], "1"]]}}')
+    D = pullback(parse_operator("t*D - 1"), circle_to_real_axis_map(0, 0, 2))
+    assert dumps(D, indent=None) == (
+        '{"type": "operator", "coeffs": [{"type": "poly", "vars": ["t"], "terms": '
+        '[[[0], {"re": "0", "im": "1"}], [[2], {"re": "0", "im": "1"}]]}, '
+        '{"type": "poly", "vars": ["t"], "terms": [[[0], "2"]]}]}')
+    tt = parse_poly("t", t)
+    one = RatFunc(parse_poly("1", t))
+    D = standard_form([one / RatFunc(tt), one / RatFunc(tt - GaussianRational(0, 1))])
+    assert dumps(D, indent=None) == (
+        '{"type": "operator", "coeffs": [{"type": "poly", "vars": ["t"], "terms": '
+        '[[[0], {"re": "0", "im": "-1"}], [[1], "1"]]}, '
+        '{"type": "poly", "vars": ["t"], "terms": [[[1], "1"]]}]}')
 
 
 def test_operator_roundtrip():
