@@ -2,15 +2,18 @@
 
 Subcommands: derive-pf, reduce, slope, slits, monodromy, count, integrate,
 bound.  All structured output is JSON on stdout (exact rationals as strings);
-floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error,
-3 numeric tolerance failure, 4 domain error (degenerate input, open curve),
-5 bound violated / not quasiunipotent.
+floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error
+(argparse rejects a non-finite --pencil or --t and a radius that is not
+finite and positive), 3 numeric tolerance failure or float overflow,
+4 domain error (degenerate input, open curve), 5 bound violated / not
+quasiunipotent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,6 +34,25 @@ from .slits import Circle, build_slits, is_admissible, svg_export
 def _fmt(x):
     if isinstance(x, float):
         return float("%.12g" % x)
+    return x
+
+
+def _finite(text):
+    """argparse type: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _radius(text):
+    """argparse type: a finite, positive float."""
+    x = _finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"radius must be positive: {text!r}")
     return x
 
 
@@ -199,14 +221,14 @@ def build_parser():
     p = sub.add_parser("derive-pf", help="derive the exact Pfaffian system")
     p.add_argument("--hamiltonian", required=True,
                    help="polynomial in x1, x2, e.g. 'x2^2/2 + x1^3 - x1'")
-    p.add_argument("--pencil", type=float, default=None,
+    p.add_argument("--pencil", type=_finite, default=None,
                    help="restrict the free term to c0 - t and emit A(t)")
     p.add_argument("--output", help="write JSON to this file")
     p.set_defaults(fn=cmd_derive_pf)
 
     p = sub.add_parser("reduce", help="scalar operator for the first basis entry")
     p.add_argument("--hamiltonian", help="polynomial in x1, x2")
-    p.add_argument("--pencil", type=float, default=0.0)
+    p.add_argument("--pencil", type=_finite, default=0.0)
     p.add_argument("--system", help="JSON file with an 'A' matrix")
     p.set_defaults(fn=cmd_reduce)
 
@@ -226,7 +248,7 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--operator-file")
     p.add_argument("--center", default="0")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_radius, required=True)
     p.set_defaults(fn=cmd_monodromy)
 
     p = sub.add_parser("count", help="zeros inside a circle (argument principle)")
@@ -235,12 +257,12 @@ def build_parser():
     p.add_argument("--operator-file")
     p.add_argument("--y0", help="semicolon-separated initial data at angle 0")
     p.add_argument("--center", default="0")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_radius, required=True)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("integrate", help="period integrals over a real oval")
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--seed", required=True, help="point near the oval, e.g. '0.5+1i'")
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.set_defaults(fn=cmd_integrate)
@@ -249,9 +271,9 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--operator-file")
     p.add_argument("--inner-center", default="0")
-    p.add_argument("--inner-radius", type=float)
+    p.add_argument("--inner-radius", type=_radius)
     p.add_argument("--outer-center", default="0")
-    p.add_argument("--outer-radius", type=float)
+    p.add_argument("--outer-radius", type=_radius)
     p.add_argument("--headline", type=int, default=None,
                    help="print the doubly exponential budget for this n")
     p.add_argument("--size", type=float, default=None)

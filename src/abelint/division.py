@@ -266,7 +266,7 @@ def _divide(H: Hamiltonian, kind, target):
             raise UnsupportedInput("form denominators must be free of x1, x2")
     # clear lambda denominators
     den = ratfunc_lcm_den(comps)
-    polys = [(c * RatFunc(den)).as_poly() for c in comps]
+    polys = [c.cleared(den) for c in comps]
     d = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
     d = max(int(d) if d is not NEG_INF else 0, 0)
 

@@ -83,6 +83,12 @@ class ToleranceNotMet(AbelintError):
     exit_code = 3
 
 
+class NumericOverflow(AbelintError):
+    """A float derived from exact data is beyond the float range."""
+
+    exit_code = 3
+
+
 class NotQuasiunipotent(AbelintError):
     """Equatorial monodromy fails the quasiunipotence test."""
 

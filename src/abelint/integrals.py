@@ -40,7 +40,12 @@ class LevelCurve:
 
     def __init__(self, H: MultiPoly):
         if tuple(H.vars) != ("x1", "x2"):
-            H = H.align(("x1", "x2"))
+            H = H.shrink()
+            extra = set(H.vars) - {"x1", "x2"}
+            if extra:
+                raise UnsupportedInput(
+                    f"level curves need a polynomial in x1, x2; got {sorted(extra)}")
+            H = H.extend(("x1", "x2"))
         self.H = H
         self.f = _compile(H)
         self.fx = _compile(H.diff("x1"))

@@ -1,15 +1,21 @@
 """Exact linear algebra over rational function fields.
 
-`solve_linear` clears denominators and runs fraction-free (Bareiss)
-elimination on polynomial matrices, so no gcds are needed until the final
-back-substitution.  Underdetermined systems set free variables to zero;
-inconsistent ones raise NoSolution.  Solutions are verified by substitution.
+`solve_linear` clears each equation to polynomials by multiplying every
+entry's numerator with the cofactor of its denominator in the row's lcm, so
+the clearing cancels no gcd.  An overdetermined system whose cleared
+augmented matrix has full column rank at one rational point has full rank
+generically, so it is inconsistent and raises NoSolution at once.  All
+other systems run fraction-free (Bareiss) elimination on the polynomial
+rows; only the back-substitution works with rational functions.
+Underdetermined systems set free variables to zero; inconsistent ones raise
+NoSolution.  Verification checks each cleared row as one polynomial
+identity, sum_j a_j (x_j L) = c L with L the lcm of the denominators of x.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
 
@@ -94,9 +100,24 @@ def _clear_rows(A, b):
     rows = []
     for i in range(A.rows):
         entries = list(A.data[i]) + [b[i]]
-        den = RatFunc(ratfunc_lcm_den(entries))
-        rows.append([(e * den).as_poly() for e in entries])
+        den = ratfunc_lcm_den(entries)
+        rows.append([e.cleared(den) for e in entries])
     return rows
+
+
+def _satisfies(rows, x):
+    """Whether x solves every cleared row [a_1 .. a_n | c]: with L the lcm of
+    the denominators of x, sum_j a_j (x_j L) = c L as polynomials."""
+    L = ratfunc_lcm_den(x)
+    xL = [(j, xj.cleared(L)) for j, xj in enumerate(x) if not xj.is_zero()]
+    for row in rows:
+        lhs = MultiPoly.zero()
+        for j, p in xL:
+            if not row[j].is_zero():
+                lhs = lhs + row[j] * p
+        if lhs != row[-1] * L:
+            return False
+    return True
 
 
 def solve_linear(A: FieldMatrix, b, verify=True):
@@ -109,8 +130,12 @@ def solve_linear(A: FieldMatrix, b, verify=True):
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
     n = A.cols
-    M = _clear_rows(A, b)
-    m = len(M)
+    cleared = _clear_rows(A, b)
+    m = len(cleared)
+    # rank n + 1 at one point means generic rank n + 1: b is not in the span
+    if m > n and rank_at_point(cleared) == n + 1:
+        raise NoSolution("inconsistent linear system")
+    M = list(cleared)
     # Bareiss fraction-free elimination on the augmented matrix
     pivots = []  # (row, col)
     prev = MultiPoly.const(1)
@@ -158,11 +183,8 @@ def solve_linear(A: FieldMatrix, b, verify=True):
             if not M[r][j].is_zero() and not x[j].is_zero():
                 acc = acc - RatFunc(M[r][j]) * x[j]
         x[c] = acc / RatFunc(M[r][c])
-    if verify:
-        for i in range(A.rows):
-            lhs = sum((A.data[i][j] * x[j] for j in range(n)), RatFunc.zero())
-            if lhs != b[i]:
-                raise NoSolution("verification failed: A x != b")
+    if verify and not _satisfies(cleared, x):
+        raise NoSolution("verification failed: A x != b")
     return x
 
 

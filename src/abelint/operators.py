@@ -99,7 +99,7 @@ def standard_form(coeffs) -> DiffOperator:
     den = MultiPoly.const(1, TVARS)
     for r in rs:
         den = poly_lcm(den.extend(TVARS), r.den.extend(TVARS))
-    polys = [(r * RatFunc(den)).as_poly().extend(TVARS) for r in rs]
+    polys = [r.cleared(den).extend(TVARS) for r in rs]
     g = MultiPoly.zero(TVARS)
     for p in polys:
         if not p.is_zero():

@@ -18,11 +18,12 @@ from functools import lru_cache, reduce
 
 from sympy import Symbol
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyRing
 
-from .errors import UnsupportedInput
+from .errors import NumericOverflow, UnsupportedInput
 from .qi import GaussianRational
 
 NEG_INF = float("-inf")
@@ -51,6 +52,15 @@ def _coef_in(c, domain):
 
 def _frac(q):
     return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _abs_float(c):
+    """|c| of a Gaussian c as the float sqrt(|c|^2), or, where |c|^2 is
+    beyond the float range, as the hypot of its parts."""
+    try:
+        return math.sqrt(float(c.x * c.x + c.y * c.y))
+    except OverflowError:
+        return math.hypot(float(c.x), float(c.y))
 
 
 def _coef_out(c, domain):
@@ -296,11 +306,13 @@ class MultiPoly:
         if not self.has_gaussian():
             return _frac(self.poly.l1_norm())
         total = Fraction(0)
-        for c in self.poly.itercoeffs():
-            if c.x and c.y:
-                total = total + math.sqrt(float(c.x * c.x + c.y * c.y))
-            else:
-                total = total + _frac(abs(c.x or c.y))
+        try:
+            for c in self.poly.itercoeffs():
+                total = total + (_abs_float(c) if c.x and c.y else _frac(abs(c.x or c.y)))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise NumericOverflow("l1 norm of a Q(i) polynomial exceeds the float range")
         return total
 
     def conj_coeffs(self):
@@ -381,10 +393,12 @@ class MultiPoly:
     # -- gcd ----------------------------------------------------------------------
     @staticmethod
     def gcd(a, b):
-        """Primitive gcd: the last Euclidean remainder in one variable, the
-        ring gcd in several, and 1 for coprime arguments.  Over Q(i) the
-        unit factor of a nonconstant remainder, which primitive() keeps, is
-        part of the canonical form of rational functions and operators."""
+        """Primitive gcd: the last Euclidean remainder over Q(i) in one
+        variable, the ring gcd otherwise, and 1 for coprime arguments.  Over
+        Q the primitive part is unique, whichever gcd it comes from; over
+        Q(i) the unit factor of a nonconstant remainder, which primitive()
+        keeps, is part of the canonical form of rational functions and
+        operators."""
         a = a.shrink()
         b = b.shrink()
         if a.is_zero():
@@ -394,7 +408,10 @@ class MultiPoly:
         vs, f, g = _common(a, b)
         if f.is_ground or g.is_ground:
             return MultiPoly.const(1, vs)
-        h = f.ring.dup_euclidean_prs(f, g)[-1] if len(vs) == 1 else f.gcd(g)
+        if len(vs) == 1 and f.ring.domain is QQ_I:
+            h = f.ring.dup_euclidean_prs(f, g)[-1]
+        else:
+            h = f.gcd(g)
         if h.is_ground:
             return MultiPoly.const(1, vs)
         return MultiPoly._new(vs, h).primitive()[1]
@@ -421,3 +438,20 @@ def poly_lcm(a, b):
     if g.is_zero():
         return g
     return a.extend(sorted(set(a.vars) | set(b.vars))).divexact(g) * b
+
+
+def rank_at_point(rows):
+    """Exact rank over Q or Q(i) of a matrix of MultiPoly at one fixed point.
+
+    The k-th variable in sorted order takes the value 2 - 3/(5 + 2k), so t
+    alone is 7/5.  The rank at a point is at most the generic rank.
+    """
+    vs = sorted(set().union(*(p.vars for row in rows for p in row)))
+    domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ
+    point = {v: QQ(2) - QQ(3, 5 + 2 * k) for k, v in enumerate(vs)}
+
+    def value(p):
+        return domain.convert(p.poly(*(point[v] for v in p.vars)) if p.vars else p.poly.LC)
+
+    vals = [[value(p) for p in row] for row in rows]
+    return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()

@@ -67,6 +67,13 @@ class RatFunc:
             raise ValueError("not a polynomial")
         return self.num.divexact(self.den.constant_value())
 
+    def cleared(self, den):
+        """self * den as a polynomial, for a multiple den of self.den.
+
+        Equal to (self * RatFunc(den)).as_poly() without cancelling a gcd.
+        """
+        return self.num * den.divexact(self.den)
+
     @property
     def vars(self):
         return self.num.vars

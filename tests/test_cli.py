@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from abelint.cli import main
 
 
@@ -93,3 +95,32 @@ def test_integrate_circle(capsys):
     data = json.loads(out)
     import math
     assert abs(data["integrals"][0] - math.pi) < 1e-6
+
+
+def test_slope_large_gaussian_coefficients(capsys):
+    # |c|^2 = 2e400 is beyond the float range, |c| is not
+    code, out, _ = run(capsys, "slope", "--operator",
+                       "(10^200*(1+i))*t*D + 10^160*(1+i)")
+    assert code == 0
+    assert json.loads(out)["affine_slope"] == pytest.approx(1e-40)
+    # here |c| itself is beyond it
+    code, _, err = run(capsys, "slope", "--operator", "(10^400*(1+i))*D + 1")
+    assert code == 3
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("reduce", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "nan"),
+    ("derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "inf"),
+    ("integrate", "--hamiltonian", "x1^2/2 + x2^2/2", "--t", "-inf", "--seed", "1"),
+    ("count", "--poly", "t", "--radius", "-1"),
+    ("count", "--poly", "t", "--radius", "0"),
+    ("monodromy", "--operator", "t*D - 1/2", "--radius", "nan"),
+    ("bound", "--operator", "t*D - 1", "--inner-radius", "0.5", "--outer-radius", "inf"),
+    ("bound", "--operator", "t*D - 1", "--inner-radius", "-0.5", "--outer-radius", "2"),
+])
+def test_nonfinite_or_nonpositive_floats_rejected(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint.errors import SeedOffCurve
+from abelint.errors import SeedOffCurve, UnsupportedInput
 from abelint.integrals import (abelian_integral, count_real_zeros,
                                critical_values, trace_oval)
 from abelint.polynomials import MultiPoly
@@ -53,6 +53,16 @@ def test_seed_off_curve():
     with pytest.raises(SeedOffCurve):
         # gradient vanishes at the origin; projection cannot move
         abelian_integral(H, 1.0, (0.0, 0.0), [(0, 0)])
+
+
+def test_level_curve_variables():
+    """H may carry unused variables; any other variable that occurs is
+    rejected."""
+    H = circle_poly().extend(("l00",))
+    vals = abelian_integral(H, 0.5, (1.0, 0.0), [(0, 0)])
+    assert abs(vals[0] - math.pi) < 1e-8
+    with pytest.raises(UnsupportedInput):
+        abelian_integral(H + MultiPoly.var("l00", H.vars), 0.5, (1.0, 0.0), [(0, 0)])
 
 
 def test_count_real_zeros():

@@ -97,6 +97,26 @@ def test_gcd_of_coprime_gaussian_is_one():
     assert poly_lcm(t, ti) == t * ti
 
 
+def test_univariate_rational_gcd_is_primitive_euclidean_remainder():
+    """Over Q the primitive part with positive leading coefficient is unique,
+    so the ring gcd and the last Euclidean remainder give the same result."""
+    rng = random.Random(7)
+    T = ("t",)
+    for k in range(30):
+        a = rand_poly(rng, T, deg=4, terms=4)
+        b = rand_poly(rng, T, deg=4, terms=4)
+        if k % 2:
+            g = rand_poly(rng, T, deg=3, terms=3)
+            a, b = a * g, b * g
+        if a.shrink().vars != T or b.shrink().vars != T:
+            continue
+        f, h = a.poly, b.poly
+        r = MultiPoly._new(T, f.ring.dup_euclidean_prs(f, h)[-1])
+        expect = MultiPoly.const(1, T) if r.is_constant() else r.primitive()[1]
+        ours = MultiPoly.gcd(a, b)
+        assert ours == expect and list(ours.poly.items()) == list(expect.poly.items())
+
+
 def test_lcm_divisible():
     rng = random.Random(5)
     for _ in range(8):

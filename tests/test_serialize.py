@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 from abelint.linalg import FieldMatrix
-from abelint.operators import circle_to_real_axis_map, pullback, standard_form
+from abelint.operators import (circle_to_real_axis_map, pullback, standard_form,
+                               symmetrize)
 from abelint.parsing import parse_operator, parse_poly
 from abelint.ratfunc import RatFunc
 from abelint.serialize import dumps, loads
@@ -48,6 +49,20 @@ def test_canonical_encoding_golden():
         '{"type": "operator", "coeffs": [{"type": "poly", "vars": ["t"], "terms": '
         '[[[0], {"re": "0", "im": "-1"}], [[1], "1"]]}, '
         '{"type": "poly", "vars": ["t"], "terms": [[[1], "1"]]}]}')
+
+
+def test_symmetrized_operator_golden():
+    """Symmetrizing across the unit circle runs lclm's verified solves over
+    Q(i)(t); the canonical encoding of the result is pinned."""
+    D = symmetrize(parse_operator("(t^2-1)*D^2 + t*D - 1"),
+                   circle_to_real_axis_map(0, 0, 1))
+    assert dumps(D, indent=None) == (
+        '{"type": "operator", "coeffs": [{"type": "poly", "vars": ["t"], "terms": '
+        '[[[2], "1"], [[4], "-2"], [[6], "1"]]}, {"type": "poly", "vars": ["t"], '
+        '"terms": [[[1], "3"], [[3], "-12"], [[5], "9"]]}, {"type": "poly", '
+        '"vars": ["t"], "terms": [[[0], "-3"], [[2], "-9"], [[4], "15"]]}, '
+        '{"type": "poly", "vars": ["t"], "terms": [[[1], "3"]]}, '
+        '{"type": "poly", "vars": ["t"], "terms": [[[0], "-3"]]}]}')
 
 
 def test_operator_roundtrip():
