@@ -202,6 +202,8 @@ def cmd_bound(args):
         rep = headline_bound(args.headline, size_s=args.size)
         _emit({"kind": rep.kind, **{k: _fmt(v) for k, v in rep.details.items()}})
         return 0
+    if args.inner_radius is None or args.outer_radius is None:
+        raise ParseError("provide --inner-radius and --outer-radius, or --headline")
     D = _load_operator(args)
     inner = Circle(parse_complex(args.inner_center), args.inner_radius)
     outer = Circle(parse_complex(args.outer_center), args.outer_radius)

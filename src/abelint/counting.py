@@ -258,7 +258,7 @@ def _variation_callable(f, path: ContourPath, config: RunConfig):
                abs(vb) < config.zero_on_path_tol * scale:
                 raise ZeroOnPath("function (numerically) vanishes on the path")
             dphi = abs(cmath.phase(vb / va))
-            if dphi > math.pi / 2 and (pa[0] == pb[0] or True):
+            if dphi > math.pi / 2:
                 # midpoint refinement
                 if pa[0] == pb[0]:
                     mid = (pa[0], (pa[1] + pb[1]) / 2)

@@ -1,9 +1,10 @@
 """Numeric quadrature of period integrals over real ovals of level curves.
 
 Ovals {H = t} are traced with a fixed-step RK4 walk along the unit tangent
-(-H_x2, H_x1)/|grad H| with periodic Newton re-projection onto the curve.
-Line integrals of monomial one-forms are accumulated alongside; accuracy is
-validated by step-halving self-convergence.
+(-H_x2, H_x1)/|grad H| with Newton re-projection onto the curve after each
+step.  Line integrals of monomial one-forms are accumulated alongside by the
+midpoint rule; accuracy is validated by step-halving self-convergence.  The
+walk runs on Python float pairs, which cost less than 2-element arrays.
 """
 
 from __future__ import annotations
@@ -51,22 +52,25 @@ class LevelCurve:
         self.fx = _compile(H.diff("x1"))
         self.fy = _compile(H.diff("x2"))
 
-    def grad(self, p):
-        return np.array([self.fx(p[0], p[1]), self.fy(p[0], p[1])])
+    def grad(self, x, y):
+        return self.fx(x, y), self.fy(x, y)
 
     def project(self, p, t, tol=1e-14, max_iter=60):
-        """Newton projection to {H = t} along the gradient."""
-        p = np.array(p, dtype=float)
-        for _ in range(max_iter):
-            r = self.f(p[0], p[1]) - t
-            if abs(r) < tol * max(abs(t), 1.0):
-                return p
-            g = self.grad(p)
-            g2 = g @ g
-            if g2 < 1e-24:
-                raise SeedOffCurve("gradient vanishes during projection")
-            p = p - r * g / g2
-        raise SeedOffCurve(f"Newton projection did not converge near {tuple(p)}")
+        """Newton projection of the float pair p to {H = t} along the gradient."""
+        x, y = float(p[0]), float(p[1])
+        try:
+            for _ in range(max_iter):
+                r = self.f(x, y) - t
+                if abs(r) < tol * max(abs(t), 1.0):
+                    return x, y
+                g0, g1 = self.grad(x, y)
+                g2 = g0 * g0 + g1 * g1
+                if g2 < 1e-24:
+                    raise SeedOffCurve("gradient vanishes during projection")
+                x, y = x - r * g0 / g2, y - r * g1 / g2
+        except OverflowError:   # float ** int past the float range
+            pass
+        raise SeedOffCurve(f"Newton projection did not converge near {(x, y)}")
 
 
 def critical_values(H: MultiPoly, search_box=4.0, grid=24):
@@ -86,7 +90,7 @@ def critical_values(H: MultiPoly, search_box=4.0, grid=24):
             p = np.array([x0, y0])
             ok = False
             for _ in range(60):
-                g = curve.grad(p)
+                g = np.array(curve.grad(p[0], p[1]))
                 if g @ g < 1e-28:
                     ok = True
                     break
@@ -111,45 +115,48 @@ def critical_values(H: MultiPoly, search_box=4.0, grid=24):
 
 def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
     """One RK4 pass around the oval; returns (integrals, perimeter, area2)."""
-    p0 = curve.project(seed, t)
+    x0, y0 = curve.project(seed, t)
 
-    def tangent(p):
-        g = curve.grad(p)
-        n = math.hypot(g[0], g[1])
+    def tangent(x, y):
+        g0, g1 = curve.grad(x, y)
+        n = math.hypot(g0, g1)
         if n < 1e-14:
             raise NotClosed("level curve passes through a critical point")
-        return np.array([-g[1], g[0]]) / n
+        return -g1 / n, g0 / n
 
-    p = p0.copy()
     acc = [0.0] * len(forms)
     area2 = 0.0
     length = 0.0
+
+    def segment(x, y, xn, yn, mx, my):
+        """Add the chord (x, y) -> (xn, yn), integrands taken at (mx, my)."""
+        nonlocal area2, length
+        dx, dy = xn - x, yn - y
+        for i, (g1, g2) in enumerate(forms):
+            acc[i] += g1(mx, my) * dx + g2(mx, my) * dy
+        area2 += x * yn - xn * y
+        length += math.hypot(dx, dy)
+
+    x, y = x0, y0
+    hh, h6 = 0.5 * h, h / 6.0
     steps = 0
     started = False
     while True:
-        k1 = tangent(p)
-        k2 = tangent(p + 0.5 * h * k1)
-        k3 = tangent(p + 0.5 * h * k2)
-        k4 = tangent(p + h * k3)
-        dp = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        pm = p + 0.5 * dp      # midpoint rule for the line integrals
-        pn = curve.project(p + dp, t)
-        dseg = pn - p
-        for i, (g1, g2) in enumerate(forms):
-            acc[i] += g1(pm[0], pm[1]) * dseg[0] + g2(pm[0], pm[1]) * dseg[1]
-        area2 += p[0] * pn[1] - pn[0] * p[1]
-        length += math.hypot(dseg[0], dseg[1])
-        p = pn
+        a1, b1 = tangent(x, y)
+        a2, b2 = tangent(x + hh * a1, y + hh * b1)
+        a3, b3 = tangent(x + hh * a2, y + hh * b2)
+        a4, b4 = tangent(x + h * a3, y + h * b3)
+        dx = h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        dy = h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        xn, yn = curve.project((x + dx, y + dy), t)
+        # midpoint rule for the line integrals
+        segment(x, y, xn, yn, x + 0.5 * dx, y + 0.5 * dy)
+        x, y = xn, yn
         steps += 1
-        d0 = math.hypot(*(p - p0))
+        d0 = math.hypot(x - x0, y - y0)
         if started and d0 < 0.75 * h:
             # close up exactly
-            dseg = p0 - p
-            pm = p + 0.5 * dseg
-            for i, (g1, g2) in enumerate(forms):
-                acc[i] += g1(pm[0], pm[1]) * dseg[0] + g2(pm[0], pm[1]) * dseg[1]
-            area2 += p[0] * p0[1] - p0[0] * p[1]
-            length += math.hypot(dseg[0], dseg[1])
+            segment(x, y, x0, y0, x + 0.5 * (x0 - x), y + 0.5 * (y0 - y))
             break
         if d0 > 2.0 * h:
             started = True

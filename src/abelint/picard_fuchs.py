@@ -97,14 +97,15 @@ def derive_pfaffian(H: Hamiltonian, s_list=None, check_regular=False) -> Pfaffia
 
 
 class LinearODESystem:
-    """dX/dt = A(t) X with exact rational entries and numeric helpers."""
+    """dX/dt = A(t) X with exact rational entries; `eval` gives A(t) in floats
+    by one Horner pass over the stacked coefficients of all entries."""
 
     def __init__(self, A: FieldMatrix, singular_poly: MultiPoly):
         self.A = A
         self.ell = A.rows
         self.singular_poly = singular_poly
         self._roots = None
-        self._num = None
+        self._stack = None
 
     @property
     def singular_points(self):
@@ -121,31 +122,29 @@ class LinearODESystem:
         return self._roots
 
     def _compiled(self):
-        if self._num is None:
-            comp = []
-            for row in self.A.data:
-                crow = []
-                for e in row:
-                    nc = [complex(float(c), 0.0) for c in e.num.univar_coeffs("t")]
-                    dc = [complex(float(c), 0.0) for c in e.den.univar_coeffs("t")]
-                    crow.append((np.array(nc[::-1]), np.array(dc[::-1])))
-                comp.append(crow)
-            self._num = comp
-        return self._num
+        """C[k, 0, i, j] and C[k, 1, i, j]: the coefficients of degree
+        deg - k of the numerator and denominator of entry (i, j)."""
+        if self._stack is None:
+            coeffs = [[[p.univar_coeffs("t") for p in (e.num, e.den)] for e in row]
+                      for row in self.A.data]
+            deg = max(len(c) for row in coeffs for pair in row for c in pair)
+            C = np.zeros((deg, 2, self.ell, self.ell), dtype=complex)
+            for i, row in enumerate(coeffs):
+                for j, pair in enumerate(row):
+                    for k, c in enumerate(pair):
+                        C[deg - len(c):, k, i, j] = [complex(float(x), 0.0) for x in c[::-1]]
+            self._stack = C
+        return self._stack
 
     def eval(self, t: complex):
-        comp = self._compiled()
-        out = np.empty((self.ell, self.ell), dtype=complex)
-        for i, row in enumerate(comp):
-            for j, (nc, dc) in enumerate(row):
-                out[i, j] = np.polyval(nc, t) / np.polyval(dc, t)
-        return out
-
-    def dist_to_singular(self, t: complex) -> float:
-        pts = self.singular_points
-        if len(pts) == 0:
-            return float("inf")
-        return float(np.min(np.abs(pts - t)))
+        # `np.polyval`'s loop on every entry at once: the zero padding at the
+        # top keeps y at +0 until an entry's leading coefficient, so each
+        # entry gets the floats of its own `np.polyval`
+        C = self._compiled()
+        y = C[0]
+        for c in C[1:]:
+            y = y * t + c
+        return y[0] / y[1]
 
 
 def restrict_to_pencil(sys: PfaffianSystem, lambda_hat=None, free_term_value=0,

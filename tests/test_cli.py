@@ -124,3 +124,10 @@ def test_nonfinite_or_nonpositive_floats_rejected(capsys, args):
         main(list(args))
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_annulus_bound_needs_both_radii(capsys):
+    for radii in ((), ("--inner-radius", "0.5"), ("--outer-radius", "2")):
+        code, _, err = run(capsys, "bound", "--operator", "t*D - 1", *radii)
+        assert code == 2
+        assert "--inner-radius and --outer-radius" in err

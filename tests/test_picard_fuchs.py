@@ -7,7 +7,10 @@ import pytest
 
 from abelint.division import Hamiltonian
 from abelint.errors import LineInLocus
-from abelint.picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
+from abelint.linalg import FieldMatrix
+from abelint.parsing import parse_poly
+from abelint.picard_fuchs import (LinearODESystem, derive_pfaffian,
+                                  restrict_to_pencil, size_report)
 from abelint.polynomials import MultiPoly
 from abelint.ratfunc import RatFunc
 
@@ -75,3 +78,37 @@ def test_size_report(elliptic):
     assert rep["n"] == 2 and rep["ell"] == 4
     assert rep["num_coeffs"] == 9
     assert Fraction(rep["total_size"]) > 0
+
+
+def _polyval_entries(ode, t):
+    """A(t) entry by entry with `np.polyval`, the reference for `eval`."""
+    def coeffs(p):
+        return np.array([complex(float(c), 0.0) for c in p.univar_coeffs("t")][::-1])
+    return [[np.polyval(coeffs(e.num), t) / np.polyval(coeffs(e.den), t)
+             for e in row] for row in ode.A.data]
+
+
+EVAL_POINTS = [0.3, -1.7, np.float64(2.5), 0.25 + 0.5j, -3.0 + 1e-3j,
+               np.complex128(1e-6 - 2j), 1e4 + 1e4j, 2j]
+
+
+def _assert_eval_matches_polyval(ode):
+    for t in EVAL_POINTS:
+        M = ode.eval(t)
+        ref = _polyval_entries(ode, t)
+        for i in range(ode.ell):
+            for j in range(ode.ell):
+                assert M[i, j] == ref[i][j], (t, i, j)
+
+
+def test_eval_matches_polyval_elliptic(elliptic):
+    _assert_eval_matches_polyval(elliptic.ode)
+
+
+def test_eval_matches_polyval_mixed_degrees():
+    # numerator/denominator degrees differ per entry, so the stack is padded
+    def rf(num, den="1"):
+        return RatFunc(parse_poly(num, ("t",)), parse_poly(den, ("t",)))
+    A = FieldMatrix([[rf("t^3 - 2*t + 1/3", "t^2 + 1"), rf("5/7")],
+                     [rf("1", "t - 3/2"), rf("2*t", "t^4 + t + 1")]])
+    _assert_eval_matches_polyval(LinearODESystem(A, MultiPoly.const(1, ("t",))))
