@@ -35,8 +35,6 @@ class RunConfig:
     c_poly: float = 1.0               # Poly(d,l,m) = c_poly * (d l^4 m)^5
     c_tower: float = 1.0              # 2^(2^(c_tower n^60 log n))
 
-    seed: int = 0
-
     @staticmethod
     def from_json(path) -> "RunConfig":
         with open(path) as fh:
@@ -55,6 +53,3 @@ class RunConfig:
         if path:
             return RunConfig.from_json(path)
         return RunConfig()
-
-    def to_dict(self):
-        return dataclasses.asdict(self)

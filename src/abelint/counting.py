@@ -82,15 +82,6 @@ class ContourPath:
         pts = np.asarray(points, dtype=complex)
         return float(np.min(np.abs(samp[:, None] - pts[None, :])))
 
-    def reversed(self):
-        rev = []
-        for p in reversed(self.pieces):
-            if isinstance(p, Arc):
-                rev.append(Arc(p.center, p.radius, p.a1, p.a0))
-            else:
-                rev.append(Segment(p.z1, p.z0))
-        return ContourPath(rev)
-
 
 def _piece_point(piece, s):
     if isinstance(piece, Arc):
@@ -591,9 +582,7 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None,
         if reg.kind == "simply-connected":
             if reg.outer is None and not reg.inner and not reg.segments:
                 # unbounded complement of the outermost circle: walk it cw
-                roots = [c for c in system.circles
-                         if not any(_strictly_inside(c, o) for o in system.circles)]
-                contour = ContourPath.from_circle(roots[0], ccw=False)
+                contour = ContourPath.from_circle(_outermost(system), ccw=False)
             else:
                 contour = _region_contour(reg)
             base = contour.start
@@ -653,10 +642,14 @@ def _transport_initial(obj, system, y0, target, config):
     return continue_solution(obj, path, y0, config)
 
 
+def _outermost(system: SlitSystem):
+    """The first circle of the system that no other circle contains."""
+    return [c for c in system.circles
+            if not any(_strictly_inside(c, o) for o in system.circles)][0]
+
+
 def _basepoint(system: SlitSystem):
-    roots = [c for c in system.circles
-             if not any(_strictly_inside(c, o) for o in system.circles)]
-    c = roots[0]
+    c = _outermost(system)
     return c.center + 1.5 * c.radius
 
 
@@ -669,12 +662,7 @@ def _circle_winding(obj, system, circle, y0, combo, config):
     scale = max(np.max(np.abs(y_at)), 1e-300)
     if np.max(np.abs(y_back - y_at)) > 1e-6 * scale:
         return None
-    phi, _ = variation_of_argument(obj, loop, y_at, combo=combo, config=config)
-    turns = phi / (2 * math.pi)
-    n = round(turns)
-    if abs(turns - n) > config.winding_tol:
-        raise NonIntegerWinding(f"winding {turns} not an integer")
-    return int(n)
+    return count_zeros(obj, loop, y0=y_at, combo=combo, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, SingularDivision, UnsupportedInput
 from .linalg import FieldMatrix, solve_linear
-from .polynomials import MultiPoly, NEG_INF
+from .polynomials import MultiPoly, NEG_INF, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
 XVARS = ("x1", "x2")
@@ -135,44 +135,18 @@ def is_basis_regular(H: Hamiltonian) -> bool:
         idx = {m: k for k, m in enumerate(monos)}
 
         def vec(p):
-            row = [Fraction(0)] * len(monos)
+            row = [MultiPoly.zero()] * len(monos)
             for exp, c in p.extend(XVARS).coeff_split(XVARS).items():
                 if sum(exp) == d:
-                    row[idx[exp]] = c.constant_value()
+                    row[idx[exp]] = c
             return row
 
         rel = [vec(p) for p in rel_polys]
-        base_rank = _rank_fractions(rel)
+        base_rank = rank_at_point(rel) if rel else 0
         full = rel + [vec(MultiPoly(XVARS, {c: Fraction(1)})) for c in cands]
-        if _rank_fractions(full) != base_rank + len(cands):
+        if rank_at_point(full) != base_rank + len(cands):
             return False
     return True
-
-
-def _rank_fractions(rows):
-    if not rows:
-        return 0
-    M = [list(r) for r in rows]
-    m, n = len(M), len(M[0])
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        for r in range(rank + 1, m):
-            if M[r][col] != 0:
-                f = M[r][col] / pv
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 class Decomposition:

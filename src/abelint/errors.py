@@ -65,12 +65,6 @@ class ZeroOnPath(AbelintError):
     exit_code = 3
 
 
-class ZeroOnBoundary(AbelintError):
-    """Argument-principle boundary passes through a zero."""
-
-    exit_code = 3
-
-
 class NonIntegerWinding(AbelintError):
     """Total argument variation along a closed path is not close to 2*pi*Z."""
 

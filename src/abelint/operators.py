@@ -10,15 +10,14 @@ symmetrization across circles and lines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NoSolution, UnsupportedInput
 from .linalg import FieldMatrix, solve_linear
-from .polynomials import MultiPoly, poly_lcm
+from .polynomials import MultiPoly, primitive_parts
 from .qi import GaussianRational
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, ratfunc_lcm_den
 
 TVARS = ("t",)
 
@@ -40,9 +39,6 @@ class DiffOperator:
     def order(self):
         return len(self.coeffs) - 1
 
-    def is_gaussian(self):
-        return any(c.has_gaussian() for c in self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
@@ -60,14 +56,6 @@ class DiffOperator:
             bits.append(f"({cpart}){dpart}" if dpart else f"({cpart})")
         return " + ".join(bits)
 
-    def apply_numeric(self, t, derivs):
-        """Evaluate sum p_j(t) * derivs[k-j] given derivs[m] ~ y^(m)(t)."""
-        k = self.order
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            total += c.eval_complex({"t": t}) * derivs[k - i]
-        return total
-
     def companion_rhs(self, t):
         """y-vector (y, y', ..., y^(k-1)) derivative at t; top row from D=0."""
         import numpy as np
@@ -82,23 +70,13 @@ class DiffOperator:
         return M
 
     def leading_roots(self):
-        import numpy as np
-
-        cs = [complex(c) if isinstance(c, GaussianRational) else complex(float(c), 0)
-              for c in self.coeffs[0].univar_coeffs("t")]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if len(cs) <= 1:
-            return np.array([], dtype=complex)
-        return np.roots(cs[::-1])
+        return self.coeffs[0].univar_roots("t")
 
 
 def standard_form(coeffs) -> DiffOperator:
     """Normalize a rational-coefficient operator to its standard form."""
     rs = [RatFunc.coerce(c) for c in coeffs]
-    den = MultiPoly.const(1, TVARS)
-    for r in rs:
-        den = poly_lcm(den.extend(TVARS), r.den.extend(TVARS))
+    den = ratfunc_lcm_den(rs)
     polys = [r.cleared(den).extend(TVARS) for r in rs]
     g = MultiPoly.zero(TVARS)
     for p in polys:
@@ -106,26 +84,7 @@ def standard_form(coeffs) -> DiffOperator:
             g = MultiPoly.gcd(g, p) if not g.is_zero() else p
     if not g.is_constant():
         polys = [p.divexact(g) if not p.is_zero() else p for p in polys]
-    # joint rational content -> coprime integer coefficients
-    contents = [p.rational_content() for p in polys if not p.is_zero()]
-    num_g = 0
-    den_l = 1
-    for c in contents:
-        num_g = math.gcd(num_g, c.numerator)
-        den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
-    scale = Fraction(den_l, num_g) if num_g else Fraction(1)
-    polys = [p * scale for p in polys]
-    lead = None
-    for p in polys:
-        if not p.is_zero():
-            lead = p.leading()[1]
-            break
-    if lead is not None:
-        if isinstance(lead, GaussianRational):
-            if lead.re < 0 or (lead.re == 0 and lead.im < 0):
-                polys = [-p for p in polys]
-        elif lead < 0:
-            polys = [-p for p in polys]
+    _, polys = primitive_parts(polys)
     return DiffOperator(polys)
 
 
@@ -155,16 +114,12 @@ def reduce_to_scalar(ode) -> DiffOperator:
     raise NoSolution("no scalar relation up to order ell^2; system is not finite?")
 
 
-def _norm(poly: MultiPoly):
-    return poly.l1_norm()
-
-
 def affine_slope(D: DiffOperator):
     """max_j ||p_j|| / ||p0||; exact Fraction for rational operators."""
-    n0 = _norm(D.coeffs[0])
+    n0 = D.coeffs[0].l1_norm()
     best = Fraction(0)
     for c in D.coeffs[1:]:
-        v = _norm(c) / n0
+        v = c.l1_norm() / n0
         if v > best:
             best = v
     return best

@@ -110,15 +110,7 @@ class LinearODESystem:
     @property
     def singular_points(self):
         if self._roots is None:
-            coeffs = self.singular_poly.univar_coeffs("t")
-            arr = [complex(c) if not isinstance(c, Fraction) else complex(float(c), 0)
-                   for c in coeffs]
-            while len(arr) > 1 and arr[-1] == 0:
-                arr.pop()
-            if len(arr) <= 1:
-                self._roots = np.array([], dtype=complex)
-            else:
-                self._roots = np.roots(arr[::-1])
+            self._roots = self.singular_poly.univar_roots("t")
         return self._roots
 
     def _compiled(self):

@@ -8,6 +8,11 @@ Arithmetic, exact division, gcd, differentiation and substitution are ring
 calls; coefficients leave the module as Fraction or GaussianRational.  The
 graded lexicographic order fixes leading terms, canonical signs and printed
 order.
+
+The module owns the normal forms that the other layers share: the joint
+content and sign rule (`primitive_parts`), the lcm, the exact rank at a
+point and the roots of a univariate polynomial.  It is the only module that
+imports sympy.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+import numpy as np
 from sympy import Symbol
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -325,20 +331,12 @@ class MultiPoly:
     def rational_content(self):
         """Positive rational c with self/c having coprime integer (Gaussian)
         coefficients; 0 for the zero polynomial."""
-        parts = self.poly.itercoeffs()
-        if self.has_gaussian():
-            parts = [q for c in parts for q in (c.x, c.y)]
-        return _frac(reduce(QQ.gcd, parts, QQ.zero))
+        return _content((self,))
 
     def primitive(self):
         """(content*sign, primitive part) with positive leading coefficient."""
-        if self.is_zero():
-            return Fraction(0), self
-        c = self.rational_content()
-        lead = self.poly.LC
-        if (lead.x < 0 or (lead.x == 0 and lead.y < 0)) if self.has_gaussian() else lead < 0:
-            c = -c
-        return c, self.divexact(c)
+        c, (prim,) = primitive_parts((self,))
+        return c, prim
 
     # -- division ------------------------------------------------------------------
     def divexact(self, divisor):
@@ -374,6 +372,16 @@ class MultiPoly:
             return [p.constant_value()]
         domain = p.poly.ring.domain
         return [_coef_out(c, domain) for c in reversed(p.poly.to_dense())]
+
+    def univar_roots(self, name):
+        """np.roots of a univariate polynomial in `name`; empty for a constant."""
+        cs = [complex(c) if isinstance(c, GaussianRational) else complex(float(c), 0)
+              for c in self.univar_coeffs(name)]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        if len(cs) <= 1:
+            return np.array([], dtype=complex)
+        return np.roots(cs[::-1])
 
     def coeff_split(self, front):
         """Group terms by exponents of `front` variables.
@@ -433,6 +441,34 @@ class MultiPoly:
         return " + ".join(bits)
 
 
+def _content(polys):
+    """Joint positive rational content of polys: the gcd of their rational
+    coefficients, or of the real and imaginary parts of Gaussian ones."""
+    parts = (q for p in polys for c in p.poly.itercoeffs()
+             for q in ((c.x, c.y) if p.has_gaussian() else (c,)))
+    return _frac(reduce(QQ.gcd, parts, QQ.zero))
+
+
+def primitive_parts(polys):
+    """(c, [p / c for p in polys]) for c the joint rational content of polys,
+    signed so that the first nonzero p / c has a positive graded-lex leading
+    coefficient (over Q(i): a positive real part, or a zero real part and a
+    positive imaginary part); (0, polys) when every p is zero.
+
+    This is the canonical form of a denominator, of a cleared rational
+    function [den, num] and of an operator's coefficient list.
+    """
+    polys = list(polys)
+    c = _content(polys)
+    if not c:
+        return c, polys
+    first = next(p for p in polys if p.poly)
+    lead = first.poly.LC
+    if (lead.x < 0 or (lead.x == 0 and lead.y < 0)) if first.has_gaussian() else lead < 0:
+        c = -c
+    return c, [p.divexact(c) for p in polys]
+
+
 def poly_lcm(a, b):
     g = MultiPoly.gcd(a, b)
     if g.is_zero():
@@ -444,7 +480,8 @@ def rank_at_point(rows):
     """Exact rank over Q or Q(i) of a matrix of MultiPoly at one fixed point.
 
     The k-th variable in sorted order takes the value 2 - 3/(5 + 2k), so t
-    alone is 7/5.  The rank at a point is at most the generic rank.
+    alone is 7/5.  The rank at a point is at most the generic rank; for
+    constant entries it is the exact rank.
     """
     vs = sorted(set().union(*(p.vars for row in rows for p in row)))
     domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ

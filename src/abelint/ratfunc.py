@@ -3,14 +3,16 @@
 Canonical form: gcd(num, den) = 1 and den primitive with positive leading
 coefficient (graded lex).  `size_of` measures the canonical representative
 after clearing to coprime integer coefficients, as an upper bound for the
-minimum over all representations.
+minimum over all representations.  The content and sign rule
+(`primitive_parts`), the lcm, the exact rank and the roots of a polynomial
+belong to `polynomials`; this module applies the first two to num/den pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import MultiPoly, poly_lcm
+from .polynomials import MultiPoly, poly_lcm, primitive_parts
 from .qi import GaussianRational
 
 
@@ -165,17 +167,7 @@ def _cancel(num, den):
 
 def integer_cleared(r: RatFunc):
     """(P, Q) with integer coprime coefficients representing r = P/Q."""
-    cn = r.num.rational_content()
-    cd = r.den.rational_content()
-    if cn == 0:
-        return r.num, r.den.divexact(cd)
-    # scale both by s so contents become coprime integers
-    from math import gcd
-
-    s = Fraction(cn.denominator * cd.denominator,
-                 gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator))
-    num = r.num * s
-    den = r.den * s
+    _, (den, num) = primitive_parts((r.den, r.num))
     return num, den
 
 

@@ -132,6 +132,54 @@ def _forest(circles, tol):
     return parent
 
 
+def _nesting(circles, pts, tol):
+    """(children, roots, innermost, hosted) of a circle family.
+
+    The circles must be pairwise disjoint or strictly nested (else
+    UnsupportedInput).  children[i] and roots form the nesting forest,
+    innermost(p) is the smallest circle containing p (None outside all of
+    them), and hosted maps each circle index, or None, to its points of pts.
+    """
+    for i in range(len(circles)):
+        for j in range(i + 1, len(circles)):
+            ci, cj = circles[i], circles[j]
+            d = abs(ci.center - cj.center)
+            if d > ci.radius + cj.radius + tol:
+                continue
+            if d + ci.radius < cj.radius - tol or d + cj.radius < ci.radius - tol:
+                continue
+            raise UnsupportedInput(f"circles {i} and {j} intersect or touch")
+    parent = _forest(circles, tol)
+    children = {i: [] for i in range(len(circles))}
+    roots = []
+    for i, par in enumerate(parent):
+        if par is None:
+            roots.append(i)
+        else:
+            children[par].append(i)
+
+    def innermost(p):
+        best = None
+        for i, c in enumerate(circles):
+            if c.contains(p, tol) and (best is None or c.radius < circles[best].radius):
+                best = i
+        return best
+
+    hosted = {i: [] for i in range(len(circles))}
+    hosted[None] = []
+    for p in pts:
+        hosted[innermost(p)].append(p)
+    return children, roots, innermost, hosted
+
+
+def _find(uf, a):
+    """Root of a in the union-find parent list uf, halving paths on the way."""
+    while uf[a] != a:
+        uf[a] = uf[uf[a]]
+        a = uf[a]
+    return a
+
+
 def _seg_endpoint_circle(p, circles, tol):
     for i, c in enumerate(circles):
         if abs(abs(p - c.center) - c.radius) <= tol:
@@ -169,41 +217,11 @@ def regions(system: SlitSystem, config: RunConfig = None):
     pts = system.points
     scale = max([c.radius for c in circles] + [1e-300])
     tol = config.geom_tol * scale
-    # circles: pairwise disjoint or strictly nested
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            ci, cj = circles[i], circles[j]
-            d = abs(ci.center - cj.center)
-            if d > ci.radius + cj.radius + tol:
-                continue
-            if d + ci.radius < cj.radius - tol or d + cj.radius < ci.radius - tol:
-                continue
-            raise UnsupportedInput(f"circles {i} and {j} intersect or touch")
+    children, roots, innermost, region_pts = _nesting(circles, pts, tol)
     for p in pts:
         for i, c in enumerate(circles):
             if c.dist_to_point(p) <= tol:
                 raise UnsupportedInput(f"point {p} lies on circle {i}")
-    parent = _forest(circles, tol)
-    children = {i: [] for i in range(len(circles))}
-    roots = []
-    for i, par in enumerate(parent):
-        if par is None:
-            roots.append(i)
-        else:
-            children[par].append(i)
-
-    def innermost(p):
-        best = None
-        for i, c in enumerate(circles):
-            if c.contains(p, tol):
-                if best is None or c.radius < circles[best].radius:
-                    best = i
-        return best
-
-    region_pts = {i: [] for i in range(len(circles))}
-    region_pts[None] = []
-    for p in pts:
-        region_pts[innermost(p)].append(p)
 
     # segments: both endpoints on circles, interior crossing nothing
     region_segs = {i: [] for i in range(len(circles))}
@@ -259,21 +277,14 @@ def regions(system: SlitSystem, config: RunConfig = None):
         # connectivity after slitting: holes glued along segments
         idx = {v: k for k, v in enumerate(verts)}
         uf = list(range(len(verts)))
-
-        def find(a):
-            while uf[a] != a:
-                uf[a] = uf[uf[a]]
-                a = uf[a]
-            return a
-
         cycle = False
         for (u, v) in edges:
-            ru, rv = find(idx[u]), find(idx[v])
+            ru, rv = _find(uf, idx[u]), _find(uf, idx[v])
             if ru == rv:
                 cycle = True
             else:
                 uf[ru] = rv
-        comps = len({find(k) for k in range(len(verts))})
+        comps = len({_find(uf, k) for k in range(len(verts))})
         if cycle:
             raise UnsupportedInput("slit segments form a cycle")
         if comps == 1:
@@ -341,19 +352,12 @@ def _mst_gap_groups(points, theta):
         return [list(points)]
     # union-find over short edges
     uf = list(range(n))
-
-    def find(a):
-        while uf[a] != a:
-            uf[a] = uf[uf[a]]
-            a = uf[a]
-        return a
-
     for (w, u, v) in edges:
         if w < cut:
-            uf[find(u)] = find(v)
+            uf[_find(uf, u)] = _find(uf, v)
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
+        groups.setdefault(_find(uf, i), []).append(points[i])
     return list(groups.values())
 
 
@@ -429,25 +433,18 @@ def _region_mst_segments(parent: Circle, kids, points, other_circles, tol):
 
     # Kruskal over kids (+ parent as optional extra vertex)
     uf = list(range(n + 1))
-
-    def find(a):
-        while uf[a] != a:
-            uf[a] = uf[uf[a]]
-            a = uf[a]
-        return a
-
     chosen = []
     for (w, i, j, seg, exclude) in cand:
-        if find(i) == find(j):
+        if _find(uf, i) == _find(uf, j):
             continue
         if crosses(seg, exclude):
             continue
-        uf[find(i)] = find(j)
+        uf[_find(uf, i)] = _find(uf, j)
         chosen.append(seg)
-        comps = {find(k) for k in range(n)}
+        comps = {_find(uf, k) for k in range(n)}
         if len(comps) == 1:
             break
-    comps = {find(k) for k in range(n)}
+    comps = {_find(uf, k) for k in range(n)}
     if len(comps) > 1:
         raise UnsupportedInput("could not route slits without crossings")
     return chosen
@@ -491,7 +488,6 @@ def build_slits(points, config: RunConfig = None) -> SlitSystem:
     else:
         # single point: inner circle + outer circle + one connecting slit
         inner = root.circle
-        outer = Circle(inner.center, inner.radius * 3 + 1 + 2 * inner.radius)
         outer = Circle(inner.center, max(1.0 + inner.radius, 3 * inner.radius))
         circles.extend([outer, inner])
         segments.append(_connect_segment(inner, outer, nested=True))
@@ -570,37 +566,9 @@ def _try_system(circles, pts, config):
     """Route minimal slits for a candidate circle family; None if invalid."""
     scale = max(c.radius for c in circles)
     tol = config.geom_tol * scale
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            ci, cj = circles[i], circles[j]
-            d = abs(ci.center - cj.center)
-            if d > ci.radius + cj.radius + tol:
-                continue
-            if d + ci.radius < cj.radius - tol or d + cj.radius < ci.radius - tol:
-                continue
-            return None
-    parent = _forest(circles, tol)
-    children = {i: [] for i in range(len(circles))}
-    roots = []
-    for i, par in enumerate(parent):
-        if par is None:
-            roots.append(i)
-        else:
-            children[par].append(i)
-
-    def innermost(p):
-        best = None
-        for i, c in enumerate(circles):
-            if c.contains(p, tol) and (best is None or c.radius < circles[best].radius):
-                best = i
-        return best
-
-    host_pts = {i: [] for i in range(len(circles))}
-    host_pts[None] = []
-    for p in pts:
-        host_pts[innermost(p)].append(p)
     segments = []
     try:
+        children, roots, _, host_pts = _nesting(circles, pts, tol)
         # unbounded region: glue multiple roots together (annulus allowed)
         if host_pts[None]:
             return None

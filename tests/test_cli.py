@@ -35,10 +35,83 @@ def test_zero_on_path_exit_code(capsys):
     assert code == 3
 
 
+# stdout of `slope --operator "(t^2-1)*D^2 + t*D - 1"`: the 15 sampled
+# slopes pass through pullback, symmetrize and standard_form over Q and Q(i)
+SLOPE_GOLDEN = """\
+{
+  "affine_slope": "1/2",
+  "sampled": [
+    [
+      "id/R",
+      "1/2"
+    ],
+    [
+      "id/unit-circle",
+      "27/4"
+    ],
+    [
+      "id/imag-axis",
+      "1/2"
+    ],
+    [
+      "shift+1/R",
+      "2/3"
+    ],
+    [
+      "shift+1/unit-circle",
+      "369/58"
+    ],
+    [
+      "shift+1/imag-axis",
+      "4"
+    ],
+    [
+      "scale2/R",
+      "4/5"
+    ],
+    [
+      "scale2/unit-circle",
+      "6"
+    ],
+    [
+      "scale2/imag-axis",
+      "4/5"
+    ],
+    [
+      "invert/R",
+      "3/2"
+    ],
+    [
+      "invert/unit-circle",
+      "27/4"
+    ],
+    [
+      "invert/imag-axis",
+      "3/2"
+    ],
+    [
+      "rot-i/R",
+      "1/2"
+    ],
+    [
+      "rot-i/unit-circle",
+      "27/4"
+    ],
+    [
+      "rot-i/imag-axis",
+      "1/2"
+    ]
+  ],
+  "invariant_estimate": 6.75
+}
+"""
+
+
 def test_slope(capsys):
     code, out, _ = run(capsys, "slope", "--operator", "(t^2-1)*D^2 + t*D - 1")
     assert code == 0
     assert json.loads(out)["affine_slope"] == "1/2"
+    assert out == SLOPE_GOLDEN
 
 
 def test_monodromy(capsys):

@@ -83,6 +83,10 @@ def test_regularity_detects_degenerate():
     # Fermat-type principal part is regular
     G = Hamiltonian(x1 ** 3 + x2 ** 3 + x1)
     assert is_basis_regular(G)
+    # irreducible, hence square-free, principal part: only the rank test of
+    # the basis monomials modulo the Jacobian ideal rejects it
+    K = Hamiltonian(x1 ** 3 + 6 * x1 ** 2 * x2 + 6 * x1 * x2 ** 2 + 4 * x2 ** 3 + x1)
+    assert not is_basis_regular(K)
 
 
 def test_constant_hamiltonian_rejected():

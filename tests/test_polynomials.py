@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic against a sympy oracle, plus norm properties."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelint.polynomials import MultiPoly, poly_lcm
+from abelint.polynomials import MultiPoly, poly_lcm, primitive_parts
 from abelint.qi import GaussianRational
 
 V = ("x", "y")
@@ -168,3 +170,36 @@ def test_gaussian_arithmetic():
     assert (a + b) - b == a
     assert a * a.conjugate() == GaussianRational(a.abs2(), 0)
     assert complex(a) == 0.5 + 3j
+
+
+def test_primitive_parts_joint_content_and_sign():
+    x = MultiPoly.var("x", V)
+    y = MultiPoly.var("y", V)
+    zero = MultiPoly.zero(V)
+    i = GaussianRational(0, 1)
+    # the sign comes from the first nonzero entry, the content from all
+    c, parts = primitive_parts([zero, x * Fraction(-2, 3), y * Fraction(4, 9)])
+    assert c == Fraction(-2, 9)
+    assert parts == [zero, x * 3, y * -2]
+    # over Q(i) the real and imaginary parts share the content; a lead with
+    # zero real part is made positive imaginary
+    c, (p,) = primitive_parts([x * (i * Fraction(-3, 2)) + Fraction(9, 4)])
+    assert c == Fraction(-3, 4)
+    assert p == x * (i * 2) - 3
+    assert primitive_parts([zero]) == (0, [zero])
+
+
+def test_only_polynomials_imports_sympy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "abelint"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"polynomials.py"}
