@@ -287,6 +287,11 @@ def count_zeros(obj, path: ContourPath, y0=None, combo=None,
         if y0 is None:
             raise UnsupportedInput("count_zeros needs initial data for ODE sources")
         phi, _ = variation_of_argument(obj, path, y0, combo=combo, config=config)
+    return _winding_number(phi, config)
+
+
+def _winding_number(phi, config: RunConfig) -> int:
+    """The integer number of turns in the argument variation phi."""
     turns = phi / (2 * math.pi)
     n = round(turns)
     if abs(turns - n) > config.winding_tol:
@@ -657,12 +662,12 @@ def _circle_winding(obj, system, circle, y0, combo, config):
     start = circle.point_at(0.0)
     y_at = _transport_initial(obj, system, y0, start, config)
     loop = ContourPath.from_circle(circle, ccw=True)
+    phi, y_back = variation_of_argument(obj, loop, y_at, combo=combo, config=config)
     # single-valuedness check for the tracked branch
-    y_back = continue_solution(obj, loop, y_at, config)
     scale = max(np.max(np.abs(y_at)), 1e-300)
-    if np.max(np.abs(y_back - y_at)) > 1e-6 * scale:
+    if np.max(np.abs(y_back.reshape(y_at.shape) - y_at)) > 1e-6 * scale:
         return None
-    return count_zeros(obj, loop, y0=y_at, combo=combo, config=config)
+    return _winding_number(phi, config)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,12 @@ class FieldMatrix:
         if isinstance(other, FieldMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
+            # zero products are skipped: companion matrices are mostly zero
             return FieldMatrix([[sum((self.data[i][k] * other.data[k][j]
-                                      for k in range(self.cols)), RatFunc.zero())
+                                      for k in range(self.cols)
+                                      if not (self.data[i][k].is_zero() or
+                                              other.data[k][j].is_zero())),
+                                     RatFunc.zero())
                                  for j in range(other.cols)] for i in range(self.rows)])
         return FieldMatrix([[e * other for e in row] for row in self.data])
 

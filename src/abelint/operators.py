@@ -1,5 +1,9 @@
 """Scalar differential operators: reduction, slopes, pullbacks, symmetrization.
 
+One relation search, a cyclic-vector reduction, gives both the operator of
+a linear form of a system (`reduce_to_scalar`) and the lclm (the reduction
+of a direct sum of companion systems).
+
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
 jointly coprime integer coefficients, graded-lex-positive leading coefficient
@@ -88,30 +92,38 @@ def standard_form(coeffs) -> DiffOperator:
     return DiffOperator(polys)
 
 
-def reduce_to_scalar(ode) -> DiffOperator:
-    """Minimal-order monic relation among iterated derivative matrices.
+def reduce_to_scalar(ode, start=None) -> DiffOperator:
+    """Scalar operator annihilating the linear forms `start` X of X' = A X.
 
-    With A0 = E and A_{j+1} = A_j' + A_j A, find the first k with
-    A_k = sum_{j<k} c_j A_j over Q(t); then D = d^k - sum c_j d^j in standard
-    form.  Every component of every solution of X' = A X is annihilated.
+    The rows of `start` are the tracked forms; the default, the first unit
+    row, gives the operator of X[0], and `FieldMatrix.identity(ell)` one
+    for every component.
     """
-    A = ode.A
-    ell = A.rows
-    A_list = [FieldMatrix.identity(ell)]
-    for k in range(1, ell * ell + 1):
-        nxt = A_list[-1].diff("t") + A_list[-1] * A
-        cols = [M.flatten() for M in A_list]
+    if start is None:
+        start = FieldMatrix([[RatFunc.const(1 if j == 0 else 0)
+                              for j in range(ode.A.rows)]])
+    return _first_relation(ode.A, start)
+
+
+def _first_relation(A: FieldMatrix, start: FieldMatrix) -> DiffOperator:
+    """With R_0 = start and R_{k+1} = R_k' + R_k A, the first k <= rows * ell
+    with R_k = sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j d^j in
+    standard form."""
+    R_list = [start]
+    for k in range(1, start.rows * A.rows + 1):
+        nxt = R_list[-1].diff("t") + R_list[-1] * A
+        cols = [M.flatten() for M in R_list]
         rhs = nxt.flatten()
         mat = FieldMatrix([[cols[j][i] for j in range(len(cols))]
                            for i in range(len(rhs))])
         try:
             c = solve_linear(mat, rhs, verify=True)
         except NoSolution:
-            A_list.append(nxt)
+            R_list.append(nxt)
             continue
         coeffs = [RatFunc.const(1)] + [-c[k - 1 - m] for m in range(k)]
         return standard_form(coeffs)
-    raise NoSolution("no scalar relation up to order ell^2; system is not finite?")
+    raise NoSolution("no scalar relation up to order rows(start) * ell")
 
 
 def affine_slope(D: DiffOperator):
@@ -234,50 +246,23 @@ def reflect(D: DiffOperator) -> DiffOperator:
     return standard_form([c.conj_coeffs() for c in D.coeffs])
 
 
-def _rem_table(D: DiffOperator, upto):
-    """rem(d^m mod D) for m = 0..upto, as k-vectors of RatFunc (ascending)."""
-    k = D.order
-    p0 = RatFunc(D.coeffs[0])
-    minus_tail = [-(RatFunc(D.coeffs[k - j]) / p0) for j in range(k)]
-    # d^k = sum_j minus_tail[j] d^j
-    rows = [[RatFunc.const(1 if i == m else 0, TVARS) for i in range(k)]
-            for m in range(min(k, upto + 1))]
-    while len(rows) <= upto:
-        prev = rows[-1]
-        # apply d: derivative of coefficients + shift
-        shifted = [RatFunc.zero(TVARS) for _ in range(k + 1)]
-        for i, ci in enumerate(prev):
-            shifted[i] = shifted[i] + ci.diff("t")
-            shifted[i + 1] = shifted[i + 1] + ci
-        top = shifted[k]
-        new = [shifted[i] + top * minus_tail[i] for i in range(k)]
-        rows.append(new)
-    return rows
-
-
 def lclm(D1: DiffOperator, D2: DiffOperator) -> DiffOperator:
-    """Least common left multiple: minimal-order operator with both kernels."""
-    k1, k2 = D1.order, D2.order
-    top = k1 + k2
-    r1 = _rem_table(D1, top)
-    r2 = _rem_table(D2, top)
-    for m in range(max(k1, k2), top + 1):
-        # find q_0..q_{m-1} with d^m + sum q_i d^i killing both remainders
-        rows = []
-        rhs = []
-        for j in range(k1):
-            rows.append([r1[i][j] for i in range(m)])
-            rhs.append(-r1[m][j])
-        for j in range(k2):
-            rows.append([r2[i][j] for i in range(m)])
-            rhs.append(-r2[m][j])
-        try:
-            q = solve_linear(FieldMatrix(rows), rhs, verify=True)
-        except NoSolution:
-            continue
-        coeffs = [RatFunc.const(1, TVARS)] + list(reversed(q))
-        return standard_form(coeffs)
-    raise NoSolution("no common left multiple up to order k1 + k2")
+    """Least common left multiple: minimal-order operator with both kernels.
+
+    It annihilates y1 + y2 for generic solutions yi of Di: the reduction of
+    the direct sum of their companion systems from the row (e0 | e0).
+    """
+    n = D1.order + D2.order
+    A = [[RatFunc.zero(TVARS) for _ in range(n)] for _ in range(n)]
+    for off, D in ((0, D1), (D1.order, D2)):
+        k = D.order
+        p0 = RatFunc(D.coeffs[0])
+        for i in range(k - 1):
+            A[off + i][off + i + 1] = RatFunc.const(1, TVARS)
+        for j in range(k):
+            A[off + k - 1][off + j] = -(RatFunc(D.coeffs[k - j]) / p0)
+    start = [RatFunc.const(1 if j in (0, D1.order) else 0, TVARS) for j in range(n)]
+    return _first_relation(FieldMatrix(A), FieldMatrix([start]))
 
 
 def symmetrize(D: DiffOperator, gamma=REAL_AXIS) -> DiffOperator:

@@ -9,7 +9,8 @@ For the period vector X(lambda) of the n^2 basis 1-forms over a cycle on
 whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
-lambda_00 = c0 - t.
+lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
+for more.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
-                       basis_two_form, divide_one_form, divide_two_form,
-                       is_basis_regular)
+                       basis_two_form, divide_one_form, divide_two_form)
 from .errors import DegenerateBasis, LineInLocus, NoSolution, UnsupportedInput
 from .linalg import FieldMatrix, solve_linear
 from .polynomials import MultiPoly
@@ -55,25 +55,21 @@ class PfaffianSystem:
         return ok
 
 
-def derive_pfaffian(H: Hamiltonian, s_list=None, check_regular=False) -> PfaffianSystem:
+def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
     """Derive the exact Pfaffian structure for H.
 
     H must carry at least the free-term coefficient as a symbolic variable so
-    that level shifts stay inside the family.  A regular monomial basis
-    guarantees success; with `check_regular=False` (default) the divisions are
-    attempted regardless and fail with SingularDivision when impossible.
+    that level shifts stay inside the family.  Q^s is derived for each s in
+    `s_list`; the default, Q^(0,0) only, is all that the pencil restriction
+    reads.  A regular monomial basis guarantees success; regularity is not
+    checked, and a division that is impossible raises SingularDivision.
     """
     n = H.n
+    if n < 1:
+        raise DegenerateBasis("Hamiltonian of degree 1: the form basis is empty")
     if not H.lvars:
         raise UnsupportedInput("Hamiltonian needs at least one symbolic coefficient")
     free_var = "l00" if "l00" in H.lvars else H.lvars[0]
-    if check_regular:
-        try:
-            hp = H.principal_part()
-            if not hp.is_zero() and not is_basis_regular(H):
-                raise DegenerateBasis("monomial basis is not regular for this Hamiltonian")
-        except UnsupportedInput:
-            pass  # symbolic principal part: generically regular
     alphas = basis_exponents(n)
     rows = []
     etas = []
@@ -82,8 +78,6 @@ def derive_pfaffian(H: Hamiltonian, s_list=None, check_regular=False) -> Pfaffia
         rows.append(dec.p)
         etas.append(dec.eta)
     Pstar = FieldMatrix(rows)
-    if s_list is None:
-        s_list = sorted(set(alphas) | {(0, 0)})
     Q = {}
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})

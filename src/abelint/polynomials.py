@@ -292,18 +292,22 @@ class MultiPoly:
         return MultiPoly._new(out, f.set_ring(_ring(out, domain)))
 
     def eval_complex(self, point):
-        """Numeric evaluation; point maps every variable to a complex number."""
-        if self._numeric is None:
-            domain = self.poly.ring.domain
-            self._numeric = [
-                (complex(float(c), 0.0) if domain is QQ else complex(float(c.x), float(c.y)),
-                 [(v, e) for v, e in zip(self.vars, exp) if e])
-                for exp, c in self.poly.items()]
-        total = 0j
-        for v, mono in self._numeric:
-            for name, e in mono:
-                v *= point[name] ** e
-            total += v
+        """Numeric evaluation; point maps every variable to a complex number.
+        A coefficient or power beyond the float range raises NumericOverflow."""
+        try:
+            if self._numeric is None:
+                domain = self.poly.ring.domain
+                self._numeric = [
+                    (complex(float(c), 0.0) if domain is QQ else complex(float(c.x), float(c.y)),
+                     [(v, e) for v, e in zip(self.vars, exp) if e])
+                    for exp, c in self.poly.items()]
+            total = 0j
+            for v, mono in self._numeric:
+                for name, e in mono:
+                    v *= point[name] ** e
+                total += v
+        except OverflowError as exc:
+            raise NumericOverflow(f"polynomial evaluation exceeds the float range: {exc}") from None
         return total
 
     # -- norms / content -----------------------------------------------------------

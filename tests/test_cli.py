@@ -146,6 +146,30 @@ def test_reduce_circle(capsys):
     assert json.loads(out)["display"] == "(t)D + (-1)"
 
 
+def test_reduce_elliptic_tracks_first_period(capsys):
+    code, out, _ = run(capsys, "reduce", "--hamiltonian", "x2^2/2 + x1^3 - x1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 2
+    assert data["display"] == "(108*t^2 + -16)D^2 + (15)"
+
+
+@pytest.mark.parametrize("cmd", ["derive-pf", "reduce"])
+def test_degree_one_hamiltonian_is_degenerate(capsys, cmd):
+    # x-degree 1 leaves an empty form basis (n = 0)
+    code, out, err = run(capsys, cmd, "--hamiltonian", "x1")
+    assert code == 4
+    assert out == ""
+    assert "form basis is empty" in err
+
+
+def test_count_poly_overflow(capsys):
+    # |t^100000000| on |t| = 2 is beyond the float range
+    code, _, err = run(capsys, "count", "--poly", "t^100000000", "--radius", "2")
+    assert code == 3
+    assert "float range" in err
+
+
 def test_bound_headline(capsys):
     code, out, _ = run(capsys, "bound", "--headline", "3")
     assert code == 0

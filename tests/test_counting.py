@@ -148,3 +148,32 @@ def test_region_partition_sin():
     assert [r["empirical"] for r in by_kind["punctured-disk"]] == [1, 1]
     assert by_kind["annulus"][0]["empirical"] == 1
     assert res["total_bounded_empirical"] == 3
+
+
+def test_circle_winding_single_pass(monkeypatch):
+    """Each circle is integrated once, tracking arg(w); the end value of that
+    pass decides single-valuedness."""
+    from abelint import counting
+    calls = []
+    real = counting._integrate_piece
+
+    def spy(*args, **kw):
+        calls.append(kw.get("combo") is not None)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(counting, "_integrate_piece", spy)
+    system = build_slits([0j, 3 + 0j], CFG)
+    bp = counting._basepoint(system)
+    circle = Circle(0j, 1.0)
+    loop_pieces = len(ContourPath.from_circle(circle).pieces)
+    # one untracked piece carries the data from the basepoint to the circle
+    once = [False] + [True] * loop_pieces
+    # y = t: single-valued, one zero inside
+    assert counting._circle_winding(parse_operator("t*D - 1"), system, circle,
+                                    np.array([bp]), None, CFG) == 1
+    assert calls == once
+    # y = sqrt(t) changes sign around 0: no winding count
+    calls.clear()
+    assert counting._circle_winding(parse_operator("2*t*D - 1"), system, circle,
+                                    np.array([cmath.sqrt(bp)]), None, CFG) is None
+    assert calls == once

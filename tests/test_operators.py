@@ -50,11 +50,13 @@ def test_reduce_diagonal_system():
     one = RatFunc.const(Fraction(1), T)
     A = FieldMatrix([[one, one * 0], [one * 0, one + one]])
     ode = LinearODESystem(A, MultiPoly.const(Fraction(1), T))
-    D = reduce_to_scalar(ode)
+    D = reduce_to_scalar(ode, FieldMatrix.identity(2))
     assert D.order == 2
     app, t = sym_op(D)
     assert sympy.simplify(app(sympy.exp(t))) == 0
     assert sympy.simplify(app(sympy.exp(2 * t))) == 0
+    # the default start row tracks X[0] = c e^t alone
+    assert reduce_to_scalar(ode) == mk("D - 1")
 
 
 def test_reduce_airy_like():
@@ -64,12 +66,19 @@ def test_reduce_airy_like():
     one = RatFunc.const(Fraction(1), T)
     A = FieldMatrix([[zero, one], [t, zero]])
     ode = LinearODESystem(A, MultiPoly.const(Fraction(1), T))
-    D = reduce_to_scalar(ode)
+    D = reduce_to_scalar(ode, FieldMatrix.identity(2))
     # joint annihilator of all fundamental-matrix entries: (D^2 - t)^2
     assert D.order == 4
     app, s = sym_op(D)
     assert sympy.simplify(app(sympy.airyai(s))) == 0
     assert sympy.simplify(app(sympy.airybi(s))) == 0
+    # the default start row tracks X[0] = y alone: Airy's equation
+    assert reduce_to_scalar(ode) == mk("D^2 - t")
+
+
+def test_elliptic_reduction_golden(elliptic):
+    # the operator of I00 on the pencil of x2^2/2 + x1^3 - x1
+    assert elliptic.scalar == mk("(108*t^2 - 16)*D^2 + 15")
 
 
 def test_elliptic_reduction_annihilates(elliptic):

@@ -45,6 +45,11 @@ def test_circle_singular_pencil_detected():
     assert [complex(z) for z in ode.singular_points] == [0j]
 
 
+def test_derive_only_free_term_q(elliptic):
+    # the pencil restriction reads Q^(0,0) alone, so no other Q^s is derived
+    assert set(elliptic.system.Q) == {(0, 0)}
+
+
 def test_elliptic_singular_locus(elliptic):
     pts = sorted(z.real for z in elliptic.ode.singular_points)
     crit = 2 / (3 * np.sqrt(3))

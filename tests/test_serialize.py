@@ -53,7 +53,8 @@ def test_canonical_encoding_golden():
 
 def test_symmetrized_operator_golden():
     """Symmetrizing across the unit circle runs lclm's verified solves over
-    Q(i)(t); the canonical encoding of the result is pinned."""
+    Q(i)(t); the canonical encoding of the result is pinned, and so is the
+    term order of each coefficient, which feeds the float evaluations."""
     D = symmetrize(parse_operator("(t^2-1)*D^2 + t*D - 1"),
                    circle_to_real_axis_map(0, 0, 1))
     assert dumps(D, indent=None) == (
@@ -63,6 +64,8 @@ def test_symmetrized_operator_golden():
         '"vars": ["t"], "terms": [[[0], "-3"], [[2], "-9"], [[4], "15"]]}, '
         '{"type": "poly", "vars": ["t"], "terms": [[[1], "3"]]}, '
         '{"type": "poly", "vars": ["t"], "terms": [[[0], "-3"]]}]}')
+    assert [list(c.poly.keys()) for c in D.coeffs] == [
+        [(6,), (4,), (2,)], [(5,), (3,), (1,)], [(4,), (2,), (0,)], [(1,)], [(0,)]]
 
 
 def test_operator_roundtrip():
