@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import RunConfig
 from .errors import (NonIntegerWinding, NotQuasiunipotent,
@@ -46,10 +45,8 @@ class ContourPath:
                                 start_angle, start_angle + sweep)])
 
     @staticmethod
-    def from_points(zs, close=False):
+    def from_points(zs):
         pts = [complex(z) for z in zs]
-        if close and pts[0] != pts[-1]:
-            pts.append(pts[0])
         return ContourPath([Segment(a, b) for a, b in zip(pts, pts[1:])])
 
     @property
@@ -135,6 +132,9 @@ def _as_source(obj):
 
 def _integrate_piece(source, piece, Y0, config: RunConfig, combo=None, phi0=0.0):
     """Continue Y (matrix columns) along one piece; optionally track arg(w)."""
+    # loaded here, not at import: only continuation needs scipy (~1 s)
+    from scipy.integrate import solve_ivp
+
     sing = source.singular_points()
     n_samp = 64
     pts = np.array([_piece_point(piece, s) for s in np.linspace(0, 1, n_samp)])
@@ -387,6 +387,8 @@ def var_arg_bound(D: DiffOperator, piece, singular_points,
 
 def _concentric_map(inner: Circle, outer: Circle) -> MobiusMap:
     """Exact-rational Moebius map sending both circles to origin-centered ones."""
+    if not (_strictly_inside(inner, outer) or _strictly_inside(outer, inner)):
+        raise UnsupportedInput("circles are not strictly nested")
     c1, r1 = inner.center, inner.radius
     c2, r2 = outer.center, outer.radius
     d = abs(c1 - c2)
@@ -424,6 +426,38 @@ def _image_circle(phi: MobiusMap, circle: Circle) -> Circle:
     return Circle(center, abs(z1 - center))
 
 
+def _annulus_chart(inner: Circle, outer: Circle):
+    """(chart, rho1, rho2, req): chart sends the annulus onto
+    {rho1/req < |w| < rho2/req}, with req = sqrt(rho1 * rho2)."""
+    phi = _concentric_map(inner, outer)
+    rho1 = _image_circle(phi, inner).radius
+    rho2 = _image_circle(phi, outer).radius
+    if rho1 > rho2:
+        rho1, rho2 = rho2, rho1
+    req = math.sqrt(rho1 * rho2)
+    scale = MobiusMap(_rationalize(complex(1 / req)), 0, 0, 1)
+    return scale.compose(phi), rho1, rho2, req
+
+
+def _equatorial_loop(inv: MobiusMap) -> ContourPath:
+    """The image under inv of |w| = 1, run as w goes counterclockwise from 1.
+
+    One exact Arc: Moebius maps keep points symmetric in a circle symmetric,
+    so the center is the image of the reflection of the pole w_p = inv^-1(oo)
+    in |w| = 1.  The orientation flips when w_p lies inside the unit disk.
+    """
+    if not inv.c:                       # affine: w_p = oo reflects to 0
+        center, sweep = inv(0), 2 * math.pi
+    else:
+        w_p = -complex(inv.d) / complex(inv.c)
+        center = (complex(inv.a) / complex(inv.c) if w_p == 0
+                  else inv(1 / w_p.conjugate()))
+        sweep = 2 * math.pi if abs(w_p) > 1 else -2 * math.pi
+    start = inv(1) - center
+    a0 = cmath.phase(start)
+    return ContourPath([Arc(center, abs(start), a0, a0 + sweep)])
+
+
 @dataclass
 class AnnulusBound:
     order: int
@@ -438,25 +472,15 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
                        config: RunConfig = None, y0=None) -> AnnulusBound:
     """Certified zero bound (2k'+1)(2B+1) on the open annulus between circles.
 
-    Requires quasiunipotent monodromy along the equatorial circle; k' is the
-    order of the symmetrized operator in the concentric chart and B bounds
-    the argument variation along both boundary circles.
+    Requires quasiunipotent monodromy along the equatorial circle, the
+    image of |w| = 1 in the concentric chart, traced as one exact Arc; k' is
+    the order of the symmetrized operator in that chart and B bounds the
+    argument variation along both boundary circles.
     """
     config = config or RunConfig()
-    phi = _concentric_map(inner, outer)
-    im_in = _image_circle(phi, inner)
-    im_out = _image_circle(phi, outer)
-    rho1, rho2 = im_in.radius, im_out.radius
-    if rho1 > rho2:
-        rho1, rho2 = rho2, rho1
-    req = math.sqrt(rho1 * rho2)
-    scale = MobiusMap(_rationalize(complex(1 / req)), 0, 0, 1)
-    chart = scale.compose(phi)          # annulus -> {rho1/req < |w| < rho2/req}
-    # equatorial loop in the original chart
+    chart, rho1, rho2, req = _annulus_chart(inner, outer)
     inv = chart.inverse()
-    eq_pts = [inv(cmath.exp(1j * a)) for a in np.linspace(0, 2 * math.pi, 257)]
-    eq_path = ContourPath.from_points(eq_pts, close=True)
-    M = monodromy(D, eq_path, config)
+    M = monodromy(D, _equatorial_loop(inv), config)
     qu, orders = is_quasiunipotent(M, config)
     if not qu:
         raise NotQuasiunipotent("equatorial monodromy is not quasiunipotent")

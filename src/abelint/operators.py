@@ -32,7 +32,7 @@ class DiffOperator:
     def __init__(self, coeffs):
         coeffs = [c if isinstance(c, MultiPoly) else MultiPoly.const(c, TVARS)
                   for c in coeffs]
-        coeffs = [c.extend(TVARS) for c in coeffs]
+        coeffs = [c.shrink().extend(TVARS) for c in coeffs]
         while coeffs and coeffs[0].is_zero():
             coeffs = coeffs[1:]
         if not coeffs:

@@ -1,10 +1,14 @@
 """CLI subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from abelint.cli import main
+from abelint.serialize import dumps
 
 
 def run(capsys, *args):
@@ -152,6 +156,20 @@ def test_reduce_elliptic_tracks_first_period(capsys):
     data = json.loads(out)
     assert data["order"] == 2
     assert data["display"] == "(108*t^2 + -16)D^2 + (15)"
+    # coefficients are univariate in t, as schemas/operator.schema.json says
+    assert all(c["vars"] == ["t"] for c in data["operator"]["coeffs"])
+
+
+def test_reduce_system_file_is_univariate(capsys, elliptic, tmp_path):
+    # the system file `derive-pf --pencil 0` writes: its A(t) entries still
+    # carry x1 and x2 from the derivation
+    path = tmp_path / "system.json"
+    path.write_text(dumps({"A": elliptic.ode.A}))
+    code, out, _ = run(capsys, "reduce", "--system", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["display"] == "(108*t^2 + -16)D^2 + (15)"
+    assert all(c["vars"] == ["t"] for c in data["operator"]["coeffs"])
 
 
 @pytest.mark.parametrize("cmd", ["derive-pf", "reduce"])
@@ -183,6 +201,31 @@ def test_bound_annulus(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["bound"] == (2 * data["order"] + 1) * (2 * data["B"] + 1)
+    # the larger circle given as --inner: the same annulus, the same bound
+    code, out, _ = run(capsys, "bound", "--operator", "t*D - 1",
+                       "--inner-radius", "2", "--outer-radius", "0.5")
+    assert code == 0
+    assert json.loads(out) == data
+
+
+@pytest.mark.parametrize("circles", [
+    ("--inner-center", "5", "--inner-radius", "1", "--outer-radius", "2"),
+    ("--inner-radius", "2", "--outer-radius", "2"),
+])
+def test_bound_circles_not_nested(capsys, circles):
+    code, out, err = run(capsys, "bound", "--operator", "D-1", *circles)
+    assert code == 2 and out == ""
+    assert "not strictly nested" in err
+
+
+def test_cli_import_skips_scipy():
+    # scipy.integrate (about 1 s to import) loads on the first continuation
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, abelint.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_integrate_circle(capsys):

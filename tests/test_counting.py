@@ -16,8 +16,10 @@ from abelint.counting import (AnnulusBound, ContourPath, annulus_bound_formula,
                               variation_of_argument)
 from abelint.errors import (NonIntegerWinding, NotQuasiunipotent,
                             UnsupportedInput, ZeroOnPath)
+from abelint.operators import MobiusMap
 from abelint.parsing import parse_operator
-from abelint.slits import Circle, build_slits
+from abelint.qi import GaussianRational
+from abelint.slits import Arc, Circle, build_slits
 
 CFG = RunConfig()
 
@@ -177,3 +179,61 @@ def test_circle_winding_single_pass(monkeypatch):
     assert counting._circle_winding(parse_operator("2*t*D - 1"), system, circle,
                                     np.array([cmath.sqrt(bp)]), None, CFG) is None
     assert calls == once
+
+
+def _polygon(inv, n=256):
+    """The equatorial loop as it was traced before: n chords of inv(|w| = 1)."""
+    pts = [inv(cmath.exp(1j * a)) for a in np.linspace(0, 2 * math.pi, n + 1)]
+    return ContourPath.from_points(pts + pts[:1])
+
+
+@pytest.mark.parametrize("inner, outer, sign", [
+    (Circle(0j, 0.5), Circle(0j, 2.0), 1),                     # concentric
+    (Circle(0.3 + 0.1j, 0.4), Circle(0j, 2.0), 1),             # chart has c != 0
+    (Circle(0.2j, 0.5), Circle(0.1 + 0j, 3.0), 1),
+    (Circle(0.1 + 0j, 3.0), Circle(-0.3j, 0.6), -1),           # swapped order
+])
+def test_equatorial_arc_matches_polygon(inner, outer, sign):
+    """One exact Arc gives the monodromy of the 256-chord polygon, including
+    its orientation, so M is never replaced by its inverse."""
+    from abelint import counting
+    chart, _, _, _ = counting._annulus_chart(inner, outer)
+    inv = chart.inverse()
+    loop = counting._equatorial_loop(inv)
+    assert len(loop.pieces) == 1 and isinstance(loop.pieces[0], Arc)
+    assert abs(loop.start - inv(1)) < 1e-12
+    D = parse_operator("3*t*D - 1")            # y = t^(1/3)
+    M = monodromy(D, loop)
+    assert abs(M - monodromy(D, _polygon(inv))).max() < 1e-8
+    assert abs(M[0, 0] - cmath.exp(sign * 2j * math.pi / 3)) < 1e-8
+
+
+@pytest.mark.parametrize("inv", [
+    MobiusMap(GaussianRational(2, 1), GaussianRational(-1, 3), 0, 1),  # affine
+    MobiusMap(1, 1, 1, 0),                      # pole of inv^-1 at w = 0
+    MobiusMap(1, 0, 1, 3),                      # |w_p| > 1
+    MobiusMap(GaussianRational(0, 1), 2, 1, Fraction(-1, 2)),  # |w_p| < 1
+])
+def test_equatorial_loop_is_the_image_circle(inv):
+    """Every inv(e^ia) lies on the Arc, and the Arc winds like the polygon."""
+    from abelint import counting
+    arc = counting._equatorial_loop(inv).pieces[0]
+    pts = np.array([inv(cmath.exp(1j * a)) for a in np.linspace(0, 2 * math.pi, 65)])
+    assert np.abs(np.abs(pts - arc.center) - arc.radius).max() < 1e-12 * arc.radius
+    # signed area of the polygon: positive when it runs counterclockwise
+    area = sum((a.conjugate() * b).imag for a, b in zip(pts, pts[1:]))
+    assert math.copysign(2 * math.pi, area) == arc.a1 - arc.a0
+
+
+@pytest.mark.parametrize("inner, outer", [
+    (Circle(5 + 0j, 1.0), Circle(0j, 2.0)),     # disjoint
+    (Circle(1.5 + 0j, 1.0), Circle(0j, 2.0)),   # intersecting
+    (Circle(1 + 0j, 1.0), Circle(0j, 2.0)),     # tangent from inside
+    (Circle(0j, 2.0), Circle(0j, 2.0)),         # equal
+])
+def test_annulus_bound_needs_nested_circles(inner, outer):
+    D = parse_operator("D - 1")
+    with pytest.raises(UnsupportedInput, match="not strictly nested"):
+        annulus_zero_bound(D, inner, outer)
+    with pytest.raises(UnsupportedInput, match="not strictly nested"):
+        annulus_zero_bound(D, outer, inner)
