@@ -478,6 +478,8 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
     argument variation along both boundary circles.
     """
     config = config or RunConfig()
+    if _strictly_inside(outer, inner):  # one chart, so one B, for both orders
+        inner, outer = outer, inner
     chart, rho1, rho2, req = _annulus_chart(inner, outer)
     inv = chart.inverse()
     M = monodromy(D, _equatorial_loop(inv), config)

@@ -124,6 +124,16 @@ def _satisfies(rows, x):
     return True
 
 
+def _bareiss_step(p, e, f, g, prev):
+    """(p e - f g) / prev, computing only the nonzero products.  With f = 0
+    this is the rescale that keeps the Bareiss divisibility invariant."""
+    if f.is_zero() or g.is_zero():
+        return e if e.is_zero() else (p * e).divexact(prev)
+    if e.is_zero():
+        return (-(f * g)).divexact(prev)
+    return (p * e - f * g).divexact(prev)
+
+
 def solve_linear(A: FieldMatrix, b, verify=True):
     """Solve A x = b exactly over the fraction field.
 
@@ -161,12 +171,7 @@ def solve_linear(A: FieldMatrix, b, verify=True):
         p = M[row][col]
         for r in range(row + 1, m):
             f = M[r][col]
-            if f.is_zero():
-                # rescale to keep the Bareiss divisibility invariant
-                M[r] = [(p * e).divexact(prev) for e in M[r]]
-            else:
-                M[r] = [(p * e - f * M[row][j2]).divexact(prev)
-                        for j2, e in enumerate(M[r])]
+            M[r] = [_bareiss_step(p, e, f, g, prev) for e, g in zip(M[r], M[row])]
         prev = p
         pivots.append((row, col))
         row += 1

@@ -69,6 +69,17 @@ def _abs_float(c):
         return math.hypot(float(c.x), float(c.y))
 
 
+def _complex(c):
+    return complex(c) if isinstance(c, GaussianRational) else complex(float(c), 0)
+
+
+def _log2_abs(c):
+    """An integer within 2 of log2 |c| for a nonzero Fraction or GaussianRational."""
+    parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+    return max(q.numerator.bit_length() - q.denominator.bit_length()
+               for q in map(Fraction, parts) if q)
+
+
 def _coef_out(c, domain):
     if domain is QQ:
         return _frac(c)
@@ -196,13 +207,6 @@ class MultiPoly:
         if not self.poly:
             return NEG_INF
         return max(sum(e[i] for i in idx) for e in self.poly.itermonoms())
-
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.poly:
-            raise ValueError("zero polynomial has no leading term")
-        exp, c = self.poly.LT
-        return exp, _coef_out(c, self.poly.ring.domain)
 
     def coeff(self, exp):
         domain = self.poly.ring.domain
@@ -332,11 +336,6 @@ class MultiPoly:
         return MultiPoly._new(self.vars, self.poly.ring.dtype(
             {m: new(c.x, -c.y) for m, c in self.poly.items()}))
 
-    def rational_content(self):
-        """Positive rational c with self/c having coprime integer (Gaussian)
-        coefficients; 0 for the zero polynomial."""
-        return _content((self,))
-
     def primitive(self):
         """(content*sign, primitive part) with positive leading coefficient."""
         c, (prim,) = primitive_parts((self,))
@@ -378,9 +377,15 @@ class MultiPoly:
         return [_coef_out(c, domain) for c in reversed(p.poly.to_dense())]
 
     def univar_roots(self, name):
-        """np.roots of a univariate polynomial in `name`; empty for a constant."""
-        cs = [complex(c) if isinstance(c, GaussianRational) else complex(float(c), 0)
-              for c in self.univar_coeffs(name)]
+        """np.roots of a univariate polynomial in `name`; empty for a constant.
+        Coefficients beyond the float range are first scaled exactly by one
+        power of two, which leaves the roots as they are."""
+        cs = self.univar_coeffs(name)
+        try:
+            cs = [_complex(c) for c in cs]
+        except OverflowError:
+            scale = Fraction(2) ** -max(_log2_abs(c) for c in cs if c)
+            cs = [_complex(c * scale) for c in cs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if len(cs) <= 1:

@@ -24,6 +24,7 @@ class RatFunc:
             num = MultiPoly.const(num)
         if den is None:
             den = MultiPoly.const(1, num.vars)
+            canonical = True  # num/1 is already in canonical form
         elif not isinstance(den, MultiPoly):
             den = MultiPoly.const(den, num.vars)
         num, den = MultiPoly.align(num, den)
@@ -195,9 +196,14 @@ def raw_prod_size(r1: RatFunc, r2: RatFunc) -> Fraction:
 
 
 def ratfunc_lcm_den(rs):
-    """lcm of denominators of a list of rational functions."""
+    """lcm of denominators of a list of rational functions, over the union
+    of their variables.  A canonical constant denominator is 1 and is
+    skipped; a repeated one is not, because over Q(i) the lcm with a divisor
+    of acc may differ from acc by a Gaussian unit."""
     acc = MultiPoly.const(1)
+    names = set()
     for r in rs:
-        acc = poly_lcm(acc, r.den)
-        _, acc = acc.primitive()
-    return acc
+        names.update(r.den.vars)
+        if not r.den.is_constant():
+            _, acc = poly_lcm(acc, r.den).primitive()
+    return acc.extend(names)

@@ -208,6 +208,31 @@ def test_bound_annulus(capsys):
     assert json.loads(out) == data
 
 
+def test_bound_non_concentric_annulus_either_order(capsys):
+    small = ("1+i", "0.5")
+    big = ("0.5+0.5i", "3")
+    outs = []
+    for (ci, ri), (co, ro) in [(small, big), (big, small)]:
+        code, out, _ = run(capsys, "bound", "--operator", "t*D - 1",
+                           "--inner-center", ci, "--inner-radius", ri,
+                           "--outer-center", co, "--outer-radius", ro)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["B"] == 36696623621143
+
+
+def test_bound_huge_leading_coefficient(capsys):
+    # the symmetrized operator's leading coefficients reach 1e451 here
+    code, out, err = run(capsys, "bound", "--operator", "3*t*D - 1",
+                         "--inner-center", "0.2i", "--inner-radius", "0.5",
+                         "--outer-center", "0.1", "--outer-radius", "3")
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == "" and "float range" in err
+
+
 @pytest.mark.parametrize("circles", [
     ("--inner-center", "5", "--inner-radius", "1", "--outer-radius", "2"),
     ("--inner-radius", "2", "--outer-radius", "2"),

@@ -7,7 +7,7 @@ import numpy as np
 
 from abelint.errors import NoSolution
 from abelint.linalg import FieldMatrix, _clear_rows, _satisfies, invert, solve_linear
-from abelint.polynomials import MultiPoly, rank_at_point
+from abelint.polynomials import MultiPoly, poly_lcm, rank_at_point
 from abelint.qi import GaussianRational
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
 
@@ -155,3 +155,88 @@ def test_cleared_rows_match_cancelled_product():
             expect = [(e * den).as_poly() for e in entries]
             assert row == expect
             assert [p.vars for p in row] == [p.vars for p in expect]
+
+
+def test_lcm_den_skips_unit_denominators_but_keeps_their_vars():
+    LT = ("l00", "t")
+    p = RatFunc(MultiPoly(LT, {(1, 0): 2, (0, 1): 1}))
+    q = RatFunc(MultiPoly(T, {(0,): 3}), MultiPoly(T, {(1,): 1, (0,): -1}))
+    L = ratfunc_lcm_den([p, q])
+    assert L.vars == LT
+    assert list(L.terms.items()) == [((0, 1), 1), ((0, 0), -1)]
+
+
+def _fingerprint(x):
+    """Values, variables and term order of a list of RatFunc."""
+    return [(e.vars, list(e.num.terms.items()), list(e.den.terms.items())) for e in x]
+
+
+def _dense_solve(A, b):
+    """solve_linear without its skips, for consistent systems: one lcm per
+    row entry and every Bareiss product formed, zero or not."""
+    def lcm_den(rs):
+        acc = MultiPoly.const(1)
+        for r in rs:
+            _, acc = poly_lcm(acc, r.den).primitive()
+        return acc
+
+    M = []
+    for row, bi in zip(A.data, b):
+        den = lcm_den(row + [bi])
+        M.append([e.cleared(den) for e in row + [bi]])
+    m, n = len(M), A.cols
+    pivots, prev, row = [], MultiPoly.const(1), 0
+    for col in range(n):
+        live = [r for r in range(row, m) if not M[r][col].is_zero()]
+        if not live:
+            continue
+        piv = min(live, key=lambda r: M[r][col].nterms())
+        M[row], M[piv] = M[piv], M[row]
+        p = M[row][col]
+        for r in range(row + 1, m):
+            f = M[r][col]
+            M[r] = [(p * e - f * g).divexact(prev) for e, g in zip(M[r], M[row])]
+        prev = p
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    x = [RatFunc.zero() for _ in range(n)]
+    for r, c in reversed(pivots):
+        acc = RatFunc(M[r][n])
+        for j in range(c + 1, n):
+            if not M[r][j].is_zero() and not x[j].is_zero():
+                acc = acc - RatFunc(M[r][j]) * x[j]
+        x[c] = acc / RatFunc(M[r][c])
+    return x
+
+
+def _sparse_system(rng, m, n, gaussian):
+    """A sparse m x n system over Q(l, t), or over Q(i)(t), whose rows use
+    different variables, with b = A x0 for an x0 with zero entries."""
+    t = RatFunc(MultiPoly.var("t"))
+    s = t if gaussian else RatFunc(MultiPoly.var("l"))
+
+    def entry(i):
+        if rng.random() < 0.45:
+            return RatFunc.zero()
+        c = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+        if gaussian:
+            c = c + I * rng.randint(-2, 2)
+        e = RatFunc.const(c) + (t if i % 2 else s) * rng.randint(-2, 2)
+        return e / (t - (I if gaussian else 1)) if rng.random() < 0.3 else e
+
+    A = FieldMatrix([[entry(i) for _ in range(n)] for i in range(m)])
+    x0 = [RatFunc.zero() if j % 2 else entry(j) + t * s for j in range(n)]
+    return A, A.matvec(x0)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sparse_solve_matches_dense_elimination(gaussian):
+    """Skipping zero products and unit denominators changes no value,
+    variable or term of x; the systems have zero entries both in pivot rows
+    and in the rows they eliminate."""
+    rng = random.Random(31 + gaussian)
+    for m, n in [(4, 4), (5, 5), (5, 3), (3, 4)] * 4:
+        A, b = _sparse_system(rng, m, n, gaussian)
+        assert _fingerprint(solve_linear(A, b)) == _fingerprint(_dense_solve(A, b))

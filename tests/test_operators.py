@@ -180,5 +180,4 @@ def test_standard_form_normalization():
     D = standard_form([c0, c1])
     # cleared to integers, coprime, positive leading coefficient
     assert str(D) == "(3*t)D + (-6)" or str(D) == "(t)D + (-2)"
-    _, lead = D.coeffs[0].leading()
-    assert lead > 0
+    assert D.coeffs[0].poly.LC > 0

@@ -5,6 +5,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,9 +140,8 @@ def test_primitive_normalization():
             continue
         c, prim = p.primitive()
         assert prim * c == p
-        _, lead = prim.leading()
-        assert lead > 0
-        assert prim.rational_content() == 1
+        assert prim.poly.LC > 0
+        assert primitive_parts((prim,))[0] == 1
 
 
 coef = st.fractions(min_value=-10, max_value=10, max_denominator=10)
@@ -203,3 +203,18 @@ def test_only_polynomials_imports_sympy():
             if any(n == "sympy" or n.startswith("sympy.") for n in names):
                 importers.add(path.name)
     assert importers == {"polynomials.py"}
+
+
+def test_univar_roots_of_huge_coefficients():
+    t = MultiPoly.var("t")
+    p = MultiPoly.const(10 ** 400) * (t - 1) * (t - 2)
+    roots = sorted(p.univar_roots("t"), key=lambda z: z.real)
+    assert np.allclose(roots, [1, 2], rtol=0, atol=1e-12)
+    # Q(i) coefficients near 1e450 too
+    q = MultiPoly.const(GaussianRational(3, 4) * 10 ** 450) * (t - 1) * (t - GaussianRational(0, 2))
+    roots = sorted(q.univar_roots("t"), key=lambda z: z.imag)
+    assert np.allclose(roots, [1, 2j], rtol=0, atol=1e-12)
+    # in range: the plain float coefficients, bit for bit
+    r = MultiPoly.const(Fraction(3, 7)) * (t - 1) * (t - Fraction(1, 3))
+    expect = np.roots([complex(float(c), 0) for c in reversed(r.univar_coeffs("t"))])
+    assert np.array_equal(r.univar_roots("t"), expect)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from abelint.polynomials import MultiPoly
+from abelint.polynomials import MultiPoly, primitive_parts
 from abelint.ratfunc import (RatFunc, integer_cleared, raw_prod_size,
                              raw_sum_size, size_of)
 
@@ -38,8 +38,8 @@ def test_integer_cleared_properties():
         if r.is_zero():
             continue
         p, q = integer_cleared(r)
-        assert p.rational_content().denominator == 1
-        assert q.rational_content().denominator == 1
+        assert primitive_parts((p,))[0].denominator == 1
+        assert primitive_parts((q,))[0].denominator == 1
         assert RatFunc(p, q) == r
 
 
