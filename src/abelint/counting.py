@@ -64,20 +64,10 @@ class ContourPath:
     def length(self):
         return sum(p.length() for p in self.pieces)
 
-    def sample(self, per_piece=64):
-        out = []
-        for p in self.pieces:
-            for k in range(per_piece):
-                out.append(_piece_point(p, k / per_piece))
-        out.append(self.end)
-        return np.array(out)
-
     def min_dist(self, points):
-        if len(points) == 0:
-            return float("inf")
-        samp = self.sample(128)
-        pts = np.asarray(points, dtype=complex)
-        return float(np.min(np.abs(samp[:, None] - pts[None, :])))
+        """Exact distance from the path to the nearest of points."""
+        return min((piece.dist_to_point(complex(p)) for piece in self.pieces for p in points),
+                   default=float("inf"))
 
 
 def _piece_point(piece, s):

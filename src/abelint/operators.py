@@ -6,16 +6,19 @@ of a direct sum of companion systems).
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
-jointly coprime integer coefficients, graded-lex-positive leading coefficient
-of p0.  The affine slope is max_j ||p_j|| / ||p0|| in l1 coefficient norms;
-the invariant slope is approached by sampling Moebius pullbacks combined with
-symmetrization across circles and lines.
+no common polynomial factor, the normal form of `primitive_parts` (the
+graded-lex leading coefficient of p0 a positive integer, joint content 1)
+and each coefficient's terms stored in descending order.  The affine slope
+is max_j ||p_j|| / ||p0|| in l1 coefficient norms; the invariant slope is
+approached by sampling Moebius pullbacks combined with symmetrization across
+circles and lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .errors import NoSolution, UnsupportedInput
 from .linalg import FieldMatrix, solve_linear
@@ -78,18 +81,17 @@ class DiffOperator:
 
 
 def standard_form(coeffs) -> DiffOperator:
-    """Normalize a rational-coefficient operator to its standard form."""
+    """Normalize a rational-coefficient operator to its standard form, with
+    the terms of each coefficient in descending order, so that the form does
+    not depend on how the operator was computed."""
     rs = [RatFunc.coerce(c) for c in coeffs]
     den = ratfunc_lcm_den(rs)
     polys = [r.cleared(den).extend(TVARS) for r in rs]
-    g = MultiPoly.zero(TVARS)
-    for p in polys:
-        if not p.is_zero():
-            g = MultiPoly.gcd(g, p) if not g.is_zero() else p
+    g = reduce(MultiPoly.gcd, polys)
     if not g.is_constant():
-        polys = [p.divexact(g) if not p.is_zero() else p for p in polys]
+        polys = [p.divexact(g) for p in polys]
     _, polys = primitive_parts(polys)
-    return DiffOperator(polys)
+    return DiffOperator([p.descending() for p in polys])
 
 
 def reduce_to_scalar(ode, start=None) -> DiffOperator:
@@ -167,18 +169,6 @@ class MobiusMap:
         den = complex(self.c) * z + complex(self.d)
         return num / den
 
-    def as_ratfunc(self):
-        t = MultiPoly.var("t")
-        num = t * self.a + MultiPoly.const(self.b, TVARS)
-        den = t * self.c + MultiPoly.const(self.d, TVARS)
-        return RatFunc(num, den)
-
-    def derivative_ratfunc(self):
-        t = MultiPoly.var("t")
-        det = self.a * self.d - self.b * self.c
-        den = (t * self.c + MultiPoly.const(self.d, TVARS))
-        return RatFunc(MultiPoly.const(det, TVARS), den * den)
-
     def __repr__(self):
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -205,38 +195,44 @@ def circle_to_real_axis_map(center_re, center_im, radius):
     return MobiusMap(c + r, i * (c - r), 1, i)
 
 
-def _compose_r_d(r: RatFunc, L):
+def _compose_r_d(r: MultiPoly, L):
     """(r * d/dt) applied to operator L = [c_0, c_1, ...] (ascending)."""
-    out = [RatFunc.zero(TVARS) for _ in range(len(L) + 1)]
+    out = [MultiPoly.zero(TVARS) for _ in range(len(L) + 1)]
     for i, ci in enumerate(L):
         out[i] = out[i] + r * ci.diff("t")
         out[i + 1] = out[i + 1] + r * ci
     return out
 
 
-def _subs_mobius(poly: MultiPoly, phi_rf: RatFunc) -> RatFunc:
-    """p(phi(t)) as a rational function via Horner."""
-    cs = poly.univar_coeffs("t")
-    acc = RatFunc.const(0, TVARS)
-    for c in reversed(cs):
-        acc = acc * phi_rf + RatFunc.const(c, TVARS)
-    return acc
-
-
 def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
-    """Operator annihilating f o phi for every f annihilated by D."""
+    """Operator annihilating f o phi for every f annihilated by D.
+
+    For phi = (at + b)/(ct + d), M = (1/phi') d/dt has the polynomial
+    coefficient (ct + d)^2 / det, and p(phi) (ct + d)^N is a polynomial for
+    N >= deg p, so the pulled-back operator times (ct + d)^N, N the largest
+    coefficient degree, is built from polynomials alone.
+    """
     k = D.order
-    phi_rf = phi.as_ratfunc()
-    r = RatFunc.const(1) / phi.derivative_ratfunc()
+    t = MultiPoly.var("t")
+    num = t * phi.a + phi.b
+    den = t * phi.c + phi.d
+    r = den * den * (1 / (phi.a * phi.d - phi.b * phi.c))
     # powers of the conjugated derivative M = (1/phi') d/dt
-    Mpow = [[RatFunc.const(1, TVARS)]]
+    Mpow = [[MultiPoly.const(1, TVARS)]]
     for _ in range(k):
         Mpow.append(_compose_r_d(r, Mpow[-1]))
-    out = [RatFunc.zero(TVARS) for _ in range(k + 1)]
+    N = max(p.total_degree() for p in D.coeffs)
+    den_pow = [MultiPoly.const(1, TVARS)]
+    for _ in range(N):
+        den_pow.append(den_pow[-1] * den)
+    out = [MultiPoly.zero(TVARS) for _ in range(k + 1)]
     for i, p in enumerate(D.coeffs):
-        aj = _subs_mobius(p, phi_rf)
-        Mm = Mpow[k - i]
-        for m, cm in enumerate(Mm):
+        # homogeneous Horner: sum_j c_j num^j den^(N - j) = p(phi) den^N
+        aj = MultiPoly.zero(TVARS)
+        cs = p.univar_coeffs("t")
+        for j in reversed(range(len(cs))):
+            aj = aj * num + den_pow[N - j] * cs[j]
+        for m, cm in enumerate(Mpow[k - i]):
             out[m] = out[m] + aj * cm
     return standard_form(list(reversed(out)))
 

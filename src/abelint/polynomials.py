@@ -9,10 +9,12 @@ calls; coefficients leave the module as Fraction or GaussianRational.  The
 graded lexicographic order fixes leading terms, canonical signs and printed
 order.
 
-The module owns the normal forms that the other layers share: the joint
-content and sign rule (`primitive_parts`), the lcm, the exact rank at a
-point and the roots of a univariate polynomial.  It is the only module that
-imports sympy.
+The module owns the normal forms that the other layers share: the
+normal-form rule (`primitive_parts`: divide by the leading coefficient of the
+first nonzero polynomial, then by the positive joint rational content),
+which gives every object over Q or Q(i) one representative, the lcm, the
+exact rank at a point and the roots of a univariate polynomial.  It is the
+only module that imports sympy.
 """
 
 from __future__ import annotations
@@ -337,9 +339,15 @@ class MultiPoly:
             {m: new(c.x, -c.y) for m, c in self.poly.items()}))
 
     def primitive(self):
-        """(content*sign, primitive part) with positive leading coefficient."""
+        """(c, self / c) for the scalar c of `primitive_parts`: the part has a
+        positive integer leading coefficient and content 1."""
         c, (prim,) = primitive_parts((self,))
         return c, prim
+
+    def descending(self):
+        """self with its terms stored in descending graded-lex order, the
+        order in which numeric evaluation sums them."""
+        return MultiPoly._new(self.vars, self.poly.new(self.poly.terms()))
 
     # -- division ------------------------------------------------------------------
     def divexact(self, divisor):
@@ -410,12 +418,10 @@ class MultiPoly:
     # -- gcd ----------------------------------------------------------------------
     @staticmethod
     def gcd(a, b):
-        """Primitive gcd: the last Euclidean remainder over Q(i) in one
-        variable, the ring gcd otherwise, and 1 for coprime arguments.  Over
-        Q the primitive part is unique, whichever gcd it comes from; over
-        Q(i) the unit factor of a nonconstant remainder, which primitive()
-        keeps, is part of the canonical form of rational functions and
-        operators."""
+        """Primitive gcd, and 1 for coprime arguments.  The gcd is unique up
+        to a scalar, which primitive() removes, so it does not matter which
+        algorithm finds it; in one variable over Q(i) the last Euclidean
+        remainder is taken because it is faster than the ring gcd."""
         a = a.shrink()
         b = b.shrink()
         if a.is_zero():
@@ -429,8 +435,6 @@ class MultiPoly:
             h = f.ring.dup_euclidean_prs(f, g)[-1]
         else:
             h = f.gcd(g)
-        if h.is_ground:
-            return MultiPoly.const(1, vs)
         return MultiPoly._new(vs, h).primitive()[1]
 
     # -- output ---------------------------------------------------------------
@@ -459,22 +463,26 @@ def _content(polys):
 
 
 def primitive_parts(polys):
-    """(c, [p / c for p in polys]) for c the joint rational content of polys,
-    signed so that the first nonzero p / c has a positive graded-lex leading
-    coefficient (over Q(i): a positive real part, or a zero real part and a
-    positive imaginary part); (0, polys) when every p is zero.
+    """(c, [p / c for p in polys]) for c the graded-lex leading coefficient u
+    of the first nonzero p times the positive joint rational content of the
+    p / u; (0, polys) when every p is zero.  The leading coefficient of the
+    first nonzero part is then a positive integer and the joint content of
+    the parts is 1, so Gaussian multiples of polys have the same parts.  Over
+    Q, c is the joint content signed by the lead.
 
     This is the canonical form of a denominator, of a cleared rational
     function [den, num] and of an operator's coefficient list.
     """
     polys = list(polys)
-    c = _content(polys)
-    if not c:
-        return c, polys
-    first = next(p for p in polys if p.poly)
-    lead = first.poly.LC
-    if (lead.x < 0 or (lead.x == 0 and lead.y < 0)) if first.has_gaussian() else lead < 0:
-        c = -c
+    first = next((p for p in polys if p.poly), None)
+    if first is None:
+        return Fraction(0), polys
+    lead = _coef_out(first.poly.LC, first.poly.ring.domain)
+    if isinstance(lead, GaussianRational):
+        polys = [p.divexact(lead) for p in polys]
+        c = _content(polys)
+        return lead * c, [p.divexact(c) for p in polys]
+    c = _content(polys) if lead > 0 else -_content(polys)
     return c, [p.divexact(c) for p in polys]
 
 

@@ -1,11 +1,13 @@
-"""Rational functions num/den over Q with canonical representatives.
+"""Rational functions num/den over Q or Q(i) with canonical representatives.
 
-Canonical form: gcd(num, den) = 1 and den primitive with positive leading
-coefficient (graded lex).  `size_of` measures the canonical representative
-after clearing to coprime integer coefficients, as an upper bound for the
-minimum over all representations.  The content and sign rule
-(`primitive_parts`), the lcm, the exact rank and the roots of a polynomial
-belong to `polynomials`; this module applies the first two to num/den pairs.
+Canonical form: gcd(num, den) = 1 and den in the normal form of
+`primitive_parts`, with a positive integer leading coefficient (graded lex)
+and content 1; every rational function has exactly one such representative.
+`size_of` measures the canonical representative after clearing to coprime
+integer coefficients, as an upper bound for the minimum over all
+representations.  The normal-form rule (`primitive_parts`), the lcm, the
+exact rank and the roots of a polynomial belong to `polynomials`; this
+module applies the first two to num/den pairs.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _cancel(num, den):
     if not g.is_constant():
         num = num.divexact(g)
         den = den.divexact(g)
-    # normalize: den primitive with positive (grlex) leading coefficient
+    # normalize den by the rule of primitive_parts
     c, prim = den.primitive()
     num = num.divexact(c)
     return num, prim
@@ -197,13 +199,14 @@ def raw_prod_size(r1: RatFunc, r2: RatFunc) -> Fraction:
 
 def ratfunc_lcm_den(rs):
     """lcm of denominators of a list of rational functions, over the union
-    of their variables.  A canonical constant denominator is 1 and is
-    skipped; a repeated one is not, because over Q(i) the lcm with a divisor
-    of acc may differ from acc by a Gaussian unit."""
+    of their variables.  A canonical constant denominator is 1, and it and a
+    denominator already taken are skipped."""
     acc = MultiPoly.const(1)
     names = set()
+    taken = set()
     for r in rs:
         names.update(r.den.vars)
-        if not r.den.is_constant():
+        if not r.den.is_constant() and r.den not in taken:
+            taken.add(r.den)
             _, acc = poly_lcm(acc, r.den).primitive()
     return acc.extend(names)

@@ -188,26 +188,22 @@ def _seg_endpoint_circle(p, circles, tol):
 
 
 def _seg_crosses_circle(seg: Segment, c: Circle, tol) -> bool:
-    """True if the open segment meets the circle away from its endpoints."""
+    """True if the open segment meets the circle away from its endpoints:
+    |z0 + s d - center|^2 = r^2 has two roots and one lies in (eps, 1 - eps)."""
     d = seg.z1 - seg.z0
     L = abs(d)
     if L == 0:
         return False
-    steps = max(8, int(L / max(c.radius, 1e-300) * 16))
-    prev = abs(seg.z0 - c.center) - c.radius
-    for k in range(1, steps + 1):
-        s = k / steps
-        cur = abs(seg.z0 + s * d - c.center) - c.radius
-        if prev == 0:
-            prev = cur
-            continue
-        if prev * cur < 0:
-            # crossing inside the segment: tolerate only at endpoints
-            at = (k - 0.5) / steps
-            if tol / max(L, tol) < at < 1 - tol / max(L, tol):
-                return True
-        prev = cur
-    return False
+    w = seg.z0 - c.center
+    # L^2 s^2 + 2 b s + C = 0 has the roots q / L^2 and C / q, q != 0
+    b = (w * d.conjugate()).real
+    C = (abs(w) - c.radius) * (abs(w) + c.radius)
+    disc = b * b - L * L * C
+    if disc <= 0:
+        return False
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    eps = tol / max(L, tol)
+    return any(eps < s < 1 - eps for s in (q / (L * L), C / q))
 
 
 def regions(system: SlitSystem, config: RunConfig = None):

@@ -219,7 +219,9 @@ def test_bound_non_concentric_annulus_either_order(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["B"] == 36696623621143
+    # the outer circle's distance to the singular locus is the exact one;
+    # sampling the circle at 128 points overestimated it by 1.4e-7
+    assert json.loads(outs[0])["B"] == 36696668673652
 
 
 def test_bound_huge_leading_coefficient(capsys):

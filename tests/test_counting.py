@@ -136,6 +136,17 @@ def test_var_arg_bound_dominates_true_variation():
     assert abs(phi) / (2 * math.pi) <= rep.value
 
 
+def test_min_dist_is_exact_between_samples():
+    """A point 0.001 outside the unit circle, halfway between two of 128
+    equally spaced points on it, is at distance 0.001 from the path."""
+    p = 1.001 * cmath.exp(1j * math.pi / 128)
+    loop = ContourPath.from_circle(Circle(0j, 1.0))
+    assert loop.min_dist([p]) == pytest.approx(0.001, rel=1e-9)
+    polygon = ContourPath.from_points([0, 2, 2 + 2j])
+    assert polygon.min_dist([1 + 1e-3j, 3 + 1j]) == pytest.approx(1e-3, rel=1e-9)
+    assert polygon.min_dist([]) == math.inf
+
+
 def test_region_partition_sin():
     D = parse_operator("D^2 + 1")
     system = build_slits([0.3 + 0j, 0.3 + math.pi], CFG)

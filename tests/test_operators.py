@@ -174,6 +174,13 @@ def test_circle_map_sends_circle_to_real_axis():
         assert abs(abs(z - 0.5) - 2) < 1e-12
 
 
+def test_standard_form_ignores_gaussian_scalars():
+    """An operator and i times it have one standard form."""
+    i = GaussianRational(0, 1)
+    coeffs = [MultiPoly(T, {(1,): GaussianRational(1, 2), (0,): 1}), MultiPoly.const(3, T)]
+    assert standard_form(coeffs) == standard_form([c * i for c in coeffs])
+
+
 def test_standard_form_normalization():
     c0 = MultiPoly(T, {(1,): Fraction(-2, 3)})
     c1 = MultiPoly(T, {(0,): Fraction(4, 3)})
@@ -181,3 +188,66 @@ def test_standard_form_normalization():
     # cleared to integers, coprime, positive leading coefficient
     assert str(D) == "(3*t)D + (-6)" or str(D) == "(t)D + (-2)"
     assert D.coeffs[0].poly.LC > 0
+
+
+def _ratfunc_pullback(D, phi):
+    """Reference: the pullback computed over Q(i)(t) with RatFunc arithmetic,
+    p(phi) by Horner and the powers of (1/phi') d/dt as RatFunc lists."""
+    t = MultiPoly.var("t")
+    phi_rf = RatFunc(t * phi.a + phi.b, t * phi.c + phi.d)
+    den = t * phi.c + phi.d
+    r = RatFunc(den * den, MultiPoly.const(phi.a * phi.d - phi.b * phi.c, T))
+
+    def compose_r_d(L):
+        out = [RatFunc.zero(T) for _ in range(len(L) + 1)]
+        for i, ci in enumerate(L):
+            out[i] = out[i] + r * ci.diff("t")
+            out[i + 1] = out[i + 1] + r * ci
+        return out
+
+    k = D.order
+    Mpow = [[RatFunc.const(1, T)]]
+    for _ in range(k):
+        Mpow.append(compose_r_d(Mpow[-1]))
+    out = [RatFunc.zero(T) for _ in range(k + 1)]
+    for i, p in enumerate(D.coeffs):
+        aj = RatFunc.const(0, T)
+        for c in reversed(p.univar_coeffs("t")):
+            aj = aj * phi_rf + RatFunc.const(c, T)
+        for m, cm in enumerate(Mpow[k - i]):
+            out[m] = out[m] + aj * cm
+    return standard_form(list(reversed(out)))
+
+
+def _rand_gauss(rng, gaussian):
+    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return GaussianRational(re, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            if gaussian else 0)
+
+
+def test_pullback_matches_ratfunc_reference():
+    """The polynomial pullback equals the RatFunc one exactly, term order
+    included, on real and Q(i) operators and on affine and general maps."""
+    import random
+
+    rng = random.Random(11)
+    for case in range(80):
+        gaussian = case % 2 == 1
+        k = rng.randint(1, 3)
+        coeffs = []
+        for j in range(k + 1):
+            terms = {(e,): _rand_gauss(rng, gaussian) for e in range(rng.randint(0, 3) + 1)}
+            coeffs.append(MultiPoly(T, terms))
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.const(1, T)
+        D = DiffOperator(coeffs)
+        while True:
+            a, b, d = (_rand_gauss(rng, gaussian) for _ in range(3))
+            c = 0 if case % 4 < 2 else _rand_gauss(rng, gaussian)
+            if a * d - b * c:
+                break
+        phi = MobiusMap(a, b, c, d)
+        ours, ref = pullback(D, phi), _ratfunc_pullback(D, phi)
+        assert ours.coeffs == ref.coeffs
+        assert ([list(p.poly.items()) for p in ours.coeffs]
+                == [list(p.poly.items()) for p in ref.coeffs])

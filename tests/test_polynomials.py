@@ -93,7 +93,7 @@ def test_gcd_oracle():
 
 
 def test_gcd_of_coprime_gaussian_is_one():
-    # rem(t, t - i) = i: a Gaussian unit, which primitive() would keep
+    # rem(t, t - i) = i: a Gaussian unit, whose primitive part is 1
     t = MultiPoly.var("t")
     ti = t - GaussianRational(0, 1)
     assert MultiPoly.gcd(t, ti) == 1
@@ -181,12 +181,37 @@ def test_primitive_parts_joint_content_and_sign():
     c, parts = primitive_parts([zero, x * Fraction(-2, 3), y * Fraction(4, 9)])
     assert c == Fraction(-2, 9)
     assert parts == [zero, x * 3, y * -2]
-    # over Q(i) the real and imaginary parts share the content; a lead with
-    # zero real part is made positive imaginary
+    # over Q(i) a Gaussian lead is divided out first, then the positive
+    # content that the real and imaginary parts share
     c, (p,) = primitive_parts([x * (i * Fraction(-3, 2)) + Fraction(9, 4)])
-    assert c == Fraction(-3, 4)
-    assert p == x * (i * 2) - 3
+    assert c == i * Fraction(-3, 4)
+    assert p == x * 2 + i * 3
     assert primitive_parts([zero]) == (0, [zero])
+
+
+gauss_coef = st.builds(GaussianRational, coef, coef)
+
+
+@st.composite
+def gaussian_polys(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    terms = {(draw(st.integers(0, 3)), draw(st.integers(0, 3))): draw(gauss_coef)
+             for _ in range(n)}
+    return MultiPoly(V, terms)
+
+
+@given(st.lists(gaussian_polys(), min_size=1, max_size=3),
+       gauss_coef.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_primitive_parts_ignore_gaussian_scalars(ps, lam):
+    """Every Gaussian multiple of a list has the same parts, term order
+    included, and the returned scalar restores the input."""
+    c, parts = primitive_parts(ps)
+    c_lam, parts_lam = primitive_parts([p * lam for p in ps])
+    assert parts_lam == parts
+    assert [list(p.poly.items()) for p in parts_lam] == [list(p.poly.items()) for p in parts]
+    assert [p * c for p in parts] == ps
+    assert c_lam == c * lam
 
 
 def test_only_polynomials_imports_sympy():

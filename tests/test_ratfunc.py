@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 from abelint.polynomials import MultiPoly, primitive_parts
+from abelint.qi import GaussianRational
 from abelint.ratfunc import (RatFunc, integer_cleared, raw_prod_size,
                              raw_sum_size, size_of)
+from abelint.serialize import dumps
 
 T = ("t",)
 
@@ -29,6 +31,18 @@ def test_canonical_cancellation():
     assert r.den == one                      # geometric sum cancels
     assert size_of(r) == 6                   # 5 unit terms plus ||den|| = 1
     assert r == RatFunc(t ** 4 + t ** 3 + t ** 2 + t + one)
+
+
+def test_gaussian_multiples_share_one_representative():
+    """1/((1+2i)t + 1) and i/((-2+i)t + i) are one function: equal, with one
+    hash and one encoding."""
+    t = MultiPoly.var("t")
+    i = GaussianRational(0, 1)
+    r1 = RatFunc(MultiPoly.const(1, T), t * GaussianRational(1, 2) + 1)
+    r2 = RatFunc(MultiPoly.const(i, T), t * GaussianRational(-2, 1) + i)
+    assert r1 == r2
+    assert hash(r1) == hash(r2)
+    assert dumps(r1) == dumps(r2)
 
 
 def test_integer_cleared_properties():

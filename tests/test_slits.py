@@ -12,6 +12,7 @@ from abelint.slits import (Arc, Circle, Segment, SlitSystem,
                            brute_force_cluster_diameter, build_slits,
                            cluster_diameter_upper, is_admissible,
                            normalized_length, regions, svg_export)
+from abelint.slits import _seg_crosses_circle
 
 CFG = RunConfig()
 
@@ -101,6 +102,25 @@ def test_inadmissible_examples():
     s2 = Segment(-3 + 1j, 3 + 1j)
     bad = SlitSystem([c_out, c1, c2], [s1, s2], [-3 + 0j, 3 + 0j])
     assert not is_admissible(bad, CFG)  # two slits close a cycle
+
+
+def test_shallow_chord_crosses_circle():
+    """A chord 1e-4 below the top of the unit circle crosses it twice, in a
+    stretch shorter than a sampling step along the segment."""
+    assert _seg_crosses_circle(Segment(-5.03 + 0.9999j, 4.97 + 0.9999j),
+                               Circle(0j, 1.0), CFG.geom_tol)
+    assert not _seg_crosses_circle(Segment(-5.03 + 1.0001j, 4.97 + 1.0001j),
+                                   Circle(0j, 1.0), CFG.geom_tol)
+
+
+def test_slit_through_a_shallow_chord_is_rejected():
+    y = 0.9999
+    cut = Segment(5 - math.sqrt(400 - y * y) + 1j * y, 10 - math.sqrt(1 - y * y) + 1j * y)
+    system = SlitSystem([Circle(5 + 0j, 20.0), Circle(0j, 1.0), Circle(10 + 0j, 1.0)],
+                        [cut, Segment(-1 + 0j, -15 + 0j)], [0j, 10 + 0j])
+    assert not is_admissible(system, CFG)
+    with pytest.raises(UnsupportedInput, match="crosses circle 1"):
+        regions(system, CFG)
 
 
 def test_region_classification():
