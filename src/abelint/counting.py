@@ -1,11 +1,11 @@
 """Numeric zero counting: continuation, argument variation, annulus bounds.
 
 Solutions of linear ODE systems (or scalar operators via their companion
-systems) are continued along piecewise circular/segment paths with an
-adaptive high-order integrator whose step never exceeds a fixed fraction of
-the distance to the singular locus.  Winding numbers come from integrating
-d(arg w) alongside the solution, so the argument stays continuous by
-construction.
+systems) are continued, by one loop over the pieces, along piecewise
+circular/segment paths with an adaptive high-order integrator whose step
+never exceeds a fixed fraction of the exact distance from the piece to the
+singular locus.  Winding numbers come from integrating d(arg w) alongside
+the solution, so the argument stays continuous by construction.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ class ContourPath:
 
     @property
     def start(self):
-        return _piece_point(self.pieces[0], 0.0)
+        return self.pieces[0].at(0.0)
 
     @property
     def end(self):
-        return _piece_point(self.pieces[-1], 1.0)
+        return self.pieces[-1].at(1.0)
 
     def is_closed(self, tol=1e-9):
         scale = max(abs(self.start), abs(self.end), 1.0)
@@ -70,98 +70,56 @@ class ContourPath:
                    default=float("inf"))
 
 
-def _piece_point(piece, s):
-    if isinstance(piece, Arc):
-        a = piece.a0 + s * (piece.a1 - piece.a0)
-        return piece.center + piece.radius * cmath.exp(1j * a)
-    return piece.z0 + s * (piece.z1 - piece.z0)
-
-
-def _piece_velocity(piece, s):
-    if isinstance(piece, Arc):
-        a = piece.a0 + s * (piece.a1 - piece.a0)
-        return piece.radius * (piece.a1 - piece.a0) * 1j * cmath.exp(1j * a)
-    return piece.z1 - piece.z0
-
-
 # ---------------------------------------------------------------------------
-# sources: anything that yields dY/dt = A(t) Y
-
-
-class _SystemSource:
-    def __init__(self, ode):
-        self.ode = ode
-        self.dim = ode.ell
-
-    def eval(self, t):
-        return self.ode.eval(t)
-
-    def singular_points(self):
-        return self.ode.singular_points
-
-
-class _OperatorSource:
-    def __init__(self, op: DiffOperator):
-        self.op = op
-        self.dim = op.order
-
-    def eval(self, t):
-        return self.op.companion_rhs(t)
-
-    def singular_points(self):
-        return self.op.leading_roots()
+# continuation of dY/dt = A(t) Y
 
 
 def _as_source(obj):
+    """(A, singular points, dimension) of the system dY/dt = A(t) Y of obj:
+    the companion system of a scalar operator, or a linear ODE system."""
     if isinstance(obj, DiffOperator):
-        return _OperatorSource(obj)
+        return obj.companion_rhs, obj.leading_roots(), obj.order
     if hasattr(obj, "ell") and hasattr(obj, "eval"):
-        return _SystemSource(obj)
+        return obj.eval, obj.singular_points, obj.ell
     raise UnsupportedInput(f"cannot continue solutions of {type(obj).__name__}")
 
 
-def _integrate_piece(source, piece, Y0, config: RunConfig, combo=None, phi0=0.0):
-    """Continue Y (matrix columns) along one piece; optionally track arg(w)."""
+def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0):
+    """Continue Y (matrix columns) along one piece; with combo, also track
+    arg(w) for w = combo . Y[:, 0] (Y is then a matrix)."""
     # loaded here, not at import: only continuation needs scipy (~1 s)
     from scipy.integrate import solve_ivp
 
-    sing = source.singular_points()
-    n_samp = 64
-    pts = np.array([_piece_point(piece, s) for s in np.linspace(0, 1, n_samp)])
-    if len(sing):
-        dist = float(np.min(np.abs(pts[:, None] - sing[None, :])))
-    else:
-        dist = float("inf")
-    scale = max(np.max(np.abs(pts)), 1.0)
+    dist = ContourPath([piece]).min_dist(sing)
+    # every point of the piece lies within its length of its start
+    scale = max(abs(piece.at(0.0)) + piece.length(), 1.0)
     if dist < config.min_path_distance * scale:
         raise PathTooClose(f"path at distance {dist} from the singular locus")
-    vmax = max(abs(_piece_velocity(piece, s)) for s in np.linspace(0, 1, 16))
-    max_step = (config.max_step_factor * dist / vmax) if math.isfinite(dist) \
-        else 0.1
+    # |piece.velocity(s)| is the piece's length for every s
+    max_step = (config.max_step_factor * dist / piece.length()
+                if math.isfinite(dist) else 0.1)
     shape = Y0.shape
     track = combo is not None
     state0 = Y0.ravel()
     if track:
-        w0 = complex(np.dot(combo, Y0[:, 0] if Y0.ndim == 2 else Y0))
+        w0 = complex(np.dot(combo, Y0[:, 0]))
         if w0 == 0:
             raise ZeroOnPath("tracked combination vanishes at path start")
         state0 = np.concatenate([state0, [complex(phi0, 0.0)]])
     min_w = [float("inf")]
 
     def rhs(s, state):
-        z = _piece_point(piece, s)
-        dz = _piece_velocity(piece, s)
+        z = piece.at(s)
+        dz = piece.velocity(s)
         if track:
             Y = state[:-1].reshape(shape)
         else:
             Y = state.reshape(shape)
-        dY = dz * (source.eval(z) @ Y)
+        dY = dz * (A(z) @ Y)
         if not track:
             return dY.ravel()
-        y = Y[:, 0] if Y.ndim == 2 else Y
-        dy = dY[:, 0] if Y.ndim == 2 else dY
-        w = complex(np.dot(combo, y))
-        dw = complex(np.dot(combo, dy))
+        w = complex(np.dot(combo, Y[:, 0]))
+        dw = complex(np.dot(combo, dY[:, 0]))
         aw = abs(w)
         if aw < min_w[0]:
             min_w[0] = aw
@@ -184,45 +142,52 @@ def _integrate_piece(source, piece, Y0, config: RunConfig, combo=None, phi0=0.0)
     return final.reshape(shape), None
 
 
+def _continue(obj, path: ContourPath, Y, config: RunConfig, combo=None):
+    """(Y, phi): Y continued along every piece of the path and, when combo is
+    given, the variation phi of arg(combo . Y[:, 0]) along it (else None)."""
+    A, sing, _ = _as_source(obj)
+    phi = 0.0
+    for piece in path.pieces:
+        Y, phi = _integrate_piece(A, sing, piece, Y, config, combo=combo, phi0=phi)
+    return Y, phi
+
+
 def continue_solution(obj, path: ContourPath, Y0, config: RunConfig = None):
     """Continue the solution (vector or matrix of columns) along the path."""
     config = config or RunConfig()
-    source = _as_source(obj)
-    Y = np.array(Y0, dtype=complex)
-    for piece in path.pieces:
-        Y, _ = _integrate_piece(source, piece, Y, config)
-    return Y
+    return _continue(obj, path, np.array(Y0, dtype=complex), config)[0]
 
 
 def variation_of_argument(obj, path: ContourPath, y0, combo=None,
                           config: RunConfig = None):
-    """Total variation of arg(combo . Y) along the path, in radians."""
+    """Total variation of arg(combo . Y) along the path, in radians.
+
+    `obj` is a callable t -> w (then the second value is None), or an
+    operator or system with `y0` its initial data at path.start.
+    """
     config = config or RunConfig()
-    if callable(obj) and not isinstance(obj, DiffOperator):
+    if callable(obj):
         return _variation_callable(obj, path, config)
-    source = _as_source(obj)
-    if combo is None:
-        combo = np.zeros(source.dim, dtype=complex)
-        combo[0] = 1.0
     Y = np.array(y0, dtype=complex)
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
-    phi = 0.0
-    for piece in path.pieces:
-        Y, phi = _integrate_piece(source, piece, Y, config, combo=np.asarray(combo, dtype=complex), phi0=phi)
+    if combo is None:
+        combo = np.zeros(len(Y), dtype=complex)
+        combo[0] = 1.0
+    Y, phi = _continue(obj, path, Y, config, combo=np.asarray(combo, dtype=complex))
     return phi, Y
 
 
 def _variation_callable(f, path: ContourPath, config: RunConfig):
     """Adaptive sampled argument variation for an explicit function."""
     params = []
-    for i, piece in enumerate(path.pieces):
+    for i in range(len(path.pieces)):
         for s in np.linspace(0, 1, 33)[:-1]:
             params.append((i, s))
     params.append((len(path.pieces) - 1, 1.0))
 
     def point(pr):
-        return _piece_point(path.pieces[pr[0]], pr[1])
+        return path.pieces[pr[0]].at(pr[1])
 
     vals = [complex(f(point(pr))) for pr in params]
     scale = max(abs(v) for v in vals)
@@ -230,7 +195,6 @@ def _variation_callable(f, path: ContourPath, config: RunConfig):
         raise ZeroOnPath("function vanishes identically on the path")
     # refine until adjacent argument jumps are < pi/2
     for _ in range(40):
-        worst = None
         new_params = [params[0]]
         new_vals = [vals[0]]
         refined = False
@@ -271,12 +235,9 @@ def count_zeros(obj, path: ContourPath, y0=None, combo=None,
     config = config or RunConfig()
     if not path.is_closed():
         raise UnsupportedInput("count_zeros requires a closed path")
-    if callable(obj) and not isinstance(obj, DiffOperator):
-        phi, _ = _variation_callable(obj, path, config)
-    else:
-        if y0 is None:
-            raise UnsupportedInput("count_zeros needs initial data for ODE sources")
-        phi, _ = variation_of_argument(obj, path, y0, combo=combo, config=config)
+    if y0 is None and not callable(obj):
+        raise UnsupportedInput("count_zeros needs initial data for ODE sources")
+    phi, _ = variation_of_argument(obj, path, y0, combo=combo, config=config)
     return _winding_number(phi, config)
 
 
@@ -296,11 +257,10 @@ def _winding_number(phi, config: RunConfig) -> int:
 def monodromy(obj, loop: ContourPath, config: RunConfig = None):
     """Fundamental-solution monodromy matrix along a closed loop."""
     config = config or RunConfig()
-    source = _as_source(obj)
+    dim = _as_source(obj)[2]
     if not loop.is_closed():
         raise UnsupportedInput("monodromy needs a closed loop")
-    Y = continue_solution(obj, loop, np.eye(source.dim, dtype=complex), config)
-    return Y
+    return _continue(obj, loop, np.eye(dim, dtype=complex), config)[0]
 
 
 def is_quasiunipotent(M, config: RunConfig = None):
@@ -400,20 +360,20 @@ def _concentric_map(inner: Circle, outer: Circle) -> MobiusMap:
 
 
 def _image_circle(phi: MobiusMap, circle: Circle) -> Circle:
-    """Image of a circle under a Moebius map (sampled; exact enough)."""
-    zs = [phi(circle.point_at(a)) for a in np.linspace(0, 2 * math.pi, 7)[:-1]]
-    # circumcenter from three points
-    z1, z2, z3 = zs[0], zs[2], zs[4]
-    ax, ay = z1.real, z1.imag
-    bx, by = z2.real, z2.imag
-    cx, cy = z3.real, z3.imag
-    dd = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) +
-          (cx * cx + cy * cy) * (ay - by)) / dd
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) +
-          (cx * cx + cy * cy) * (bx - ax)) / dd
-    center = complex(ux, uy)
-    return Circle(center, abs(z1 - center))
+    """Image of a circle under a Moebius map whose pole is off the circle.
+
+    Moebius maps keep points symmetric in a circle symmetric, so the center
+    is the image of the reflection of the pole phi^-1(oo) in the circle.
+    An affine phi has its pole at oo, which reflects to the center; a pole
+    at the center reflects to oo, which phi sends to a/c.
+    """
+    if not phi.c:
+        center = phi(circle.center)
+    else:
+        v = -complex(phi.d) / complex(phi.c) - circle.center
+        center = (complex(phi.a) / complex(phi.c) if v == 0
+                  else phi(circle.center + circle.radius ** 2 / v.conjugate()))
+    return Circle(center, abs(phi(circle.point_at(0)) - center))
 
 
 def _annulus_chart(inner: Circle, outer: Circle):
@@ -430,22 +390,14 @@ def _annulus_chart(inner: Circle, outer: Circle):
 
 
 def _equatorial_loop(inv: MobiusMap) -> ContourPath:
-    """The image under inv of |w| = 1, run as w goes counterclockwise from 1.
-
-    One exact Arc: Moebius maps keep points symmetric in a circle symmetric,
-    so the center is the image of the reflection of the pole w_p = inv^-1(oo)
-    in |w| = 1.  The orientation flips when w_p lies inside the unit disk.
-    """
-    if not inv.c:                       # affine: w_p = oo reflects to 0
-        center, sweep = inv(0), 2 * math.pi
-    else:
-        w_p = -complex(inv.d) / complex(inv.c)
-        center = (complex(inv.a) / complex(inv.c) if w_p == 0
-                  else inv(1 / w_p.conjugate()))
-        sweep = 2 * math.pi if abs(w_p) > 1 else -2 * math.pi
-    start = inv(1) - center
-    a0 = cmath.phase(start)
-    return ContourPath([Arc(center, abs(start), a0, a0 + sweep)])
+    """The image under inv of |w| = 1, run as w goes counterclockwise from 1:
+    one exact Arc on the image circle.  The orientation flips when the pole
+    w_p = inv^-1(oo) lies inside the unit disk."""
+    image = _image_circle(inv, Circle(0j, 1.0))
+    outside = not inv.c or abs(complex(inv.d) / complex(inv.c)) > 1
+    sweep = 2 * math.pi if outside else -2 * math.pi
+    a0 = cmath.phase(inv(1) - image.center)
+    return ContourPath([Arc(image.center, image.radius, a0, a0 + sweep)])
 
 
 @dataclass
@@ -482,15 +434,11 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
     # carrier above: unit circle as Moebius image of the real axis
     kp = Dsym.order
     sing = Dsym.leading_roots()
-    b1 = var_arg_bound(Dsym, _full_arc(Circle(0, rho1 / req)), sing, config)
-    b2 = var_arg_bound(Dsym, _full_arc(Circle(0, rho2 / req)), sing, config)
+    b1, b2 = (var_arg_bound(Dsym, ContourPath.from_circle(Circle(0, rho / req)).pieces[0],
+                            sing, config) for rho in (rho1, rho2))
     B = int(math.ceil(max(b1.value, b2.value)))
     return AnnulusBound(kp, B, annulus_bound_formula(kp, B), True, orders,
                         {"rho_ratio": rho2 / rho1, "var_bounds": (b1.value, b2.value)})
-
-
-def _full_arc(circle: Circle):
-    return Arc(circle.center, circle.radius, 0.0, 2 * math.pi)
 
 
 def annulus_bound_formula(kprime: int, B: int) -> int:
@@ -653,13 +601,9 @@ def _transport_initial(obj, system, y0, target, config):
     path = ContourPath.from_points([base, target])
     # route around singular points: if the straight segment is too close,
     # bow it outward
-    source = _as_source(obj)
-    sing = source.singular_points()
-    if len(sing):
-        seg = Segment(base, target)
-        if min(seg.dist_to_point(complex(p)) for p in sing) < 1e-6:
-            mid = (base + target) / 2 + 0.5j * (target - base)
-            path = ContourPath.from_points([base, mid, target])
+    if path.min_dist(_as_source(obj)[1]) < 1e-6:
+        mid = (base + target) / 2 + 0.5j * (target - base)
+        path = ContourPath.from_points([base, mid, target])
     return continue_solution(obj, path, y0, config)
 
 

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import NotClosed, SeedOffCurve, ToleranceNotMet, UnsupportedInput
 from .polynomials import MultiPoly
 
@@ -165,11 +164,9 @@ def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
     return acc, length, area2
 
 
-def trace_oval(H: MultiPoly, t: float, seed, h=None, config: RunConfig = None):
+def trace_oval(H: MultiPoly, t: float, seed, h=1e-2):
     """Perimeter and orientation data of the closed oval through `seed`."""
     curve = LevelCurve(H)
-    if h is None:
-        h = 1e-2
     acc, length, area2 = _trace(curve, t, seed, h, [])
     return {"perimeter": length, "area": abs(area2) / 2,
             "ccw": area2 > 0, "start": tuple(curve.project(seed, t))}
@@ -187,7 +184,7 @@ def _monomial_form(alpha):
 
 
 def abelian_integral(H: MultiPoly, t: float, seed, alphas, h=1e-2,
-                     rel_tol=1e-8, config: RunConfig = None):
+                     rel_tol=1e-8):
     """Integrals of x1^(a1+1) x2^a2 / (a1+1) dx2 over the oval through seed.
 
     Positive (counter-clockwise) orientation.  Step-halved until two passes

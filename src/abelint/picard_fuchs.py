@@ -133,25 +133,13 @@ class LinearODESystem:
         return y[0] / y[1]
 
 
-def restrict_to_pencil(sys: PfaffianSystem, lambda_hat=None, free_term_value=0,
-                       s=(0, 0)) -> LinearODESystem:
-    """Restrict to the line lambda_s sweep: lambda_00 = c0 - t.
-
-    `lambda_hat` gives concrete values for any remaining symbolic
-    coefficients other than the free term.
-    """
-    if tuple(s) != (0, 0):
-        raise UnsupportedInput("only free-term pencils are supported")
-    lam = dict(lambda_hat or {})
-    fv = sys.free_var
-    P0 = sys.Pstar0
-    Qs = sys.Q[(0, 0)]
-    c0 = Fraction(free_term_value)
-    line = MultiPoly.const(c0, ("t",)) - MultiPoly.var("t")
-    subsmap = {k: MultiPoly.const(Fraction(v)) for k, v in lam.items()}
-    subsmap[fv] = line
-    P0 = P0.subs(subsmap)
-    Qs = Qs.subs(subsmap)
+def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
+    """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
+    free_term_value; every other coefficient must already be concrete."""
+    line = {sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
+            - MultiPoly.var("t")}
+    P0 = sys.Pstar0.subs(line)
+    Qs = sys.Q[(0, 0)].subs(line)
     leftover = set()
     for e in P0.flatten() + Qs.flatten():
         leftover |= set(e.num.effective_vars()) | set(e.den.effective_vars())

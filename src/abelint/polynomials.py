@@ -386,19 +386,23 @@ class MultiPoly:
 
     def univar_roots(self, name):
         """np.roots of a univariate polynomial in `name`; empty for a constant.
-        Coefficients beyond the float range are first scaled exactly by one
-        power of two, which leaves the roots as they are."""
+        When a coefficient overflows the floats, or a nonzero one underflows
+        to 0, all are first scaled exactly by one power of two, which leaves
+        the roots as they are."""
         cs = self.univar_coeffs(name)
         try:
-            cs = [_complex(c) for c in cs]
+            fs = [_complex(c) for c in cs]
+            in_range = all(f or not c for c, f in zip(cs, fs))
         except OverflowError:
+            in_range = False
+        if not in_range:
             scale = Fraction(2) ** -max(_log2_abs(c) for c in cs if c)
-            cs = [_complex(c * scale) for c in cs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if len(cs) <= 1:
+            fs = [_complex(c * scale) for c in cs]
+        while len(fs) > 1 and fs[-1] == 0:
+            fs.pop()
+        if len(fs) <= 1:
             return np.array([], dtype=complex)
-        return np.roots(cs[::-1])
+        return np.roots(fs[::-1])
 
     def coeff_split(self, front):
         """Group terms by exponents of `front` variables.

@@ -10,6 +10,7 @@ similarity maps.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,14 @@ class Segment:
     def length(self):
         return abs(self.z1 - self.z0)
 
+    def at(self, s):
+        """The point at parameter s in [0, 1]."""
+        return self.z0 + s * (self.z1 - self.z0)
+
+    def velocity(self, s):
+        """d/ds of at(s)."""
+        return self.z1 - self.z0
+
     def dist_to_point(self, p: complex) -> float:
         d = self.z1 - self.z0
         L2 = abs(d) ** 2
@@ -64,6 +73,16 @@ class Arc:
 
     def length(self):
         return abs(self.a1 - self.a0) * self.radius
+
+    def at(self, s):
+        """The point at parameter s in [0, 1]."""
+        a = self.a0 + s * (self.a1 - self.a0)
+        return self.center + self.radius * cmath.exp(1j * a)
+
+    def velocity(self, s):
+        """d/ds of at(s)."""
+        a = self.a0 + s * (self.a1 - self.a0)
+        return self.radius * (self.a1 - self.a0) * 1j * cmath.exp(1j * a)
 
     def dist_to_point(self, p: complex) -> float:
         v = p - self.center

@@ -126,6 +126,15 @@ def test_monodromy(capsys):
     assert data["quasiunipotent"] is True and data["orders"] == [2]
 
 
+def test_monodromy_through_a_singular_point(capsys):
+    """|t - 1| = 1 passes through the pole t = 0 of t*D - 1: exit 3, not a
+    matrix."""
+    code, out, err = run(capsys, "monodromy", "--operator", "t*D - 1",
+                         "--center", "1", "--radius", "1")
+    assert code == 3 and out == ""
+    assert "singular locus" in err
+
+
 def test_slits_svg(capsys, tmp_path):
     svg = tmp_path / "out.svg"
     code, out, _ = run(capsys, "slits", "--points", "0; 1; 2+i",

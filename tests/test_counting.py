@@ -14,7 +14,7 @@ from abelint.counting import (AnnulusBound, ContourPath, annulus_bound_formula,
                               count_region_partition, count_zeros,
                               is_quasiunipotent, monodromy, var_arg_bound,
                               variation_of_argument)
-from abelint.errors import (NonIntegerWinding, NotQuasiunipotent,
+from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, PathTooClose,
                             UnsupportedInput, ZeroOnPath)
 from abelint.operators import MobiusMap
 from abelint.parsing import parse_operator
@@ -61,6 +61,28 @@ def test_count_zeros_via_ode():
     y0 = np.array([cmath.sin(start), cmath.cos(start)])
     loop = ContourPath.from_circle(c)
     assert count_zeros(D, loop, y0=y0) == 2
+
+
+def test_continue_rejects_unknown_sources():
+    path = ContourPath.from_points([0, 1])
+    with pytest.raises(UnsupportedInput, match="cannot continue"):
+        continue_solution(object(), path, [1.0])
+    with pytest.raises(UnsupportedInput, match="cannot continue"):
+        variation_of_argument(object(), path, [1.0])
+
+
+def test_path_through_a_singular_point_is_rejected():
+    """The exact distance to the singular locus sees a pole that lies
+    between any samples of the path."""
+    D = parse_operator("t*D - 1")
+    with pytest.raises(PathTooClose):
+        continue_solution(D, ContourPath.from_points([-1, 1]), [1])
+    with pytest.raises(PathTooClose):
+        monodromy(D, ContourPath.from_circle(Circle(1 + 0j, 1.0)))
+    # poles of a leading coefficient below the float range are seen too
+    tiny = parse_operator("(t - 1)*(t - 2)/10^400*D - 1")
+    with pytest.raises(PathTooClose):
+        continue_solution(tiny, ContourPath.from_points([0, 3]), [1])
 
 
 def test_open_path_rejected():
@@ -234,6 +256,21 @@ def test_equatorial_loop_is_the_image_circle(inv):
     # signed area of the polygon: positive when it runs counterclockwise
     area = sum((a.conjugate() * b).imag for a, b in zip(pts, pts[1:]))
     assert math.copysign(2 * math.pi, area) == arc.a1 - arc.a0
+
+
+@pytest.mark.parametrize("phi, circle", [
+    (MobiusMap(GaussianRational(2, 1), GaussianRational(-1, 3), 0, 1),
+     Circle(0.5 - 1j, 2.0)),                                   # affine
+    (MobiusMap(1, 1, 1, Fraction(-1, 2)), Circle(0.5 + 0j, 0.3)),  # pole at the center
+    (MobiusMap(2, GaussianRational(0, 1), 1, -1), Circle(0.8 + 0.2j, 0.5)),  # pole inside
+    (MobiusMap(1, 3, GaussianRational(1, 1), -4), Circle(-1 + 0.5j, 0.7)),   # pole outside
+])
+def test_image_circle_closed_form(phi, circle):
+    """Every phi(circle.point_at(a)) lies on the closed-form image circle."""
+    from abelint import counting
+    image = counting._image_circle(phi, circle)
+    pts = np.array([phi(circle.point_at(a)) for a in np.linspace(0, 2 * math.pi, 65)])
+    assert np.abs(np.abs(pts - image.center) - image.radius).max() < 1e-12 * image.radius
 
 
 @pytest.mark.parametrize("inner, outer", [

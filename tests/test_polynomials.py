@@ -239,6 +239,14 @@ def test_univar_roots_of_huge_coefficients():
     q = MultiPoly.const(GaussianRational(3, 4) * 10 ** 450) * (t - 1) * (t - GaussianRational(0, 2))
     roots = sorted(q.univar_roots("t"), key=lambda z: z.imag)
     assert np.allclose(roots, [1, 2j], rtol=0, atol=1e-12)
+    # nonzero coefficients that all underflow to 0.0, real and Q(i)
+    p = MultiPoly.const(Fraction(1, 10 ** 400)) * (t - 1) * (t - 2)
+    roots = sorted(p.univar_roots("t"), key=lambda z: z.real)
+    assert np.allclose(roots, [1, 2], rtol=0, atol=1e-12)
+    q = MultiPoly.const(GaussianRational(Fraction(3, 10 ** 450), Fraction(-4, 10 ** 450))) \
+        * (t - 1) * (t - GaussianRational(0, 2))
+    roots = sorted(q.univar_roots("t"), key=lambda z: z.imag)
+    assert np.allclose(roots, [1, 2j], rtol=0, atol=1e-12)
     # in range: the plain float coefficients, bit for bit
     r = MultiPoly.const(Fraction(3, 7)) * (t - 1) * (t - Fraction(1, 3))
     expect = np.roots([complex(float(c), 0) for c in reversed(r.univar_coeffs("t"))])
