@@ -5,8 +5,7 @@ bound.  All structured output is JSON on stdout (exact rationals as strings);
 floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error
 (argparse rejects a non-finite --pencil or --t and a radius that is not
 finite and positive), 3 numeric tolerance failure or float overflow,
-4 domain error (degenerate input, open curve), 5 bound violated / not
-quasiunipotent.
+4 domain error (degenerate input, open curve), 5 not quasiunipotent.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .errors import (NonIntegerWinding, NotQuasiunipotent,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
 from .qi import GaussianRational
-from .slits import Arc, Circle, Segment, SlitSystem, regions
+from .slits import Arc, Circle, Segment, SlitSystem, _dist_to_set, regions
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ class ContourPath:
 
     def min_dist(self, points):
         """Exact distance from the path to the nearest of points."""
-        return min((piece.dist_to_point(complex(p)) for piece in self.pieces for p in points),
+        return min((_dist_to_set(piece, points) for piece in self.pieces),
                    default=float("inf"))
 
 
@@ -90,7 +90,7 @@ def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0
     # loaded here, not at import: only continuation needs scipy (~1 s)
     from scipy.integrate import solve_ivp
 
-    dist = ContourPath([piece]).min_dist(sing)
+    dist = _dist_to_set(piece, sing)
     # every point of the piece lies within its length of its start
     scale = max(abs(piece.at(0.0)) + piece.length(), 1.0)
     if dist < config.min_path_distance * scale:
@@ -311,13 +311,12 @@ def var_arg_bound(D: DiffOperator, piece, singular_points,
     """
     config = config or RunConfig()
     sing = np.asarray(singular_points, dtype=complex)
-    path = ContourPath([piece])
-    dist = path.min_dist(sing)
+    dist = _dist_to_set(piece, sing)
     if not math.isfinite(dist):
         dist = max(piece.length(), 1.0)
     if dist <= 0:
         raise PathTooClose("piece touches the singular locus")
-    z0 = path.start
+    z0 = piece.at(0.0)
     chart = MobiusMap(_rationalize(complex(dist)), _rationalize(z0), 0, 1)
     Dc = pullback(D, chart)   # operator in u with z = z0 + dist * u
     S = float(affine_slope(Dc))

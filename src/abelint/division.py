@@ -24,6 +24,7 @@ of the resulting matrices as non-degenerate as the family allows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import NoSolution, SingularDivision, UnsupportedInput
@@ -226,121 +227,65 @@ def _split_x(poly: MultiPoly):
     return poly.extend(sorted(set(poly.vars) | set(XVARS))).coeff_split(XVARS)
 
 
-def _divide(H: Hamiltonian, kind, target):
+def _divide(H: Hamiltonian, comps, forms, cofactor_unknowns):
     """Shared indeterminate-coefficient solver for both form divisions.
 
-    `target`: RatFunc (kind "two") or pair of RatFunc (kind "one"); the
-    denominators may involve the lambda variables only.
+    `comps`: the target's components, with denominators in lambda only;
+    `forms[a]`: the components of basis form a; `cofactor_unknowns(d, n,
+    h1, h2)`: (label, components) of the other unknowns at degree d, label
+    (name, beta) standing for x^beta.  Returns p and the dict name ->
+    cofactor.
     """
     n = H.n
-    lvars = H.lvars
-    comps = [target] if kind == "two" else list(target)
     for c in comps:
         if c.den.degree_in(XVARS) not in (0, NEG_INF):
             raise UnsupportedInput("form denominators must be free of x1, x2")
     # clear lambda denominators
     den = ratfunc_lcm_den(comps)
     polys = [c.cleared(den) for c in comps]
-    d = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
-    d = max(int(d) if d is not NEG_INF else 0, 0)
-
+    d_strict = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
+    d_strict = max(int(d_strict) if d_strict is not NEG_INF else 0, 0)
     h1, h2 = H.grad()
-    alphas = basis_exponents(n)
-
-    def weight(alpha):
-        return sum(alpha) + (1 if kind == "one" else 0)
-
+    weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
+    rhs_splits = [_split_x(p) for p in polys]
+    zero = RatFunc.zero(H.lvars)
+    Hpow = [MultiPoly.const(1, H.poly.vars)]
     last_err = None
-    d_strict = d
-    for slack in range(0, 3 * (n + 1) + 1):
-        d = d_strict + slack
-        caps = [(d - weight(a)) // (n + 1) for a in alphas if weight(a) <= d]
-        max_cap = max(caps, default=0)
-        Hpow = [MultiPoly.const(1, H.poly.vars)]
-        for _ in range(max_cap):
+    for d in range(d_strict, d_strict + 3 * (n + 1) + 1):
+        # largest t-degree of p_a at degree d; -1 leaves p_a out
+        bounds = [(d - w) // (n + 1) if w <= d else -1 for w in weights]
+        max_cap = max([0] + bounds)
+        while len(Hpow) <= max_cap:
             Hpow.append(Hpow[-1] * H.poly)
-        try:
-            return _divide_at(H, kind, comps, polys, den, d, max_cap, weight,
-                              alphas, h1, h2, Hpow, lvars, n)
-        except NoSolution as exc:
-            last_err = exc
-    raise SingularDivision(
-        f"no decomposition within relaxed degree bounds (deg target {d_strict}): {last_err}")
-
-
-def _divide_at(H, kind, comps, polys, den, d, max_cap, weight, alphas, h1, h2,
-               Hpow, lvars, n):
-    last_err = None
-    for cap in range(0, max_cap + 1):
-        unknowns = []   # (label, contribution) with contribution per component
-        for ai, alpha in enumerate(alphas):
-            if weight(alpha) > d:
+        cofactors = [(label, tuple(_split_x(c) for c in contrib))
+                     for label, contrib in cofactor_unknowns(d, n, h1, h2)]
+        for cap in range(0, max_cap + 1):
+            unknowns = [(("p", ai, j), tuple(_split_x(Hpow[j] * f) for f in form))
+                        for ai, (form, bound) in enumerate(zip(forms, bounds))
+                        for j in range(min(cap, bound) + 1)] + cofactors
+            # one equation per component and x-monomial, over Q(lambda); the
+            # target's coefficients form the last column
+            columns = [splits for _, splits in unknowns] + [rhs_splits]
+            xmonos = sorted(set().union(*(s.keys() for col in columns for s in col)))
+            rows = [[RatFunc(col[ci][m]) if m in col[ci] else zero for col in columns]
+                    for ci in range(len(polys)) for m in xmonos]
+            try:
+                sol = solve_linear(FieldMatrix([r[:-1] for r in rows]),
+                                   [r[-1] for r in rows], verify=False)
+            except NoSolution as exc:
+                last_err = exc
                 continue
-            bound = (d - weight(alpha)) // (n + 1)
-            for j in range(0, min(cap, bound) + 1):
-                if kind == "two":
-                    contrib = (Hpow[j] * basis_two_form(alpha),)
-                else:
-                    w1, w2 = basis_one_form(alpha)
-                    contrib = (Hpow[j] * w1, Hpow[j] * w2)
-                unknowns.append((("p", ai, j), contrib))
-        if kind == "two":
-            for beta in _monomials_upto(max(d + 1 - n, -1)):
-                mono = MultiPoly(XVARS, {beta: Fraction(1)})
-                unknowns.append((("e1", beta), (-(mono * h2),)))
-                unknowns.append((("e2", beta), (mono * h1,)))
-        else:
-            for beta in _monomials_upto(max(d + 1 - n, -1)):
-                mono = MultiPoly(XVARS, {beta: Fraction(1)})
-                unknowns.append((("u", beta), (mono * h1, mono * h2)))
-            for beta in _monomials_upto(d + 1):
-                if beta == (0, 0):
-                    continue  # constants do not contribute to dv
-                mono = MultiPoly(XVARS, {beta: Fraction(1)})
-                unknowns.append((("v", beta), (mono.diff("x1"), mono.diff("x2"))))
-
-        # assemble the linear system over Q(lambda)
-        column_splits = [tuple(_split_x(c) for c in contrib) for _, contrib in unknowns]
-        rhs_splits = [_split_x(p) for p in polys]
-        xmonos = set()
-        for splits in column_splits:
-            for s in splits:
-                xmonos |= set(s.keys())
-        for s in rhs_splits:
-            xmonos |= set(s.keys())
-        xmonos = sorted(xmonos)
-        ncomp = len(polys)
-        rows = []
-        rhs = []
-        zero = RatFunc.zero(lvars)
-        for ci in range(ncomp):
-            for mono in xmonos:
-                row = []
-                for splits in column_splits:
-                    c = splits[ci].get(mono)
-                    row.append(RatFunc(c) if c is not None else zero)
-                rows.append(row)
-                c = rhs_splits[ci].get(mono)
-                rhs.append(RatFunc(c) if c is not None else zero)
-        try:
-            sol = solve_linear(FieldMatrix(rows), rhs, verify=False)
-        except NoSolution as exc:
-            last_err = exc
-            continue
-        return _assemble(H, kind, comps, den, unknowns, sol)
-    raise NoSolution(f"no decomposition at degree {d}: {last_err}")
+            return _assemble(H, den, unknowns, sol)
+    raise SingularDivision(
+        f"no decomposition within relaxed degree bounds (deg target {d_strict}): "
+        f"no decomposition at degree {d}: {last_err}")
 
 
-def _assemble(H, kind, comps, den, unknowns, sol):
-    n = H.n
-    lvars = H.lvars
-    alphas = basis_exponents(n)
+def _assemble(H, den, unknowns, sol):
     inv_den = RatFunc.const(1) / RatFunc(den)
     tvar = MultiPoly.var("t")
-    p = [RatFunc.zero(tuple(sorted(set(lvars) | {"t"}))) for _ in alphas]
-    eta = [RatFunc.zero(), RatFunc.zero()]
-    u = RatFunc.zero()
-    v = RatFunc.zero()
+    p = [RatFunc.zero(tuple(sorted(set(H.lvars) | {"t"}))) for _ in basis_exponents(H.n)]
+    cofactors = defaultdict(RatFunc.zero)
     for (label, _), val in zip(unknowns, sol):
         if val.is_zero():
             continue
@@ -348,24 +293,48 @@ def _assemble(H, kind, comps, den, unknowns, sol):
         if label[0] == "p":
             _, ai, j = label
             p[ai] = p[ai] + val * RatFunc(tvar ** j)
-        elif label[0] in ("e1", "e2"):
-            mono = RatFunc(MultiPoly(XVARS, {label[1]: Fraction(1)}))
-            k = 0 if label[0] == "e1" else 1
-            eta[k] = eta[k] + val * mono
-        elif label[0] == "u":
-            u = u + val * RatFunc(MultiPoly(XVARS, {label[1]: Fraction(1)}))
-        elif label[0] == "v":
-            v = v + val * RatFunc(MultiPoly(XVARS, {label[1]: Fraction(1)}))
-    if kind == "two":
-        return Decomposition(H, "two", comps[0], p, eta=(eta[0], eta[1]))
-    return Decomposition(H, "one", (comps[0], comps[1]), p, u=u, v=v)
+        else:
+            name, beta = label
+            mono = RatFunc(MultiPoly(XVARS, {beta: Fraction(1)}))
+            cofactors[name] = cofactors[name] + val * mono
+    return p, cofactors
+
+
+def _eta_unknowns(d, n, h1, h2):
+    """Coefficients of eta = (E1, E2): dH ^ eta = (h1 E2 - h2 E1) dx1^dx2."""
+    out = []
+    for beta in _monomials_upto(max(d + 1 - n, -1)):
+        mono = MultiPoly(XVARS, {beta: Fraction(1)})
+        out.append((("e1", beta), (-(mono * h2),)))
+        out.append((("e2", beta), (mono * h1,)))
+    return out
+
+
+def _uv_unknowns(d, n, h1, h2):
+    """Coefficients of u (in u dH) and of v (in dv)."""
+    out = []
+    for beta in _monomials_upto(max(d + 1 - n, -1)):
+        mono = MultiPoly(XVARS, {beta: Fraction(1)})
+        out.append((("u", beta), (mono * h1, mono * h2)))
+    for beta in _monomials_upto(d + 1):
+        if beta == (0, 0):
+            continue  # constants do not contribute to dv
+        mono = MultiPoly(XVARS, {beta: Fraction(1)})
+        out.append((("v", beta), (mono.diff("x1"), mono.diff("x2"))))
+    return out
 
 
 def divide_two_form(H: Hamiltonian, coeff) -> Decomposition:
     """Split mu = coeff dx1^dx2 as sum (p_a o H) m_a + dH ^ eta."""
-    return _divide(H, "two", RatFunc.coerce(coeff))
+    target = RatFunc.coerce(coeff)
+    forms = [(basis_two_form(alpha),) for alpha in basis_exponents(H.n)]
+    p, cof = _divide(H, [target], forms, _eta_unknowns)
+    return Decomposition(H, "two", target, p, eta=(cof["e1"], cof["e2"]))
 
 
 def divide_one_form(H: Hamiltonian, p_comp, q_comp) -> Decomposition:
     """Split omega = p dx1 + q dx2 as sum (p_a o H) w_a + u dH + dv."""
-    return _divide(H, "one", (RatFunc.coerce(p_comp), RatFunc.coerce(q_comp)))
+    target = (RatFunc.coerce(p_comp), RatFunc.coerce(q_comp))
+    forms = [basis_one_form(alpha) for alpha in basis_exponents(H.n)]
+    p, cof = _divide(H, list(target), forms, _uv_unknowns)
+    return Decomposition(H, "one", target, p, u=cof["u"], v=cof["v"])

@@ -89,12 +89,6 @@ class NotQuasiunipotent(AbelintError):
     exit_code = 5
 
 
-class BoundViolated(AbelintError):
-    """A certified bound was exceeded by an empirical count."""
-
-    exit_code = 5
-
-
 class UnsupportedInput(AbelintError):
     """Structurally valid input outside the supported fragment."""
 

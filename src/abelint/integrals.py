@@ -113,7 +113,8 @@ def critical_values(H: MultiPoly, search_box=4.0, grid=24):
 
 
 def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
-    """One RK4 pass around the oval; returns (integrals, perimeter, area2)."""
+    """One RK4 pass around the oval, integrating g dx2 for each g in forms;
+    returns (integrals, perimeter, area2)."""
     x0, y0 = curve.project(seed, t)
 
     def tangent(x, y):
@@ -131,8 +132,8 @@ def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
         """Add the chord (x, y) -> (xn, yn), integrands taken at (mx, my)."""
         nonlocal area2, length
         dx, dy = xn - x, yn - y
-        for i, (g1, g2) in enumerate(forms):
-            acc[i] += g1(mx, my) * dx + g2(mx, my) * dy
+        for i, g in enumerate(forms):
+            acc[i] += g(mx, my) * dy
         area2 += x * yn - xn * y
         length += math.hypot(dx, dy)
 
@@ -173,14 +174,14 @@ def trace_oval(H: MultiPoly, t: float, seed, h=1e-2):
 
 
 def _monomial_form(alpha):
-    """Compiled (g1, g2) with the integrand g1 dx1 + g2 dx2 for basis index alpha."""
+    """Compiled g with the integrand g dx2 for basis index alpha."""
     a1, a2 = alpha
     x1 = MultiPoly.var("x1", ("x1", "x2"))
     x2 = MultiPoly.var("x2", ("x1", "x2"))
     from fractions import Fraction
     g2 = (x1 ** (a1 + 1)) * (x2 ** a2) * MultiPoly.const(Fraction(1, a1 + 1),
                                                          ("x1", "x2"))
-    return (lambda a, b: 0.0), _compile(g2)
+    return _compile(g2)
 
 
 def abelian_integral(H: MultiPoly, t: float, seed, alphas, h=1e-2,

@@ -36,30 +36,9 @@ class FieldMatrix:
         return FieldMatrix([[RatFunc.const(1 if i == j else 0) for j in range(n)]
                             for i in range(n)])
 
-    @staticmethod
-    def zeros(r, c):
-        return FieldMatrix([[RatFunc.zero() for _ in range(c)] for _ in range(r)])
-
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols and
-                all(self.data[i][j] == other.data[i][j]
-                    for i in range(self.rows) for j in range(self.cols)))
-
     def __add__(self, other):
         return FieldMatrix([[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        return FieldMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return FieldMatrix([[-a for a in row] for row in self.data])
 
     def __mul__(self, other):
         if isinstance(other, FieldMatrix):
@@ -86,11 +65,6 @@ class FieldMatrix:
 
     def subs(self, mapping):
         return self.map(lambda e: e.subs(mapping))
-
-    def eval_complex(self, point):
-        import numpy as np
-
-        return np.array([[e.eval_complex(point) for e in row] for row in self.data])
 
     def flatten(self):
         return [e for row in self.data for e in row]
@@ -177,13 +151,10 @@ def solve_linear(A: FieldMatrix, b, verify=True):
         row += 1
         if row == m:
             break
-    # consistency: zero rows must have zero rhs
+    # consistency: the rows left below the pivots are zero in A
     for r in range(row, m):
-        if all(M[r][j].is_zero() for j in range(n)) and not M[r][n].is_zero():
+        if not M[r][n].is_zero():
             raise NoSolution("inconsistent linear system")
-        if not all(M[r][j].is_zero() for j in range(n)):
-            # shouldn't happen: all columns were processed
-            raise NoSolution("elimination left an unreduced row")
     # back substitution, free variables = 0
     x = [RatFunc.zero() for _ in range(n)]
     for (r, c) in reversed(pivots):

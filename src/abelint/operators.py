@@ -173,18 +173,9 @@ class MobiusMap:
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-@dataclass(frozen=True)
-class Line:
-    """point + direction * R, exact Gaussian rational data."""
-
-    point: GaussianRational
-    direction: GaussianRational
-
-    def to_real_axis_map(self):
-        return MobiusMap(self.direction, self.point, 0, 1)
-
-
-REAL_AXIS = Line(GaussianRational(0), GaussianRational(1))
+# the line point + direction * R is the image of R under
+# MobiusMap(direction, point, 0, 1)
+REAL_AXIS = MobiusMap(1, 0, 0, 1)
 
 
 def circle_to_real_axis_map(center_re, center_im, radius):
@@ -264,22 +255,18 @@ def lclm(D1: DiffOperator, D2: DiffOperator) -> DiffOperator:
 def symmetrize(D: DiffOperator, gamma=REAL_AXIS) -> DiffOperator:
     """Smallest operator containing ker D and its reflection across gamma.
 
-    gamma is a Line or an exact circle given as a Moebius image of the real
-    axis; the result has order at most 2 * ord(D).
+    gamma is a line or an exact circle, given as the MobiusMap that sends
+    the real axis onto it; the result has order at most 2 * ord(D).
     """
-    if isinstance(gamma, MobiusMap):
-        phi = gamma
-    elif isinstance(gamma, Line):
-        phi = gamma.to_real_axis_map()
-    else:
-        raise UnsupportedInput("gamma must be a Line or a MobiusMap onto the carrier")
-    Dp = pullback(D, phi)
+    if not isinstance(gamma, MobiusMap):
+        raise UnsupportedInput("gamma must be a MobiusMap onto the carrier")
+    Dp = pullback(D, gamma)
     Dr = reflect(Dp)
     if Dp == Dr:
         sym = Dp
     else:
         sym = lclm(Dp, Dr)
-    return pullback(sym, phi.inverse())
+    return pullback(sym, gamma.inverse())
 
 
 @dataclass
@@ -300,7 +287,7 @@ def default_slope_samples():
     samples = []
     ident = MobiusMap(1, 0, 0, 1)
     unit_circle = circle_to_real_axis_map(0, 0, 1)
-    imag_line = Line(GaussianRational(0), i)
+    imag_line = MobiusMap(i, 0, 0, 1)
     for name, phi in [("id", ident),
                       ("shift+1", MobiusMap(1, 1, 0, 1)),
                       ("scale2", MobiusMap(2, 0, 0, 1)),

@@ -96,11 +96,7 @@ class _Parser:
                     c = rhs.terms.get(tuple([0] * len(rhs.vars)))
                     if not c:
                         raise ParseError("division by zero")
-                    if isinstance(c, GaussianRational):
-                        inv = GaussianRational(1, 0) / c
-                    else:
-                        inv = Fraction(1) / c
-                    v = v * MultiPoly.const(inv, v.vars)
+                    v = v * MultiPoly.const(1 / c, v.vars)
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 # implicit multiplication: 2t, 3(t+1), t(t-1)
                 rhs = self.power()
@@ -114,7 +110,6 @@ class _Parser:
         if kind == "op" and val == "^":
             self.next()
             kind, e = self.next()
-            neg = False
             if kind == "op" and e == "-":
                 raise ParseError("negative exponents are not supported")
             if kind != "num" or e.denominator != 1:
@@ -138,13 +133,10 @@ class _Parser:
             self.expect_op(")")
             return v
         if kind == "op" and val == "-":
-            return -self.atom_or_power()
+            return -self.power()
         if kind == "op" and val == "+":
-            return self.atom_or_power()
+            return self.power()
         raise ParseError(f"unexpected token {val!r}")
-
-    def atom_or_power(self):
-        return self.power()
 
 
 def parse_poly(text: str, variables=("x1", "x2")) -> MultiPoly:
@@ -162,20 +154,10 @@ def parse_operator(text: str):
     poly = p.parse()
     if poly.is_zero():
         raise ParseError("zero operator")
-    k = poly.degree_in("D")
-    k = max(int(k), 0)
-    di = poly.vars.index("D")
-    ti = poly.vars.index("t")
-    coeffs = []
-    for j in range(k, -1, -1):
-        cj = MultiPoly(("t",), {})
-        for e, c in poly.terms.items():
-            if e[di] == j:
-                cj = cj + MultiPoly(("t",), {(e[ti],): c})
-        coeffs.append(cj)
-    if all(c.is_zero() for c in coeffs):
-        raise ParseError("zero operator")
-    return DiffOperator(coeffs)
+    by_order = poly.coeff_split(("D",))   # (j,) -> coefficient of D^j
+    k = max(j for (j,) in by_order)
+    return DiffOperator([by_order.get((j,), MultiPoly.zero(("t",)))
+                         for j in range(k, -1, -1)])
 
 
 def parse_number(text: str):

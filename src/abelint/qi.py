@@ -102,9 +102,6 @@ class GaussianRational:
         """|z|^2, always exact."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

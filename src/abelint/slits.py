@@ -97,9 +97,9 @@ class Arc:
 
 
 def _dist_to_set(piece, points):
-    if not points:
-        return float("inf")
-    return min(piece.dist_to_point(p) for p in points)
+    """Exact distance from piece to the nearest of points (a sequence or an
+    array), inf for none."""
+    return min((piece.dist_to_point(complex(p)) for p in points), default=float("inf"))
 
 
 def normalized_length(piece, points) -> float:

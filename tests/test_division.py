@@ -7,7 +7,8 @@ import pytest
 
 from abelint.division import (Hamiltonian, basis_exponents, divide_one_form,
                               divide_two_form, is_basis_regular)
-from abelint.errors import UnsupportedInput
+from abelint.errors import SingularDivision, UnsupportedInput
+from abelint.parsing import parse_poly
 from abelint.polynomials import MultiPoly
 
 X = ("x1", "x2")
@@ -92,3 +93,11 @@ def test_regularity_detects_degenerate():
 def test_constant_hamiltonian_rejected():
     with pytest.raises(UnsupportedInput):
         Hamiltonian(MultiPoly.const(Fraction(1), X))
+
+
+def test_division_without_decomposition_names_degree():
+    # H = x1^2 + l00 has n = 1 and dH = 2 x1 dx1, so x2 = p(H) + 2 x1 E2
+    # would give x2 = p(l00) at x1 = 0: no degree admits a decomposition
+    H = Hamiltonian.from_x_poly(parse_poly("x1^2"))
+    with pytest.raises(SingularDivision, match=r"at degree \d+"):
+        divide_two_form(H, MultiPoly.var("x2", X))

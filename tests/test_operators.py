@@ -6,7 +6,7 @@ import numpy as np
 import sympy
 
 from abelint.linalg import FieldMatrix
-from abelint.operators import (DiffOperator, Line, MobiusMap, REAL_AXIS,
+from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
                                pullback, reduce_to_scalar, reflect,
                                standard_form, symmetrize)
@@ -154,7 +154,7 @@ def test_symmetrize_imaginary_axis():
     # solutions of D - 1 restricted to the imaginary axis: symmetrization
     # must annihilate e^t and e^-t, i.e. equal D^2 - 1 up to normalization
     D = mk("D - 1")
-    S = symmetrize(D, Line(GaussianRational(0), GaussianRational(0, 1)))
+    S = symmetrize(D, MobiusMap(GaussianRational(0, 1), 0, 0, 1))
     app, t = sym_op(S)
     assert sympy.simplify(app(sympy.exp(t))) == 0
     assert sympy.simplify(app(sympy.exp(-t))) == 0
