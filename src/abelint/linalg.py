@@ -1,15 +1,17 @@
 """Exact linear algebra over rational function fields.
 
-`solve_linear` clears each equation to polynomials by multiplying every
-entry's numerator with the cofactor of its denominator in the row's lcm, so
-the clearing cancels no gcd.  An overdetermined system whose cleared
-augmented matrix has full column rank at one rational point has full rank
-generically, so it is inconsistent and raises NoSolution at once.  All
-other systems run fraction-free (Bareiss) elimination on the polynomial
-rows; only the back-substitution works with rational functions.
-Underdetermined systems set free variables to zero; inconsistent ones raise
-NoSolution.  Verification checks each cleared row as one polynomial
-identity, sum_j a_j (x_j L) = c L with L the lcm of the denominators of x.
+`solve_linear` takes one right-hand side or several, and one elimination
+serves them all.  It clears each equation of [A | B] to polynomials by
+multiplying every entry's numerator with the cofactor of its denominator in
+the row's lcm, so the clearing cancels no gcd.  An overdetermined system
+with a column b whose cleared [A | b] has full column rank at one rational
+point has full rank generically, so it is inconsistent and raises
+NoSolution at once.  All other systems run one fraction-free (Bareiss)
+elimination on the polynomial rows of [A | B]; only the back-substitution,
+one per column, works with rational functions.  Underdetermined systems set
+free variables to zero; inconsistent ones raise NoSolution.  Verification
+checks each cleared row of each column as one polynomial identity,
+sum_j a_j (x_j L) = c L with L the lcm of the denominators of x.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class FieldMatrix:
         return FieldMatrix([[RatFunc.const(1 if i == j else 0) for j in range(n)]
                             for i in range(n)])
 
-    def __add__(self, other):
-        return FieldMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
-
     def __mul__(self, other):
         if isinstance(other, FieldMatrix):
             if self.cols != other.rows:
@@ -60,9 +58,6 @@ class FieldMatrix:
     def map(self, fn):
         return FieldMatrix([[fn(e) for e in row] for row in self.data])
 
-    def diff(self, name):
-        return self.map(lambda e: e.diff(name))
-
     def subs(self, mapping):
         return self.map(lambda e: e.subs(mapping))
 
@@ -74,10 +69,12 @@ class FieldMatrix:
 
 
 def _clear_rows(A, b):
-    """Scale each equation by its common denominator -> MultiPoly rows."""
+    """Scale each equation of [A | b] by its common denominator -> MultiPoly
+    rows; b is one right-hand side, a list, or the columns of a FieldMatrix."""
+    brows = b.data if isinstance(b, FieldMatrix) else [[RatFunc.coerce(e)] for e in b]
     rows = []
-    for i in range(A.rows):
-        entries = list(A.data[i]) + [b[i]]
+    for arow, brow in zip(A.data, brows):
+        entries = list(arow) + list(brow)
         den = ratfunc_lcm_den(entries)
         rows.append([e.cleared(den) for e in entries])
     return rows
@@ -111,17 +108,23 @@ def _bareiss_step(p, e, f, g, prev):
 def solve_linear(A: FieldMatrix, b, verify=True):
     """Solve A x = b exactly over the fraction field.
 
-    Returns a list of RatFunc.  Free variables are set to zero.  Raises
-    NoSolution when inconsistent.
+    b is one right-hand side, a list, or several, the columns of a
+    FieldMatrix B; one elimination of [A | B] serves them all, and the
+    result is the list x, or the FieldMatrix X with A X = B.  Each column
+    of X has the value of its own solve, and its stored terms too where the
+    other columns add no denominator to a row.  Free variables are set to
+    zero.  Raises NoSolution when some column is inconsistent.
     """
-    b = [RatFunc.coerce(e) for e in b]
-    if len(b) != A.rows:
+    many = isinstance(b, FieldMatrix)
+    if (b.rows if many else len(b)) != A.rows:
         raise ValueError("rhs length mismatch")
     n = A.cols
+    ncols = b.cols if many else 1
     cleared = _clear_rows(A, b)
+    systems = [[row[:n] + [row[n + j]] for row in cleared] for j in range(ncols)]
     m = len(cleared)
     # rank n + 1 at one point means generic rank n + 1: b is not in the span
-    if m > n and rank_at_point(cleared) == n + 1:
+    if m > n and any(rank_at_point(rows) == n + 1 for rows in systems):
         raise NoSolution("inconsistent linear system")
     M = list(cleared)
     # Bareiss fraction-free elimination on the augmented matrix
@@ -152,32 +155,21 @@ def solve_linear(A: FieldMatrix, b, verify=True):
         if row == m:
             break
     # consistency: the rows left below the pivots are zero in A
-    for r in range(row, m):
-        if not M[r][n].is_zero():
-            raise NoSolution("inconsistent linear system")
-    # back substitution, free variables = 0
-    x = [RatFunc.zero() for _ in range(n)]
-    for (r, c) in reversed(pivots):
-        acc = RatFunc(M[r][n])
-        for j in range(c + 1, n):
-            if not M[r][j].is_zero() and not x[j].is_zero():
-                acc = acc - RatFunc(M[r][j]) * x[j]
-        x[c] = acc / RatFunc(M[r][c])
-    if verify and not _satisfies(cleared, x):
-        raise NoSolution("verification failed: A x != b")
-    return x
-
-
-def invert(A: FieldMatrix) -> FieldMatrix:
-    """Exact inverse; raises NoSolution when singular."""
-    n = A.rows
-    if A.cols != n:
-        raise ValueError("inverse of a non-square matrix")
-    cols = []
-    for j in range(n):
-        e = [RatFunc.const(1 if i == j else 0) for i in range(n)]
-        try:
-            cols.append(solve_linear(A, e, verify=True))
-        except NoSolution as exc:
-            raise NoSolution(f"matrix is singular: {exc}") from exc
-    return FieldMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    if any(not e.is_zero() for r in range(row, m) for e in M[r][n:]):
+        raise NoSolution("inconsistent linear system")
+    # back substitution per column, free variables = 0
+    xs = []
+    for j in range(ncols):
+        x = [RatFunc.zero() for _ in range(n)]
+        for (r, c) in reversed(pivots):
+            acc = RatFunc(M[r][n + j])
+            for jj in range(c + 1, n):
+                if not M[r][jj].is_zero() and not x[jj].is_zero():
+                    acc = acc - RatFunc(M[r][jj]) * x[jj]
+            x[c] = acc / RatFunc(M[r][c])
+        if verify and not _satisfies(systems[j], x):
+            raise NoSolution("verification failed: A x != b")
+        xs.append(x)
+    if not many:
+        return xs[0]
+    return FieldMatrix([[x[i] for x in xs] for i in range(n)])

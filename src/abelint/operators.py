@@ -2,7 +2,10 @@
 
 One relation search, a cyclic-vector reduction, gives both the operator of
 a linear form of a system (`reduce_to_scalar`) and the lclm (the reduction
-of a direct sum of companion systems).
+of a direct sum of companion systems).  It runs on polynomial rows
+S_k = q^k R_k, q the common denominator of the system, so the derivatives
+and products of the search cancel no gcd; rational functions arise only in
+the one verified solve per order.
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
@@ -110,21 +113,42 @@ def reduce_to_scalar(ode, start=None) -> DiffOperator:
 def _first_relation(A: FieldMatrix, start: FieldMatrix) -> DiffOperator:
     """With R_0 = start and R_{k+1} = R_k' + R_k A, the first k <= rows * ell
     with R_k = sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j d^j in
-    standard form."""
-    R_list = [start]
-    for k in range(1, start.rows * A.rows + 1):
-        nxt = R_list[-1].diff("t") + R_list[-1] * A
-        cols = [M.flatten() for M in R_list]
-        rhs = nxt.flatten()
-        mat = FieldMatrix([[cols[j][i] for j in range(len(cols))]
-                           for i in range(len(rhs))])
+    standard form.
+
+    The search keeps polynomial rows S_k = s u^k R_k, with q and s the
+    common denominators of A and start, N = q A and u = s q:
+
+      S_0 = s start,  S_{k+1} = u S_k' - ((k+1) s' q + k s q') S_k + s S_k N,
+
+    so no rational function arises before the one solve
+    S_k = sum_j c'_j S_j, and c_j = c'_j / u^(k-j) makes D proportional to
+    u^k d^k - sum_j c'_j u^j d^j.
+    """
+    ell = A.rows
+    q = ratfunc_lcm_den(A.flatten()).extend(TVARS)
+    s = ratfunc_lcm_den(start.flatten()).extend(TVARS)
+    sN = [[e.cleared(q) * s for e in row] for row in A.data]
+    u = s * q
+    dsq, sdq = s.diff("t") * q, s * q.diff("t")
+    S = [[e.cleared(s) for e in row] for row in start.data]
+    cols = [[e for row in S for e in row]]
+    for k in range(1, start.rows * ell + 1):
+        w = dsq * k + sdq * (k - 1)
+        # zero products are skipped: companion matrices are mostly zero
+        S = [[u * row[j].diff("t") - w * row[j] +
+              sum((row[m] * sN[m][j] for m in range(ell)
+                   if not (row[m].is_zero() or sN[m][j].is_zero())),
+                  MultiPoly.zero(TVARS))
+              for j in range(ell)] for row in S]
+        rhs = [e for row in S for e in row]
+        mat = FieldMatrix([[col[i] for col in cols] for i in range(len(rhs))])
         try:
             c = solve_linear(mat, rhs, verify=True)
         except NoSolution:
-            R_list.append(nxt)
+            cols.append(rhs)
             continue
-        coeffs = [RatFunc.const(1)] + [-c[k - 1 - m] for m in range(k)]
-        return standard_form(coeffs)
+        return standard_form([RatFunc(u ** k)] +
+                             [-c[j] * RatFunc(u ** j) for j in reversed(range(k))])
     raise NoSolution("no scalar relation up to order rows(start) * ell")
 
 

@@ -10,7 +10,8 @@ whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
-for more.
+for more.  A comes from one solve Pstar(0) X = Q^(0,0)(0), whose single
+elimination serves all ell columns.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class LinearODESystem:
 
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
     """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
-    free_term_value; every other coefficient must already be concrete."""
+    free_term_value; every other coefficient must already be concrete.
+    A = -X for the solution X of P0 X = Qs, all columns in one solve."""
     line = {sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
             - MultiPoly.var("t")}
     P0 = sys.Pstar0.subs(line)
@@ -146,15 +148,10 @@ def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESyste
     leftover -= {"t"}
     if leftover:
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
-    ell = sys.ell
-    cols = []
-    for j in range(ell):
-        rhs = [Qs.data[i][j] for i in range(ell)]
-        try:
-            cols.append(solve_linear(P0, rhs, verify=True))
-        except NoSolution as exc:
-            raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
-    A = FieldMatrix([[-cols[j][i] for j in range(ell)] for i in range(ell)])
+    try:
+        A = solve_linear(P0, Qs, verify=True).map(lambda e: -e)
+    except NoSolution as exc:
+        raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
     sing = ratfunc_lcm_den(A.flatten()).extend(("t",))
     return LinearODESystem(A, sing)
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from abelint.linalg import FieldMatrix
+from abelint import operators
+from abelint.errors import NoSolution
+from abelint.linalg import FieldMatrix, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
                                pullback, reduce_to_scalar, reflect,
                                standard_form, symmetrize)
-from abelint.parsing import parse_operator
+from abelint.parsing import parse_operator, parse_poly
 from abelint.qi import GaussianRational
 from abelint.picard_fuchs import LinearODESystem
 from abelint.polynomials import MultiPoly
@@ -190,6 +192,12 @@ def test_standard_form_normalization():
     assert D.coeffs[0].poly.LC > 0
 
 
+def _assert_same_operator(ours, ref):
+    assert ours.coeffs == ref.coeffs
+    assert ([list(p.poly.items()) for p in ours.coeffs]
+            == [list(p.poly.items()) for p in ref.coeffs])
+
+
 def _ratfunc_pullback(D, phi):
     """Reference: the pullback computed over Q(i)(t) with RatFunc arithmetic,
     p(phi) by Horner and the powers of (1/phi') d/dt as RatFunc lists."""
@@ -247,7 +255,85 @@ def test_pullback_matches_ratfunc_reference():
             if a * d - b * c:
                 break
         phi = MobiusMap(a, b, c, d)
-        ours, ref = pullback(D, phi), _ratfunc_pullback(D, phi)
-        assert ours.coeffs == ref.coeffs
-        assert ([list(p.poly.items()) for p in ours.coeffs]
-                == [list(p.poly.items()) for p in ref.coeffs])
+        _assert_same_operator(pullback(D, phi), _ratfunc_pullback(D, phi))
+
+
+def _ratfunc_first_relation(A, start):
+    """Reference: the relation search over Q(t) with RatFunc rows,
+    R_0 = start and R_{k+1} = R_k' + R_k A, every step cancelled."""
+    ell = A.rows
+    R_list = [start.data]
+    for k in range(1, start.rows * ell + 1):
+        R = R_list[-1]
+        nxt = [[row[j].diff("t") + sum((row[m] * A.data[m][j] for m in range(ell)),
+                                       RatFunc.zero(T))
+                for j in range(ell)] for row in R]
+        cols = [[e for row in Rj for e in row] for Rj in R_list]
+        rhs = [e for row in nxt for e in row]
+        mat = FieldMatrix([[col[i] for col in cols] for i in range(len(rhs))])
+        try:
+            c = solve_linear(mat, rhs, verify=True)
+        except NoSolution:
+            R_list.append(nxt)
+            continue
+        return standard_form([RatFunc.const(1)] + [-c[k - 1 - m] for m in range(k)])
+    raise NoSolution("no relation")
+
+
+def _rand_poly(rng, gaussian, deg):
+    return MultiPoly(T, {(e,): _rand_gauss(rng, gaussian) for e in range(deg + 1)})
+
+
+def test_lclm_polynomial_rows_match_ratfunc_reference(monkeypatch):
+    """lclm of random non-monic operators of orders 1 and 2 over Q and Q(i)
+    is the same operator, stored term order included, as the search over
+    RatFunc rows gives."""
+    import random
+
+    rng = random.Random(17)
+    cases = []
+    for case in range(8):
+        gaussian = case % 2 == 1
+        ops = []
+        for order in (1, 2) if case % 4 < 2 else (1, 1):
+            coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 1)) for _ in range(order + 1)]
+            if coeffs[0].is_zero():
+                coeffs[0] = MultiPoly.var("t") + 1
+            ops.append(DiffOperator(coeffs))
+        cases.append(ops)
+    ours = [lclm(D1, D2) for D1, D2 in cases]
+    monkeypatch.setattr(operators, "_first_relation", _ratfunc_first_relation)
+    for L, (D1, D2) in zip(ours, cases):
+        _assert_same_operator(L, lclm(D1, D2))
+
+
+def _rf(num, den="1"):
+    return RatFunc(parse_poly(num, T), parse_poly(den, T))
+
+
+def test_reduce_polynomial_rows_match_ratfunc_reference():
+    """reduce_to_scalar on systems whose entries have different
+    denominators, from the identity, from a start row with rational entries
+    and from rows that meet a relation before rows * ell."""
+    I = GaussianRational(0, 1)
+    A = FieldMatrix([[_rf("t", "t^2 + 1"), _rf("1/3")],
+                     [_rf("2", "t - 1"), _rf("t^2 - 5", "t^2 + 1")]])
+    Ai = FieldMatrix([[RatFunc(MultiPoly(T, {(1,): I})), _rf("1", "t + 2")],
+                      [_rf("t"), _rf("0")]])
+    starts = [FieldMatrix.identity(2),
+              FieldMatrix([[_rf("1/2"), _rf("3")]]),
+              FieldMatrix([[_rf("1", "t + 1"), _rf("t")]]),
+              FieldMatrix([[_rf("t", "t^2 + 1"), _rf("0")],
+                           [_rf("1"), _rf("2", "t - 3")]])]
+    # the two-row rational start over Q(i) alone takes seconds
+    for M, start in [(A, s) for s in starts] + [(Ai, s) for s in starts[:3]]:
+        ode = LinearODESystem(M, MultiPoly.const(1, T))
+        _assert_same_operator(reduce_to_scalar(ode, start),
+                              _ratfunc_first_relation(M, start))
+    # diag(1, 2) from the identity: a relation at k = 2 < rows * ell = 4
+    one, zero = RatFunc.const(1, T), RatFunc.zero(T)
+    D = FieldMatrix([[one, zero], [zero, one + one]])
+    ode = LinearODESystem(D, MultiPoly.const(1, T))
+    ours = reduce_to_scalar(ode, FieldMatrix.identity(2))
+    assert ours.order == 2
+    _assert_same_operator(ours, _ratfunc_first_relation(D, FieldMatrix.identity(2)))
