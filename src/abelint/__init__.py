@@ -11,7 +11,6 @@ certified annulus bounds (counting.py, slits.py, integrals.py).
 
 __version__ = "0.1.0"
 
-from .config import RunConfig
 from .counting import (ContourPath, annulus_zero_bound, continue_solution,
                        count_region_partition, count_zeros, headline_bound,
                        is_quasiunipotent, monodromy, var_arg_bound,
@@ -34,7 +33,7 @@ from .slits import (Circle, SlitSystem, brute_force_cluster_diameter,
 
 __all__ = [
     "AbelintError", "Circle", "ContourPath", "DiffOperator", "Hamiltonian",
-    "MobiusMap", "MultiPoly", "RatFunc", "RunConfig", "SlitSystem",
+    "MobiusMap", "MultiPoly", "RatFunc", "SlitSystem",
     "abelian_integral", "affine_slope", "annulus_zero_bound",
     "basis_exponents", "brute_force_cluster_diameter", "build_slits",
     "cluster_diameter_upper", "continue_solution", "count_real_zeros",

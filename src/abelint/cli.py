@@ -3,8 +3,9 @@
 Subcommands: derive-pf, reduce, slope, slits, monodromy, count, integrate,
 bound.  All structured output is JSON on stdout (exact rationals as strings);
 floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error
-(argparse rejects a non-finite --pencil or --t and a radius that is not
-finite and positive), 3 numeric tolerance failure or float overflow,
+(argparse rejects a non-finite --pencil or --t, a radius, --theta or
+--size that is not finite and positive, and a --headline below 1),
+3 numeric tolerance failure or float overflow,
 4 domain error (degenerate input, open curve), 5 not quasiunipotent.
 """
 
@@ -17,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig
 from .counting import (ContourPath, annulus_zero_bound, count_zeros,
                        headline_bound, is_quasiunipotent, monodromy)
 from .division import Hamiltonian, basis_exponents
@@ -27,7 +27,7 @@ from .operators import DiffOperator, invariant_slope_sampled, reduce_to_scalar
 from .parsing import parse_complex, parse_operator, parse_poly
 from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
 from .serialize import dumps, loads
-from .slits import Circle, build_slits, is_admissible, svg_export
+from .slits import THETA, Circle, build_slits, is_admissible, svg_export
 
 
 def _fmt(x):
@@ -47,12 +47,23 @@ def _finite(text):
     return x
 
 
-def _radius(text):
+def _positive(text):
     """argparse type: a finite, positive float."""
     x = _finite(text)
     if x <= 0:
-        raise argparse.ArgumentTypeError(f"radius must be positive: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return x
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return n
 
 
 def _emit(obj):
@@ -131,12 +142,9 @@ def cmd_slope(args):
 
 
 def cmd_slits(args):
-    config = RunConfig.load()
-    if args.theta:
-        config.theta = args.theta
     pts = _parse_points(args.points)
-    system = build_slits(pts, config)
-    ok = is_admissible(system, config)
+    system = build_slits(pts, args.theta)
+    ok = is_admissible(system)
     out = {"system": system, "admissible": ok,
            "normalized_length": _fmt(system.total_normalized_length()),
            "num_circles": len(system.circles),
@@ -149,12 +157,11 @@ def cmd_slits(args):
 
 
 def cmd_monodromy(args):
-    config = RunConfig.load()
     D = _load_operator(args)
     center = parse_complex(args.center)
     loop = ContourPath.from_circle(Circle(center, args.radius))
-    M = monodromy(D, loop, config)
-    qu, orders = is_quasiunipotent(M, config)
+    M = monodromy(D, loop)
+    qu, orders = is_quasiunipotent(M)
     eigs = np.linalg.eigvals(M)
     _emit({"matrix": [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in M],
            "eigenvalues": [[_fmt(z.real), _fmt(z.imag)] for z in eigs],
@@ -163,13 +170,11 @@ def cmd_monodromy(args):
 
 
 def cmd_count(args):
-    config = RunConfig.load()
     center = parse_complex(args.center)
     loop = ContourPath.from_circle(Circle(center, args.radius))
     if args.poly:
         p = parse_poly(args.poly, ("t",))
-        n = count_zeros(lambda z: p.eval_complex({"t": z}), loop,
-                        config=config)
+        n = count_zeros(lambda z: p.eval_complex({"t": z}), loop)
     else:
         D = _load_operator(args)
         if not args.y0:
@@ -177,7 +182,7 @@ def cmd_count(args):
         y0 = np.array([parse_complex(v) for v in args.y0.split(";")])
         if len(y0) != D.order:
             raise ParseError(f"--y0 needs {D.order} values")
-        n = count_zeros(D, loop, y0=y0, config=config)
+        n = count_zeros(D, loop, y0=y0)
     _emit({"zeros": n})
     return 0
 
@@ -206,7 +211,7 @@ def cmd_bound(args):
     D = _load_operator(args)
     inner = Circle(parse_complex(args.inner_center), args.inner_radius)
     outer = Circle(parse_complex(args.outer_center), args.outer_radius)
-    ab = annulus_zero_bound(D, inner, outer, RunConfig.load())
+    ab = annulus_zero_bound(D, inner, outer)
     _emit({"order": ab.order, "B": ab.B, "bound": ab.value,
            "quasiunipotent": ab.quasiunipotent, "orders": ab.orders})
     return 0
@@ -241,7 +246,8 @@ def build_parser():
     p = sub.add_parser("slits", help="admissible slit system for point sets")
     p.add_argument("--points", required=True,
                    help="semicolon-separated complex points, e.g. '0; 1; 2+i'")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_positive, default=THETA,
+                   help=f"scale separation at which a cluster splits (default {THETA})")
     p.add_argument("--svg", help="write an SVG drawing to this file")
     p.set_defaults(fn=cmd_slits)
 
@@ -249,7 +255,7 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--operator-file")
     p.add_argument("--center", default="0")
-    p.add_argument("--radius", type=_radius, required=True)
+    p.add_argument("--radius", type=_positive, required=True)
     p.set_defaults(fn=cmd_monodromy)
 
     p = sub.add_parser("count", help="zeros inside a circle (argument principle)")
@@ -258,7 +264,7 @@ def build_parser():
     p.add_argument("--operator-file")
     p.add_argument("--y0", help="semicolon-separated initial data at angle 0")
     p.add_argument("--center", default="0")
-    p.add_argument("--radius", type=_radius, required=True)
+    p.add_argument("--radius", type=_positive, required=True)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("integrate", help="period integrals over a real oval")
@@ -272,12 +278,12 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--operator-file")
     p.add_argument("--inner-center", default="0")
-    p.add_argument("--inner-radius", type=_radius)
+    p.add_argument("--inner-radius", type=_positive)
     p.add_argument("--outer-center", default="0")
-    p.add_argument("--outer-radius", type=_radius)
-    p.add_argument("--headline", type=int, default=None,
+    p.add_argument("--outer-radius", type=_positive)
+    p.add_argument("--headline", type=_positive_int, default=None,
                    help="print the doubly exponential budget for this n")
-    p.add_argument("--size", type=float, default=None)
+    p.add_argument("--size", type=_positive, default=None)
     p.set_defaults(fn=cmd_bound)
     return ap
 

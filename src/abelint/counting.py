@@ -17,13 +17,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import RunConfig
-from .errors import (NonIntegerWinding, NotQuasiunipotent,
+from .errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
                      PathTooClose, ToleranceNotMet, UnsupportedInput,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
 from .qi import GaussianRational
 from .slits import Arc, Circle, Segment, SlitSystem, _dist_to_set, regions
+
+# continuation
+RTOL = 1e-11
+ATOL = 1e-13
+MAX_STEP_FACTOR = 0.2      # step <= factor * dist(path, singular set)
+MIN_PATH_DISTANCE = 1e-9   # relative; closer paths raise PathTooClose
+ZERO_ON_PATH_TOL = 1e-9    # |w| below tol * scale aborts winding
+# winding: |Delta arg/2pi - round| must stay below
+WINDING_TOL = 0.1
+# quasiunipotence: eigenvalues within QU_TOL of a root of unity of order
+# at most QU_MAX_ORDER
+QU_TOL = 1e-6
+QU_MAX_ORDER = 64
+# variation-of-argument bound: exponent nu(d) = C_VAR * d
+C_VAR = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +53,9 @@ class ContourPath:
         self.pieces = list(pieces)
 
     @staticmethod
-    def from_circle(circle: Circle, ccw=True, start_angle=0.0):
+    def from_circle(circle: Circle, ccw=True):
         sweep = 2 * math.pi if ccw else -2 * math.pi
-        return ContourPath([Arc(circle.center, circle.radius,
-                                start_angle, start_angle + sweep)])
+        return ContourPath([Arc(circle.center, circle.radius, 0.0, sweep)])
 
     @staticmethod
     def from_points(zs):
@@ -84,7 +97,7 @@ def _as_source(obj):
     raise UnsupportedInput(f"cannot continue solutions of {type(obj).__name__}")
 
 
-def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0):
+def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
     """Continue Y (matrix columns) along one piece; with combo, also track
     arg(w) for w = combo . Y[:, 0] (Y is then a matrix)."""
     # loaded here, not at import: only continuation needs scipy (~1 s)
@@ -93,10 +106,10 @@ def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0
     dist = _dist_to_set(piece, sing)
     # every point of the piece lies within its length of its start
     scale = max(abs(piece.at(0.0)) + piece.length(), 1.0)
-    if dist < config.min_path_distance * scale:
+    if dist < MIN_PATH_DISTANCE * scale:
         raise PathTooClose(f"path at distance {dist} from the singular locus")
     # |piece.velocity(s)| is the piece's length for every s
-    max_step = (config.max_step_factor * dist / piece.length()
+    max_step = (MAX_STEP_FACTOR * dist / piece.length()
                 if math.isfinite(dist) else 0.1)
     shape = Y0.shape
     track = combo is not None
@@ -127,7 +140,7 @@ def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0
         return np.concatenate([dY.ravel(), [complex(dphi, 0.0)]])
 
     sol = solve_ivp(rhs, (0.0, 1.0), state0.astype(complex), method="DOP853",
-                    rtol=config.rtol, atol=config.atol, max_step=max_step,
+                    rtol=RTOL, atol=ATOL, max_step=max_step,
                     dense_output=False)
     if not sol.success:
         raise ToleranceNotMet(f"integrator failed: {sol.message}")
@@ -136,49 +149,46 @@ def _integrate_piece(A, sing, piece, Y0, config: RunConfig, combo=None, phi0=0.0
         Yf = final[:-1].reshape(shape)
         phif = float(final[-1].real)
         wscale = float(np.max(np.abs(Yf))) or 1.0
-        if min_w[0] < config.zero_on_path_tol * wscale:
+        if min_w[0] < ZERO_ON_PATH_TOL * wscale:
             raise ZeroOnPath(f"|w| dropped to {min_w[0]} on the path")
         return Yf, phif
     return final.reshape(shape), None
 
 
-def _continue(obj, path: ContourPath, Y, config: RunConfig, combo=None):
+def _continue(obj, path: ContourPath, Y, combo=None):
     """(Y, phi): Y continued along every piece of the path and, when combo is
     given, the variation phi of arg(combo . Y[:, 0]) along it (else None)."""
     A, sing, _ = _as_source(obj)
     phi = 0.0
     for piece in path.pieces:
-        Y, phi = _integrate_piece(A, sing, piece, Y, config, combo=combo, phi0=phi)
+        Y, phi = _integrate_piece(A, sing, piece, Y, combo=combo, phi0=phi)
     return Y, phi
 
 
-def continue_solution(obj, path: ContourPath, Y0, config: RunConfig = None):
+def continue_solution(obj, path: ContourPath, Y0):
     """Continue the solution (vector or matrix of columns) along the path."""
-    config = config or RunConfig()
-    return _continue(obj, path, np.array(Y0, dtype=complex), config)[0]
+    return _continue(obj, path, np.array(Y0, dtype=complex))[0]
 
 
-def variation_of_argument(obj, path: ContourPath, y0, combo=None,
-                          config: RunConfig = None):
+def variation_of_argument(obj, path: ContourPath, y0, combo=None):
     """Total variation of arg(combo . Y) along the path, in radians.
 
     `obj` is a callable t -> w (then the second value is None), or an
     operator or system with `y0` its initial data at path.start.
     """
-    config = config or RunConfig()
     if callable(obj):
-        return _variation_callable(obj, path, config)
+        return _variation_callable(obj, path)
     Y = np.array(y0, dtype=complex)
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
     if combo is None:
         combo = np.zeros(len(Y), dtype=complex)
         combo[0] = 1.0
-    Y, phi = _continue(obj, path, Y, config, combo=np.asarray(combo, dtype=complex))
+    Y, phi = _continue(obj, path, Y, combo=np.asarray(combo, dtype=complex))
     return phi, Y
 
 
-def _variation_callable(f, path: ContourPath, config: RunConfig):
+def _variation_callable(f, path: ContourPath):
     """Adaptive sampled argument variation for an explicit function."""
     params = []
     for i in range(len(path.pieces)):
@@ -199,8 +209,8 @@ def _variation_callable(f, path: ContourPath, config: RunConfig):
         new_vals = [vals[0]]
         refined = False
         for (pa, va), (pb, vb) in zip(zip(params, vals), zip(params[1:], vals[1:])):
-            if abs(va) < config.zero_on_path_tol * scale or \
-               abs(vb) < config.zero_on_path_tol * scale:
+            if abs(va) < ZERO_ON_PATH_TOL * scale or \
+               abs(vb) < ZERO_ON_PATH_TOL * scale:
                 raise ZeroOnPath("function (numerically) vanishes on the path")
             dphi = abs(cmath.phase(vb / va))
             if dphi > math.pi / 2:
@@ -225,27 +235,25 @@ def _variation_callable(f, path: ContourPath, config: RunConfig):
     return total, None
 
 
-def count_zeros(obj, path: ContourPath, y0=None, combo=None,
-                config: RunConfig = None) -> int:
+def count_zeros(obj, path: ContourPath, y0=None, combo=None) -> int:
     """Zeros (with multiplicity) inside a closed path via the argument principle.
 
     `obj` is a callable t -> w, or an operator/system with `y0` the initial
     data of the tracked branch at path.start.
     """
-    config = config or RunConfig()
     if not path.is_closed():
         raise UnsupportedInput("count_zeros requires a closed path")
     if y0 is None and not callable(obj):
         raise UnsupportedInput("count_zeros needs initial data for ODE sources")
-    phi, _ = variation_of_argument(obj, path, y0, combo=combo, config=config)
-    return _winding_number(phi, config)
+    phi, _ = variation_of_argument(obj, path, y0, combo=combo)
+    return _winding_number(phi)
 
 
-def _winding_number(phi, config: RunConfig) -> int:
+def _winding_number(phi) -> int:
     """The integer number of turns in the argument variation phi."""
     turns = phi / (2 * math.pi)
     n = round(turns)
-    if abs(turns - n) > config.winding_tol:
+    if abs(turns - n) > WINDING_TOL:
         raise NonIntegerWinding(f"winding {turns} is not close to an integer")
     return int(n)
 
@@ -254,32 +262,24 @@ def _winding_number(phi, config: RunConfig) -> int:
 # monodromy
 
 
-def monodromy(obj, loop: ContourPath, config: RunConfig = None):
+def monodromy(obj, loop: ContourPath):
     """Fundamental-solution monodromy matrix along a closed loop."""
-    config = config or RunConfig()
     dim = _as_source(obj)[2]
     if not loop.is_closed():
         raise UnsupportedInput("monodromy needs a closed loop")
-    return _continue(obj, loop, np.eye(dim, dtype=complex), config)[0]
+    return _continue(obj, loop, np.eye(dim, dtype=complex))[0]
 
 
-def is_quasiunipotent(M, config: RunConfig = None):
-    """(ok, orders): eigenvalues on the unit circle with root-of-unity orders.
-
-    In relaxed mode only |eig| = 1 is required and orders may be None.
-    """
-    config = config or RunConfig()
+def is_quasiunipotent(M):
+    """(ok, orders): eigenvalues on the unit circle with root-of-unity orders."""
     eigs = np.linalg.eigvals(np.asarray(M, dtype=complex))
     orders = []
     for lam in eigs:
-        if abs(abs(lam) - 1.0) > config.qu_tol:
+        if abs(abs(lam) - 1.0) > QU_TOL:
             return False, []
-        order = None
-        for q in range(1, config.qu_max_order + 1):
-            if abs(lam ** q - 1.0) <= config.qu_tol * q:
-                order = q
-                break
-        if order is None and not config.qu_relaxed:
+        order = next((q for q in range(1, QU_MAX_ORDER + 1)
+                      if abs(lam ** q - 1.0) <= QU_TOL * q), None)
+        if order is None:
             return False, []
         orders.append(order)
     return True, orders
@@ -301,15 +301,13 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
-def var_arg_bound(D: DiffOperator, piece, singular_points,
-                  config: RunConfig = None) -> BoundReport:
+def var_arg_bound(D: DiffOperator, piece, singular_points) -> BoundReport:
     """Upper bound, in full turns, for Var arg of any D-solution along piece.
 
     Affine-invariant: the piece is moved to a chart where its distance to the
     singular locus is 1, the exact slope of the pulled-back operator is
-    computed there, and the bound k * S * L * max(L,1)^(c_var * d) applies.
+    computed there, and the bound k * S * L * max(L,1)^(C_VAR * d) applies.
     """
-    config = config or RunConfig()
     sing = np.asarray(singular_points, dtype=complex)
     dist = _dist_to_set(piece, sing)
     if not math.isfinite(dist):
@@ -324,10 +322,10 @@ def var_arg_bound(D: DiffOperator, piece, singular_points,
     k = D.order
     d = max(c.degree_in("t") for c in D.coeffs if not c.is_zero())
     d = int(d) if d > 0 else 1
-    value = k * S * L * max(L, 1.0) ** (config.c_var * d)
+    value = k * S * L * max(L, 1.0) ** (C_VAR * d)
     return BoundReport("var-arg", value, {
         "order": k, "slope": S, "normalized_length": L, "degree": d,
-        "exponent": config.c_var * d})
+        "exponent": C_VAR * d})
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +407,7 @@ class AnnulusBound:
     details: dict = field(default_factory=dict)
 
 
-def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
-                       config: RunConfig = None, y0=None) -> AnnulusBound:
+def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle) -> AnnulusBound:
     """Certified zero bound (2k'+1)(2B+1) on the open annulus between circles.
 
     Requires quasiunipotent monodromy along the equatorial circle, the
@@ -418,13 +415,12 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
     the order of the symmetrized operator in that chart and B bounds the
     argument variation along both boundary circles.
     """
-    config = config or RunConfig()
     if _strictly_inside(outer, inner):  # one chart, so one B, for both orders
         inner, outer = outer, inner
     chart, rho1, rho2, req = _annulus_chart(inner, outer)
     inv = chart.inverse()
-    M = monodromy(D, _equatorial_loop(inv), config)
-    qu, orders = is_quasiunipotent(M, config)
+    M = monodromy(D, _equatorial_loop(inv))
+    qu, orders = is_quasiunipotent(M)
     if not qu:
         raise NotQuasiunipotent("equatorial monodromy is not quasiunipotent")
     Dw = pullback(D, inv)               # operator in the concentric chart
@@ -434,7 +430,7 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle,
     kp = Dsym.order
     sing = Dsym.leading_roots()
     b1, b2 = (var_arg_bound(Dsym, ContourPath.from_circle(Circle(0, rho / req)).pieces[0],
-                            sing, config) for rho in (rho1, rho2))
+                            sing) for rho in (rho1, rho2))
     B = int(math.ceil(max(b1.value, b2.value)))
     return AnnulusBound(kp, B, annulus_bound_formula(kp, B), True, orders,
                         {"rho_ratio": rho2 / rho1, "var_bounds": (b1.value, b2.value)})
@@ -531,8 +527,7 @@ def _region_contour(region) -> ContourPath:
     return ContourPath(pieces)
 
 
-def count_region_partition(obj, system: SlitSystem, y0, combo=None,
-                           config: RunConfig = None):
+def count_region_partition(obj, system: SlitSystem, y0, combo=None):
     """Per-region zero counts for the tracked branch.
 
     Simply connected regions use the argument principle along their slit
@@ -540,8 +535,7 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None,
     (when the branch is single-valued) plus a certified annulus bound for
     operator sources.
     """
-    config = config or RunConfig()
-    regs = regions(system, config)
+    regs = regions(system)
     out = []
     y0 = np.asarray(y0, dtype=complex)
     for reg in regs:
@@ -554,10 +548,10 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None,
             else:
                 contour = _region_contour(reg)
             base = contour.start
-            y_at = _transport_initial(obj, system, y0, base, config)
+            y_at = _transport_initial(obj, system, y0, base)
             try:
                 rec["empirical"] = count_zeros(obj, contour, y0=y_at,
-                                               combo=combo, config=config)
+                                               combo=combo)
             except (ZeroOnPath, NonIntegerWinding) as exc:
                 rec["error"] = str(exc)
         else:
@@ -567,7 +561,7 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None,
                 p = reg.punctures[0]
                 holes = [Circle(p, outer_c.radius * 1e-3)]
             try:
-                ws = [_circle_winding(obj, system, c, y0, combo, config)
+                ws = [_circle_winding(obj, system, c, y0, combo)
                       for c in [outer_c] + holes]
                 if all(w is not None for w in ws):
                     rec["empirical"] = ws[0] - sum(ws[1:])
@@ -579,7 +573,7 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None,
                     and not reg.segments:
                 try:
                     rec["certified_bound"] = annulus_zero_bound(
-                        obj, holes[0], outer_c, config).value
+                        obj, holes[0], outer_c).value
                 except (NotQuasiunipotent, UnsupportedInput) as exc:
                     rec["bound_error"] = str(exc)
         out.append(rec)
@@ -592,7 +586,7 @@ def _strictly_inside(c, o):
     return c is not o and abs(c.center - o.center) + c.radius < o.radius
 
 
-def _transport_initial(obj, system, y0, target, config):
+def _transport_initial(obj, system, y0, target):
     """Continue initial data from the system basepoint to `target`."""
     base = _basepoint(system)
     if abs(base - target) == 0:
@@ -603,7 +597,7 @@ def _transport_initial(obj, system, y0, target, config):
     if path.min_dist(_as_source(obj)[1]) < 1e-6:
         mid = (base + target) / 2 + 0.5j * (target - base)
         path = ContourPath.from_points([base, mid, target])
-    return continue_solution(obj, path, y0, config)
+    return continue_solution(obj, path, y0)
 
 
 def _outermost(system: SlitSystem):
@@ -617,43 +611,44 @@ def _basepoint(system: SlitSystem):
     return c.center + 1.5 * c.radius
 
 
-def _circle_winding(obj, system, circle, y0, combo, config):
+def _circle_winding(obj, system, circle, y0, combo):
     start = circle.point_at(0.0)
-    y_at = _transport_initial(obj, system, y0, start, config)
+    y_at = _transport_initial(obj, system, y0, start)
     loop = ContourPath.from_circle(circle, ccw=True)
-    phi, y_back = variation_of_argument(obj, loop, y_at, combo=combo, config=config)
+    phi, y_back = variation_of_argument(obj, loop, y_at, combo=combo)
     # single-valuedness check for the tracked branch
     scale = max(np.max(np.abs(y_at)), 1e-300)
     if np.max(np.abs(y_back.reshape(y_at.shape) - y_at)) > 1e-6 * scale:
         return None
-    return _winding_number(phi, config)
+    return _winding_number(phi)
 
 
 # ---------------------------------------------------------------------------
 # headline growth bound
 
 
-def headline_bound(n: int, size_s=None, config: RunConfig = None) -> BoundReport:
+def headline_bound(n: int, size_s=None) -> BoundReport:
     """Doubly exponential growth budget for zero counts at degree n + 1.
 
     Uses ell = n^2, m = (n+3)(n+2)/2 - 1, d = O(n^2) and Poly(d, ell, m) =
-    c_poly (d ell^4 m)^5; the count is bounded by s^(2^Poly).  With the
-    derivation size budget s = 2^(Poly(n)) this collapses to the tower
-    2^(2^(c_tower n^60 log n)).  Constants are calibration knobs, not
-    certified values.
+    (d ell^4 m)^5; the count is bounded by s^(2^Poly).  With the derivation
+    size budget s = 2^(Poly(n)) this collapses to the tower
+    2^(2^(n^60 log n)).  A growth budget, not a certified value.
     """
-    config = config or RunConfig()
     ell = n * n
     m = (n + 3) * (n + 2) // 2 - 1
     d = n * n
-    poly = config.c_poly * float(d * ell ** 4 * m) ** 5
-    if size_s is not None:
-        # log2(log2(s^(2^poly))) = poly + log2(log2 s)
-        log2log2 = poly + math.log2(max(math.log2(max(size_s, 2.0)), 1e-9))
-        formula = f"s^(2^({poly:.6g}))"
-    else:
-        log2log2 = config.c_tower * n ** 60 * math.log(max(n, 2))
-        formula = f"2^(2^({config.c_tower:g} * n^60 * log n))"
+    try:
+        poly = float(d * ell ** 4 * m) ** 5
+        if size_s is not None:
+            # log2(log2(s^(2^poly))) = poly + log2(log2 s)
+            log2log2 = poly + math.log2(max(math.log2(max(size_s, 2.0)), 1e-9))
+            formula = f"s^(2^({poly:.6g}))"
+        else:
+            log2log2 = n ** 60 * math.log(max(n, 2))
+            formula = "2^(2^(1 * n^60 * log n))"
+    except OverflowError:
+        raise NumericOverflow(f"headline bound for n = {n} is beyond the float range") from None
     return BoundReport("headline", float("inf"), {
         "n": n, "ell": ell, "m": m, "d": d,
         "poly": poly, "log2log2": log2log2, "formula": formula})

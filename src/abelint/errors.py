@@ -12,7 +12,7 @@ class AbelintError(Exception):
 
 
 class ParseError(AbelintError):
-    """Malformed polynomial / operator / config input."""
+    """Malformed polynomial / operator / command-line input."""
 
     exit_code = 2
 

@@ -54,13 +54,14 @@ class LevelCurve:
     def grad(self, x, y):
         return self.fx(x, y), self.fy(x, y)
 
-    def project(self, p, t, tol=1e-14, max_iter=60):
-        """Newton projection of the float pair p to {H = t} along the gradient."""
+    def project(self, p, t):
+        """Newton projection of the float pair p to {H = t} along the
+        gradient, to a residual below 1e-14 * max(|t|, 1) in 60 steps."""
         x, y = float(p[0]), float(p[1])
         try:
-            for _ in range(max_iter):
+            for _ in range(60):
                 r = self.f(x, y) - t
-                if abs(r) < tol * max(abs(t), 1.0):
+                if abs(r) < 1e-14 * max(abs(t), 1.0):
                     return x, y
                 g0, g1 = self.grad(x, y)
                 g2 = g0 * g0 + g1 * g1
@@ -72,10 +73,10 @@ class LevelCurve:
         raise SeedOffCurve(f"Newton projection did not converge near {(x, y)}")
 
 
-def critical_values(H: MultiPoly, search_box=4.0, grid=24):
+def critical_values(H: MultiPoly):
     """Real critical values of H: H at real solutions of grad H = 0.
 
-    Newton from a grid of starting points inside [-box, box]^2; duplicates
+    Newton from a 24 x 24 grid of starting points in [-4, 4]^2; duplicates
     merged.  Returns a sorted list of floats.
     """
     curve = LevelCurve(H)
@@ -83,7 +84,7 @@ def critical_values(H: MultiPoly, search_box=4.0, grid=24):
     fxy = _compile(curve.H.diff("x1").diff("x2"))
     fyy = _compile(curve.H.diff("x2").diff("x2"))
     pts = []
-    xs = np.linspace(-search_box, search_box, grid)
+    xs = np.linspace(-4.0, 4.0, 24)
     for x0 in xs:
         for y0 in xs:
             p = np.array([x0, y0])

@@ -362,14 +362,6 @@ class MultiPoly:
         except ExactQuotientFailed:
             raise ValueError("inexact polynomial division") from None
 
-    def divmod_multi(self, divisor):
-        """Multivariate division by a single divisor under graded lex."""
-        vs, f, g = _common(self, divisor)
-        if not g:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = f.div(g)
-        return MultiPoly._new(vs, q), MultiPoly._new(vs, r)
-
     # -- univariate views -------------------------------------------------------
     def effective_vars(self):
         return self.shrink().vars

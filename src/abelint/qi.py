@@ -98,10 +98,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2, always exact."""
-        return self.re * self.re + self.im * self.im
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

@@ -14,8 +14,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .config import RunConfig
 from .errors import UnsupportedInput
+
+THETA = 0.1        # scale-separation threshold of the clustering
+GEOM_TOL = 1e-9    # relative tolerance of the geometric checks
 
 
 @dataclass(frozen=True)
@@ -225,13 +227,12 @@ def _seg_crosses_circle(seg: Segment, c: Circle, tol) -> bool:
     return any(eps < s < 1 - eps for s in (q / (L * L), C / q))
 
 
-def regions(system: SlitSystem, config: RunConfig = None):
+def regions(system: SlitSystem):
     """Classify the complement; raises UnsupportedInput on invalid geometry."""
-    config = config or RunConfig()
     circles = system.circles
     pts = system.points
     scale = max([c.radius for c in circles] + [1e-300])
-    tol = config.geom_tol * scale
+    tol = GEOM_TOL * scale
     children, roots, innermost, region_pts = _nesting(circles, pts, tol)
     for p in pts:
         for i, c in enumerate(circles):
@@ -318,9 +319,9 @@ def regions(system: SlitSystem, config: RunConfig = None):
     return out
 
 
-def is_admissible(system: SlitSystem, config: RunConfig = None) -> bool:
+def is_admissible(system: SlitSystem) -> bool:
     try:
-        regions(system, config)
+        regions(system)
         return True
     except UnsupportedInput:
         return False
@@ -465,19 +466,19 @@ def _region_mst_segments(parent: Circle, kids, points, other_circles, tol):
     return chosen
 
 
-def build_slits(points, config: RunConfig = None) -> SlitSystem:
-    """Constructive admissible slit system with at most 3|T| circles."""
-    config = config or RunConfig()
+def build_slits(points, theta=THETA) -> SlitSystem:
+    """Constructive admissible slit system with at most 3|T| circles; theta
+    is the scale separation at which a cluster splits."""
     pts = [complex(p) for p in points]
     if not pts:
         raise UnsupportedInput("empty point set")
     if len(set(pts)) != len(pts):
         raise UnsupportedInput("duplicate points in T")
-    root = _build_node(pts, float("inf"), None, config.theta)
+    root = _build_node(pts, float("inf"), None, theta)
     circles = []
     segments = []
     scale = max(root.circle.radius, 1e-300)
-    tol = config.geom_tol * scale
+    tol = GEOM_TOL * scale
 
     all_nodes = []
 
@@ -510,9 +511,9 @@ def build_slits(points, config: RunConfig = None) -> SlitSystem:
     return system
 
 
-def cluster_diameter_upper(points, config: RunConfig = None):
+def cluster_diameter_upper(points):
     """(total normalized length, system) for the constructive slit system."""
-    system = build_slits(points, config)
+    system = build_slits(points)
     return system.total_normalized_length(), system
 
 
@@ -520,21 +521,16 @@ def cluster_diameter_upper(points, config: RunConfig = None):
 # brute force reference
 
 
-def brute_force_cluster_diameter(points, max_circles=None, grid=None,
-                                 config: RunConfig = None):
+def brute_force_cluster_diameter(points):
     """Grid search over small admissible systems; returns (value, system).
 
     The candidate grid is seeded with the constructive system, so the result
     never exceeds cluster_diameter_upper.
     """
-    config = config or RunConfig()
     pts = [complex(p) for p in points]
     if len(pts) > 3:
         raise UnsupportedInput("brute force supports at most 3 points")
-    max_circles = max_circles or (len(pts) + 1)
-    grid = grid or {}
-    radius_factors = grid.get("radius_factors", [1 / 3, 1 / 2.5, 1 / 2.2, 1 / 2])
-    upper_val, upper_sys = cluster_diameter_upper(pts, config)
+    upper_val, upper_sys = cluster_diameter_upper(pts)
 
     # candidate inner circles per point
     def nearest_other(p):
@@ -543,7 +539,7 @@ def brute_force_cluster_diameter(points, max_circles=None, grid=None,
     inner_cands = []
     for p in pts:
         sep = nearest_other(p)
-        cands = [Circle(p, f * sep) for f in radius_factors]
+        cands = [Circle(p, f * sep) for f in (1 / 3, 1 / 2.5, 1 / 2.2, 1 / 2)]
         for c in upper_sys.circles:
             if abs(c.center - p) < 1e-12 and all(
                     abs(q - p) > c.radius for q in pts if q != p):
@@ -563,12 +559,11 @@ def brute_force_cluster_diameter(points, max_circles=None, grid=None,
     import itertools
 
     best = (upper_val, upper_sys)
-    n_extra = max_circles - len(pts)
     for inner_combo in itertools.product(*inner_cands):
-        for k in range(0, n_extra + 1):
+        for k in range(2):   # at most one circle beyond the inner ones
             for extras in itertools.combinations(extra, k):
                 circles = list(inner_combo) + list(extras)
-                sys_try = _try_system(circles, pts, config)
+                sys_try = _try_system(circles, pts)
                 if sys_try is None:
                     continue
                 val = sys_try.total_normalized_length()
@@ -577,10 +572,10 @@ def brute_force_cluster_diameter(points, max_circles=None, grid=None,
     return best
 
 
-def _try_system(circles, pts, config):
+def _try_system(circles, pts):
     """Route minimal slits for a candidate circle family; None if invalid."""
     scale = max(c.radius for c in circles)
-    tol = config.geom_tol * scale
+    tol = GEOM_TOL * scale
     segments = []
     try:
         children, roots, _, host_pts = _nesting(circles, pts, tol)
@@ -610,7 +605,7 @@ def _try_system(circles, pts, config):
     except UnsupportedInput:
         return None
     system = SlitSystem(list(circles), segments, pts)
-    if not is_admissible(system, config):
+    if not is_admissible(system):
         return None
     return system
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from abelint.config import RunConfig
 from abelint.counting import (ContourPath, annulus_bound_formula,
                               annulus_zero_bound, continue_solution,
                               count_zeros, is_quasiunipotent, monodromy)
@@ -27,7 +26,6 @@ from abelint.slits import (Circle, brute_force_cluster_diameter, build_slits,
                            cluster_diameter_upper, is_admissible)
 
 X = ("x1", "x2")
-CFG = RunConfig()
 
 
 RESULTS = []
@@ -215,10 +213,10 @@ def test_criterion_07_geometry_invariance():
     trials = 0
     while trials < 100:
         pts = base_pts[trials % len(base_pts)]
-        base, _ = cluster_diameter_upper(pts, CFG)
+        base, _ = cluster_diameter_upper(pts)
         a = rng.uniform(0.1, 10.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        moved, _ = cluster_diameter_upper([a * p + b for p in pts], CFG)
+        moved, _ = cluster_diameter_upper([a * p + b for p in pts])
         if abs(moved - base) > 1e-12 * max(abs(base), 1.0):
             inv_ok = False
         trials += 1
@@ -230,8 +228,8 @@ def test_criterion_07_geometry_invariance():
             p = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             if all(abs(p - q) > 1e-3 for q in pts):
                 pts.append(p)
-        system = build_slits(pts, CFG)
-        if not (is_admissible(system, CFG) and
+        system = build_slits(pts)
+        if not (is_admissible(system) and
                 len(system.circles) <= 3 * k):
             adm_ok = False
     report(7, "normalized length similarity-invariant (1e-12) over 100 maps; "
@@ -250,8 +248,8 @@ def test_criterion_08_oracle_sandwich():
             p = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if all(abs(p - q) > 1e-2 for q in pts):
                 pts.append(p)
-        bf, _ = brute_force_cluster_diameter(pts, config=CFG)
-        ub, _ = cluster_diameter_upper(pts, CFG)
+        bf, _ = brute_force_cluster_diameter(pts)
+        ub, _ = cluster_diameter_upper(pts)
         ratios.append(ub / bf)
         if not (bf <= ub + 1e-12 and ub <= 4 * bf + 1e-12):
             ok = False

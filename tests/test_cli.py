@@ -145,6 +145,16 @@ def test_slits_svg(capsys, tmp_path):
     assert svg.exists()
 
 
+def test_slits_theta(capsys):
+    """A smaller scale separation splits {0, 1} from {100, 101} sooner."""
+    counts = []
+    for theta in ((), ("--theta", "0.001")):
+        code, out, _ = run(capsys, "slits", "--points", "0; 1; 100; 101", *theta)
+        assert code == 0
+        counts.append(json.loads(out)["num_circles"])
+    assert counts == [7, 5]
+
+
 def test_derive_pf_circle(capsys):
     code, out, _ = run(capsys, "derive-pf", "--hamiltonian",
                        "x1^2/2 + x2^2/2", "--pencil", "0")
@@ -202,6 +212,23 @@ def test_bound_headline(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ell"] == 9 and data["m"] == 14
+
+
+def test_bound_headline_overflow(capsys):
+    code, out, err = run(capsys, "bound", "--headline", "1000000")
+    assert code == 3 and out == ""
+    assert "float range" in err
+
+
+def test_environment_cannot_weaken_quasiunipotence(capsys, tmp_path, monkeypatch):
+    """The multiplier of t*D - i is e^(-2 pi), off the unit circle, whatever
+    a process environment holds: the tolerances are module constants."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qu_tol": 1.0}))
+    monkeypatch.setenv("ABELINT_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "bound", "--operator", "t*D - i",
+                       "--inner-radius", "0.5", "--outer-radius", "2")
+    assert code == 5 and out == ""
 
 
 def test_bound_annulus(capsys):
@@ -294,6 +321,12 @@ def test_slope_large_gaussian_coefficients(capsys):
     ("monodromy", "--operator", "t*D - 1/2", "--radius", "nan"),
     ("bound", "--operator", "t*D - 1", "--inner-radius", "0.5", "--outer-radius", "inf"),
     ("bound", "--operator", "t*D - 1", "--inner-radius", "-0.5", "--outer-radius", "2"),
+    ("slits", "--points", "0; 1", "--theta", "nan"),
+    ("slits", "--points", "0; 1", "--theta", "0"),
+    ("slits", "--points", "0; 1", "--theta", "-1"),
+    ("bound", "--headline", "3", "--size", "nan"),
+    ("bound", "--headline", "0"),
+    ("bound", "--headline", "-3"),
 ])
 def test_nonfinite_or_nonpositive_floats_rejected(capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -8,20 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint.config import RunConfig
-from abelint.counting import (AnnulusBound, ContourPath, annulus_bound_formula,
-                              annulus_zero_bound, continue_solution,
-                              count_region_partition, count_zeros,
-                              is_quasiunipotent, monodromy, var_arg_bound,
-                              variation_of_argument)
+from abelint.counting import (QU_MAX_ORDER, AnnulusBound, ContourPath,
+                              annulus_bound_formula, annulus_zero_bound,
+                              continue_solution, count_region_partition,
+                              count_zeros, is_quasiunipotent, monodromy,
+                              var_arg_bound, variation_of_argument)
 from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, PathTooClose,
                             UnsupportedInput, ZeroOnPath)
 from abelint.operators import MobiusMap
 from abelint.parsing import parse_operator
 from abelint.qi import GaussianRational
 from abelint.slits import Arc, Circle, build_slits
-
-CFG = RunConfig()
 
 
 def test_continuation_exponential():
@@ -108,23 +105,16 @@ def test_monodromy_powers():
 
 
 def test_non_quasiunipotent_detected():
-    # t y' = y/2 + y: multiplier e^{2 pi i * 1.5...}; irrational exponent case:
-    # use c = 1/7 with max order forced low
-    D = parse_operator("7*t*D - 1")
-    loop = ContourPath.from_circle(Circle(0j, 1.0))
-    M = monodromy(D, loop)
-    ok, _ = is_quasiunipotent(M, RunConfig(qu_max_order=5))
-    assert not ok
-    ok7, orders7 = is_quasiunipotent(M)
-    assert ok7 and orders7 == [7]
-
-
-def test_relaxed_quasiunipotence():
+    # t y' = y/67: the multiplier is a root of unity of order 67, above
+    # QU_MAX_ORDER = 64, so the test rejects it
+    D = parse_operator("67*t*D - 1")
+    M = monodromy(D, ContourPath.from_circle(Circle(0j, 1.0)))
+    assert abs(M[0, 0] - cmath.exp(2j * math.pi / 67)) < 1e-10
+    assert QU_MAX_ORDER < 67
+    assert is_quasiunipotent(M) == (False, [])
+    # an eigenvalue on the unit circle that is no root of unity
     M = np.array([[cmath.exp(2j * math.pi * 0.123456789)]])
-    ok, _ = is_quasiunipotent(M, RunConfig(qu_max_order=8))
-    assert not ok
-    ok2, orders = is_quasiunipotent(M, RunConfig(qu_max_order=8, qu_relaxed=True))
-    assert ok2 and orders == [None]
+    assert is_quasiunipotent(M) == (False, [])
 
 
 def test_annulus_bound_formula_case():
@@ -171,7 +161,7 @@ def test_min_dist_is_exact_between_samples():
 
 def test_region_partition_sin():
     D = parse_operator("D^2 + 1")
-    system = build_slits([0.3 + 0j, 0.3 + math.pi], CFG)
+    system = build_slits([0.3 + 0j, 0.3 + math.pi])
     from abelint.counting import _basepoint
     bp = _basepoint(system)
     y0 = np.array([cmath.sin(bp), cmath.cos(bp)])
@@ -197,7 +187,7 @@ def test_circle_winding_single_pass(monkeypatch):
         return real(*args, **kw)
 
     monkeypatch.setattr(counting, "_integrate_piece", spy)
-    system = build_slits([0j, 3 + 0j], CFG)
+    system = build_slits([0j, 3 + 0j])
     bp = counting._basepoint(system)
     circle = Circle(0j, 1.0)
     loop_pieces = len(ContourPath.from_circle(circle).pieces)
@@ -205,12 +195,12 @@ def test_circle_winding_single_pass(monkeypatch):
     once = [False] + [True] * loop_pieces
     # y = t: single-valued, one zero inside
     assert counting._circle_winding(parse_operator("t*D - 1"), system, circle,
-                                    np.array([bp]), None, CFG) == 1
+                                    np.array([bp]), None) == 1
     assert calls == once
     # y = sqrt(t) changes sign around 0: no winding count
     calls.clear()
     assert counting._circle_winding(parse_operator("2*t*D - 1"), system, circle,
-                                    np.array([cmath.sqrt(bp)]), None, CFG) is None
+                                    np.array([cmath.sqrt(bp)]), None) is None
     assert calls == once
 
 

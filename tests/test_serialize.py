@@ -10,7 +10,6 @@ from abelint.parsing import parse_operator, parse_poly
 from abelint.ratfunc import RatFunc
 from abelint.serialize import dumps, loads
 from abelint.slits import build_slits
-from abelint.config import RunConfig
 from abelint.polynomials import MultiPoly
 from abelint.qi import GaussianRational
 
@@ -85,7 +84,7 @@ def test_matrix_roundtrip():
 
 
 def test_slit_system_roundtrip():
-    system = build_slits([0j, 1 + 0j, 5 + 2j], RunConfig())
+    system = build_slits([0j, 1 + 0j, 5 + 2j])
     s2 = loads(dumps(system))
     assert len(s2.circles) == len(system.circles)
     assert len(s2.segments) == len(system.segments)
