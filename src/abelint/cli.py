@@ -271,7 +271,7 @@ def build_parser():
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--seed", required=True, help="point near the oval, e.g. '0.5+1i'")
-    p.add_argument("--rel-tol", type=float, default=1e-8)
+    p.add_argument("--rel-tol", type=_positive, default=1e-8)
     p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("bound", help="certified annulus bound or growth budget")

@@ -1,11 +1,11 @@
 """Scalar differential operators: reduction, slopes, pullbacks, symmetrization.
 
 One relation search, a cyclic-vector reduction, gives both the operator of
-a linear form of a system (`reduce_to_scalar`) and the lclm (the reduction
-of a direct sum of companion systems).  It runs on polynomial rows
-S_k = q^k R_k, q the common denominator of the system, so the derivatives
-and products of the search cancel no gcd; rational functions arise only in
-the one verified solve per order.
+a linear form of a system (`reduce_to_scalar`) and the lclm of an operator
+and its reflection (from the realified system over Q).  It runs on
+polynomial rows S_k = q^k R_k, q the common denominator of the system, so
+the derivatives and products of the search cancel no gcd; rational
+functions arise only in the one verified solve per order.
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
@@ -257,22 +257,29 @@ def reflect(D: DiffOperator) -> DiffOperator:
     return standard_form([c.conj_coeffs() for c in D.coeffs])
 
 
-def lclm(D1: DiffOperator, D2: DiffOperator) -> DiffOperator:
-    """Least common left multiple: minimal-order operator with both kernels.
+def lclm(D: DiffOperator) -> DiffOperator:
+    """lclm(D, reflect(D)), the minimal operator annihilating f + g for f in
+    ker D and g in ker reflect(D), found over Q(t).
 
-    It annihilates y1 + y2 for generic solutions yi of Di: the reduction of
-    the direct sum of their companion systems from the row (e0 | e0).
+    With f = u + i v, the companion system of D is a real system of order 2k
+    for (u, v): for c_j = -p_{k-j} conj(p0) = a_j + i b_j the last rows of
+    the two k-blocks are (a | -b)/q and (b | a)/q, q = p0 conj(p0), and the
+    relation search from the row that selects u = (f + g)/2 gives the lclm.
+    A real D decouples and comes back as itself.
     """
-    n = D1.order + D2.order
+    k, n = D.order, 2 * D.order
+    p0c = D.coeffs[0].conj_coeffs()
+    q = D.coeffs[0] * p0c
     A = [[RatFunc.zero(TVARS) for _ in range(n)] for _ in range(n)]
-    for off, D in ((0, D1), (D1.order, D2)):
-        k = D.order
-        p0 = RatFunc(D.coeffs[0])
-        for i in range(k - 1):
-            A[off + i][off + i + 1] = RatFunc.const(1, TVARS)
-        for j in range(k):
-            A[off + k - 1][off + j] = -(RatFunc(D.coeffs[k - j]) / p0)
-    start = [RatFunc.const(1 if j in (0, D1.order) else 0, TVARS) for j in range(n)]
+    for i in range(k - 1):
+        A[i][i + 1] = A[k + i][k + i + 1] = RatFunc.const(1, TVARS)
+    for j in range(k):
+        c = -D.coeffs[k - j] * p0c
+        cc = c.conj_coeffs()
+        a, b = (c + cc) * Fraction(1, 2), (cc - c) * GaussianRational(0, Fraction(1, 2))
+        A[k - 1][j], A[k - 1][k + j] = RatFunc(a, q), RatFunc(-b, q)
+        A[n - 1][j], A[n - 1][k + j] = RatFunc(b, q), RatFunc(a, q)
+    start = [RatFunc.const(1 if j == 0 else 0, TVARS) for j in range(n)]
     return _first_relation(FieldMatrix(A), FieldMatrix([start]))
 
 
@@ -284,13 +291,7 @@ def symmetrize(D: DiffOperator, gamma=REAL_AXIS) -> DiffOperator:
     """
     if not isinstance(gamma, MobiusMap):
         raise UnsupportedInput("gamma must be a MobiusMap onto the carrier")
-    Dp = pullback(D, gamma)
-    Dr = reflect(Dp)
-    if Dp == Dr:
-        sym = Dp
-    else:
-        sym = lclm(Dp, Dr)
-    return pullback(sym, gamma.inverse())
+    return pullback(lclm(pullback(D, gamma)), gamma.inverse())
 
 
 @dataclass

@@ -414,10 +414,8 @@ class MultiPoly:
     # -- gcd ----------------------------------------------------------------------
     @staticmethod
     def gcd(a, b):
-        """Primitive gcd, and 1 for coprime arguments.  The gcd is unique up
-        to a scalar, which primitive() removes, so it does not matter which
-        algorithm finds it; in one variable over Q(i) the last Euclidean
-        remainder is taken because it is faster than the ring gcd."""
+        """Primitive gcd, and 1 for coprime arguments: the one ring gcd over
+        Q or Q(i), made unique by primitive(), which removes the scalar."""
         a = a.shrink()
         b = b.shrink()
         if a.is_zero():
@@ -427,11 +425,7 @@ class MultiPoly:
         vs, f, g = _common(a, b)
         if f.is_ground or g.is_ground:
             return MultiPoly.const(1, vs)
-        if len(vs) == 1 and f.ring.domain is QQ_I:
-            h = f.ring.dup_euclidean_prs(f, g)[-1]
-        else:
-            h = f.gcd(g)
-        return MultiPoly._new(vs, h).primitive()[1]
+        return MultiPoly._new(vs, f.gcd(g)).primitive()[1]
 
     # -- output ---------------------------------------------------------------
     def __repr__(self):

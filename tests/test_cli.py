@@ -327,6 +327,12 @@ def test_slope_large_gaussian_coefficients(capsys):
     ("bound", "--headline", "3", "--size", "nan"),
     ("bound", "--headline", "0"),
     ("bound", "--headline", "-3"),
+    ("integrate", "--hamiltonian", "x1^2/2 + x2^2/2", "--t", "0.1", "--seed", "1",
+     "--rel-tol", "nan"),
+    ("integrate", "--hamiltonian", "x1^2/2 + x2^2/2", "--t", "0.1", "--seed", "1",
+     "--rel-tol", "0"),
+    ("integrate", "--hamiltonian", "x1^2/2 + x2^2/2", "--t", "0.1", "--seed", "1",
+     "--rel-tol", "-1"),
 ])
 def test_nonfinite_or_nonpositive_floats_rejected(capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -137,11 +137,41 @@ def test_pullback_affine():
 
 
 def test_lclm_annihilates_both():
-    L = lclm(mk("D - 1"), mk("D^2 + 1"))
-    assert L.order == 3
+    # ker(D - i) = e^{it}, and its reflection D + i has kernel e^{-it}
+    L = lclm(mk("D - i"))
+    assert L.order == 2
     app, t = sym_op(L)
-    assert sympy.simplify(app(sympy.exp(t))) == 0
-    assert sympy.simplify(app(sympy.sin(t))) == 0
+    assert sympy.simplify(app(sympy.exp(sympy.I * t))) == 0
+    assert sympy.simplify(app(sympy.exp(-sympy.I * t))) == 0
+
+
+def test_lclm_of_real_operator_is_itself():
+    """A real operator in standard form is its own reflection: the realified
+    system decouples and the lclm is the operator, stored terms included."""
+    for text in ("(t^2-1)*D^2 + t*D - 1", "(108*t^2-16)*D^2 + 15", "t*D - 1",
+                 "D^3 + t^2*D + 7"):
+        D = standard_form(mk(text).coeffs)
+        _assert_same_operator(lclm(D), D)
+
+
+def test_symmetrize_searches_over_q(monkeypatch):
+    """The relation search of a symmetrization across the unit circle or the
+    imaginary axis, where the pulled-back operator is over Q(i), sees no
+    Gaussian coefficient."""
+    seen = []
+    relation = operators._first_relation
+
+    def spy(A, start):
+        seen.extend(e for M in (A, start) for row in M.data for e in row)
+        return relation(A, start)
+
+    monkeypatch.setattr(operators, "_first_relation", spy)
+    for D, gamma in ((mk("(t^2-1)*D^2 + t*D - 1"), circle_to_real_axis_map(0, 0, 1)),
+                     (mk("t*D^2 + D - 1"), MobiusMap(GaussianRational(0, 1), 0, 0, 1))):
+        assert any(c.has_gaussian() for c in pullback(D, gamma).coeffs)
+        symmetrize(D, gamma)
+    assert seen
+    assert not any(e.num.has_gaussian() or e.den.has_gaussian() for e in seen)
 
 
 def test_reflect_conjugates():
@@ -284,27 +314,36 @@ def _rand_poly(rng, gaussian, deg):
     return MultiPoly(T, {(e,): _rand_gauss(rng, gaussian) for e in range(deg + 1)})
 
 
-def test_lclm_polynomial_rows_match_ratfunc_reference(monkeypatch):
+def _direct_sum_lclm(D1, D2):
+    """Reference: lclm(D1, D2) as the relation search over RatFunc rows on
+    the direct sum of the companion systems, from the row (e0 | e0)."""
+    n = D1.order + D2.order
+    A = [[RatFunc.zero(T) for _ in range(n)] for _ in range(n)]
+    for off, D in ((0, D1), (D1.order, D2)):
+        k = D.order
+        for i in range(k - 1):
+            A[off + i][off + i + 1] = RatFunc.const(1, T)
+        for j in range(k):
+            A[off + k - 1][off + j] = -(RatFunc(D.coeffs[k - j]) / RatFunc(D.coeffs[0]))
+    start = [RatFunc.const(1 if j in (0, D1.order) else 0, T) for j in range(n)]
+    return _ratfunc_first_relation(FieldMatrix(A), FieldMatrix([start]))
+
+
+def test_lclm_polynomial_rows_match_ratfunc_reference():
     """lclm of random non-monic operators of orders 1 and 2 over Q and Q(i)
-    is the same operator, stored term order included, as the search over
-    RatFunc rows gives."""
+    is the same operator, stored term order included, as the direct-sum
+    search of D and reflect(D) over RatFunc rows gives."""
     import random
 
     rng = random.Random(17)
-    cases = []
     for case in range(8):
         gaussian = case % 2 == 1
-        ops = []
-        for order in (1, 2) if case % 4 < 2 else (1, 1):
-            coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 1)) for _ in range(order + 1)]
-            if coeffs[0].is_zero():
-                coeffs[0] = MultiPoly.var("t") + 1
-            ops.append(DiffOperator(coeffs))
-        cases.append(ops)
-    ours = [lclm(D1, D2) for D1, D2 in cases]
-    monkeypatch.setattr(operators, "_first_relation", _ratfunc_first_relation)
-    for L, (D1, D2) in zip(ours, cases):
-        _assert_same_operator(L, lclm(D1, D2))
+        order = 1 + case // 4
+        coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 1)) for _ in range(order + 1)]
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.var("t") + 1
+        D = DiffOperator(coeffs)
+        _assert_same_operator(lclm(D), _direct_sum_lclm(D, reflect(D)))
 
 
 def _rf(num, den="1"):
