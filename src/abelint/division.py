@@ -28,7 +28,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .errors import NoSolution, SingularDivision, UnsupportedInput
-from .linalg import FieldMatrix, solve_linear
+from .linalg import solve_linear
 from .polynomials import MultiPoly, NEG_INF, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
@@ -248,7 +248,7 @@ def _divide(H: Hamiltonian, comps, forms, cofactor_unknowns):
     h1, h2 = H.grad()
     weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
     rhs_splits = [_split_x(p) for p in polys]
-    zero = RatFunc.zero(H.lvars)
+    zero = MultiPoly.zero(H.lvars)
     Hpow = [MultiPoly.const(1, H.poly.vars)]
     last_err = None
     for d in range(d_strict, d_strict + 3 * (n + 1) + 1):
@@ -263,40 +263,42 @@ def _divide(H: Hamiltonian, comps, forms, cofactor_unknowns):
             unknowns = [(("p", ai, j), tuple(_split_x(Hpow[j] * f) for f in form))
                         for ai, (form, bound) in enumerate(zip(forms, bounds))
                         for j in range(min(cap, bound) + 1)] + cofactors
-            # one equation per component and x-monomial, over Q(lambda); the
-            # target's coefficients form the last column
+            # one polynomial equation per component and x-monomial, over
+            # Q[lambda]; the target's coefficients form the last column
             columns = [splits for _, splits in unknowns] + [rhs_splits]
             xmonos = sorted(set().union(*(s.keys() for col in columns for s in col)))
-            rows = [[RatFunc(col[ci][m]) if m in col[ci] else zero for col in columns]
+            rows = [[col[ci].get(m, zero) for col in columns]
                     for ci in range(len(polys)) for m in xmonos]
             try:
-                sol = solve_linear(FieldMatrix([r[:-1] for r in rows]),
-                                   [r[-1] for r in rows], verify=False)
+                d, (y,) = solve_linear(rows, len(unknowns), verify=False)
             except NoSolution as exc:
                 last_err = exc
                 continue
-            return _assemble(H, den, unknowns, sol)
+            return _assemble(H, d * den, unknowns, y)
     raise SingularDivision(
         f"no decomposition within relaxed degree bounds (deg target {d_strict}): "
         f"no decomposition at degree {d}: {last_err}")
 
 
-def _assemble(H, den, unknowns, sol):
-    inv_den = RatFunc.const(1) / RatFunc(den)
+def _assemble(H, den, unknowns, y):
+    """p_a = sum_j y_(a,j) t^j / den and each cofactor sum_beta y_beta
+    x^beta / den, one cancellation each."""
     tvar = MultiPoly.var("t")
-    p = [RatFunc.zero(tuple(sorted(set(H.lvars) | {"t"}))) for _ in basis_exponents(H.n)]
-    cofactors = defaultdict(RatFunc.zero)
-    for (label, _), val in zip(unknowns, sol):
+    pvars = tuple(sorted(set(H.lvars) | {"t"}))
+    pnums = [MultiPoly.zero(pvars) for _ in basis_exponents(H.n)]
+    cnums = defaultdict(MultiPoly.zero)
+    for (label, _), val in zip(unknowns, y):
         if val.is_zero():
             continue
-        val = val * inv_den
         if label[0] == "p":
             _, ai, j = label
-            p[ai] = p[ai] + val * RatFunc(tvar ** j)
+            pnums[ai] = pnums[ai] + val * tvar ** j
         else:
             name, beta = label
-            mono = RatFunc(MultiPoly(XVARS, {beta: Fraction(1)}))
-            cofactors[name] = cofactors[name] + val * mono
+            cnums[name] = cnums[name] + val * MultiPoly(XVARS, {beta: Fraction(1)})
+    p = [RatFunc.zero(pvars) if num.is_zero() else RatFunc(num, den) for num in pnums]
+    cofactors = defaultdict(RatFunc.zero,
+                            {name: RatFunc(num, den) for name, num in cnums.items()})
     return p, cofactors
 
 

@@ -1,17 +1,20 @@
-"""Exact linear algebra over rational function fields.
+"""Exact linear algebra: one fraction-free solve on polynomial rows.
 
-`solve_linear` takes one right-hand side or several, and one elimination
-serves them all.  It clears each equation of [A | B] to polynomials by
-multiplying every entry's numerator with the cofactor of its denominator in
-the row's lcm, so the clearing cancels no gcd.  An overdetermined system
-with a column b whose cleared [A | b] has full column rank at one rational
-point has full rank generically, so it is inconsistent and raises
-NoSolution at once.  All other systems run one fraction-free (Bareiss)
-elimination on the polynomial rows of [A | B]; only the back-substitution,
-one per column, works with rational functions.  Underdetermined systems set
-free variables to zero; inconsistent ones raise NoSolution.  Verification
-checks each cleared row of each column as one polynomial identity,
-sum_j a_j (x_j L) = c L with L the lcm of the denominators of x.
+`solve_linear(rows, n)` takes the rows [a_1 .. a_n | c_1 .. c_m] of MultiPoly
+of a system A y = d c with one right-hand side c or several, and returns
+(d, Y): d the last pivot of one fraction-free (Bareiss) elimination of
+[A | C], and per column c a polynomial y with A y = d c.  The first
+elimination step divides by nothing; each later step and each step of the
+back substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact division,
+because the pivots are minors of A and d y_c is one by Cramer's rule.  So no
+rational function arises inside the solve, and a caller that wants x = y / d
+cancels each entry once.  An overdetermined system with a column c whose
+[A | c] has full column rank at one rational point has full rank
+generically, so it is inconsistent and raises NoSolution at once; all other
+inconsistent columns raise after the elimination.  Free variables are set
+to zero.  Verification (`check_solution`) checks each row of each column
+as one polynomial identity, sum_j a_j y_j = d c.  `clear_rows` turns rows
+of rational functions into such polynomial rows.
 """
 
 from __future__ import annotations
@@ -38,23 +41,6 @@ class FieldMatrix:
         return FieldMatrix([[RatFunc.const(1 if i == j else 0) for j in range(n)]
                             for i in range(n)])
 
-    def __mul__(self, other):
-        if isinstance(other, FieldMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            # zero products are skipped: companion matrices are mostly zero
-            return FieldMatrix([[sum((self.data[i][k] * other.data[k][j]
-                                      for k in range(self.cols)
-                                      if not (self.data[i][k].is_zero() or
-                                              other.data[k][j].is_zero())),
-                                     RatFunc.zero())
-                                 for j in range(other.cols)] for i in range(self.rows)])
-        return FieldMatrix([[e * other for e in row] for row in self.data])
-
-    def matvec(self, vec):
-        return [sum((self.data[i][k] * vec[k] for k in range(self.cols)),
-                    RatFunc.zero()) for i in range(self.rows)]
-
     def map(self, fn):
         return FieldMatrix([[fn(e) for e in row] for row in self.data])
 
@@ -68,68 +54,64 @@ class FieldMatrix:
         return "FieldMatrix(" + ",\n            ".join(repr(r) for r in self.data) + ")"
 
 
-def _clear_rows(A, b):
-    """Scale each equation of [A | b] by its common denominator -> MultiPoly
-    rows; b is one right-hand side, a list, or the columns of a FieldMatrix."""
-    brows = b.data if isinstance(b, FieldMatrix) else [[RatFunc.coerce(e)] for e in b]
-    rows = []
-    for arow, brow in zip(A.data, brows):
-        entries = list(arow) + list(brow)
-        den = ratfunc_lcm_den(entries)
-        rows.append([e.cleared(den) for e in entries])
-    return rows
-
-
-def _satisfies(rows, x):
-    """Whether x solves every cleared row [a_1 .. a_n | c]: with L the lcm of
-    the denominators of x, sum_j a_j (x_j L) = c L as polynomials."""
-    L = ratfunc_lcm_den(x)
-    xL = [(j, xj.cleared(L)) for j, xj in enumerate(x) if not xj.is_zero()]
+def clear_rows(rows):
+    """Scale each row of RatFunc by the lcm of its denominators -> MultiPoly
+    rows; the clearing multiplies each numerator by a cofactor and cancels
+    no gcd."""
+    out = []
     for row in rows:
-        lhs = MultiPoly.zero()
-        for j, p in xL:
-            if not row[j].is_zero():
-                lhs = lhs + row[j] * p
-        if lhs != row[-1] * L:
-            return False
-    return True
+        den = ratfunc_lcm_den(row)
+        out.append([e.cleared(den) for e in row])
+    return out
+
+
+def check_solution(rows, n, d, ys):
+    """Raise NoSolution unless A y = d c holds for every row
+    [a_1 .. a_n | c_1 ..] and every column y of ys, as polynomial
+    identities."""
+    for j, y in enumerate(ys):
+        live = [(k, yk) for k, yk in enumerate(y) if not yk.is_zero()]
+        for row in rows:
+            lhs = MultiPoly.zero()
+            for k, yk in live:
+                if not row[k].is_zero():
+                    lhs = lhs + row[k] * yk
+            if lhs != d * row[n + j]:
+                raise NoSolution("verification failed: A y != d c")
 
 
 def _bareiss_step(p, e, f, g, prev):
-    """(p e - f g) / prev, computing only the nonzero products.  With f = 0
-    this is the rescale that keeps the Bareiss divisibility invariant."""
+    """(p e - f g) / prev, computing only the nonzero products; prev is None
+    at the first step, which divides by nothing.  With f = 0 this is the
+    rescale that keeps the Bareiss divisibility invariant."""
     if f.is_zero() or g.is_zero():
-        return e if e.is_zero() else (p * e).divexact(prev)
-    if e.is_zero():
-        return (-(f * g)).divexact(prev)
-    return (p * e - f * g).divexact(prev)
+        if e.is_zero():
+            return e
+        r = p * e
+    elif e.is_zero():
+        r = -(f * g)
+    else:
+        r = p * e - f * g
+    return r if prev is None else r.divexact(prev)
 
 
-def solve_linear(A: FieldMatrix, b, verify=True):
-    """Solve A x = b exactly over the fraction field.
+def solve_linear(rows, n, verify=True):
+    """Solve [A | C] on polynomial rows, A the first n entries of each row.
 
-    b is one right-hand side, a list, or several, the columns of a
-    FieldMatrix B; one elimination of [A | B] serves them all, and the
-    result is the list x, or the FieldMatrix X with A X = B.  Each column
-    of X has the value of its own solve, and its stored terms too where the
-    other columns add no denominator to a row.  Free variables are set to
-    zero.  Raises NoSolution when some column is inconsistent.
+    Returns (d, Y): d the last pivot and Y one list y per column c of C,
+    each y polynomial with A y = d c; one elimination serves every column,
+    and each column is the one its own solve gives.  Free variables are set
+    to zero.  Raises NoSolution when some column is inconsistent.
     """
-    many = isinstance(b, FieldMatrix)
-    if (b.rows if many else len(b)) != A.rows:
-        raise ValueError("rhs length mismatch")
-    n = A.cols
-    ncols = b.cols if many else 1
-    cleared = _clear_rows(A, b)
-    systems = [[row[:n] + [row[n + j]] for row in cleared] for j in range(ncols)]
-    m = len(cleared)
-    # rank n + 1 at one point means generic rank n + 1: b is not in the span
-    if m > n and any(rank_at_point(rows) == n + 1 for rows in systems):
+    m = len(rows)
+    ncols = len(rows[0]) - n
+    # rank n + 1 at one point means generic rank n + 1: c is not in the span
+    if m > n and any(rank_at_point([row[:n] + [row[n + j]] for row in rows]) == n + 1
+                     for j in range(ncols)):
         raise NoSolution("inconsistent linear system")
-    M = list(cleared)
-    # Bareiss fraction-free elimination on the augmented matrix
+    M = list(rows)
     pivots = []  # (row, col)
-    prev = MultiPoly.const(1)
+    prev = None
     row = 0
     for col in range(n):
         piv = None
@@ -157,19 +139,21 @@ def solve_linear(A: FieldMatrix, b, verify=True):
     # consistency: the rows left below the pivots are zero in A
     if any(not e.is_zero() for r in range(row, m) for e in M[r][n:]):
         raise NoSolution("inconsistent linear system")
-    # back substitution per column, free variables = 0
-    xs = []
+    d = prev if prev is not None else MultiPoly.const(1)
+    # fraction-free back substitution per column, free variables = 0
+    ys = []
     for j in range(ncols):
-        x = [RatFunc.zero() for _ in range(n)]
-        for (r, c) in reversed(pivots):
-            acc = RatFunc(M[r][n + j])
-            for jj in range(c + 1, n):
-                if not M[r][jj].is_zero() and not x[jj].is_zero():
-                    acc = acc - RatFunc(M[r][jj]) * x[jj]
-            x[c] = acc / RatFunc(M[r][c])
-        if verify and not _satisfies(systems[j], x):
-            raise NoSolution("verification failed: A x != b")
-        xs.append(x)
-    if not many:
-        return xs[0]
-    return FieldMatrix([[x[i] for x in xs] for i in range(n)])
+        y = [MultiPoly.zero() for _ in range(n)]
+        for i, (r, c) in enumerate(reversed(pivots)):
+            if i == 0:  # the last pivot is d itself: y_c = d c_r / d
+                y[c] = M[r][n + j]
+                continue
+            acc = d * M[r][n + j]
+            for k in range(c + 1, n):
+                if not M[r][k].is_zero() and not y[k].is_zero():
+                    acc = acc - M[r][k] * y[k]
+            y[c] = acc.divexact(M[r][c])
+        ys.append(y)
+    if verify:
+        check_solution(rows, n, d, ys)
+    return d, ys

@@ -3,9 +3,9 @@
 One relation search, a cyclic-vector reduction, gives both the operator of
 a linear form of a system (`reduce_to_scalar`) and the lclm of an operator
 and its reflection (from the realified system over Q).  It runs on
-polynomial rows S_k = q^k R_k, q the common denominator of the system, so
-the derivatives and products of the search cancel no gcd; rational
-functions arise only in the one verified solve per order.
+polynomial rows S_k = q^k R_k, q the common denominator of the system, and
+its one verified solve per order is fraction-free, so the search builds no
+rational function.
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import NoSolution, UnsupportedInput
-from .linalg import FieldMatrix, solve_linear
+from .linalg import FieldMatrix, check_solution, solve_linear
 from .polynomials import MultiPoly, primitive_parts
 from .qi import GaussianRational
 from .ratfunc import RatFunc, ratfunc_lcm_den
@@ -120,9 +120,9 @@ def _first_relation(A: FieldMatrix, start: FieldMatrix) -> DiffOperator:
 
       S_0 = s start,  S_{k+1} = u S_k' - ((k+1) s' q + k s q') S_k + s S_k N,
 
-    so no rational function arises before the one solve
-    S_k = sum_j c'_j S_j, and c_j = c'_j / u^(k-j) makes D proportional to
-    u^k d^k - sum_j c'_j u^j d^j.
+    so no rational function arises at all: the fraction-free solve
+    e S_k = sum_j y_j S_j, e its last pivot, gives c_j = y_j / (e u^(k-j)),
+    and D is proportional to e u^k d^k - sum_j y_j u^j d^j.
     """
     ell = A.rows
     q = ratfunc_lcm_den(A.flatten()).extend(TVARS)
@@ -141,14 +141,19 @@ def _first_relation(A: FieldMatrix, start: FieldMatrix) -> DiffOperator:
                   MultiPoly.zero(TVARS))
               for j in range(ell)] for row in S]
         rhs = [e for row in S for e in row]
-        mat = FieldMatrix([[col[i] for col in cols] for i in range(len(rhs))])
+        rows = [[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))]
         try:
-            c = solve_linear(mat, rhs, verify=True)
+            d, (y,) = solve_linear(rows, k, verify=False)
+            # d and the y_j share the factors of the minors of the S_j, powers
+            # of u among them: dividing those out first keeps the check and
+            # the gcd in standard_form small
+            g = reduce(MultiPoly.gcd, y, d)
+            d, y = d.divexact(g), [e.divexact(g) for e in y]
+            check_solution(rows, k, d, [y])
         except NoSolution:
             cols.append(rhs)
             continue
-        return standard_form([RatFunc(u ** k)] +
-                             [-c[j] * RatFunc(u ** j) for j in reversed(range(k))])
+        return standard_form([d * u ** k] + [-y[j] * u ** j for j in reversed(range(k))])
     raise NoSolution("no scalar relation up to order rows(start) * ell")
 
 

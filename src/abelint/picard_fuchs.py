@@ -10,8 +10,8 @@ whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
-for more.  A comes from one solve Pstar(0) X = Q^(0,0)(0), whose single
-elimination serves all ell columns.
+for more.  A comes from one fraction-free solve Pstar(0) Y = d Q^(0,0)(0),
+whose single elimination serves all ell columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                        basis_two_form, divide_one_form, divide_two_form)
 from .errors import DegenerateBasis, LineInLocus, NoSolution, UnsupportedInput
-from .linalg import FieldMatrix, solve_linear
+from .linalg import FieldMatrix, clear_rows, solve_linear
 from .polynomials import MultiPoly
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
@@ -137,7 +137,9 @@ class LinearODESystem:
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
     """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
     free_term_value; every other coefficient must already be concrete.
-    A = -X for the solution X of P0 X = Qs, all columns in one solve."""
+    A = -Y/d for the solution P0 Y = d Qs of one solve on the cleared rows
+    of [P0 | Qs], each entry cancelled once and stored in descending term
+    order, so that A's storage is a function of its value."""
     line = {sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
             - MultiPoly.var("t")}
     P0 = sys.Pstar0.subs(line)
@@ -148,12 +150,18 @@ def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESyste
     leftover -= {"t"}
     if leftover:
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
+    rows = clear_rows([a + q for a, q in zip(P0.data, Qs.data)])
     try:
-        A = solve_linear(P0, Qs, verify=True).map(lambda e: -e)
+        d, Y = solve_linear(rows, P0.cols, verify=True)
     except NoSolution as exc:
         raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
+    A = FieldMatrix([[_descending(RatFunc(-y[i], d)) for y in Y] for i in range(P0.rows)])
     sing = ratfunc_lcm_den(A.flatten()).extend(("t",))
     return LinearODESystem(A, sing)
+
+
+def _descending(r):
+    return RatFunc(r.num.descending(), r.den.descending(), canonical=True)
 
 
 def size_report(sys: PfaffianSystem) -> dict:

@@ -7,7 +7,7 @@ import sympy
 
 from abelint import operators
 from abelint.errors import NoSolution
-from abelint.linalg import FieldMatrix, solve_linear
+from abelint.linalg import FieldMatrix, clear_rows, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
                                pullback, reduce_to_scalar, reflect,
@@ -300,9 +300,10 @@ def _ratfunc_first_relation(A, start):
                 for j in range(ell)] for row in R]
         cols = [[e for row in Rj for e in row] for Rj in R_list]
         rhs = [e for row in nxt for e in row]
-        mat = FieldMatrix([[col[i] for col in cols] for i in range(len(rhs))])
+        rows = clear_rows([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))])
         try:
-            c = solve_linear(mat, rhs, verify=True)
+            d, (y,) = solve_linear(rows, len(cols), verify=True)
+            c = [RatFunc(yj, d) for yj in y]
         except NoSolution:
             R_list.append(nxt)
             continue

@@ -6,17 +6,24 @@ Each fingerprint hashes the variables and the terms, in stored order, of
 every polynomial in one derived object: P*, the etas, Q^(0,0), the pencil
 A(t) and the scalar operator of the cyclic-vector reduction.  The expected
 values were recorded before the exact solve skipped zero products and unit
-denominators; a change that alters one must say why.
+denominators; a change that alters one must say why.  A(t) stores its terms
+in descending order, so its hash moved once when that began; no float reads
+A's storage order (`test_eval_ignores_term_storage`).
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from abelint.cli import main
 from abelint.division import Hamiltonian
 from abelint.operators import reduce_to_scalar
+from abelint.linalg import FieldMatrix
 from abelint.parsing import parse_poly
-from abelint.picard_fuchs import derive_pfaffian, restrict_to_pencil
+from abelint.picard_fuchs import LinearODESystem, derive_pfaffian, restrict_to_pencil
+from abelint.polynomials import MultiPoly
+from abelint.ratfunc import RatFunc
 
 # perfbench's random_hamiltonian(random.Random(1)), the seed-1 `derive` input
 RANDOM1 = ("x1^3 + x2^3 + (3)*x1^0*x2^0 + (0)*x1^0*x2^1 + (0)*x1^0*x2^2"
@@ -33,7 +40,7 @@ GOLDEN = {
         "scalar": "b79a2dce19ffb16e"},
     RANDOM1: {
         "Pstar": "5f816da476023266", "etas": "828e52a78ee89b96",
-        "Q00": "b3a1d29fd058ea37", "A": "f0fa715985566d24",
+        "Q00": "b3a1d29fd058ea37", "A": "782c4dab5849aa9d",
         "scalar": "143c5426a49d3555"},
 }
 
@@ -68,3 +75,44 @@ def test_derived_term_order_is_unchanged(text):
         "scalar": _hash([_poly(c) for c in D.coeffs]),
     }
     assert got == GOLDEN[text]
+
+
+# sha256 of the stdout of `abelint derive-pf --hamiltonian H --pencil 0`,
+# recorded before the solve ran on polynomial rows: the JSON lists every
+# entry's variables, so this pins the ring of each entry as well as its value
+DERIVE_PF_SHA256 = {
+    "x1^2/2 + x2^2/2":
+        "b432ddc687459b1356c10a73de31421f5015a1f35f460ed36d50888d50d1f9ba",
+    "x2^2/2 + x1^3 - x1":
+        "fbe3a70c508c2897c0338f4aa319431d1fbb4d273a5d89f1ebcee91eb31da832",
+    RANDOM1:
+        "ec747b0e194780a23706bbe67bc2a3b2d3de11b4843fc1e95d8695449adb5ebe",
+}
+
+
+@pytest.mark.parametrize("text", list(DERIVE_PF_SHA256))
+def test_derive_pf_json_is_unchanged(text, capsys):
+    assert main(["derive-pf", "--hamiltonian", text, "--pencil", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_PF_SHA256[text]
+
+
+def _reversed_storage(p):
+    return MultiPoly(p.vars, dict(reversed(list(p.terms.items()))))
+
+
+def test_eval_ignores_term_storage():
+    """A(t) with every entry's terms stored in reverse gives bit-identical
+    `eval` floats and the same scalar operator, stored terms included:
+    `eval` reads dense coefficients and the reduction ends in
+    `standard_form`."""
+    H = Hamiltonian.from_x_poly(parse_poly(RANDOM1, ("x1", "x2")))
+    ode = restrict_to_pencil(derive_pfaffian(H), free_term_value=0)
+    A = FieldMatrix([[RatFunc(_reversed_storage(e.num), _reversed_storage(e.den),
+                              canonical=True) for e in row] for row in ode.A.data])
+    assert _matrix(A) != _matrix(ode.A)
+    other = LinearODESystem(A, ode.singular_poly)
+    for t in (0.3, -1.7 + 0.4j, 2.5j, 11.0):
+        assert np.array_equal(other.eval(t), ode.eval(t))
+    assert _hash([_poly(c) for c in reduce_to_scalar(other).coeffs]) == \
+        _hash([_poly(c) for c in reduce_to_scalar(ode).coeffs])
