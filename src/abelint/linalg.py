@@ -36,16 +36,8 @@ class FieldMatrix:
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged matrix")
 
-    @staticmethod
-    def identity(n):
-        return FieldMatrix([[RatFunc.const(1 if i == j else 0) for j in range(n)]
-                            for i in range(n)])
-
-    def map(self, fn):
-        return FieldMatrix([[fn(e) for e in row] for row in self.data])
-
     def subs(self, mapping):
-        return self.map(lambda e: e.subs(mapping))
+        return FieldMatrix([[e.subs(mapping) for e in row] for row in self.data])
 
     def flatten(self):
         return [e for row in self.data for e in row]

@@ -1,15 +1,16 @@
 """Scalar differential operators: reduction, slopes, pullbacks, symmetrization.
 
-One relation search, a cyclic-vector reduction, gives both the operator of
-a linear form of a system (`reduce_to_scalar`) and the lclm of an operator
-and its reflection (from the realified system over Q).  It runs on
-polynomial rows S_k = q^k R_k, q the common denominator of the system, and
-its one verified solve per order is fraction-free, so the search builds no
-rational function.
+One relation search, a cyclic-vector reduction of a system X' = A X given
+as polynomials (N, q) with A = N / q, gives both the operator of its first
+component X[0] (`reduce_to_scalar`) and the lclm of an operator and its
+reflection (`lclm`, from the realified system over Q, whose N and q are
+built from the operator's coefficients directly).  It runs on polynomial
+rows S_k = q^k R_k from the first unit row, and its one verified solve per
+order is fraction-free, so the search builds no rational function.
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
-polynomial coefficients over Q or Q(i).  Standard form: cleared denominators,
-no common polynomial factor, the normal form of `primitive_parts` (the
+polynomial coefficients over Q or Q(i).  Standard form: no common
+polynomial factor, the normal form of `primitive_parts` (the
 graded-lex leading coefficient of p0 a positive integer, joint content 1)
 and each coefficient's terms stored in descending order.  The affine slope
 is max_j ||p_j|| / ||p0|| in l1 coefficient norms; the invariant slope is
@@ -24,10 +25,10 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import NoSolution, UnsupportedInput
-from .linalg import FieldMatrix, check_solution, solve_linear
+from .linalg import check_solution, solve_linear
 from .polynomials import MultiPoly, primitive_parts
 from .qi import GaussianRational
-from .ratfunc import RatFunc, ratfunc_lcm_den
+from .ratfunc import ratfunc_lcm_den
 
 TVARS = ("t",)
 
@@ -84,12 +85,10 @@ class DiffOperator:
 
 
 def standard_form(coeffs) -> DiffOperator:
-    """Normalize a rational-coefficient operator to its standard form, with
-    the terms of each coefficient in descending order, so that the form does
-    not depend on how the operator was computed."""
-    rs = [RatFunc.coerce(c) for c in coeffs]
-    den = ratfunc_lcm_den(rs)
-    polys = [r.cleared(den).extend(TVARS) for r in rs]
+    """Normalize an operator with polynomial coefficients to its standard
+    form, with the terms of each coefficient in descending order, so that
+    the form does not depend on how the operator was computed."""
+    polys = [c.extend(TVARS) for c in coeffs]
     g = reduce(MultiPoly.gcd, polys)
     if not g.is_constant():
         polys = [p.divexact(g) for p in polys]
@@ -97,64 +96,52 @@ def standard_form(coeffs) -> DiffOperator:
     return DiffOperator([p.descending() for p in polys])
 
 
-def reduce_to_scalar(ode, start=None) -> DiffOperator:
-    """Scalar operator annihilating the linear forms `start` X of X' = A X.
-
-    The rows of `start` are the tracked forms; the default, the first unit
-    row, gives the operator of X[0], and `FieldMatrix.identity(ell)` one
-    for every component.
-    """
-    if start is None:
-        start = FieldMatrix([[RatFunc.const(1 if j == 0 else 0)
-                              for j in range(ode.A.rows)]])
-    return _first_relation(ode.A, start)
+def reduce_to_scalar(ode) -> DiffOperator:
+    """Scalar operator annihilating X[0] for X' = A X."""
+    q = ratfunc_lcm_den(ode.A.flatten()).extend(TVARS)
+    N = [[e.cleared(q) for e in row] for row in ode.A.data]
+    return _first_relation(N, q)
 
 
-def _first_relation(A: FieldMatrix, start: FieldMatrix) -> DiffOperator:
-    """With R_0 = start and R_{k+1} = R_k' + R_k A, the first k <= rows * ell
-    with R_k = sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j d^j in
-    standard form.
+def _first_relation(N, q) -> DiffOperator:
+    """With R_0 = e0 and R_{k+1} = R_k' + R_k A for A = N / q, the first
+    k <= ell with R_k = sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j
+    d^j in standard form.
 
-    The search keeps polynomial rows S_k = s u^k R_k, with q and s the
-    common denominators of A and start, N = q A and u = s q:
+    The search keeps polynomial rows S_k = q^k R_k,
 
-      S_0 = s start,  S_{k+1} = u S_k' - ((k+1) s' q + k s q') S_k + s S_k N,
+      S_0 = e0,  S_{k+1} = q S_k' - k q' S_k + S_k N,
 
     so no rational function arises at all: the fraction-free solve
-    e S_k = sum_j y_j S_j, e its last pivot, gives c_j = y_j / (e u^(k-j)),
-    and D is proportional to e u^k d^k - sum_j y_j u^j d^j.
+    e S_k = sum_j y_j S_j, e its last pivot, gives c_j = y_j / (e q^(k-j)),
+    and D is proportional to e q^k d^k - sum_j y_j q^j d^j.
     """
-    ell = A.rows
-    q = ratfunc_lcm_den(A.flatten()).extend(TVARS)
-    s = ratfunc_lcm_den(start.flatten()).extend(TVARS)
-    sN = [[e.cleared(q) * s for e in row] for row in A.data]
-    u = s * q
-    dsq, sdq = s.diff("t") * q, s * q.diff("t")
-    S = [[e.cleared(s) for e in row] for row in start.data]
-    cols = [[e for row in S for e in row]]
-    for k in range(1, start.rows * ell + 1):
-        w = dsq * k + sdq * (k - 1)
+    ell = len(N)
+    dq = q.diff("t")
+    S = [MultiPoly.const(1 if j == 0 else 0, TVARS) for j in range(ell)]
+    cols = [S]
+    for k in range(1, ell + 1):
+        w = dq * (k - 1)
         # zero products are skipped: companion matrices are mostly zero
-        S = [[u * row[j].diff("t") - w * row[j] +
-              sum((row[m] * sN[m][j] for m in range(ell)
-                   if not (row[m].is_zero() or sN[m][j].is_zero())),
-                  MultiPoly.zero(TVARS))
-              for j in range(ell)] for row in S]
-        rhs = [e for row in S for e in row]
-        rows = [[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))]
+        S = [q * S[j].diff("t") - w * S[j] +
+             sum((S[m] * N[m][j] for m in range(ell)
+                  if not (S[m].is_zero() or N[m][j].is_zero())),
+                 MultiPoly.zero(TVARS))
+             for j in range(ell)]
+        rows = [[col[i] for col in cols] + [S[i]] for i in range(ell)]
         try:
             d, (y,) = solve_linear(rows, k, verify=False)
             # d and the y_j share the factors of the minors of the S_j, powers
-            # of u among them: dividing those out first keeps the check and
+            # of q among them: dividing those out first keeps the check and
             # the gcd in standard_form small
             g = reduce(MultiPoly.gcd, y, d)
             d, y = d.divexact(g), [e.divexact(g) for e in y]
             check_solution(rows, k, d, [y])
         except NoSolution:
-            cols.append(rhs)
+            cols.append(S)
             continue
-        return standard_form([d * u ** k] + [-y[j] * u ** j for j in reversed(range(k))])
-    raise NoSolution("no scalar relation up to order rows(start) * ell")
+        return standard_form([d * q ** k] + [-y[j] * q ** j for j in reversed(range(k))])
+    raise NoSolution("no scalar relation up to order ell")
 
 
 def affine_slope(D: DiffOperator):
@@ -267,25 +254,27 @@ def lclm(D: DiffOperator) -> DiffOperator:
     ker D and g in ker reflect(D), found over Q(t).
 
     With f = u + i v, the companion system of D is a real system of order 2k
-    for (u, v): for c_j = -p_{k-j} conj(p0) = a_j + i b_j the last rows of
-    the two k-blocks are (a | -b)/q and (b | a)/q, q = p0 conj(p0), and the
-    relation search from the row that selects u = (f + g)/2 gives the lclm.
-    A real D decouples and comes back as itself.
+    for (u, v).  For h = conj(p0) / gcd(p0, conj(p0)) and q = p0 h, the lcm
+    of p0 and conj(p0), the system is N / q with q on the superdiagonals of
+    the two k-blocks and, for c_j = -p_{k-j} h = a_j + i b_j, last rows
+    (a | -b) and (b | a); the relation search from the row that selects
+    u = (f + g)/2 gives the lclm.  A real D decouples and comes back as
+    itself.
     """
     k, n = D.order, 2 * D.order
-    p0c = D.coeffs[0].conj_coeffs()
-    q = D.coeffs[0] * p0c
-    A = [[RatFunc.zero(TVARS) for _ in range(n)] for _ in range(n)]
+    p0, p0c = D.coeffs[0], D.coeffs[0].conj_coeffs()
+    h = p0c.divexact(MultiPoly.gcd(p0, p0c))
+    q = p0 * h
+    N = [[MultiPoly.zero(TVARS) for _ in range(n)] for _ in range(n)]
     for i in range(k - 1):
-        A[i][i + 1] = A[k + i][k + i + 1] = RatFunc.const(1, TVARS)
+        N[i][i + 1] = N[k + i][k + i + 1] = q
     for j in range(k):
-        c = -D.coeffs[k - j] * p0c
+        c = -D.coeffs[k - j] * h
         cc = c.conj_coeffs()
         a, b = (c + cc) * Fraction(1, 2), (cc - c) * GaussianRational(0, Fraction(1, 2))
-        A[k - 1][j], A[k - 1][k + j] = RatFunc(a, q), RatFunc(-b, q)
-        A[n - 1][j], A[n - 1][k + j] = RatFunc(b, q), RatFunc(a, q)
-    start = [RatFunc.const(1 if j == 0 else 0, TVARS) for j in range(n)]
-    return _first_relation(FieldMatrix(A), FieldMatrix([start]))
+        N[k - 1][j], N[k - 1][k + j] = a, -b
+        N[n - 1][j], N[n - 1][k + j] = b, a
+    return _first_relation(N, q)
 
 
 def symmetrize(D: DiffOperator, gamma=REAL_AXIS) -> DiffOperator:
@@ -329,14 +318,14 @@ def default_slope_samples():
     return samples
 
 
-def invariant_slope_sampled(D: DiffOperator, samples=None) -> SlopeReport:
-    """Lower estimate of the invariant slope by finite sampling.
+def invariant_slope_sampled(D: DiffOperator) -> SlopeReport:
+    """Lower estimate of the invariant slope by finite sampling over
+    `default_slope_samples`.
 
     Always at least the plain affine slope (identity pullback across R).
     """
     report = SlopeReport(affine=affine_slope(D))
-    for name, phi, gamma in (samples if samples is not None
-                             else default_slope_samples()):
+    for name, phi, gamma in default_slope_samples():
         try:
             s = affine_slope(symmetrize(pullback(D, phi), gamma))
         except (NoSolution, ZeroDivisionError):

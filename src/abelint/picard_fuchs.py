@@ -10,8 +10,9 @@ whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
-for more.  A comes from one fraction-free solve Pstar(0) Y = d Q^(0,0)(0),
-whose single elimination serves all ell columns.
+for more.  Both evaluations are one simultaneous substitution
+{t: 0, lambda_00: c0 - t}, and A comes from one fraction-free solve
+Pstar(0) Y = d Q^(0,0)(0), whose single elimination serves all ell columns.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})
         qrows = []
-        for ai in range(len(alphas)):
-            e1, e2 = etas[ai]
-            dec = divide_one_form(H, e1 * RatFunc(xs), e2 * RatFunc(xs))
+        for e1, e2 in etas:
+            # canonical as it stands: the denominators are free of x
+            dec = divide_one_form(H, RatFunc(e1.num * xs, e1.den, canonical=True),
+                                  RatFunc(e2.num * xs, e2.den, canonical=True))
             qrows.append(dec.p)
         Q[tuple(s)] = FieldMatrix(qrows)
     return PfaffianSystem(H, Pstar, etas, Q, free_var)
@@ -137,13 +139,16 @@ class LinearODESystem:
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
     """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
     free_term_value; every other coefficient must already be concrete.
-    A = -Y/d for the solution P0 Y = d Qs of one solve on the cleared rows
-    of [P0 | Qs], each entry cancelled once and stored in descending term
-    order, so that A's storage is a function of its value."""
-    line = {sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
-            - MultiPoly.var("t")}
-    P0 = sys.Pstar0.subs(line)
-    Qs = sys.Q[(0, 0)].subs(line)
+    One simultaneous substitution {t: 0, lambda_00: c0 - t} into P* and
+    Q^(0,0) gives P0 and Qs, one cancellation per entry, and A = -Y/d for
+    the solution P0 Y = d Qs of one solve on the cleared rows of [P0 | Qs],
+    each entry cancelled once and stored in descending term order, so that
+    A's storage is a function of its value."""
+    pencil = {"t": MultiPoly.const(0),
+              sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
+              - MultiPoly.var("t")}
+    P0 = sys.Pstar.subs(pencil)
+    Qs = sys.Q[(0, 0)].subs(pencil)
     leftover = set()
     for e in P0.flatten() + Qs.flatten():
         leftover |= set(e.num.effective_vars()) | set(e.den.effective_vars())

@@ -47,10 +47,6 @@ class RatFunc:
         return RatFunc(MultiPoly.const(c, variables))
 
     @staticmethod
-    def var(name):
-        return RatFunc(MultiPoly.var(name), canonical=True)
-
-    @staticmethod
     def coerce(x, variables=()):
         if isinstance(x, RatFunc):
             return x

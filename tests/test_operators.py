@@ -16,7 +16,7 @@ from abelint.parsing import parse_operator, parse_poly
 from abelint.qi import GaussianRational
 from abelint.picard_fuchs import LinearODESystem
 from abelint.polynomials import MultiPoly
-from abelint.ratfunc import RatFunc
+from abelint.ratfunc import RatFunc, ratfunc_lcm_den
 
 T = ("t",)
 
@@ -52,12 +52,7 @@ def test_reduce_diagonal_system():
     one = RatFunc.const(Fraction(1), T)
     A = FieldMatrix([[one, one * 0], [one * 0, one + one]])
     ode = LinearODESystem(A, MultiPoly.const(Fraction(1), T))
-    D = reduce_to_scalar(ode, FieldMatrix.identity(2))
-    assert D.order == 2
-    app, t = sym_op(D)
-    assert sympy.simplify(app(sympy.exp(t))) == 0
-    assert sympy.simplify(app(sympy.exp(2 * t))) == 0
-    # the default start row tracks X[0] = c e^t alone
+    # X[0] = c e^t alone
     assert reduce_to_scalar(ode) == mk("D - 1")
 
 
@@ -68,13 +63,7 @@ def test_reduce_airy_like():
     one = RatFunc.const(Fraction(1), T)
     A = FieldMatrix([[zero, one], [t, zero]])
     ode = LinearODESystem(A, MultiPoly.const(Fraction(1), T))
-    D = reduce_to_scalar(ode, FieldMatrix.identity(2))
-    # joint annihilator of all fundamental-matrix entries: (D^2 - t)^2
-    assert D.order == 4
-    app, s = sym_op(D)
-    assert sympy.simplify(app(sympy.airyai(s))) == 0
-    assert sympy.simplify(app(sympy.airybi(s))) == 0
-    # the default start row tracks X[0] = y alone: Airy's equation
+    # X[0] = y alone: Airy's equation
     assert reduce_to_scalar(ode) == mk("D^2 - t")
 
 
@@ -161,9 +150,9 @@ def test_symmetrize_searches_over_q(monkeypatch):
     seen = []
     relation = operators._first_relation
 
-    def spy(A, start):
-        seen.extend(e for M in (A, start) for row in M.data for e in row)
-        return relation(A, start)
+    def spy(N, q):
+        seen.extend([e for row in N for e in row] + [q])
+        return relation(N, q)
 
     monkeypatch.setattr(operators, "_first_relation", spy)
     for D, gamma in ((mk("(t^2-1)*D^2 + t*D - 1"), circle_to_real_axis_map(0, 0, 1)),
@@ -171,7 +160,7 @@ def test_symmetrize_searches_over_q(monkeypatch):
         assert any(c.has_gaussian() for c in pullback(D, gamma).coeffs)
         symmetrize(D, gamma)
     assert seen
-    assert not any(e.num.has_gaussian() or e.den.has_gaussian() for e in seen)
+    assert not any(e.has_gaussian() for e in seen)
 
 
 def test_reflect_conjugates():
@@ -254,7 +243,14 @@ def _ratfunc_pullback(D, phi):
             aj = aj * phi_rf + RatFunc.const(c, T)
         for m, cm in enumerate(Mpow[k - i]):
             out[m] = out[m] + aj * cm
-    return standard_form(list(reversed(out)))
+    return _cleared_standard_form(list(reversed(out)))
+
+
+def _cleared_standard_form(rs):
+    """standard_form of rational coefficients, cleared by the lcm of their
+    denominators."""
+    den = ratfunc_lcm_den(rs)
+    return standard_form([r.cleared(den) for r in rs])
 
 
 def _rand_gauss(rng, gaussian):
@@ -307,7 +303,7 @@ def _ratfunc_first_relation(A, start):
         except NoSolution:
             R_list.append(nxt)
             continue
-        return standard_form([RatFunc.const(1)] + [-c[k - 1 - m] for m in range(k)])
+        return _cleared_standard_form([RatFunc.const(1)] + [-c[k - 1 - m] for m in range(k)])
     raise NoSolution("no relation")
 
 
@@ -351,29 +347,80 @@ def _rf(num, den="1"):
     return RatFunc(parse_poly(num, T), parse_poly(den, T))
 
 
+def _e0(n):
+    return FieldMatrix([[RatFunc.const(1 if j == 0 else 0, T) for j in range(n)]])
+
+
 def test_reduce_polynomial_rows_match_ratfunc_reference():
     """reduce_to_scalar on systems whose entries have different
-    denominators, from the identity, from a start row with rational entries
-    and from rows that meet a relation before rows * ell."""
+    denominators, over Q and Q(i), of sizes 2 and 3, and on one that meets a
+    relation before ell, is the operator of the RatFunc search from e0."""
     I = GaussianRational(0, 1)
     A = FieldMatrix([[_rf("t", "t^2 + 1"), _rf("1/3")],
                      [_rf("2", "t - 1"), _rf("t^2 - 5", "t^2 + 1")]])
     Ai = FieldMatrix([[RatFunc(MultiPoly(T, {(1,): I})), _rf("1", "t + 2")],
                       [_rf("t"), _rf("0")]])
-    starts = [FieldMatrix.identity(2),
-              FieldMatrix([[_rf("1/2"), _rf("3")]]),
-              FieldMatrix([[_rf("1", "t + 1"), _rf("t")]]),
-              FieldMatrix([[_rf("t", "t^2 + 1"), _rf("0")],
-                           [_rf("1"), _rf("2", "t - 3")]])]
-    # the two-row rational start over Q(i) alone takes seconds
-    for M, start in [(A, s) for s in starts] + [(Ai, s) for s in starts[:3]]:
-        ode = LinearODESystem(M, MultiPoly.const(1, T))
-        _assert_same_operator(reduce_to_scalar(ode, start),
-                              _ratfunc_first_relation(M, start))
-    # diag(1, 2) from the identity: a relation at k = 2 < rows * ell = 4
+    A3 = FieldMatrix([[_rf("0"), _rf("1", "t + 1"), _rf("t")],
+                      [_rf("2", "t - 3"), _rf("1/2"), _rf("0")],
+                      [_rf("t", "t^2 + 1"), _rf("3"), _rf("1", "t")]])
+    # diag(1, 2): X[0] = c e^t, a relation at k = 1 < ell = 2
     one, zero = RatFunc.const(1, T), RatFunc.zero(T)
     D = FieldMatrix([[one, zero], [zero, one + one]])
-    ode = LinearODESystem(D, MultiPoly.const(1, T))
-    ours = reduce_to_scalar(ode, FieldMatrix.identity(2))
-    assert ours.order == 2
-    _assert_same_operator(ours, _ratfunc_first_relation(D, FieldMatrix.identity(2)))
+    for M, order in ((A, 2), (Ai, 2), (A3, 3), (D, 1)):
+        ours = reduce_to_scalar(LinearODESystem(M, MultiPoly.const(1, T)))
+        assert ours.order == order
+        _assert_same_operator(ours, _ratfunc_first_relation(M, _e0(M.rows)))
+
+
+def _realified_ratfunc_system(D):
+    """Reference: the RatFunc companion matrix of lclm's real system, each
+    entry a_j / (p0 conj(p0)) or b_j / (p0 conj(p0)) cancelled, for
+    c_j = -p_{k-j} conj(p0) = a_j + i b_j."""
+    k, n = D.order, 2 * D.order
+    p0c = D.coeffs[0].conj_coeffs()
+    q = D.coeffs[0] * p0c
+    A = [[RatFunc.zero(T) for _ in range(n)] for _ in range(n)]
+    for i in range(k - 1):
+        A[i][i + 1] = A[k + i][k + i + 1] = RatFunc.const(1, T)
+    for j in range(k):
+        c = -D.coeffs[k - j] * p0c
+        cc = c.conj_coeffs()
+        a, b = (c + cc) * Fraction(1, 2), (cc - c) * GaussianRational(0, Fraction(1, 2))
+        A[k - 1][j], A[k - 1][k + j] = RatFunc(a, q), RatFunc(-b, q)
+        A[n - 1][j], A[n - 1][k + j] = RatFunc(b, q), RatFunc(a, q)
+    return A
+
+
+def test_lclm_system_is_realified_companion(monkeypatch):
+    """For random standard-form operators of orders 1-3 over Q and Q(i),
+    some with p0 and conj(p0) sharing a factor, lclm searches on N / q equal
+    to the realified companion matrix, and q is the lcm of its denominators
+    up to a rational scalar."""
+    import random
+
+    seen = []
+    relation = operators._first_relation
+
+    def spy(N, q):
+        seen.append((N, q))
+        return relation(N, q)
+
+    monkeypatch.setattr(operators, "_first_relation", spy)
+    rng = random.Random(23)
+    for case in range(12):
+        gaussian = case % 2 == 1
+        order = 1 + case % 3
+        coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 2)) for _ in range(order + 1)]
+        if case % 4 >= 2:  # a real factor common to p0 and conj(p0)
+            coeffs[0] = coeffs[0] * _rand_poly(rng, False, 1)
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.var("t") + 1
+        D = standard_form(coeffs)
+        seen.clear()
+        lclm(D)
+        (N, q), = seen
+        A = _realified_ratfunc_system(D)
+        assert all(RatFunc(N[i][j], q) == A[i][j] for i in range(len(A)) for j in range(len(A)))
+        lcm = ratfunc_lcm_den([e for row in A for e in row])
+        assert not q.has_gaussian()
+        assert q.primitive()[1] == lcm

@@ -9,7 +9,7 @@ from abelint.division import Hamiltonian
 from abelint.errors import LineInLocus
 from abelint.linalg import FieldMatrix
 from abelint.parsing import parse_poly
-from abelint.picard_fuchs import (LinearODESystem, derive_pfaffian,
+from abelint.picard_fuchs import (LinearODESystem, PfaffianSystem, derive_pfaffian,
                                   restrict_to_pencil, size_report)
 from abelint.polynomials import MultiPoly
 from abelint.ratfunc import RatFunc
@@ -43,6 +43,21 @@ def test_circle_singular_pencil_detected():
     system = derive_pfaffian(H)
     ode = restrict_to_pencil(system, free_term_value=0)
     assert [complex(z) for z in ode.singular_points] == [0j]
+
+
+def test_restriction_evaluates_q_at_zero(elliptic):
+    """Q^(0,0) enters A at t = 0, before lambda_00 = c0 - t: a term t M of
+    Q with M constant leaves A as it is."""
+    sys = elliptic.system
+    t = RatFunc(MultiPoly.var("t"))
+    Q = sys.Q[(0, 0)]
+    M = [[Fraction(1 + 2 * i - j, 3) for j in range(Q.cols)] for i in range(Q.rows)]
+    shifted = PfaffianSystem(sys.H, sys.Pstar, sys.etas,
+                             {(0, 0): FieldMatrix([[e + t * m for e, m in zip(row, mrow)]
+                                                   for row, mrow in zip(Q.data, M)])},
+                             sys.free_var)
+    A = restrict_to_pencil(shifted, free_term_value=0).A
+    assert A.flatten() == elliptic.ode.A.flatten()
 
 
 def test_derive_only_free_term_q(elliptic):

@@ -42,8 +42,8 @@ def test_canonical_encoding_golden():
         '[[[0], "1"], [[2], "1"]]}, '
         '{"type": "poly", "vars": ["t"], "terms": [[[0], {"re": "0", "im": "-2"}]]}]}')
     tt = parse_poly("t", t)
-    one = RatFunc(parse_poly("1", t))
-    D = standard_form([one / RatFunc(tt), one / RatFunc(tt - GaussianRational(0, 1))])
+    # (1/t) D + 1/(t - i), cleared by t (t - i)
+    D = standard_form([tt - GaussianRational(0, 1), tt])
     assert dumps(D, indent=None) == (
         '{"type": "operator", "coeffs": [{"type": "poly", "vars": ["t"], "terms": '
         '[[[0], {"re": "0", "im": "-1"}], [[1], "1"]]}, '
