@@ -27,15 +27,14 @@ from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
 from .polynomials import MultiPoly
 from .ratfunc import RatFunc, size_of
 from .serialize import dumps, loads
-from .slits import (Circle, SlitSystem, brute_force_cluster_diameter,
-                    build_slits, cluster_diameter_upper, is_admissible,
-                    normalized_length, regions)
+from .slits import (Circle, SlitSystem, build_slits, cluster_diameter_upper,
+                    is_admissible, normalized_length, regions)
 
 __all__ = [
     "AbelintError", "Circle", "ContourPath", "DiffOperator", "Hamiltonian",
     "MobiusMap", "MultiPoly", "RatFunc", "SlitSystem",
     "abelian_integral", "affine_slope", "annulus_zero_bound",
-    "basis_exponents", "brute_force_cluster_diameter", "build_slits",
+    "basis_exponents", "build_slits",
     "cluster_diameter_upper", "continue_solution", "count_real_zeros",
     "count_region_partition", "count_zeros", "critical_values",
     "derive_pfaffian", "divide_one_form", "divide_two_form", "dumps",

@@ -72,13 +72,18 @@ def _emit(obj):
 
 def _load_operator(args):
     if getattr(args, "operator", None):
-        return parse_operator(args.operator)
-    if getattr(args, "operator_file", None):
-        obj = loads(open(args.operator_file).read())
-        if not isinstance(obj, DiffOperator):
+        D = parse_operator(args.operator)
+    elif getattr(args, "operator_file", None):
+        D = loads(open(args.operator_file).read())
+        if not isinstance(D, DiffOperator):
             raise ParseError("file does not contain an operator")
-        return obj
-    raise ParseError("provide --operator or --operator-file")
+    else:
+        raise ParseError("provide --operator or --operator-file")
+    # no solution of an order-0 operator is nonzero: there is nothing to
+    # continue, count or bound
+    if D.order == 0:
+        raise ParseError("the operator has order 0; it needs a D term")
+    return D
 
 
 def _parse_points(spec):

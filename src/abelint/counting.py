@@ -108,36 +108,40 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
     scale = max(abs(piece.at(0.0)) + piece.length(), 1.0)
     if dist < MIN_PATH_DISTANCE * scale:
         raise PathTooClose(f"path at distance {dist} from the singular locus")
-    # |piece.velocity(s)| is the piece's length for every s
+    # |d piece.at(s)/ds| is the piece's length for every s
     max_step = (MAX_STEP_FACTOR * dist / piece.length()
                 if math.isfinite(dist) else 0.1)
     shape = Y0.shape
-    track = combo is not None
-    state0 = Y0.ravel()
-    if track:
+    at_velocity = piece.at_velocity
+    if combo is None:
+        state0 = Y0.ravel()
+
+        def rhs(s, state):
+            z, dz = at_velocity(s)
+            return (dz * (A(z) @ state.reshape(shape))).ravel()
+    else:
         w0 = complex(np.dot(combo, Y0[:, 0]))
         if w0 == 0:
             raise ZeroOnPath("tracked combination vanishes at path start")
-        state0 = np.concatenate([state0, [complex(phi0, 0.0)]])
-    min_w = [float("inf")]
+        state0 = np.concatenate([Y0.ravel(), [complex(phi0, 0.0)]])
+        min_w = math.inf
 
-    def rhs(s, state):
-        z = piece.at(s)
-        dz = piece.velocity(s)
-        if track:
+        def rhs(s, state):
+            """(dY, d arg w) for state (Y, arg w); a new array per call, as
+            the integrator keeps the one it gets as the step's slope."""
+            nonlocal min_w
+            z, dz = at_velocity(s)
             Y = state[:-1].reshape(shape)
-        else:
-            Y = state.reshape(shape)
-        dY = dz * (A(z) @ Y)
-        if not track:
-            return dY.ravel()
-        w = complex(np.dot(combo, Y[:, 0]))
-        dw = complex(np.dot(combo, dY[:, 0]))
-        aw = abs(w)
-        if aw < min_w[0]:
-            min_w[0] = aw
-        dphi = (dw / w).imag if aw > 0 else 0.0
-        return np.concatenate([dY.ravel(), [complex(dphi, 0.0)]])
+            out = np.empty(len(state), dtype=complex)
+            dY = out[:-1].reshape(shape)
+            np.multiply(dz, A(z) @ Y, out=dY)
+            w = complex(np.dot(combo, Y[:, 0]))
+            dw = complex(np.dot(combo, dY[:, 0]))
+            aw = abs(w)
+            if aw < min_w:
+                min_w = aw
+            out[-1] = (dw / w).imag if aw > 0 else 0.0
+            return out
 
     sol = solve_ivp(rhs, (0.0, 1.0), state0.astype(complex), method="DOP853",
                     rtol=RTOL, atol=ATOL, max_step=max_step,
@@ -145,14 +149,14 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
     if not sol.success:
         raise ToleranceNotMet(f"integrator failed: {sol.message}")
     final = sol.y[:, -1]
-    if track:
-        Yf = final[:-1].reshape(shape)
-        phif = float(final[-1].real)
-        wscale = float(np.max(np.abs(Yf))) or 1.0
-        if min_w[0] < ZERO_ON_PATH_TOL * wscale:
-            raise ZeroOnPath(f"|w| dropped to {min_w[0]} on the path")
-        return Yf, phif
-    return final.reshape(shape), None
+    if combo is None:
+        return final.reshape(shape), None
+    Yf = final[:-1].reshape(shape)
+    phif = float(final[-1].real)
+    wscale = float(np.max(np.abs(Yf))) or 1.0
+    if min_w < ZERO_ON_PATH_TOL * wscale:
+        raise ZeroOnPath(f"|w| dropped to {min_w} on the path")
+    return Yf, phif
 
 
 def _continue(obj, path: ContourPath, Y, combo=None):

@@ -5,38 +5,61 @@ Ovals {H = t} are traced with a fixed-step RK4 walk along the unit tangent
 step.  Line integrals of monomial one-forms are accumulated alongside by the
 midpoint rule; accuracy is validated by step-halving self-convergence.  The
 walk runs on Python float pairs, which cost less than 2-element arrays.
+H, its gradient, the unit tangent and the integrands are straight-line
+functions generated once per level curve (`polynomials.straight_line`): each
+sums c * x1 ** e1 * x2 ** e2 over the terms in stored order, with the floats
+of a loop over the terms.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotClosed, SeedOffCurve, ToleranceNotMet, UnsupportedInput
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, straight_line
 
 
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
 
-def _compile(poly: MultiPoly):
-    terms = [(e, complex(c) if not isinstance(c, (int, float)) else float(c))
-             for e, c in poly.terms.items()]
-    terms = [(e, c.real if isinstance(c, complex) and c.imag == 0 else c)
-             for e, c in terms]
+def _terms(poly: MultiPoly):
+    """(coefficient, factor sources) per stored term of a polynomial in
+    (x1, x2): a float coefficient, or a complex one when it is not real.
+    With a float coefficient the factors x ** 0 (1.0) and x ** 1 (x) are
+    left out, which keeps every float; a complex one keeps both, as
+    complex * 1.0 can move a signed zero."""
+    out = []
+    for (e1, e2), c in poly.terms.items():
+        c = complex(c)
+        if c.imag == 0:
+            c = c.real
+        if isinstance(c, complex):
+            factors = [f"x1 ** {e1}", f"x2 ** {e2}"]
+        else:
+            factors = [f"{v} ** {e}" if e > 1 else v
+                       for v, e in (("x1", e1), ("x2", e2)) if e]
+        out.append((c, factors))
+    return out
 
-    def fn(x1, x2):
-        s = 0.0
-        for (e1, e2), c in terms:
-            s += c * x1 ** e1 * x2 ** e2
-        return s
-    return fn
+
+def _compile(polys, tail=None, env=None):
+    """One function of (x1, x2) that returns the values of polys, each
+    summed from 0.0 in stored term order as c * x1 ** e1 * x2 ** e2; `tail`
+    replaces the return, reading the values as v0, v1, ..."""
+    names = [f"v{i}" for i in range(len(polys))]
+    sums = [(v, "0.0", _terms(p)) for v, p in zip(names, polys)]
+    tail = tail or [f"return ({''.join(v + ', ' for v in names)})"]
+    return straight_line(("x1", "x2"), sums, tail, env)
 
 
 class LevelCurve:
-    """Real level curves of a polynomial in (x1, x2) with float evaluation."""
+    """Real level curves of a polynomial in (x1, x2) with float evaluation:
+    H, its gradient and the unit tangent (-H_x2, H_x1) / |grad H| are each
+    one compiled kernel."""
 
     def __init__(self, H: MultiPoly):
         if tuple(H.vars) != ("x1", "x2"):
@@ -47,12 +70,14 @@ class LevelCurve:
                     f"level curves need a polynomial in x1, x2; got {sorted(extra)}")
             H = H.extend(("x1", "x2"))
         self.H = H
-        self.f = _compile(H)
-        self.fx = _compile(H.diff("x1"))
-        self.fy = _compile(H.diff("x2"))
-
-    def grad(self, x, y):
-        return self.fx(x, y), self.fy(x, y)
+        grad = [H.diff("x1"), H.diff("x2")]
+        self.f = _compile([H], ["return v0"])
+        self.grad = _compile(grad)
+        self.tangent = _compile(grad, [
+            "n = hypot(v0, v1)",
+            "if n < 1e-14:",
+            "    raise NotClosed('level curve passes through a critical point')",
+            "return -v1 / n, v0 / n"], {"hypot": math.hypot, "NotClosed": NotClosed})
 
     def project(self, p, t):
         """Newton projection of the float pair p to {H = t} along the
@@ -80,9 +105,8 @@ def critical_values(H: MultiPoly):
     merged.  Returns a sorted list of floats.
     """
     curve = LevelCurve(H)
-    fxx = _compile(curve.H.diff("x1").diff("x1"))
-    fxy = _compile(curve.H.diff("x1").diff("x2"))
-    fyy = _compile(curve.H.diff("x2").diff("x2"))
+    Hx, Hy = curve.H.diff("x1"), curve.H.diff("x2")
+    hessian = _compile([Hx.diff("x1"), Hx.diff("x2"), Hy.diff("x2")])
     pts = []
     xs = np.linspace(-4.0, 4.0, 24)
     for x0 in xs:
@@ -94,8 +118,8 @@ def critical_values(H: MultiPoly):
                 if g @ g < 1e-28:
                     ok = True
                     break
-                J = np.array([[fxx(p[0], p[1]), fxy(p[0], p[1])],
-                              [fxy(p[0], p[1]), fyy(p[0], p[1])]])
+                fxx, fxy, fyy = hessian(p[0], p[1])
+                J = np.array([[fxx, fxy], [fxy, fyy]])
                 try:
                     step = np.linalg.solve(J, g)
                 except np.linalg.LinAlgError:
@@ -114,17 +138,11 @@ def critical_values(H: MultiPoly):
 
 
 def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
-    """One RK4 pass around the oval, integrating g dx2 for each g in forms;
-    returns (integrals, perimeter, area2)."""
+    """One RK4 pass around the oval, integrating g dx2 for each polynomial g
+    in forms; returns (integrals, perimeter, area2)."""
     x0, y0 = curve.project(seed, t)
-
-    def tangent(x, y):
-        g0, g1 = curve.grad(x, y)
-        n = math.hypot(g0, g1)
-        if n < 1e-14:
-            raise NotClosed("level curve passes through a critical point")
-        return -g1 / n, g0 / n
-
+    tangent = curve.tangent
+    integrands = _compile(forms)
     acc = [0.0] * len(forms)
     area2 = 0.0
     length = 0.0
@@ -133,8 +151,8 @@ def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
         """Add the chord (x, y) -> (xn, yn), integrands taken at (mx, my)."""
         nonlocal area2, length
         dx, dy = xn - x, yn - y
-        for i, g in enumerate(forms):
-            acc[i] += g(mx, my) * dy
+        for i, g in enumerate(integrands(mx, my)):
+            acc[i] += g * dy
         area2 += x * yn - xn * y
         length += math.hypot(dx, dy)
 
@@ -175,14 +193,9 @@ def trace_oval(H: MultiPoly, t: float, seed, h=1e-2):
 
 
 def _monomial_form(alpha):
-    """Compiled g with the integrand g dx2 for basis index alpha."""
+    """g with the integrand g dx2 for basis index alpha."""
     a1, a2 = alpha
-    x1 = MultiPoly.var("x1", ("x1", "x2"))
-    x2 = MultiPoly.var("x2", ("x1", "x2"))
-    from fractions import Fraction
-    g2 = (x1 ** (a1 + 1)) * (x2 ** a2) * MultiPoly.const(Fraction(1, a1 + 1),
-                                                         ("x1", "x2"))
-    return _compile(g2)
+    return MultiPoly(("x1", "x2"), {(a1 + 1, a2): Fraction(1, a1 + 1)})
 
 
 def abelian_integral(H: MultiPoly, t: float, seed, alphas, h=1e-2,

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
+
 from .errors import NoSolution, UnsupportedInput
 from .linalg import check_solution, solve_linear
-from .polynomials import MultiPoly, primitive_parts
+from .polynomials import MultiPoly, float_overflow, primitive_parts, straight_line
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -45,6 +47,7 @@ class DiffOperator:
         if not coeffs:
             raise ValueError("zero operator")
         self.coeffs = coeffs
+        self._companion = None
 
     @property
     def order(self):
@@ -68,20 +71,38 @@ class DiffOperator:
         return " + ".join(bits)
 
     def companion_rhs(self, t):
-        """y-vector (y, y', ..., y^(k-1)) derivative at t; top row from D=0."""
-        import numpy as np
-
-        k = self.order
-        p0 = self.coeffs[0].eval_complex({"t": t})
-        M = np.zeros((k, k), dtype=complex)
-        for i in range(k - 1):
-            M[i, i + 1] = 1.0
-        for j in range(1, k + 1):
-            M[k - 1, k - j] = -self.coeffs[j].eval_complex({"t": t}) / p0
-        return M
+        """y-vector (y, y', ..., y^(k-1)) derivative at t; top row from D=0.
+        The entries are the floats of `-eval_complex(p_j) / eval_complex(p0)`,
+        from a kernel compiled on the first call."""
+        if self._companion is None:
+            self._companion = _companion_kernel(self.coeffs)
+        try:
+            return self._companion(t)
+        except OverflowError as exc:
+            raise float_overflow(exc) from None
 
     def leading_roots(self):
         return self.coeffs[0].univar_roots("t")
+
+
+def _companion_kernel(coeffs):
+    """t -> the companion matrix of p0 d^k + ... + pk (k >= 1): a copy of the
+    constant rows above the last, which holds -p_j(t) / p0(t) at column k - j,
+    each p_j(t) summed in the order and with the floats of `eval_complex`."""
+    k = len(coeffs) - 1
+    if k < 1:
+        raise UnsupportedInput("an operator of order 0 has no companion system")
+    if any(set(p.effective_vars()) - {"t"} for p in coeffs):
+        raise UnsupportedInput("operator coefficients must be polynomials in t")
+    base = np.zeros((k, k), dtype=complex)
+    for i in range(k - 1):
+        base[i, i + 1] = 1.0
+    sums = [(f"p{j}", "0j", [(c, [f"t ** {e}" for _, e in mono])
+                             for c, mono in p.numeric_terms()])
+            for j, p in enumerate(coeffs)]
+    row = ", ".join(f"-p{j} / p0" for j in range(k, 0, -1))
+    return straight_line(("t",), sums, ["M = base.copy()", f"M[-1] = ({row},)",
+                                        "return M"], {"base": base})
 
 
 def standard_form(coeffs) -> DiffOperator:

@@ -14,7 +14,9 @@ normal-form rule (`primitive_parts`: divide by the leading coefficient of the
 first nonzero polynomial, then by the positive joint rational content),
 which gives every object over Q or Q(i) one representative, the lcm, the
 exact rank at a point and the roots of a univariate polynomial.  It is the
-only module that imports sympy.
+only module that imports sympy.  `straight_line` generates the float kernels
+of the numeric layers: sums of terms written out as one expression, with
+the float operations of a loop over the terms.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _log2_abs(c):
     parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
     return max(q.numerator.bit_length() - q.denominator.bit_length()
                for q in map(Fraction, parts) if q)
+
+
+def float_overflow(exc):
+    """The NumericOverflow for an OverflowError of a polynomial evaluation."""
+    return NumericOverflow(f"polynomial evaluation exceeds the float range: {exc}")
 
 
 def _coef_out(c, domain):
@@ -297,23 +304,32 @@ class MultiPoly:
             [(R.gens[vs.index(k)], p.poly.set_ring(R)) for k, p in mapping.items()])
         return MultiPoly._new(out, f.set_ring(_ring(out, domain)))
 
-    def eval_complex(self, point):
-        """Numeric evaluation; point maps every variable to a complex number.
-        A coefficient or power beyond the float range raises NumericOverflow."""
-        try:
-            if self._numeric is None:
-                domain = self.poly.ring.domain
+    def numeric_terms(self):
+        """(complex coefficient, [(variable, exponent), ...]) per stored term,
+        nonzero exponents only: what `eval_complex` sums.  A coefficient
+        beyond the float range raises NumericOverflow."""
+        if self._numeric is None:
+            domain = self.poly.ring.domain
+            try:
                 self._numeric = [
                     (complex(float(c), 0.0) if domain is QQ else complex(float(c.x), float(c.y)),
                      [(v, e) for v, e in zip(self.vars, exp) if e])
                     for exp, c in self.poly.items()]
+            except OverflowError as exc:
+                raise float_overflow(exc) from None
+        return self._numeric
+
+    def eval_complex(self, point):
+        """Numeric evaluation; point maps every variable to a complex number.
+        A coefficient or power beyond the float range raises NumericOverflow."""
+        try:
             total = 0j
-            for v, mono in self._numeric:
+            for v, mono in self.numeric_terms():
                 for name, e in mono:
                     v *= point[name] ** e
                 total += v
         except OverflowError as exc:
-            raise NumericOverflow(f"polynomial evaluation exceeds the float range: {exc}") from None
+            raise float_overflow(exc) from None
         return total
 
     # -- norms / content -----------------------------------------------------------
@@ -499,3 +515,50 @@ def rank_at_point(rows):
 
     vals = [[value(p) for p in row] for row in rows]
     return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()
+
+
+# ---------------------------------------------------------------------------
+# straight-line numeric kernels
+
+TERMS_PER_LINE = 64   # a longer chain of + can exhaust the compiler's recursion
+
+
+@lru_cache(maxsize=256)
+def _kernel_factory(source):
+    scope = {}
+    exec(compile(source, "<abelint kernel>", "exec"), scope)
+    return scope["make"]
+
+
+def straight_line(args, sums, tail, env=None):
+    """A function of `args` that evaluates each sum (target, start, terms)
+    into the local `target`, then runs the source lines `tail`.
+
+    Each term is (coefficient, factor sources): the text
+    `target = start + c0 * f00 * f01 + c1 * f10 + ...` that Python evaluates
+    left to right, so it makes the float operations of the loop
+    `s = start; for c, fs in terms: v = c; for f in fs: v = v * f; s = s + v`
+    in the same order.  Coefficients and the names in `env` reach the
+    function as closure variables, so the source text holds only the shape
+    of the sums, and its compiled code is shared by every caller with that
+    shape.  Every source fragment must be built from fixed names and
+    integers, never from input text.
+    """
+    env = dict(env or {})
+    consts, lines = [], []
+    for target, start, terms in sums:
+        parts = []
+        for c, factors in terms:
+            parts.append(" * ".join([f"c{len(consts)}", *factors]))
+            consts.append(c)
+        lines.append(f"{target} = " + " + ".join([start] + parts[:TERMS_PER_LINE]))
+        for i in range(TERMS_PER_LINE, len(parts), TERMS_PER_LINE):
+            lines.append(f"{target} = " + " + ".join([target] + parts[i:i + TERMS_PER_LINE]))
+    names = "".join(f"c{i}, " for i in range(len(consts)))
+    source = "".join(
+        [f"def make(_c, {', '.join(env)}):\n",
+         f"    {names}= _c\n" if consts else "",
+         f"    def kernel({', '.join(args)}):\n"]
+        + [f"        {line}\n" for line in lines + list(tail)]
+        + ["    return kernel\n"])
+    return _kernel_factory(source)(tuple(consts), **env)

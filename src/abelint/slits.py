@@ -50,9 +50,10 @@ class Segment:
         """The point at parameter s in [0, 1]."""
         return self.z0 + s * (self.z1 - self.z0)
 
-    def velocity(self, s):
-        """d/ds of at(s)."""
-        return self.z1 - self.z0
+    def at_velocity(self, s):
+        """(at(s), d/ds of at(s))."""
+        d = self.z1 - self.z0
+        return self.z0 + s * d, d
 
     def dist_to_point(self, p: complex) -> float:
         d = self.z1 - self.z0
@@ -81,10 +82,11 @@ class Arc:
         a = self.a0 + s * (self.a1 - self.a0)
         return self.center + self.radius * cmath.exp(1j * a)
 
-    def velocity(self, s):
-        """d/ds of at(s)."""
-        a = self.a0 + s * (self.a1 - self.a0)
-        return self.radius * (self.a1 - self.a0) * 1j * cmath.exp(1j * a)
+    def at_velocity(self, s):
+        """(at(s), d/ds of at(s)) from one exp."""
+        sweep = self.a1 - self.a0
+        e = cmath.exp(1j * (self.a0 + s * sweep))
+        return self.center + self.radius * e, self.radius * sweep * 1j * e
 
     def dist_to_point(self, p: complex) -> float:
         v = p - self.center
@@ -515,99 +517,6 @@ def cluster_diameter_upper(points):
     """(total normalized length, system) for the constructive slit system."""
     system = build_slits(points)
     return system.total_normalized_length(), system
-
-
-# ---------------------------------------------------------------------------
-# brute force reference
-
-
-def brute_force_cluster_diameter(points):
-    """Grid search over small admissible systems; returns (value, system).
-
-    The candidate grid is seeded with the constructive system, so the result
-    never exceeds cluster_diameter_upper.
-    """
-    pts = [complex(p) for p in points]
-    if len(pts) > 3:
-        raise UnsupportedInput("brute force supports at most 3 points")
-    upper_val, upper_sys = cluster_diameter_upper(pts)
-
-    # candidate inner circles per point
-    def nearest_other(p):
-        return min((abs(p - q) for q in pts if q != p), default=2.0)
-
-    inner_cands = []
-    for p in pts:
-        sep = nearest_other(p)
-        cands = [Circle(p, f * sep) for f in (1 / 3, 1 / 2.5, 1 / 2.2, 1 / 2)]
-        for c in upper_sys.circles:
-            if abs(c.center - p) < 1e-12 and all(
-                    abs(q - p) > c.radius for q in pts if q != p):
-                cands.append(c)
-        inner_cands.append(cands)
-
-    # candidate enclosing circles
-    extra = list(upper_sys.circles)
-    centers = [sum(pts) / len(pts)] + [(a + b) / 2 for i, a in enumerate(pts)
-                                       for b in pts[i + 1:]]
-    diam = _diameter(pts) or 1.0
-    for c in centers:
-        reach = max(abs(c - p) for p in pts)
-        for f in [1.3, 1.8, 2.5, 1.0 + diam / max(reach, 1e-12)]:
-            extra.append(Circle(c, reach * f))
-
-    import itertools
-
-    best = (upper_val, upper_sys)
-    for inner_combo in itertools.product(*inner_cands):
-        for k in range(2):   # at most one circle beyond the inner ones
-            for extras in itertools.combinations(extra, k):
-                circles = list(inner_combo) + list(extras)
-                sys_try = _try_system(circles, pts)
-                if sys_try is None:
-                    continue
-                val = sys_try.total_normalized_length()
-                if val < best[0]:
-                    best = (val, sys_try)
-    return best
-
-
-def _try_system(circles, pts):
-    """Route minimal slits for a candidate circle family; None if invalid."""
-    scale = max(c.radius for c in circles)
-    tol = GEOM_TOL * scale
-    segments = []
-    try:
-        children, roots, _, host_pts = _nesting(circles, pts, tol)
-        # unbounded region: glue multiple roots together (annulus allowed)
-        if host_pts[None]:
-            return None
-        if len(roots) > 1:
-            kid_circles = [circles[i] for i in roots]
-            big = Circle(sum(c.center for c in kid_circles) / len(kid_circles),
-                         1e9 * max(c.radius for c in kid_circles))
-            segs = _region_mst_segments(big, kid_circles, pts, circles, tol)
-            segments.extend(segs)
-        for i in range(len(circles)):
-            kids = children[i]
-            if host_pts[i] and kids:
-                return None
-            if host_pts[i] and len(host_pts[i]) > 1:
-                return None
-            if not kids:
-                continue
-            if len(kids) == 1 and not host_pts[i]:
-                continue  # annulus, no slits needed
-            kid_circles = [circles[k] for k in kids]
-            segs = _region_mst_segments(circles[i], kid_circles, pts, circles, tol)
-            # leave the parent out when the children alone glue to one blob
-            segments.extend(segs)
-    except UnsupportedInput:
-        return None
-    system = SlitSystem(list(circles), segments, pts)
-    if not is_admissible(system):
-        return None
-    return system
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from abelint.picard_fuchs import derive_pfaffian, restrict_to_pencil
 from abelint.polynomials import MultiPoly
 from abelint.ratfunc import RatFunc, raw_prod_size, raw_sum_size, size_of
 from abelint.linalg import FieldMatrix
-from abelint.slits import (Circle, brute_force_cluster_diameter, build_slits,
-                           cluster_diameter_upper, is_admissible)
+from abelint.slits import (Circle, build_slits, cluster_diameter_upper,
+                           is_admissible)
+from slit_oracle import brute_force_cluster_diameter
 
 X = ("x1", "x2")
 

@@ -341,6 +341,19 @@ def test_nonfinite_or_nonpositive_floats_rejected(capsys, args):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ("monodromy", "--radius", "1"),
+    ("bound", "--inner-radius", "0.5", "--outer-radius", "2"),
+    ("count", "--radius", "1", "--y0", "1"),
+    ("slope",),
+])
+@pytest.mark.parametrize("operator", ["7", "0*D + 1"])
+def test_order_zero_operator_rejected(capsys, args, operator):
+    code, out, err = run(capsys, args[0], "--operator", operator, *args[1:])
+    assert code == 2 and out == ""
+    assert "order 0" in err
+
+
 def test_annulus_bound_needs_both_radii(capsys):
     for radii in ((), ("--inner-radius", "0.5"), ("--outer-radius", "2")):
         code, _, err = run(capsys, "bound", "--operator", "t*D - 1", *radii)

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from abelint.errors import UnsupportedInput
-from abelint.slits import (Arc, Circle, Segment, SlitSystem,
-                           brute_force_cluster_diameter, build_slits,
+from abelint.slits import (Arc, Circle, Segment, SlitSystem, build_slits,
                            cluster_diameter_upper, is_admissible,
                            normalized_length, regions, svg_export)
 from abelint.slits import GEOM_TOL, _seg_crosses_circle
+from slit_oracle import brute_force_cluster_diameter
 
 
 def rand_points(rng, k, spread=10.0):
@@ -86,6 +86,16 @@ def test_oracle_sandwich():
         ub, _ = cluster_diameter_upper(pts)
         assert bf <= ub + 1e-12
         assert ub <= 4 * bf + 1e-12
+
+
+def test_at_velocity_is_the_point_and_its_derivative():
+    for piece in (Arc(0.5 - 1j, 2.0, 0.3, -4.0), Segment(1 + 2j, -0.5 + 0.25j)):
+        for s in (0.0, 0.37, 1.0):
+            z, dz = piece.at_velocity(s)
+            assert z == piece.at(s)
+            h = 1e-6
+            fd = (piece.at(s + h) - piece.at(s - h)) / (2 * h)
+            assert abs(dz - fd) < 1e-6 * piece.length()
 
 
 def test_inadmissible_examples():

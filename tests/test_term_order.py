@@ -11,19 +11,27 @@ in descending order, so its hash moved once when that began; no float reads
 A's storage order (`test_eval_ignores_term_storage`).
 """
 
+import cmath
 import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
 from abelint.cli import main
-from abelint.division import Hamiltonian
+from abelint.counting import (ContourPath, continue_solution, monodromy,
+                              variation_of_argument)
+from abelint.division import Hamiltonian, basis_exponents
+from abelint.integrals import abelian_integral, critical_values
 from abelint.operators import reduce_to_scalar
 from abelint.linalg import FieldMatrix
-from abelint.parsing import parse_poly
+from abelint.parsing import parse_operator, parse_poly
 from abelint.picard_fuchs import LinearODESystem, derive_pfaffian, restrict_to_pencil
 from abelint.polynomials import MultiPoly
-from abelint.ratfunc import RatFunc
+from abelint.ratfunc import RatFunc, ratfunc_lcm_den
+from abelint.serialize import loads
+from abelint.slits import Circle
 
 # perfbench's random_hamiltonian(random.Random(1)), the seed-1 `derive` input
 RANDOM1 = ("x1^3 + x2^3 + (3)*x1^0*x2^0 + (0)*x1^0*x2^1 + (0)*x1^0*x2^2"
@@ -116,3 +124,61 @@ def test_eval_ignores_term_storage():
         assert np.array_equal(other.eval(t), ode.eval(t))
     assert _hash([_poly(c) for c in reduce_to_scalar(other).coeffs]) == \
         _hash([_poly(c) for c in reduce_to_scalar(ode).coeffs])
+
+
+# sha256 of repr() of numeric outputs of the quadrature, continuation and
+# winding code, recorded before their inner loops became generated
+# straight-line kernels: those keep every float operation and its order
+ELLIPTIC_A = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "data", "elliptic_A.json")
+NUMERIC_SHA256 = {
+    "integral -0.2": "2ffd7591ff7ee9e64261e835e438916bfdf5e929e7aed03fcd8d90bfb9ffeac5",
+    "integral 0.0": "9060825700d26512d1c7df6d4bec852e925a6c3b7b0b6ed2b1e52319008ad474",
+    "integral 0.2": "565d4250a36f51b8641d9bba1c33be7b167f5e3fb5631313472facd8213dd301",
+    "integral quartic": "e66cefbda5dc0e02ac800e40231aac0a3cfc8b7403995a4c968ef10cd7a05a2f",
+    "critical values": "4cd9e07f76a949b256f0d4e017b5dffa7cebe16b72d553757f747e171e5cd8e6",
+    "continue": "7e2a6c0d28b92a8ddc8822aa9ca47a92285b15e37df14f0aae0524b32f1bb261",
+    "monodromy": "bcc27b68344cf48c45e2071a31eff44a5e0f4446dbee5f45270540f9d005b686",
+    "phi sin": "9f6014273371ca7e66915114310c9b55bfe1c2dfd5f0129c3e7e90fd4ac8e36d",
+    "phi periods": "778b9dcf072e7f40f063bee2a1acf505601a19117c9d3807841c571586e6147e",
+}
+
+
+def _numeric_outputs():
+    elliptic = parse_poly("x2^2/2 + x1^3 - x1", ("x1", "x2"))
+    quartic = parse_poly("x1^4+x2^4+x1*x2-x1", ("x1", "x2"))
+    with open(ELLIPTIC_A) as fh:
+        A = loads(json.dumps({"A": json.load(fh)}))["A"]
+    ode = LinearODESystem(A, ratfunc_lcm_den(A.flatten()))
+    out = {}
+    for t in (-0.2, 0.0, 0.2):
+        out[f"integral {t}"] = abelian_integral(elliptic, t, (0.5, 1.0),
+                                                basis_exponents(2))
+    out["integral quartic"] = abelian_integral(quartic, 1.0, (1.0, 0.5),
+                                               basis_exponents(3))
+    out["critical values"] = (critical_values(elliptic), critical_values(quartic))
+    # arrays as lists: the repr of an array rounds its entries
+    out["continue"] = continue_solution(
+        ode, ContourPath.from_points([0.1, 0.1j, -0.1]), np.eye(4)).tolist()
+    out["monodromy"] = [
+        monodromy(parse_operator(text), ContourPath.from_circle(Circle(c, r))).tolist()
+        for text, c, r in (("t*D - 1/2", 0j, 1.0),
+                           ("(t^2+4)*D^2+t*D+1", 0.5 + 0.5j, 3.0))]
+    c = Circle(1 + 0j, 2.5)
+    z0 = c.point_at(0.0)
+    out["phi sin"] = variation_of_argument(
+        parse_operator("D^2 + 1"), ContourPath.from_circle(c),
+        [cmath.sin(z0), cmath.cos(z0)])[0]
+    y0 = np.array(abelian_integral(elliptic, 0.25, (0.5, 1.0), basis_exponents(2)),
+                  dtype=complex)
+    Xs = abelian_integral(elliptic, 0.18, (0.5, 1.0), basis_exponents(2))
+    out["phi periods"] = variation_of_argument(
+        ode, ContourPath.from_circle(Circle(0j, 0.25)), y0,
+        combo=[Xs[2], 0.0, -Xs[0], 0.0])[0]
+    return out
+
+
+def test_numeric_outputs_are_unchanged():
+    got = {name: hashlib.sha256(repr(v).encode()).hexdigest()
+           for name, v in _numeric_outputs().items()}
+    assert got == NUMERIC_SHA256
