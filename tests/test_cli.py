@@ -281,6 +281,39 @@ def test_bound_circles_not_nested(capsys, circles):
     assert "not strictly nested" in err
 
 
+@pytest.mark.parametrize("radii", [
+    ("--inner-radius", "1e-300", "--outer-radius", "1e300"),
+    ("--inner-radius", "1e300", "--outer-radius", "1e301"),
+])
+def test_bound_chart_scale_below_resolution(capsys, radii):
+    # a chart scale below the 1e-12 resolution of the rational charts rounded
+    # to 0 and ended in a "degenerate Moebius map" traceback
+    code, out, err = run(capsys, "bound", "--operator", "t*D-1", *radii)
+    assert code == 3 and out == ""
+    assert "chart scale" in err and "Traceback" not in err
+
+
+def test_count_leaving_the_float_range_exits_promptly():
+    # every companion value on this circle is non-finite; the integrator
+    # used to keep stepping on them for more than 30 s
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    res = subprocess.run([sys.executable, "-m", "abelint.cli", "count", "--operator",
+                          "D^2+t^3", "--radius", "1e100", "--y0", "1;0"],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert res.returncode == 3 and res.stdout == ""
+    assert "float range" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_count_initial_step_underflow(capsys):
+    # the first step estimate underflows to 0 on this circle; continuation
+    # must still end in exit 3, as with scipy's solve_ivp
+    code, out, err = run(capsys, "count", "--operator", "D^2 + 1", "--radius", "1e200",
+                         "--y0", "1;0")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+
+
 def test_cli_import_skips_scipy():
     # scipy.integrate (about 1 s to import) loads on the first continuation
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

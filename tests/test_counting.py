@@ -8,13 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from abelint import counting
 from abelint.counting import (QU_MAX_ORDER, AnnulusBound, ContourPath,
                               annulus_bound_formula, annulus_zero_bound,
                               continue_solution, count_region_partition,
                               count_zeros, is_quasiunipotent, monodromy,
                               var_arg_bound, variation_of_argument)
-from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, PathTooClose,
-                            UnsupportedInput, ZeroOnPath)
+from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
+                            PathTooClose, UnsupportedInput, ZeroOnPath)
 from abelint.operators import MobiusMap
 from abelint.parsing import parse_operator
 from abelint.qi import GaussianRational
@@ -275,3 +276,123 @@ def test_annulus_bound_needs_nested_circles(inner, outer):
         annulus_zero_bound(D, inner, outer)
     with pytest.raises(UnsupportedInput, match="not strictly nested"):
         annulus_zero_bound(D, outer, inner)
+
+
+class _PolySystem:
+    """dY/dt = A(t) Y with a 3 x 3 polynomial A: no singular points."""
+    ell = 3
+    singular_points = ()
+
+    def eval(self, t):
+        return np.array([[0, 1, t], [t * t, 0, 1], [1, -t, 0.5j]], dtype=complex)
+
+
+def _solve_ivp_piece(A, piece, Y0, combo, max_step):
+    """(final Y, phi, nfev) of one piece by scipy's solve_ivp, the oracle the
+    in-house stepper must follow: the right-hand side in numpy, as
+    continuation computed it before."""
+    from scipy.integrate import solve_ivp
+    shape = Y0.shape
+
+    def rhs(s, state):
+        z, dz = piece.at_velocity(s)
+        if combo is None:
+            return (dz * (A(z) @ state.reshape(shape))).ravel()
+        Y = state[:-1].reshape(shape)
+        dY = dz * (A(z) @ Y)
+        w, dw = np.dot(combo, Y[:, 0]), np.dot(combo, dY[:, 0])
+        return np.append(dY.ravel(), (dw / w).imag)
+
+    state0 = Y0.ravel() if combo is None else np.append(Y0.ravel(), 0.0)
+    sol = solve_ivp(rhs, (0.0, 1.0), state0.astype(complex), method="DOP853",
+                    rtol=counting.RTOL, atol=counting.ATOL, max_step=max_step)
+    assert sol.success
+    final = sol.y[:, -1]
+    if combo is None:
+        return final.reshape(shape), None, sol.nfev
+    return final[:-1].reshape(shape), final[-1].real, sol.nfev
+
+
+def _sin_circle():
+    c = Circle(1 + 0j, 2.5)
+    z0 = c.point_at(0.0)
+    return (parse_operator("D^2 + 1"), c, np.array([[cmath.sin(z0)], [cmath.cos(z0)]]),
+            np.array([1, 0], dtype=complex))
+
+
+@pytest.mark.parametrize("source, circle, Y0, combo", [
+    _sin_circle(),
+    # the step cap 0.2 / (2 pi) decides the step around the pole at 0
+    (parse_operator("t*D - 1/2"), Circle(0j, 1.0), np.eye(1, dtype=complex), None),
+    (_PolySystem(), Circle(0.5j, 1.5), np.array([[1], [0.5j], [-1]], dtype=complex),
+     np.array([1, 2, 0.5j])),
+])
+def test_stepper_follows_solve_ivp(source, circle, Y0, combo):
+    """The in-house DOP853 loop makes the evaluations of scipy's solve_ivp
+    with the same tableau, tolerances and max_step, and ends at its state."""
+    A, sing, _ = counting._as_source(source)
+    piece = ContourPath.from_circle(circle).pieces[0]
+    dist = counting._dist_to_set(piece, sing)
+    max_step = (counting.MAX_STEP_FACTOR * dist / piece.length()
+                if math.isfinite(dist) else 0.1)
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return A(z)
+
+    Y, phi = counting._integrate_piece(counted, sing, piece, Y0, combo=combo)
+    Yref, phiref, nfev = _solve_ivp_piece(A, piece, Y0, combo, max_step)
+    assert len(calls) == nfev
+    assert np.max(np.abs(Y - Yref)) <= 1e-10 * np.max(np.abs(Yref))
+    if combo is not None:
+        assert abs(phi - phiref) <= 1e-10 * abs(phiref)
+
+
+def test_array_state_follows_scalar_state():
+    """Above UNROLL components the state is a numpy array; both forms take
+    the same steps to the same state."""
+    D, circle, Y0, combo = _sin_circle()
+    piece = ContourPath.from_circle(circle).pieces[0]
+    ends = []
+    for scalars in (True, False):
+        calls, low = [], [math.inf]
+
+        def A(z):
+            calls.append(z)
+            return D.companion_rhs(z)
+
+        state = np.append(Y0.ravel(), 0j)
+        if scalars:
+            state = state.tolist()
+            make = counting._scalar_rhs(2, 1, True)
+        else:
+            make = counting._array_rhs(2, True)
+        rhs = make(A, piece.at_velocity, combo.tolist(), low)
+        ends.append((np.array(counting._dop853(rhs, state, 0.1)), len(calls), low[0]))
+    (y1, n1, low1), (y2, n2, low2) = ends
+    assert n1 == n2
+    assert np.max(np.abs(y1 - y2)) <= 1e-12 * np.max(np.abs(y1))
+    assert low1 == pytest.approx(low2, rel=1e-12)
+    # an order-5 operator's monodromy has 25 > UNROLL components; the
+    # operator is entire, so the monodromy is the identity
+    assert 25 > counting.UNROLL
+    M = monodromy(parse_operator("D^5 + t*D + 1"), ContourPath.from_circle(Circle(0j, 1.0)))
+    assert np.max(np.abs(M - np.eye(5))) < 1e-10
+
+
+@pytest.mark.parametrize("state", [
+    [1 + 0j, 0j],                               # the derivative is not finite
+    [complex(1e308, 1e308), 0j],                # |y| is beyond the float range
+])
+def test_stepper_raises_numeric_overflow(state):
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        assert len(calls) < 1000, "kept stepping on non-finite values"
+        return [complex(math.inf, 0.0) * y[0], y[0]]
+    with pytest.raises(NumericOverflow):
+        counting._dop853(rhs, state, 0.1)
+    with pytest.raises(NumericOverflow):
+        counting._dop853(lambda s, y: np.array(rhs(s, y)), np.array(state), 0.1)
