@@ -20,6 +20,12 @@ Degrees count only the x-variables.  The split is not unique; we solve by
 indeterminate coefficients with the smallest t-degree cap on the p_a that
 admits a solution (free unknowns set to zero), which keeps the constant term
 of the resulting matrices as non-degenerate as the family allows.
+
+Several targets of one kind can be divided together: the matrix of the
+unknowns depends only on the degree d and the cap, so the targets still
+open at (d, cap) are the right-hand sides of one solve, and each target
+stops at its own first (d, cap) that admits a solution, with the p and the
+cofactors that dividing it alone gives.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import NoSolution, SingularDivision, UnsupportedInput
-from .linalg import solve_linear
+from .errors import SingularDivision, UnsupportedInput
+from .linalg import solve_columns
 from .polynomials import MultiPoly, NEG_INF, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
@@ -227,31 +233,42 @@ def _split_x(poly: MultiPoly):
     return poly.extend(sorted(set(poly.vars) | set(XVARS))).coeff_split(XVARS)
 
 
-def _divide(H: Hamiltonian, comps, forms, cofactor_unknowns):
+def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     """Shared indeterminate-coefficient solver for both form divisions.
 
-    `comps`: the target's components, with denominators in lambda only;
+    `targets`: each target's components, with denominators in lambda only;
     `forms[a]`: the components of basis form a; `cofactor_unknowns(d, n,
     h1, h2)`: (label, components) of the other unknowns at degree d, label
-    (name, beta) standing for x^beta.  Returns p and the dict name ->
-    cofactor.
+    (name, beta) standing for x^beta.  A target tries the degrees d from
+    its own x-degree, and the caps at each d, until one admits a solution.
+    Returns, per target, p and the dict name -> cofactor.
     """
     n = H.n
-    for c in comps:
-        if c.den.degree_in(XVARS) not in (0, NEG_INF):
-            raise UnsupportedInput("form denominators must be free of x1, x2")
-    # clear lambda denominators
-    den = ratfunc_lcm_den(comps)
-    polys = [c.cleared(den) for c in comps]
-    d_strict = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
-    d_strict = max(int(d_strict) if d_strict is not NEG_INF else 0, 0)
+    slack = 3 * (n + 1)
+    dens, rhs, starts = [], [], []
+    for comps in targets:
+        for c in comps:
+            if c.den.degree_in(XVARS) not in (0, NEG_INF):
+                raise UnsupportedInput("form denominators must be free of x1, x2")
+        # clear lambda denominators
+        den = ratfunc_lcm_den(comps)
+        polys = [c.cleared(den) for c in comps]
+        d_strict = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
+        dens.append(den)
+        rhs.append([_split_x(p) for p in polys])
+        starts.append(max(int(d_strict) if d_strict is not NEG_INF else 0, 0))
     h1, h2 = H.grad()
     weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
-    rhs_splits = [_split_x(p) for p in polys]
     zero = MultiPoly.zero(H.lvars)
     Hpow = [MultiPoly.const(1, H.poly.vars)]
-    last_err = None
-    for d in range(d_strict, d_strict + 3 * (n + 1) + 1):
+    found = [None] * len(targets)
+
+    def open_at(d):
+        return [k for k, s in enumerate(starts) if found[k] is None and s <= d <= s + slack]
+
+    for d in range(min(starts), max(starts) + slack + 1):
+        if not open_at(d):
+            continue
         # largest t-degree of p_a at degree d; -1 leaves p_a out
         bounds = [(d - w) // (n + 1) if w <= d else -1 for w in weights]
         max_cap = max([0] + bounds)
@@ -260,24 +277,28 @@ def _divide(H: Hamiltonian, comps, forms, cofactor_unknowns):
         cofactors = [(label, tuple(_split_x(c) for c in contrib))
                      for label, contrib in cofactor_unknowns(d, n, h1, h2)]
         for cap in range(0, max_cap + 1):
+            open_ = open_at(d)
+            if not open_:
+                break
             unknowns = [(("p", ai, j), tuple(_split_x(Hpow[j] * f) for f in form))
                         for ai, (form, bound) in enumerate(zip(forms, bounds))
                         for j in range(min(cap, bound) + 1)] + cofactors
             # one polynomial equation per component and x-monomial, over
-            # Q[lambda]; the target's coefficients form the last column
-            columns = [splits for _, splits in unknowns] + [rhs_splits]
+            # Q[lambda]; the targets' coefficients form the last columns
+            columns = [splits for _, splits in unknowns] + [rhs[k] for k in open_]
             xmonos = sorted(set().union(*(s.keys() for col in columns for s in col)))
             rows = [[col[ci].get(m, zero) for col in columns]
-                    for ci in range(len(polys)) for m in xmonos]
-            try:
-                d, (y,) = solve_linear(rows, len(unknowns), verify=False)
-            except NoSolution as exc:
-                last_err = exc
-                continue
-            return _assemble(H, d * den, unknowns, y)
-    raise SingularDivision(
-        f"no decomposition within relaxed degree bounds (deg target {d_strict}): "
-        f"no decomposition at degree {d}: {last_err}")
+                    for ci in range(len(forms[0])) for m in xmonos]
+            det, ys = solve_columns(rows, len(unknowns))
+            for k, y in zip(open_, ys):
+                if y is not None:
+                    found[k] = _assemble(H, det * dens[k], unknowns, y)
+    for k, s in enumerate(starts):
+        if found[k] is None:
+            raise SingularDivision(
+                f"no decomposition within relaxed degree bounds (deg target {s}): "
+                f"no decomposition at degree {s + slack}: inconsistent linear system")
+    return found
 
 
 def _assemble(H, den, unknowns, y):
@@ -326,17 +347,28 @@ def _uv_unknowns(d, n, h1, h2):
     return out
 
 
-def divide_two_form(H: Hamiltonian, coeff) -> Decomposition:
-    """Split mu = coeff dx1^dx2 as sum (p_a o H) m_a + dH ^ eta."""
-    target = RatFunc.coerce(coeff)
+def divide_two_form(H: Hamiltonian, coeff):
+    """Split mu = coeff dx1^dx2 as sum (p_a o H) m_a + dH ^ eta.  Given a
+    list of coefficients, divides them together and returns the list of
+    their Decompositions."""
+    batch = isinstance(coeff, list)
+    targets = [RatFunc.coerce(c) for c in (coeff if batch else [coeff])]
     forms = [(basis_two_form(alpha),) for alpha in basis_exponents(H.n)]
-    p, cof = _divide(H, [target], forms, _eta_unknowns)
-    return Decomposition(H, "two", target, p, eta=(cof["e1"], cof["e2"]))
+    found = _divide(H, [[t] for t in targets], forms, _eta_unknowns)
+    decs = [Decomposition(H, "two", t, p, eta=(cof["e1"], cof["e2"]))
+            for t, (p, cof) in zip(targets, found)]
+    return decs if batch else decs[0]
 
 
-def divide_one_form(H: Hamiltonian, p_comp, q_comp) -> Decomposition:
-    """Split omega = p dx1 + q dx2 as sum (p_a o H) w_a + u dH + dv."""
-    target = (RatFunc.coerce(p_comp), RatFunc.coerce(q_comp))
+def divide_one_form(H: Hamiltonian, p_comp, q_comp):
+    """Split omega = p dx1 + q dx2 as sum (p_a o H) w_a + u dH + dv.  Given
+    lists of p and q components, divides the forms together and returns
+    the list of their Decompositions."""
+    batch = isinstance(p_comp, list)
+    pairs = zip(p_comp, q_comp) if batch else [(p_comp, q_comp)]
+    targets = [(RatFunc.coerce(p), RatFunc.coerce(q)) for p, q in pairs]
     forms = [basis_one_form(alpha) for alpha in basis_exponents(H.n)]
-    p, cof = _divide(H, list(target), forms, _uv_unknowns)
-    return Decomposition(H, "one", target, p, u=cof["u"], v=cof["v"])
+    found = _divide(H, [list(t) for t in targets], forms, _uv_unknowns)
+    decs = [Decomposition(H, "one", t, p, u=cof["u"], v=cof["v"])
+            for t, (p, cof) in zip(targets, found)]
+    return decs if batch else decs[0]

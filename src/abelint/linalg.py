@@ -1,26 +1,32 @@
-"""Exact linear algebra: one fraction-free solve on polynomial rows.
+"""Exact linear algebra: one solve on polynomial rows.
 
 `solve_linear(rows, n)` takes the rows [a_1 .. a_n | c_1 .. c_m] of MultiPoly
 of a system A y = d c with one right-hand side c or several, and returns
-(d, Y): d the last pivot of one fraction-free (Bareiss) elimination of
-[A | C], and per column c a polynomial y with A y = d c.  The first
-elimination step divides by nothing; each later step and each step of the
-back substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact division,
-because the pivots are minors of A and d y_c is one by Cramer's rule.  So no
-rational function arises inside the solve, and a caller that wants x = y / d
-cancels each entry once.  An overdetermined system with a column c whose
-[A | c] has full column rank at one rational point has full rank
-generically, so it is inconsistent and raises NoSolution at once; all other
-inconsistent columns raise after the elimination.  Free variables are set
-to zero.  Verification (`check_solution`) checks each row of each column
-as one polynomial identity, sum_j a_j y_j = d c.  `clear_rows` turns rows
-of rational functions into such polynomial rows.
+(d, Y): d a nonzero polynomial with A y = d c for each column c and its
+polynomial y, 1 for constant rows.  Constant rows take one sparse reduced
+row echelon form over Q or Q(i) (sympy's, through `polynomials`); other
+rows one fraction-free (Bareiss) elimination of [A | C], whose last pivot
+is d.  Its first step divides by nothing; each later step and each step of
+the back substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact
+division, because the pivots are minors of A and d y_c is one by Cramer's
+rule.  So no rational function arises inside the solve, and a caller that
+wants x = y / d cancels each entry once.  Both eliminations pick the
+leftmost basis of the columns of A and set the free variables to zero, so
+x is the same.  A column c is consistent iff its entries in the rows below
+rank(A) of the eliminated matrix vanish.  For polynomial rows, an
+overdetermined column c whose [A | c] has full column rank at one rational
+point has full rank generically, so it is refuted before any elimination.
+`solve_columns` solves column by column and marks the inconsistent ones;
+`solve_linear` raises NoSolution when any column is inconsistent.
+Verification (`check_solution`) checks each row of each column as one
+polynomial identity, sum_j a_j y_j = d c.  `clear_rows` turns rows of
+rational functions into such polynomial rows.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution
-from .polynomials import MultiPoly, rank_at_point
+from .polynomials import MultiPoly, constant_rref, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
 
@@ -87,20 +93,40 @@ def _bareiss_step(p, e, f, g, prev):
     return r if prev is None else r.divexact(prev)
 
 
-def solve_linear(rows, n, verify=True):
-    """Solve [A | C] on polynomial rows, A the first n entries of each row.
+def _refuted(rows, n):
+    """The columns j of polynomial rows [A | C] that are refuted before any
+    elimination: rank n + 1 of [A | c_j] at one point means generic rank
+    n + 1, so c_j is not in the span of A."""
+    if len(rows) <= n:
+        return []
+    return [j for j in range(len(rows[0]) - n)
+            if rank_at_point([row[:n] + [row[n + j]] for row in rows]) == n + 1]
 
-    Returns (d, Y): d the last pivot and Y one list y per column c of C,
-    each y polynomial with A y = d c; one elimination serves every column,
-    and each column is the one its own solve gives.  Free variables are set
-    to zero.  Raises NoSolution when some column is inconsistent.
-    """
+
+def _eliminate(rows, n, constant):
+    """(d, Y) for [A | C]: d a nonzero polynomial and, per column c, a
+    polynomial y with A y = d c, free variables zero, or None when c is
+    inconsistent, i.e. when its entries in the rows below rank(A) of the
+    eliminated matrix do not all vanish."""
     m = len(rows)
     ncols = len(rows[0]) - n
-    # rank n + 1 at one point means generic rank n + 1: c is not in the span
-    if m > n and any(rank_at_point([row[:n] + [row[n + j]] for row in rows]) == n + 1
-                     for j in range(ncols)):
-        raise NoSolution("inconsistent linear system")
+    if constant:
+        # one sparse reduced row echelon form, d = 1; the pivots at or
+        # after n lie in the rows below rank(A)
+        vs = tuple(sorted(set().union(*(e.vars for row in rows for e in row))))
+        pivots, R = constant_rref(rows, vs)
+        zero = MultiPoly.zero(vs)
+        rank = sum(c < n for c in pivots)
+        ys = []
+        for j in range(n, n + ncols):
+            if any(j in R[i] for i in range(rank, len(pivots))):
+                ys.append(None)
+                continue
+            y = [zero] * n
+            for i in range(rank):
+                y[pivots[i]] = R[i].get(j, zero)
+            ys.append(y)
+        return MultiPoly.const(1, vs), ys
     M = list(rows)
     pivots = []  # (row, col)
     prev = None
@@ -128,24 +154,63 @@ def solve_linear(rows, n, verify=True):
         row += 1
         if row == m:
             break
-    # consistency: the rows left below the pivots are zero in A
-    if any(not e.is_zero() for r in range(row, m) for e in M[r][n:]):
-        raise NoSolution("inconsistent linear system")
     d = prev if prev is not None else MultiPoly.const(1)
-    # fraction-free back substitution per column, free variables = 0
+    # fraction-free back substitution per consistent column, free variables = 0
     ys = []
-    for j in range(ncols):
+    for j in range(n, n + ncols):
+        if any(not M[r][j].is_zero() for r in range(row, m)):
+            ys.append(None)
+            continue
         y = [MultiPoly.zero() for _ in range(n)]
         for i, (r, c) in enumerate(reversed(pivots)):
             if i == 0:  # the last pivot is d itself: y_c = d c_r / d
-                y[c] = M[r][n + j]
+                y[c] = M[r][j]
                 continue
-            acc = d * M[r][n + j]
+            acc = d * M[r][j]
             for k in range(c + 1, n):
                 if not M[r][k].is_zero() and not y[k].is_zero():
                     acc = acc - M[r][k] * y[k]
             y[c] = acc.divexact(M[r][c])
         ys.append(y)
+    return d, ys
+
+
+def solve_columns(rows, n):
+    """Solve [A | C] column by column: (d, Y) as in `solve_linear`, with
+    Y[j] None where column j is inconsistent.  Refuted columns are left out
+    of the elimination, and none runs when every column is refuted (d is
+    then None)."""
+    ncols = len(rows[0]) - n
+    constant = all(e.is_constant() for row in rows for e in row)
+    refuted = [] if constant else _refuted(rows, n)
+    live = [j for j in range(ncols) if j not in refuted]
+    ys = [None] * ncols
+    if not live:
+        return None, ys
+    if refuted:
+        rows = [row[:n] + [row[n + j] for j in live] for row in rows]
+    d, found = _eliminate(rows, n, constant)
+    for j, y in zip(live, found):
+        ys[j] = y
+    return d, ys
+
+
+def solve_linear(rows, n, verify=True):
+    """Solve [A | C] on polynomial rows, A the first n entries of each row.
+
+    Returns (d, Y): d a nonzero polynomial, 1 for constant rows, and Y one
+    list y per column c of C, each y polynomial with A y = d c; one
+    elimination serves every column, and y / d is the solution that each
+    column's own solve gives.  Free variables are set to zero.  Raises
+    NoSolution when some column is inconsistent, before any elimination
+    when a column of polynomial rows is refuted at a point.
+    """
+    constant = all(e.is_constant() for row in rows for e in row)
+    if not constant and _refuted(rows, n):
+        raise NoSolution("inconsistent linear system")
+    d, ys = _eliminate(rows, n, constant)
+    if None in ys:
+        raise NoSolution("inconsistent linear system")
     if verify:
         check_solution(rows, n, d, ys)
     return d, ys

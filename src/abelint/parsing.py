@@ -1,7 +1,8 @@
 """Text input: exact polynomial and differential-operator expressions.
 
-Numbers are parsed exactly: integers, decimals (0.25 -> 1/4) and explicit
-fractions.  `i` is the imaginary unit; `D` is reserved for d/dt in operator
+Numbers are parsed exactly: integers, decimals (0.25 -> 1/4), a decimal
+exponent (1e-3 -> 1/1000, 2.5E2 -> 250) and explicit fractions; x1e2 is a
+name.  `i` is the imaginary unit; `D` is reserved for d/dt in operator
 expressions and rejected as a variable name everywhere else.  Operator
 expressions must be polynomial in D with coefficients polynomial in t
 (coefficients to the left of D powers, e.g. "(t^2-1)*D^2 + t*D - 1").
@@ -10,14 +11,25 @@ expressions must be polynomial in D with coefficients polynomial in t
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
 from .polynomials import MultiPoly
 from .qi import GaussianRational
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE]([+-]?\d+))?)|([A-Za-z_][A-Za-z_0-9]*)"
                     r"|(\*\*|[-+*/^()]))")
+
+
+def _number(text, exponent):
+    """The exact value of a number token.  Its digits and its exponent are
+    held to the interpreter's limit on the digits of an integer, so that no
+    input builds an unbounded integer."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (len(text) > limit or (exponent and abs(int(exponent)) > limit)):
+        raise ParseError(f"a number has more than {limit} digits")
+    return Fraction(text)
 
 
 def _tokenize(text):
@@ -29,9 +41,9 @@ def _tokenize(text):
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        num, name, op = m.groups()
+        num, exponent, name, op = m.groups()
         if num is not None:
-            out.append(("num", Fraction(num)))
+            out.append(("num", _number(num, exponent)))
         elif name is not None:
             out.append(("name", name))
         else:
@@ -173,6 +185,9 @@ def parse_number(text: str):
 def parse_complex(text: str) -> complex:
     """Numeric complex literal like '0.3 - 1.2i'."""
     c = parse_number(text)
-    if isinstance(c, GaussianRational):
-        return complex(c)
-    return complex(float(c), 0.0)
+    try:
+        if isinstance(c, GaussianRational):
+            return complex(c)
+        return complex(float(c), 0.0)
+    except OverflowError:
+        raise ParseError(f"{text!r} is beyond the float range") from None

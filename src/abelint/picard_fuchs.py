@@ -72,24 +72,16 @@ def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
     if not H.lvars:
         raise UnsupportedInput("Hamiltonian needs at least one symbolic coefficient")
     free_var = "l00" if "l00" in H.lvars else H.lvars[0]
-    alphas = basis_exponents(n)
-    rows = []
-    etas = []
-    for alpha in alphas:
-        dec = divide_two_form(H, H.poly * basis_two_form(alpha))
-        rows.append(dec.p)
-        etas.append(dec.eta)
-    Pstar = FieldMatrix(rows)
+    decs = divide_two_form(H, [H.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
+    Pstar = FieldMatrix([dec.p for dec in decs])
+    etas = [dec.eta for dec in decs]
     Q = {}
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})
-        qrows = []
-        for e1, e2 in etas:
-            # canonical as it stands: the denominators are free of x
-            dec = divide_one_form(H, RatFunc(e1.num * xs, e1.den, canonical=True),
-                                  RatFunc(e2.num * xs, e2.den, canonical=True))
-            qrows.append(dec.p)
-        Q[tuple(s)] = FieldMatrix(qrows)
+        # canonical as they stand: the denominators are free of x
+        scaled = [[RatFunc(e.num * xs, e.den, canonical=True) for e in eta] for eta in etas]
+        decs = divide_one_form(H, [p for p, _ in scaled], [q for _, q in scaled])
+        Q[tuple(s)] = FieldMatrix([dec.p for dec in decs])
     return PfaffianSystem(H, Pstar, etas, Q, free_var)
 
 

@@ -13,7 +13,8 @@ The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
 first nonzero polynomial, then by the positive joint rational content),
 which gives every object over Q or Q(i) one representative, the lcm, the
-exact rank at a point and the roots of a univariate polynomial.  It is the
+exact rank at a point, the reduced row echelon form of a constant matrix
+and the roots of a univariate polynomial.  It is the
 only module that imports sympy.  `straight_line` generates the float kernels
 of the numeric layers: sums of terms written out as one expression, with
 the float operations of a loop over the terms.
@@ -515,6 +516,25 @@ def rank_at_point(rows):
 
     vals = [[value(p) for p in row] for row in rows]
     return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()
+
+
+def constant_rref(rows, vs):
+    """Reduced row echelon form over Q or Q(i) of a matrix of constant
+    MultiPoly, by sympy's sparse elimination: (pivots, R), R[i] the nonzero
+    entries {column: MultiPoly over vs} of row i < len(pivots), whose pivot
+    column is pivots[i]; the rows after them are zero."""
+    domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ
+    data = {}
+    for i, row in enumerate(rows):
+        entries = {j: domain.convert(p.poly.LC) for j, p in enumerate(row) if p.poly}
+        if entries:
+            data[i] = entries
+    R, pivots = DomainMatrix(data, (len(rows), len(rows[0])), domain).rref()
+    ring = _ring(vs, domain)
+    zero_exp = (0,) * len(vs)
+    return pivots, [{j: MultiPoly._new(vs, ring.dtype({zero_exp: c}))
+                     for j, c in R.rep.get(i, {}).items()}
+                    for i in range(len(pivots))]
 
 
 # ---------------------------------------------------------------------------

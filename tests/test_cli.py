@@ -314,6 +314,27 @@ def test_count_initial_step_underflow(capsys):
     assert "Traceback" not in err
 
 
+def test_scientific_notation_arguments(capsys):
+    # a decimal exponent is read as a number, not as a variable e...
+    code, out, err = run(capsys, "count", "--operator", "D^2 + 1", "--radius", "2",
+                         "--y0", "1e-300;0")
+    assert (code, json.loads(out)["zeros"]) == (0, 1) and err == ""
+    code, out, _ = run(capsys, "count", "--operator", "D^2 + 1", "--radius", "2",
+                       "--y0", "1;0", "--center", "1e-3")
+    assert (code, json.loads(out)["zeros"]) == (0, 1)
+    code, out, _ = run(capsys, "integrate", "--hamiltonian", "x2^2/2 + x1^3 - x1",
+                       "--t", "0.1", "--seed", "1e0")
+    expect = run(capsys, "integrate", "--hamiltonian", "x2^2/2 + x1^3 - x1",
+                 "--t", "0.1", "--seed", "1")
+    assert (code, out) == expect[:2] and code == 0
+    # beyond the float range, or an exponent past the interpreter's digit
+    # limit on integers: exit 2 at once
+    for center in ("1e400", "1e99999999"):
+        code, out, err = run(capsys, "count", "--operator", "D^2 + 1", "--radius", "2",
+                             "--y0", "1;0", "--center", center)
+        assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_cli_import_skips_scipy():
     # scipy.integrate (about 1 s to import) loads on the first continuation
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from abelint.division import (Hamiltonian, basis_exponents, divide_one_form,
-                              divide_two_form, is_basis_regular)
+from abelint import division, linalg
+from abelint.division import (Hamiltonian, basis_exponents, basis_one_form,
+                              basis_two_form, divide_one_form, divide_two_form,
+                              is_basis_regular)
 from abelint.errors import SingularDivision, UnsupportedInput
 from abelint.parsing import parse_poly
 from abelint.polynomials import MultiPoly
+from abelint.ratfunc import RatFunc
 
 X = ("x1", "x2")
 
@@ -101,3 +104,62 @@ def test_division_without_decomposition_names_degree():
     H = Hamiltonian.from_x_poly(parse_poly("x1^2"))
     with pytest.raises(SingularDivision, match=r"at degree \d+"):
         divide_two_form(H, MultiPoly.var("x2", X))
+
+
+# the seed-1 random Hamiltonian of perfbench's `derive` workload
+RANDOM1 = ("x1^3 + x2^3 + (3)*x1^0*x2^0 + (0)*x1^0*x2^1 + (0)*x1^0*x2^2"
+           " + (-3/2)*x1^1*x2^0 + (3)*x1^1*x2^1")
+
+
+def _fingerprint(r):
+    """Value, variables and stored terms of a RatFunc."""
+    return [(p.vars, list(p.terms.items())) for p in (r.num, r.den)]
+
+
+@pytest.mark.parametrize("text", ["x1^2/2 + x2^2/2", "x2^2/2 + x1^3 - x1", RANDOM1,
+                                  "x1^4+x2^4+x1*x2-x1", "x1^3+x2^3+i*x1"])
+def test_batched_division_matches_one_division_per_target(text, monkeypatch):
+    """One `_divide` of all the two-form targets H m_a, and of all the
+    one-form targets eta_a, gives every target the (degree, cap), the p and
+    the cofactors, stored terms included, of its own `_divide`.  The unknown
+    labels at which a target succeeds fix (degree, cap)."""
+    H = Hamiltonian.from_x_poly(parse_poly(text))
+    labels = {}
+    assemble = division._assemble
+
+    def recording(H, den, unknowns, y):
+        out = assemble(H, den, unknowns, y)
+        labels[id(out)] = [label for label, _ in unknowns]
+        return out
+
+    monkeypatch.setattr(division, "_assemble", recording)
+    alphas = basis_exponents(H.n)
+    two = ([(basis_two_form(a),) for a in alphas], division._eta_unknowns,
+           [[RatFunc(H.poly * basis_two_form(a))] for a in alphas])
+    batch = division._divide(H, two[2], *two[:2])
+    etas = [(cof["e1"], cof["e2"]) for _, cof in batch]
+    one = ([basis_one_form(a) for a in alphas], division._uv_unknowns,
+           [list(eta) for eta in etas])
+    for forms, unknowns, targets in (two, one):
+        batch = division._divide(H, targets, forms, unknowns)
+        for target, got in zip(targets, batch):
+            (own,) = division._divide(H, [target], forms, unknowns)
+            assert labels[id(got)] == labels[id(own)]
+            assert [_fingerprint(p) for p in got[0]] == [_fingerprint(p) for p in own[0]]
+            assert sorted(got[1]) == sorted(own[1])
+            for name in own[1]:
+                assert _fingerprint(got[1][name]) == _fingerprint(own[1][name])
+
+
+def test_elliptic_one_form_divisions_take_no_bareiss_step(monkeypatch):
+    """The one-form division matrices of the elliptic H are constant, so
+    they take the reduced row echelon form and no Bareiss step."""
+    H = Hamiltonian.from_x_poly(parse_poly("x2^2/2 + x1^3 - x1"))
+    etas = [dec.eta for dec in divide_two_form(
+        H, [H.poly * basis_two_form(a) for a in basis_exponents(H.n)])]
+    steps = []
+    step = linalg._bareiss_step
+    monkeypatch.setattr(linalg, "_bareiss_step", lambda *a: steps.append(1) or step(*a))
+    decs = divide_one_form(H, [e1 for e1, _ in etas], [e2 for _, e2 in etas])
+    assert all(dec.verify() and dec.degree_bounds_ok() for dec in decs)
+    assert not steps

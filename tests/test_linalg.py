@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelint import linalg
 from abelint.errors import NoSolution
-from abelint.linalg import check_solution, clear_rows, solve_linear
+from abelint.linalg import check_solution, clear_rows, solve_columns, solve_linear
 from abelint.polynomials import MultiPoly, poly_lcm, rank_at_point
 from abelint.qi import GaussianRational
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
@@ -169,21 +171,13 @@ def _fingerprint(ps):
     return [(p.vars, list(p.terms.items())) for p in ps]
 
 
-def _dense_solve(A, b):
-    """solve_linear without its skips, for consistent systems: one lcm per
-    row entry, every Bareiss product formed, and the same fraction-free
-    back substitution with every product formed.  Returns (d, y)."""
-    def lcm_den(rs):
-        acc = MultiPoly.const(1)
-        for r in rs:
-            _, acc = poly_lcm(acc, r.den).primitive()
-        return acc
-
-    M = []
-    for row, bi in zip(A, b):
-        den = lcm_den(row + [bi])
-        M.append([e.cleared(den) for e in row + [bi]])
-    m, n = len(M), len(A[0])
+def bareiss_reference(rows, n):
+    """The dense fraction-free (Bareiss) solve on polynomial rows, as
+    `solve_linear` ran it on every system before constant rows took the
+    reduced row echelon form: every product formed, and (d, Y) with
+    A y = d c per column, or NoSolution when a column is inconsistent."""
+    m = len(rows)
+    M = list(rows)
     pivots, prev, row = [], None, 0
     for col in range(n):
         live = [r for r in range(row, m) if not M[r][col].is_zero()]
@@ -201,15 +195,39 @@ def _dense_solve(A, b):
         row += 1
         if row == m:
             break
-    d = prev
-    y = [MultiPoly.zero() for _ in range(n)]
-    (r, c), rest = pivots[-1], pivots[:-1]
-    y[c] = M[r][n]
-    for r, c in reversed(rest):
-        acc = d * M[r][n]
-        for j in range(c + 1, n):
-            acc = acc - M[r][j] * y[j]
-        y[c] = acc.divexact(M[r][c])
+    if any(not e.is_zero() for r in range(row, m) for e in M[r][n:]):
+        raise NoSolution("inconsistent linear system")
+    d = prev if prev is not None else MultiPoly.const(1)
+    Y = []
+    for j in range(n, len(rows[0])):
+        y = [MultiPoly.zero() for _ in range(n)]
+        for i, (r, c) in enumerate(reversed(pivots)):
+            if i == 0:  # the last pivot is d itself
+                y[c] = M[r][j]
+                continue
+            acc = d * M[r][j]
+            for k in range(c + 1, n):
+                acc = acc - M[r][k] * y[k]
+            y[c] = acc.divexact(M[r][c])
+        Y.append(y)
+    return d, Y
+
+
+def _dense_solve(A, b):
+    """solve_linear without its skips, for consistent systems: one lcm per
+    row entry and the dense Bareiss solve of the cleared rows.  Returns
+    (d, y)."""
+    def lcm_den(rs):
+        acc = MultiPoly.const(1)
+        for r in rs:
+            _, acc = poly_lcm(acc, r.den).primitive()
+        return acc
+
+    M = []
+    for row, bi in zip(A, b):
+        den = lcm_den(row + [bi])
+        M.append([e.cleared(den) for e in row + [bi]])
+    d, (y,) = bareiss_reference(M, len(A[0]))
     return d, y
 
 
@@ -327,6 +345,33 @@ def test_one_inconsistent_column_raises(gaussian):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
+def test_columns_of_rank_deficient_rows_match_their_own_solves(gaussian):
+    """Polynomial rows of rank below n leave several rows under the
+    elimination, and the rank check refutes no column; each column of one
+    `solve_columns` is None exactly when its own `solve_linear` raises,
+    and otherwise has its y / d, also for a copy of an inconsistent column."""
+    rng = random.Random(81 + gaussian)
+    bump = MultiPoly.const(1, T)
+    for m, n, rank in [(5, 3, 1), (4, 3, 2), (5, 2, 1), (3, 3, 1)] * 2:
+        base = _poly_system(rng, m, n, gaussian, rank)
+        cols = [[row[n] for row in base]]
+        for i in rng.sample(range(m), 2):
+            cols.append([c + (bump if r == i else MultiPoly.zero(T))
+                         for r, c in enumerate(cols[0])])
+        cols.append(list(cols[-1]))
+        rows = [row[:n] + [c[i] for c in cols] for i, row in enumerate(base)]
+        d, Y = solve_columns(rows, n)
+        for j, y in enumerate(Y):
+            try:
+                own_d, (own_y,) = solve_linear([row[:n] + [row[n + j]] for row in rows], n)
+            except NoSolution:
+                assert y is None
+                continue
+            assert [RatFunc(yk, d) for yk in y] == [RatFunc(yk, own_d) for yk in own_y]
+        assert Y[0] is not None and Y[-1] is None
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
 def test_inconsistent_column_raises_by_rank_check_and_by_bareiss(gaussian, monkeypatch):
     """An overdetermined column of full rank at the point is refused before
     any elimination step; a square singular system, where the rank check
@@ -350,3 +395,96 @@ def test_inconsistent_column_raises_by_rank_check_and_by_bareiss(gaussian, monke
     with pytest.raises(NoSolution, match="inconsistent"):
         solve_linear(rows, 3)
     assert steps
+
+
+def _quotients(d, y):
+    return [yk.constant_value() / d.constant_value() for yk in y]
+
+
+@st.composite
+def constant_systems(draw):
+    """[A | C] with constant entries over Q or Q(i): A = L R of a drawn
+    rank, sparse, so with zero rows and zero columns, square, wide or
+    tall; each column of C is A x for a sparse x, a drawn vector, zero, a
+    copy of an earlier column or the sum of two."""
+    gaussian = draw(st.booleans())
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def scalar():
+        if draw(st.integers(0, 2)) == 0:
+            return Fraction(0)
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        return c + I * draw(st.integers(-2, 2)) if gaussian else c
+
+    def matmul(P, Q):
+        return [[sum((a * Q[k][j] for k, a in enumerate(row)), Fraction(0))
+                 for j in range(len(Q[0]))] for row in P]
+
+    r = draw(st.integers(0, min(m, n)))
+    A = matmul([[scalar() for _ in range(r)] for _ in range(m)],
+               [[scalar() for _ in range(n)] for _ in range(r)]) if r else \
+        [[Fraction(0)] * n for _ in range(m)]
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["image", "drawn", "zero", "copy", "sum"]))
+        if kind == "image":
+            cols.append([row[0] for row in matmul(A, [[scalar()] for _ in range(n)])])
+        elif kind == "drawn":
+            cols.append([scalar() for _ in range(m)])
+        elif kind == "zero" or not cols:
+            cols.append([Fraction(0)] * m)
+        elif kind == "copy":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append([u + v for u, v in zip(a, b)])
+    return n, [[MultiPoly.const(e, T) for e in row + [c[i] for c in cols]]
+               for i, row in enumerate(A)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_systems())
+def test_constant_systems_match_dense_bareiss(system):
+    """The reduced row echelon form on constant rows refuses exactly the
+    systems, and exactly the columns, that the dense Bareiss loop refuses,
+    and gives every consistent column its x = y / d, entry by entry, with
+    d = 1; no Bareiss step runs."""
+    n, rows = system
+    steps = []
+    step = linalg._bareiss_step
+    linalg._bareiss_step = lambda *a: steps.append(1) or step(*a)
+    try:
+        try:
+            ref = bareiss_reference(rows, n)
+        except NoSolution:
+            ref = None
+        try:
+            got = solve_linear(rows, n)
+        except NoSolution:
+            got = None
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got[0] == 1
+            assert [_quotients(got[0], y) for y in got[1]] == \
+                [_quotients(ref[0], y) for y in ref[1]]
+        d, Y = solve_columns(rows, n)
+        for j, y in enumerate(Y):
+            try:
+                ref_d, (ref_y,) = bareiss_reference([row[:n] + [row[n + j]] for row in rows], n)
+            except NoSolution:
+                assert y is None
+                continue
+            assert y is not None and d == 1
+            assert _quotients(d, y) == _quotients(ref_d, ref_y)
+    finally:
+        linalg._bareiss_step = step
+    assert not steps
+
+
+def test_copied_inconsistent_column_is_inconsistent():
+    """c2 = c1 with c1 inconsistent: the echelon form has its pivot in c1's
+    column, and c2 has none, but c2 is not in the span of A either."""
+    one, zero = MultiPoly.const(1, T), MultiPoly.zero(T)
+    rows = [[one, zero, zero, one], [zero, one, one, zero]]
+    d, Y = solve_columns(rows, 1)
+    assert Y == [None, None, [one]]

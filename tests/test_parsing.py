@@ -29,6 +29,18 @@ def test_gaussian_constants():
     assert parse_complex("1 - 0.5i") == 1 - 0.5j
 
 
+def test_decimal_exponents_are_exact():
+    assert parse_number("1e-300") == Fraction(1, 10 ** 300)
+    assert parse_number("2.5E2") == 250
+    assert parse_number("3e+2 - 1.2e-1i") == GaussianRational(300, Fraction(-3, 25))
+    assert parse_complex("1e-3") == 0.001
+    # a name keeps its digits and letters; 3e1x2 is 30 x2
+    assert parse_poly("x1e2 + 1", ("x1e2",)) == MultiPoly.var("x1e2") + 1
+    assert parse_poly("3e1x2") == parse_poly("30*x2")
+    with pytest.raises(ParseError, match="unknown variable 'e'"):
+        parse_number("2e")
+
+
 def test_operator_coefficients():
     D = parse_operator("(t^2-1)*D^2 + t*D - 1")
     assert D.order == 2
