@@ -6,7 +6,11 @@ component X[0] (`reduce_to_scalar`) and the lclm of an operator and its
 reflection (`lclm`, from the realified system over Q, whose N and q are
 built from the operator's coefficients directly).  It runs on polynomial
 rows S_k = q^k R_k from the first unit row, and its one verified solve per
-order is fraction-free, so the search builds no rational function.
+order is fraction-free, so the search builds no rational function.  It
+scales q and N jointly to integer coefficients first, and the pullback
+scales the Moebius entries and the operator's coefficients, so both run
+over Z[t] or Z[i][t]; `standard_form` hands their results back over Q or
+Q(i).
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: no common
@@ -26,9 +30,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NoSolution, UnsupportedInput
+from .errors import NoSolution, NumericOverflow, UnsupportedInput
 from .linalg import check_solution, solve_linear
-from .polynomials import MultiPoly, float_overflow, primitive_parts, straight_line
+from .polynomials import (MultiPoly, float_overflow, integer_parts, primitive_parts,
+                          straight_line)
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -114,7 +119,7 @@ def standard_form(coeffs) -> DiffOperator:
     if not g.is_constant():
         polys = [p.divexact(g) for p in polys]
     _, polys = primitive_parts(polys)
-    return DiffOperator([p.descending() for p in polys])
+    return DiffOperator([p.over_field().descending() for p in polys])
 
 
 def reduce_to_scalar(ode) -> DiffOperator:
@@ -138,23 +143,35 @@ def _first_relation(N, q) -> DiffOperator:
     and D is proportional to e q^k d^k - sum_j y_j q^j d^j.
     """
     ell = len(N)
+    # one positive rational factor on q and every entry of N leaves A as it
+    # is and brings the whole search to Z[t], where it stays; entries that
+    # still carry variables of a derivation in degree 0 lose them
+    _, (q, *entries) = integer_parts(p.shrink().extend(TVARS)
+                                     for p in [q, *(e for row in N for e in row)])
+    N = [entries[i * ell:(i + 1) * ell] for i in range(ell)]
     dq = q.diff("t")
-    S = [MultiPoly.const(1 if j == 0 else 0, TVARS) for j in range(ell)]
+    # by Gauss's lemma a quotient by the primitive u that exists over Q is
+    # already over Z, so dividing out powers of u stays in Z[t]
+    u = q.primitive()[1]
+    zero = q.const_like(0)
+    S = [q.const_like(1)] + [zero] * (ell - 1)
     cols = [S]
     for k in range(1, ell + 1):
         w = dq * (k - 1)
         # zero products are skipped: companion matrices are mostly zero
         S = [q * S[j].diff("t") - w * S[j] +
              sum((S[m] * N[m][j] for m in range(ell)
-                  if not (S[m].is_zero() or N[m][j].is_zero())),
-                 MultiPoly.zero(TVARS))
+                  if not (S[m].is_zero() or N[m][j].is_zero())), zero)
              for j in range(ell)]
         rows = [[col[i] for col in cols] + [S[i]] for i in range(ell)]
         try:
             d, (y,) = solve_linear(rows, k, verify=False)
-            # d and the y_j share the factors of the minors of the S_j, powers
-            # of q among them: dividing those out first keeps the check and
-            # the gcd in standard_form small
+            # d and the y_j share the factors of the minors of the S_j:
+            # dividing those out first keeps the check and the gcd in
+            # standard_form small.  Most are powers of q, which exact
+            # divisions remove faster than a gcd of the full polynomials
+            if not u.is_constant():
+                d, *y = _divide_out(u, [d, *y])
             g = reduce(MultiPoly.gcd, y, d)
             d, y = d.divexact(g), [e.divexact(g) for e in y]
             check_solution(rows, k, d, [y])
@@ -163,6 +180,15 @@ def _first_relation(N, q) -> DiffOperator:
             continue
         return standard_form([d * q ** k] + [-y[j] * q ** j for j in reversed(range(k))])
     raise NoSolution("no scalar relation up to order ell")
+
+
+def _divide_out(u, polys):
+    """polys divided by the highest power of u that divides all of them."""
+    while True:
+        try:
+            polys = [p.divexact(u) for p in polys]
+        except ValueError:
+            return polys
 
 
 def affine_slope(D: DiffOperator):
@@ -225,7 +251,7 @@ def circle_to_real_axis_map(center_re, center_im, radius):
 
 def _compose_r_d(r: MultiPoly, L):
     """(r * d/dt) applied to operator L = [c_0, c_1, ...] (ascending)."""
-    out = [MultiPoly.zero(TVARS) for _ in range(len(L) + 1)]
+    out = [r.const_like(0)] * (len(L) + 1)
     for i, ci in enumerate(L):
         out[i] = out[i] + r * ci.diff("t")
         out[i + 1] = out[i + 1] + r * ci
@@ -235,33 +261,42 @@ def _compose_r_d(r: MultiPoly, L):
 def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
     """Operator annihilating f o phi for every f annihilated by D.
 
-    For phi = (at + b)/(ct + d), M = (1/phi') d/dt has the polynomial
-    coefficient (ct + d)^2 / det, and p(phi) (ct + d)^N is a polynomial for
-    N >= deg p, so the pulled-back operator times (ct + d)^N, N the largest
-    coefficient degree, is built from polynomials alone.
+    For phi = (at + b)/(ct + d), M = (1/phi') d/dt = (ct + d)^2 / det d/dt,
+    and p(phi) (ct + d)^N is a polynomial for N >= deg p, so the
+    pulled-back operator times (ct + d)^N, N the largest coefficient degree,
+    is built from polynomials alone.  It is built over Z[t] or Z[i][t]:
+    a common factor of a, b, c and d leaves phi as it is, so they are
+    scaled to integers, and so are D's coefficients, jointly.  The operator
+    times det^k is the sum over i of det^i p_i(phi) (det M)^(k - i), whose
+    det M = (ct + d)^2 d/dt has no denominator.
     """
     k = D.order
     t = MultiPoly.var("t")
-    num = t * phi.a + phi.b
-    den = t * phi.c + phi.d
-    r = den * den * (1 / (phi.a * phi.d - phi.b * phi.c))
-    # powers of the conjugated derivative M = (1/phi') d/dt
-    Mpow = [[MultiPoly.const(1, TVARS)]]
+    s, (num, den) = integer_parts([t * phi.a + phi.b, t * phi.c + phi.d])
+    det = (phi.a * phi.d - phi.b * phi.c) / (s * s)
+    _, coeffs = integer_parts(D.coeffs)
+    one, zero = den.const_like(1), den.const_like(0)
+    r = den * den
+    # powers of det M = (ct + d)^2 d/dt
+    Mpow = [[one]]
     for _ in range(k):
         Mpow.append(_compose_r_d(r, Mpow[-1]))
-    N = max(p.total_degree() for p in D.coeffs)
-    den_pow = [MultiPoly.const(1, TVARS)]
+    N = max(p.total_degree() for p in coeffs)
+    den_pow = [one]
     for _ in range(N):
         den_pow.append(den_pow[-1] * den)
-    out = [MultiPoly.zero(TVARS) for _ in range(k + 1)]
-    for i, p in enumerate(D.coeffs):
+    out = [zero] * (k + 1)
+    det_i = GaussianRational(1)
+    for i, p in enumerate(coeffs):
         # homogeneous Horner: sum_j c_j num^j den^(N - j) = p(phi) den^N
-        aj = MultiPoly.zero(TVARS)
+        aj = zero
         cs = p.univar_coeffs("t")
         for j in reversed(range(len(cs))):
             aj = aj * num + den_pow[N - j] * cs[j]
+        aj = aj * det_i
         for m, cm in enumerate(Mpow[k - i]):
             out[m] = out[m] + aj * cm
+        det_i = det_i * det
     return standard_form(list(reversed(out)))
 
 
@@ -316,7 +351,12 @@ class SlopeReport:
 
     @property
     def invariant_estimate(self):
-        vals = [float(self.affine)] + [float(s) for _, s in self.samples]
+        """The largest slope as a float; NumericOverflow when a slope is
+        beyond the float range."""
+        try:
+            vals = [float(self.affine)] + [float(s) for _, s in self.samples]
+        except OverflowError as exc:
+            raise NumericOverflow(f"slope exceeds the float range: {exc}") from None
         return max(vals)
 
 

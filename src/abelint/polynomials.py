@@ -2,12 +2,17 @@
 
 A MultiPoly is a sorted tuple of variable names plus one element of sympy's
 sparse ring Q[vars], or Q(i)[vars] when some coefficient has a nonzero
-imaginary part, under graded lexicographic order.  Two polynomials in
-different variables are lifted to the ring of the union before they meet.
-Arithmetic, exact division, gcd, differentiation and substitution are ring
-calls; coefficients leave the module as Fraction or GaussianRational.  The
-graded lexicographic order fixes leading terms, canonical signs and printed
-order.
+imaginary part, under graded lexicographic order.  `integer_parts` scales
+polynomials jointly into Z[vars] or Z[i][vars], whose integer coefficients
+are native ints rather than Python fractions; the relation search and the
+pullback of `operators` run there, the divisions stay over Q.  Two
+polynomials meet in the smallest of these rings that holds both, lifted to
+the union of their variables; a scalar is built in its partner's ring when
+that ring holds it, and an exact quotient that Z or Z[i] does not hold is
+taken over Q or Q(i).  Arithmetic, exact division, gcd, differentiation and
+substitution are ring calls; coefficients leave the module as Fraction or
+GaussianRational.  The graded lexicographic order fixes
+leading terms, canonical signs and printed order.
 
 The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
@@ -24,11 +29,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from sympy import Symbol
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed
@@ -38,6 +43,11 @@ from .errors import NumericOverflow, UnsupportedInput
 from .qi import GaussianRational
 
 NEG_INF = float("-inf")
+
+# the four coefficient domains: the fields Q and Q(i), and the integer rings
+# Z and Z[i] that `integer_parts` brings polynomials to
+_FIELD = {ZZ: QQ, ZZ_I: QQ_I, QQ: QQ, QQ_I: QQ_I}
+_REAL = {QQ_I: QQ, ZZ_I: ZZ}   # the Gaussian domains and their real parts
 
 
 @lru_cache(maxsize=None)
@@ -50,15 +60,36 @@ def _domain_of(coeffs):
     return QQ_I if gauss else QQ
 
 
-def _coef_in(c, domain):
-    """Fraction, int or GaussianRational as an element of `domain`."""
+def _join(a, b):
+    """The smallest of Z, Z[i], Q and Q(i) that holds domains a and b."""
+    if a is b:
+        return a
+    gauss = a in _REAL or b in _REAL
+    if a.is_Field or b.is_Field:
+        return QQ_I if gauss else QQ
+    return ZZ_I if gauss else ZZ
+
+
+def _scalar_domain(c):
+    """The smallest domain that holds the int, Fraction or GaussianRational c."""
+    if isinstance(c, int):
+        return ZZ
+    if isinstance(c, Fraction):
+        return ZZ if c.denominator == 1 else QQ
     if isinstance(c, GaussianRational):
-        re, im = QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator)
-        return re if domain is QQ else QQ_I.dtype.new(re, im)
-    if isinstance(c, (int, Fraction)):
-        q = QQ(c.numerator, c.denominator)
-        return q if domain is QQ else QQ_I.dtype.new(q, QQ.zero)
+        integral = c.re.denominator == 1 and c.im.denominator == 1
+        return (ZZ_I if integral else QQ_I) if c.im else (ZZ if integral else QQ)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _coef_in(c, domain):
+    """Fraction, int or GaussianRational as an element of `domain`, which
+    holds it."""
+    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+    if not domain.is_Field:
+        return domain.dtype.new(int(re), int(im)) if domain is ZZ_I else int(re)
+    re, im = QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator)
+    return re if domain is QQ else QQ_I.dtype.new(re, im)
 
 
 def _frac(q):
@@ -91,24 +122,54 @@ def float_overflow(exc):
 
 
 def _coef_out(c, domain):
-    if domain is QQ:
+    if domain not in _REAL:
         return _frac(c)
     return GaussianRational(_frac(c.x), _frac(c.y)) if c.y else _frac(c.x)
 
 
 def _in_ring(p, vs, domain):
-    """p's ring element in the ring over vs, which holds every variable p uses."""
-    return p.poly.set_ring(_ring(vs, domain))
+    """p's ring element in the ring over vs and domain, which hold every
+    variable and coefficient p uses."""
+    R = _ring(vs, domain)
+    if p.poly.ring is R:
+        return p.poly
+    return p.poly.set_ring(R) if p.poly else R.zero
 
 
 def _common(a, b):
-    """(vars, f, g): a and b as elements of one ring."""
+    """(vars, f, g): a and b as elements of one ring, over the smallest
+    domain that holds both; a zero operand, which every ring holds, takes
+    the other's domain."""
     f, g = a.poly, b.poly
     if f.ring is g.ring:
         return a.vars, f, g
     vs = a.vars if a.vars == b.vars else tuple(sorted(set(a.vars) | set(b.vars)))
-    domain = QQ_I if QQ_I in (f.ring.domain, g.ring.domain) else QQ
+    fd, gd = f.ring.domain, g.ring.domain
+    domain = _join(fd if f else gd, gd if g else fd)
     return vs, _in_ring(a, vs, domain), _in_ring(b, vs, domain)
+
+
+def _operands(a, other):
+    """(vars, f, g): MultiPoly a and other, a MultiPoly or an exact scalar,
+    as elements of one ring; None for any other type.  A scalar is built in
+    a's ring when that ring holds it."""
+    if isinstance(other, MultiPoly):
+        return _common(a, other)
+    if not isinstance(other, (int, Fraction, GaussianRational)):
+        return None
+    domain = _join(a.poly.ring.domain, _scalar_domain(other))
+    R = _ring(a.vars, domain)
+    c = _coef_in(other, domain)
+    return a.vars, _in_ring(a, a.vars, domain), R.dtype({R.zero_monom: c} if c else {})
+
+
+def _exquo(f, g):
+    """f / g for ring elements f and g of one ring when g divides f there,
+    else None."""
+    try:
+        return f.exquo(g)
+    except ExactQuotientFailed:
+        return None
 
 
 class MultiPoly:
@@ -136,9 +197,11 @@ class MultiPoly:
 
     @staticmethod
     def _new(vs, f):
-        """Wrap ring element f over vs, back in Q when no coefficient is complex."""
-        if f.ring.domain is QQ_I and not any(c.y for c in f.values()):
-            f = _ring(vs, QQ).dtype({m: c.x for m, c in f.items()})
+        """Wrap ring element f over vs, back in Q or Z when no coefficient is
+        complex."""
+        real = _REAL.get(f.ring.domain)
+        if real is not None and not any(c.y for c in f.values()):
+            f = _ring(vs, real).dtype({m: c.x for m, c in f.items()})
         p = object.__new__(MultiPoly)
         p.vars = vs
         p.poly = f
@@ -156,6 +219,12 @@ class MultiPoly:
         domain = _domain_of((c,))
         c = _coef_in(c, domain)
         return MultiPoly._new(vs, _ring(vs, domain).dtype({(0,) * len(vs): c} if c else {}))
+
+    def const_like(self, c):
+        """The constant c over self's variables, in self's ring when that
+        ring holds c, else in the smallest one that holds both."""
+        vs, _, g = _operands(self, c)
+        return MultiPoly._new(vs, g)
 
     @staticmethod
     def var(name, variables=None):
@@ -223,30 +292,30 @@ class MultiPoly:
         return _coef_out(self.poly.get(tuple(exp), domain.zero), domain)
 
     def has_gaussian(self):
-        return self.poly.ring.domain is QQ_I
+        return self.poly.ring.domain in _REAL
+
+    def over_field(self):
+        """self over Q or Q(i)."""
+        domain = self.poly.ring.domain
+        if domain.is_Field:
+            return self
+        return MultiPoly._new(self.vars, _in_ring(self, self.vars, _FIELD[domain]))
 
     # -- arithmetic -----------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return MultiPoly.const(other, self.vars)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        vs, f, g = _common(self, o)
+        vs, f, g = ops
         return MultiPoly._new(vs, f + g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        vs, f, g = _common(self, o)
+        vs, f, g = ops
         return MultiPoly._new(vs, f - g)
 
     def __rsub__(self, other):
@@ -256,10 +325,10 @@ class MultiPoly:
         return MultiPoly._new(self.vars, -self.poly)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        vs, f, g = _common(self, o)
+        vs, f, g = ops
         return MultiPoly._new(vs, f * g)
 
     __rmul__ = __mul__
@@ -268,15 +337,14 @@ class MultiPoly:
         if k < 0:
             raise ValueError("negative power of polynomial")
         if k == 0:
-            return MultiPoly.const(1, self.vars)
+            return MultiPoly._new(self.vars, self.poly.ring.one)
         return MultiPoly._new(self.vars, self.poly ** k)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.const(other, self.vars)
-        if not isinstance(other, MultiPoly):
+        ops = _operands(self, other)
+        if ops is None:
             return NotImplemented
-        _, f, g = _common(self, other)
+        _, f, g = ops
         return f == g
 
     def __hash__(self):
@@ -286,7 +354,7 @@ class MultiPoly:
     # -- calculus ---------------------------------------------------------------
     def diff(self, name):
         if name not in self.vars:
-            return MultiPoly.zero(self.vars)
+            return MultiPoly._new(self.vars, self.poly.ring.zero)
         return MultiPoly._new(self.vars, self.poly.diff(self.vars.index(name)))
 
     def subs(self, mapping):
@@ -313,7 +381,8 @@ class MultiPoly:
             domain = self.poly.ring.domain
             try:
                 self._numeric = [
-                    (complex(float(c), 0.0) if domain is QQ else complex(float(c.x), float(c.y)),
+                    (complex(float(c), 0.0) if domain not in _REAL
+                     else complex(float(c.x), float(c.y)),
                      [(v, e) for v, e in zip(self.vars, exp) if e])
                     for exp, c in self.poly.items()]
             except OverflowError as exc:
@@ -351,7 +420,7 @@ class MultiPoly:
     def conj_coeffs(self):
         if not self.has_gaussian():
             return self
-        new = QQ_I.dtype.new
+        new = self.poly.ring.domain.dtype.new
         return MultiPoly._new(self.vars, self.poly.ring.dtype(
             {m: new(c.x, -c.y) for m, c in self.poly.items()}))
 
@@ -368,16 +437,28 @@ class MultiPoly:
 
     # -- division ------------------------------------------------------------------
     def divexact(self, divisor):
-        """Exact division; raises ValueError if the division is not exact."""
-        vs, f, g = _common(self, self._coerce(divisor))
+        """Exact division; raises ValueError if the division is not exact.
+        Over Z or Z[i] a quotient that the ring does not hold is taken over
+        Q or Q(i), never truncated."""
+        vs, f, g = _operands(self, divisor)
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
+        domain = f.ring.domain
         if g.is_ground:
-            return MultiPoly._new(vs, f.quo_ground(g.LC))
-        try:
-            return MultiPoly._new(vs, f.exquo(g))
-        except ExactQuotientFailed:
-            raise ValueError("inexact polynomial division") from None
+            c = g.LC
+            if domain.is_Field:
+                return MultiPoly._new(vs, f.quo_ground(c))
+            # sympy's quo_ground drops the terms of a ring that c does not divide
+            if not any(x % c for x in f.itercoeffs()):
+                return MultiPoly._new(vs, f.new([(m, x // c) for m, x in f.iterterms()]))
+        else:
+            h = _exquo(f, g)
+            if h is not None:
+                return MultiPoly._new(vs, h)
+            if domain.is_Field:
+                raise ValueError("inexact polynomial division")
+        R = _ring(vs, _FIELD[domain])
+        return MultiPoly._new(vs, f.set_ring(R)).divexact(MultiPoly._new(vs, g.set_ring(R)))
 
     # -- univariate views -------------------------------------------------------
     def effective_vars(self):
@@ -432,7 +513,8 @@ class MultiPoly:
     @staticmethod
     def gcd(a, b):
         """Primitive gcd, and 1 for coprime arguments: the one ring gcd over
-        Q or Q(i), made unique by primitive(), which removes the scalar."""
+        the domain of a and b, made unique by primitive(), which removes the
+        scalar."""
         a = a.shrink()
         b = b.shrink()
         if a.is_zero():
@@ -441,7 +523,7 @@ class MultiPoly:
             return a.primitive()[1]
         vs, f, g = _common(a, b)
         if f.is_ground or g.is_ground:
-            return MultiPoly.const(1, vs)
+            return MultiPoly._new(vs, f.ring.one)
         return MultiPoly._new(vs, f.gcd(g)).primitive()[1]
 
     # -- output ---------------------------------------------------------------
@@ -464,9 +546,14 @@ class MultiPoly:
 def _content(polys):
     """Joint positive rational content of polys: the gcd of their rational
     coefficients, or of the real and imaginary parts of Gaussian ones."""
-    parts = (q for p in polys for c in p.poly.itercoeffs()
-             for q in ((c.x, c.y) if p.has_gaussian() else (c,)))
-    return _frac(reduce(QQ.gcd, parts, QQ.zero))
+    num, den = 0, 1
+    for p in polys:
+        gauss = p.has_gaussian()
+        for c in p.poly.itercoeffs():
+            for q in ((c.x, c.y) if gauss else (c,)):
+                num = math.gcd(num, q.numerator)
+                den = math.lcm(den, q.denominator)
+    return Fraction(num, den)
 
 
 def primitive_parts(polys):
@@ -493,6 +580,32 @@ def primitive_parts(polys):
     return c, [p.divexact(c) for p in polys]
 
 
+def integer_parts(polys):
+    """(c, [p / c for p in polys]) for c the positive joint rational content
+    of polys (1 when every p is zero): each part over Z, or over Z[i] when a
+    coefficient is complex, with joint content 1.  Sums, differences,
+    products, derivatives, exact quotients and gcds of the parts stay in
+    that ring; a quotient that the ring does not hold is taken over the
+    field."""
+    polys = list(polys)
+    c = _content(polys) or Fraction(1)
+    num, den = c.numerator, c.denominator
+
+    def scaled(x):
+        return x.numerator * den // (x.denominator * num)
+
+    parts = []
+    for p in polys:
+        if p.has_gaussian():
+            new = ZZ_I.dtype.new
+            f = _ring(p.vars, ZZ_I).dtype(
+                {m: new(scaled(x.x), scaled(x.y)) for m, x in p.poly.items()})
+        else:
+            f = _ring(p.vars, ZZ).dtype({m: scaled(x) for m, x in p.poly.items()})
+        parts.append(MultiPoly._new(p.vars, f))
+    return c, parts
+
+
 def poly_lcm(a, b):
     g = MultiPoly.gcd(a, b)
     if g.is_zero():
@@ -505,14 +618,16 @@ def rank_at_point(rows):
 
     The k-th variable in sorted order takes the value 2 - 3/(5 + 2k), so t
     alone is 7/5.  The rank at a point is at most the generic rank; for
-    constant entries it is the exact rank.
+    constant entries it is the exact rank.  Entries over Z or Z[i] are
+    evaluated over Q or Q(i).
     """
     vs = sorted(set().union(*(p.vars for row in rows for p in row)))
     domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ
     point = {v: QQ(2) - QQ(3, 5 + 2 * k) for k, v in enumerate(vs)}
 
     def value(p):
-        return domain.convert(p.poly(*(point[v] for v in p.vars)) if p.vars else p.poly.LC)
+        f = p.over_field().poly
+        return domain.convert(f(*(point[v] for v in p.vars)) if p.vars else f.LC)
 
     vals = [[value(p) for p in row] for row in rows]
     return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()

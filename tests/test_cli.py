@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -116,6 +117,48 @@ def test_slope(capsys):
     assert code == 0
     assert json.loads(out)["affine_slope"] == "1/2"
     assert out == SLOPE_GOLDEN
+
+
+# sha256 of the stdout of exact and certified outputs, recorded before the
+# pullback and the relation search moved to integer coefficients; each runs
+# through pullback, lclm and symmetrize or through the relation search
+STDOUT_SHA256 = {
+    "slope-readme": (
+        ("slope", "--operator", "(t^2-1)*D^2 + t*D - 1"),
+        "72fb5fe633264152f7fadc0a1f35208ae720b1f81db942ee79029759d72095cf"),
+    "slope-elliptic": (
+        ("slope", "--operator", "(108*t^2-16)*D^2 + 15"),
+        "435fe25cde61e47b6c5ab1c233a0cab7c044da0c505c99005604c7c1dce08aa5"),
+    "slope-gaussian-poles": (
+        ("slope", "--operator", "(t^2+4)*D^2 + t*D + 1"),
+        "604d4db3bfac7b3c177d8742a0a3450e4387f30175b1fdd12a3751ec26f43f4f"),
+    "bound-gaussian-poles": (
+        ("bound", "--operator", "(t^2+4)*D^2 + t*D + 1",
+         "--inner-radius", "0.5", "--outer-radius", "1.5"),
+        "8c7d3b8c4cc21435e2ea3bdaee7255f05567b2363035744c6aa98f254da96d95"),
+    "bound-sin": (
+        ("bound", "--operator", "D^2 + 1", "--inner-radius", "0.5", "--outer-radius", "4"),
+        "cc98982f644da1b6d76a525f192b51864386fb7518a13d61fe8624669d0c1bb8"),
+    "reduce-elliptic": (
+        ("reduce", "--hamiltonian", "x2^2/2 + x1^3 - x1"),
+        "b41eb4bfa38844edf2ce4ffc7da29bb76fc7781a7f39c84a69a65014517df68a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_stdout_is_unchanged(capsys, name):
+    args, digest = STDOUT_SHA256[name]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("operator", ["D^2 + 1e300*t", "D^2 + 10^400*t"])
+def test_slope_beyond_the_float_range(capsys, operator):
+    # the exact slopes are fine; their float estimate is beyond the range
+    code, out, err = run(capsys, "slope", "--operator", operator)
+    assert code == 3 and out == ""
+    assert "float range" in err and "Traceback" not in err
 
 
 def test_monodromy(capsys):

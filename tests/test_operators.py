@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from abelint import operators
+from abelint import counting, operators
 from abelint.errors import NoSolution
 from abelint.linalg import FieldMatrix, clear_rows, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
@@ -17,6 +17,7 @@ from abelint.qi import GaussianRational
 from abelint.picard_fuchs import LinearODESystem
 from abelint.polynomials import MultiPoly
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
+from abelint.slits import Circle
 
 T = ("t",)
 
@@ -282,6 +283,17 @@ def test_pullback_matches_ratfunc_reference():
                 break
         phi = MobiusMap(a, b, c, d)
         _assert_same_operator(pullback(D, phi), _ratfunc_pullback(D, phi))
+    # a map with a denominator in every entry and Gaussian parts, and the
+    # rationalized chart of the annulus 0.5 < |t| < 4 and its inverse, with
+    # 12-digit numerators and denominators: all scale to integers first
+    i = GaussianRational(0, 1)
+    chart = counting._annulus_chart(Circle(0j, 0.5), Circle(0j, 4.0))[0]
+    maps = [MobiusMap(Fraction(2, 3) + i * Fraction(1, 5), Fraction(-1, 7), Fraction(1, 2),
+                      i * Fraction(3, 4)), chart, chart.inverse()]
+    for text in ("D^2 + 1", "(t^2-1)*D^2 + t*D - 1", "(t^2/3 + i/2)*D^2 + t/5*D - 1/7"):
+        D = mk(text)
+        for phi in maps:
+            _assert_same_operator(pullback(D, phi), _ratfunc_pullback(D, phi))
 
 
 def _ratfunc_first_relation(A, start):
@@ -424,3 +436,39 @@ def test_lclm_system_is_realified_companion(monkeypatch):
         lcm = ratfunc_lcm_den([e for row in A for e in row])
         assert not q.has_gaussian()
         assert q.primitive()[1] == lcm
+
+
+def _over_integers(p):
+    return not p.poly.ring.domain.is_Field
+
+
+def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
+    """The rows the relation search hands to its solve, and the pulled-back
+    and searched coefficients that standard_form receives, are over Z or
+    Z[i]: a stray rational factor would silently lift them to Q or Q(i).
+    The operators that come out are over Q or Q(i), as before."""
+    solved, normalized = [], []
+
+    def spy_solve(rows, n, verify=True):
+        solved.extend(e for row in rows for e in row)
+        return solve_linear(rows, n, verify)
+
+    def spy_standard_form(coeffs):
+        normalized.extend(coeffs)
+        return standard_form(coeffs)
+
+    monkeypatch.setattr(operators, "solve_linear", spy_solve)
+    monkeypatch.setattr(operators, "standard_form", spy_standard_form)
+    I = GaussianRational(0, 1)
+    outs = []
+    for text, gamma in (("(t^2/3 - 1)*D^2 + t/2*D - 1", circle_to_real_axis_map(0, 0, 1)),
+                        ("(t - i/2)*D^2 + 1/3", MobiusMap(I, 0, 0, 1))):
+        D = pullback(mk(text), MobiusMap(Fraction(1, 2), I / 3, 0, 1))
+        outs += [D, symmetrize(D, gamma)]
+    Ai = FieldMatrix([[RatFunc(MultiPoly(T, {(1,): I})), _rf("1", "3*t + 2")],
+                      [_rf("t/5"), _rf("0")]])
+    outs.append(reduce_to_scalar(LinearODESystem(Ai, MultiPoly.const(1, T))))
+    assert solved and normalized
+    assert all(_over_integers(e) for e in solved)
+    assert all(_over_integers(c) for c in normalized)
+    assert not any(_over_integers(c) for D in outs for c in D.coeffs)

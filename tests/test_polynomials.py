@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelint.polynomials import MultiPoly, poly_lcm, primitive_parts
+from abelint.polynomials import MultiPoly, integer_parts, poly_lcm, primitive_parts
 from abelint.qi import GaussianRational
 
 V = ("x", "y")
@@ -252,3 +253,48 @@ def test_univar_roots_of_huge_coefficients():
     r = MultiPoly.const(Fraction(3, 7)) * (t - 1) * (t - Fraction(1, 3))
     expect = np.roots([complex(float(c), 0) for c in reversed(r.univar_coeffs("t"))])
     assert np.array_equal(r.univar_roots("t"), expect)
+
+
+def _over_integers(p):
+    return not p.poly.ring.domain.is_Field
+
+
+def test_integer_parts_and_their_ring_operations():
+    """integer_parts scales jointly by the positive rational content, and
+    sums, products, derivatives, exact quotients and gcds of the parts stay
+    over Z or Z[i]."""
+    t = MultiPoly.var("t")
+    I = GaussianRational(0, 1)
+    p = t * Fraction(2, 3) - Fraction(4, 9)
+    g = t * t * (Fraction(1, 3) + I) + Fraction(1, 9)
+    c, (a, b) = integer_parts([p, g])
+    assert c == Fraction(1, 9)
+    assert a == p * 9 and b == g * 9
+    assert not a.has_gaussian() and b.has_gaussian()
+    results = [a + b, a - b, a * b, a * 3, b * I, b.diff("t"), (a * b).divexact(a),
+               (a * a).divexact(a * 2), (a * 6).divexact(2), b.divexact(I),
+               MultiPoly.gcd(a * b, a * a), (a - a) ** 0, a.const_like(5), b.const_like(0)]
+    assert all(_over_integers(r) for r in results)
+    assert results[-3:] == [1, 5, 0]
+    # the parts of all-zero input
+    assert integer_parts([MultiPoly.zero(("t",))])[0] == 1
+
+
+def test_integer_ring_division_never_truncates():
+    """An exact quotient that Z or Z[i] does not hold is the quotient over Q
+    or Q(i): (2t + 3) / 4 is t/2 + 3/4, not sympy's truncated 0."""
+    t = MultiPoly.var("t")
+    I = GaussianRational(0, 1)
+    _, (p,) = integer_parts([2 * t + 3])
+    _, (q,) = integer_parts([(2 * t + 3) * (1 + I)])
+    assert _over_integers(p) and _over_integers(q)
+    assert p.divexact(4) == t * Fraction(1, 2) + Fraction(3, 4)
+    assert p.divexact(4 * t + 6) == Fraction(1, 2)
+    assert q.divexact(2) == (t + Fraction(3, 2)) * (1 + I)
+    assert q.divexact(2 * I) == (t + Fraction(3, 2)) * (1 - I)
+    assert not _over_integers(p.divexact(4)) and not _over_integers(q.divexact(2))
+    with pytest.raises(ValueError):
+        p.divexact(t + 1)
+    with pytest.raises(ValueError):
+        q.divexact(t)
+
