@@ -22,7 +22,7 @@ from .counting import (ContourPath, annulus_zero_bound, count_zeros,
                        headline_bound, is_quasiunipotent, monodromy)
 from .division import Hamiltonian, basis_exponents
 from .errors import AbelintError, ParseError
-from .integrals import abelian_integral, critical_values
+from .integrals import REL_TOL, abelian_integral, critical_values
 from .operators import DiffOperator, invariant_slope_sampled, reduce_to_scalar
 from .parsing import parse_complex, parse_operator, parse_poly
 from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
@@ -276,7 +276,11 @@ def build_parser():
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--seed", required=True, help="point near the oval, e.g. '0.5+1i'")
-    p.add_argument("--rel-tol", type=_positive, default=1e-8)
+    p.add_argument("--rel-tol", type=_positive, default=REL_TOL,
+                   help="relative agreement of two consecutive quadrature passes "
+                        "(at rel-tol/10, rel-tol/1000, ...) on the integrals; the "
+                        "last pass must also stay within rel-tol*max(|t|,1) of the "
+                        f"level (default {REL_TOL})")
     p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("bound", help="certified annulus bound or growth budget")

@@ -7,13 +7,10 @@ never exceeds a fixed fraction of the exact distance from the piece to the
 singular locus.  Winding numbers come from integrating d(arg w) alongside
 the solution, so the argument stays continuous by construction.
 
-The integrator is Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner,
-Solving Ordinary Differential Equations I, 2nd ed., 1993, II.10) with the
-tableau of `scipy.integrate.DOP853`, the initial step of scipy's
-`select_initial_step` and the step-size control of its `RungeKutta`, so it
-takes the steps `solve_ivp(method="DOP853")` takes.  It runs on Python
-complex scalars, through a step and a right-hand side generated once per
-state shape with every sum written out, because numpy's per-call cost
+The integrator is the Dormand-Prince 8(5,3) of `dop853`, which takes the
+steps `solve_ivp(method="DOP853")` takes; oval quadrature runs on it too.
+It steps Python complex scalars, and the right-hand side is generated once
+per state shape with every sum written out, because numpy's per-call cost
 dominates on states of a few entries; states of more than UNROLL scalars
 step as numpy arrays.
 """
@@ -28,11 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import dop853
 from .errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
                      PathTooClose, ToleranceNotMet, UnsupportedInput,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
-from .polynomials import _kernel_factory
+from .polynomials import _generate, _sum
 from .qi import GaussianRational
 from .slits import Arc, Circle, Segment, SlitSystem, _dist_to_set, regions
 
@@ -41,10 +39,6 @@ RTOL = 1e-11
 ATOL = 1e-13
 MAX_STEP_FACTOR = 0.2      # step <= factor * dist(path, singular set)
 MIN_PATH_DISTANCE = 1e-9   # relative; closer paths raise PathTooClose
-# step-size control of scipy's RungeKutta solvers
-SAFETY = 0.9
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10
 # states of at most this many scalars are continued as Python complex
 # scalars, with every component written out; larger ones as numpy arrays
 UNROLL = 16
@@ -143,7 +137,7 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
         make = _scalar_rhs(n, Y0.size // n, tracked)
     else:
         make = _array_rhs(n, tracked)
-    final = _dop853(make(*args), state, max_step)
+    final = dop853.solve(make(*args), state, max_step, RTOL, ATOL)
     if not tracked:
         return _from_columns(final, Y0.shape), None
     Yf = _from_columns(final[:-1], Y0.shape)
@@ -156,19 +150,6 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
 def _from_columns(state, shape):
     """The array of the given shape stored column by column in state."""
     return np.array(state).reshape(shape[::-1]).T
-
-
-def _sum(terms):
-    """The source of the left-to-right sum of terms."""
-    return " + ".join(terms)
-
-
-def _generate(head, name, args, lines):
-    """The function `make` of the source: the header line head, then the
-    function name(args) with the body lines, which make returns."""
-    return _kernel_factory("".join([f"{head}\n    def {name}({args}):\n"]
-                                   + [f"        {line}\n" for line in lines]
-                                   + [f"    return {name}\n"]))
 
 
 @lru_cache(maxsize=None)
@@ -221,128 +202,6 @@ def _array_rhs(n, tracked):
             return np.append(out, (dw / w).imag if aw > 0 else 0.0)
         return rhs
     return make
-
-
-@lru_cache(maxsize=None)
-def _dop853_step(n):
-    """(step, exponent): step(fun, t, h, y, f) -> (y_new, f_new, err) is one
-    Dormand-Prince 8(5,3) step, as scipy's `rk_step` and
-    `DOP853._estimate_error_norm` take it, on a list y of n Python complex
-    scalars, with f = fun(t, y), f_new = fun(t + h, y_new) and err the
-    error norm, and exponent is the step-size exponent of the controller.
-    Every stage sum is written out, without the tableau's zeros, with the
-    tableau of `scipy.integrate.DOP853` as closure constants, and so is
-    every component; n = None takes the step on numpy arrays instead."""
-    # loaded here, not at import: only continuation needs scipy (~1 s)
-    from scipy.integrate import DOP853
-    consts = {}     # value -> its name in the source
-
-    def const(c):
-        return consts.setdefault(c, f"c{len(consts)}")
-
-    def comb(coeffs, i):
-        """sum_j coeffs[j] * (stage j at component i), without zeros."""
-        return _sum(f"{const(c)} * k{j}_{i}" for j, c in enumerate(coeffs) if c)
-
-    def vector(expr):
-        """Source of the state with component i at expr(i)."""
-        return expr("") if n is None else "[" + ", ".join(map(expr, range(n))) + "]"
-
-    def unpack(name):
-        return f"{name}_ " if n is None else "".join(f"{name}_{i}, " for i in range(n))
-
-    A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()
-    E3, E5 = DOP853.E3.tolist(), DOP853.E5.tolist()
-    lines = [f"{unpack('y')}= y", f"{unpack('k0')}= f"]
-    for s in range(1, DOP853.n_stages):
-        arg = vector(lambda i: f"y_{i} + ({comb(A[s][:s], i)}) * h")
-        lines.append(f"{unpack(f'k{s}')}= fun(t + {const(C[s])} * h, {arg})")
-    lines += [f"y_new = {vector(lambda i: f'y_{i} + h * ({comb(B, i)})')}",
-              "f_new = fun(t + h, y_new)",
-              f"{unpack('u')}= y_new"]
-    if n is None:
-        lines += ["sc = atol + maximum(abs(y_), abs(u_)) * rtol",
-                  f"e5 = ({comb(E5, '')}) / sc",
-                  f"e3 = ({comb(E3, '')}) / sc",
-                  "n5 = e5.real @ e5.real + e5.imag @ e5.imag",
-                  "n3 = e3.real @ e3.real + e3.imag @ e3.imag"]
-    else:
-        lines.append("n5 = n3 = 0.0")
-        for i in range(n):
-            lines += [f"a = abs(y_{i})", f"b = abs(u_{i})",
-                      "sc = atol + (a if a > b else b) * rtol",
-                      f"e5 = ({comb(E5, i)}) / sc",
-                      f"e3 = ({comb(E3, i)}) / sc",
-                      "n5 = n5 + e5.real * e5.real + e5.imag * e5.imag",
-                      "n3 = n3 + e3.real * e3.real + e3.imag * e3.imag"]
-    lines += ["if n5 == 0 and n3 == 0:",
-              "    return y_new, f_new, 0.0",
-              "return y_new, f_new, h * n5 / sqrt((n5 + 0.01 * n3) * len(y))"]
-    head = f"def make(sqrt, maximum, rtol, atol, {', '.join(consts.values())}):"
-    make = _generate(head, "step", "fun, t, h, y, f", lines)
-    return (make(math.sqrt, np.maximum, RTOL, ATOL, *consts),
-            -1 / (DOP853.error_estimator_order + 1))
-
-
-def _rms(xs, scale):
-    """scipy's `norm(x / scale)`: the root mean square of |x_i / scale_i|."""
-    q = [x / c for x, c in zip(xs, scale)]
-    return math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in q)) / len(q) ** 0.5
-
-
-def _initial_step(fun, y, f, max_step, exponent):
-    """scipy's `select_initial_step` forward on [0, 1], for f = fun(0, y)."""
-    scale = [ATOL + abs(v) * RTOL for v in y]
-    d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-    f1 = fun(h0, [v + h0 * dv for v, dv in zip(y, f)])
-    # an h0 that underflowed to 0 makes scipy's d2 inf or nan, and its step 0
-    d2 = _rms([b - a for a, b in zip(f, f1)], scale) / h0 if h0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -exponent
-    return min(100 * h0, h1, 1.0, max_step)
-
-
-def _dop853(fun, y, max_step):
-    """The state at s = 1 of dy/ds = fun(s, y) from y at s = 0, a list of
-    Python complex scalars or a numpy array, by the steps of
-    `scipy.integrate.solve_ivp(fun, (0, 1), y, method="DOP853", rtol=RTOL,
-    atol=ATOL, max_step=max_step)`: the step-size control of scipy's
-    `RungeKutta._step_impl`.  A non-finite stage makes the error norm
-    non-finite; that, a complex beyond the float range or a non-finite end
-    state raises NumericOverflow, and a step below ten float spacings
-    raises ToleranceNotMet."""
-    step, exponent = _dop853_step(len(y) if isinstance(y, list) else None)
-    try:
-        f = fun(0.0, y)
-        h_abs = _initial_step(fun, y, f, max_step, exponent)
-        t = 0.0
-        while t < 1.0:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = min_step if h_abs < min_step else min(h_abs, max_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise ToleranceNotMet(f"integrator failed: step below {min_step} at s = {t}")
-                t_new = min(t + h_abs, 1.0)
-                h_abs = h = t_new - t
-                y_new, f_new, err = step(fun, t, h, y, f)
-                if err < 1:
-                    factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** exponent)
-                    h_abs *= min(1, factor) if rejected else factor
-                    break
-                if not math.isfinite(err):
-                    raise NumericOverflow(f"continuation left the float range at s = {t}")
-                h_abs *= max(MIN_FACTOR, SAFETY * err ** exponent)
-                rejected = True
-            t, y, f = t_new, y_new, f_new
-    except OverflowError as exc:    # abs of a complex beyond the float range
-        raise NumericOverflow(f"continuation left the float range: {exc}") from None
-    if not all(map(cmath.isfinite, y)):
-        raise NumericOverflow("continuation left the float range")
-    return y
 
 
 def _continue(obj, path: ContourPath, Y, combo=None):

@@ -1,25 +1,32 @@
 """Numeric quadrature of period integrals over real ovals of level curves.
 
-Ovals {H = t} are traced with a fixed-step RK4 walk along the unit tangent
-(-H_x2, H_x1)/|grad H| with Newton re-projection onto the curve after each
-step.  Line integrals of monomial one-forms are accumulated alongside by the
-midpoint rule; accuracy is validated by step-halving self-convergence.  The
-walk runs on Python float pairs, which cost less than 2-element arrays.
-H, its gradient, the unit tangent and the integrands are straight-line
-functions generated once per level curve (`polynomials.straight_line`): each
-sums c * x1 ** e1 * x2 ** e2 over the terms in stored order, with the floats
-of a loop over the terms.
+A pass traces the oval {H = t} in arc length along the unit tangent
+(-H_x2, H_x1)/|grad H| on the `dop853` integrator; the state holds the
+integral of g dx2 for each form g and the area 1/2 (x1 dx2 - x2 dx1), whose
+sign is the orientation.  The pass closes at the step that crosses the
+normal line at the start within one step of it, once more than two steps
+away, and a secant on that step's length puts the end on the line.  H, its
+gradient, the unit tangent and the integrands are straight-line kernels
+generated once per level curve (`polynomials.straight_line`), with the
+floats of a loop over the terms in stored order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 
+from . import dop853
 from .errors import NotClosed, SeedOffCurve, ToleranceNotMet, UnsupportedInput
 from .polynomials import MultiPoly, straight_line
+
+REL_TOL = 1e-8                          # default agreement of two passes
+RTOL_FLOOR = 100 * sys.float_info.epsilon   # the smallest pass tolerance
+SECANT_STEPS = 8                        # at most, to put the end on the start
+MAX_LENGTH = 1e4                        # of a pass that has not closed
 
 
 # ---------------------------------------------------------------------------
@@ -137,92 +144,84 @@ def critical_values(H: MultiPoly):
     return merged
 
 
-def _trace(curve: LevelCurve, t, seed, h, forms, max_len=1e4):
-    """One RK4 pass around the oval, integrating g dx2 for each polynomial g
-    in forms; returns (integrals, perimeter, area2)."""
+def _field(curve: LevelCurve, forms):
+    """dy/ds of a pass for y = [x1, x2, integral of g dx2 for g in forms,
+    area]: the unit tangent (a, b) and one kernel of the integrands."""
+    rates = _compile(forms, [
+        "a, b = tangent(x1, x2)",
+        f"return [a, b, {''.join(f'v{i} * b, ' for i in range(len(forms)))}"
+        "0.5 * (x1 * b - x2 * a)]"], {"tangent": curve.tangent})
+    return lambda s, y: rates(y[0], y[1])
+
+
+def _oval(H: MultiPoly, t, seed, forms, rel_tol):
+    """(integrals of g dx2 for g in forms, counter-clockwise; perimeter;
+    signed area; start) of the last pass at rel_tol/10, rel_tol/1000, ...
+    (down to RTOL_FLOOR, as in scipy's solve_ivp) once two consecutive ones
+    agree to rel_tol (on perimeter and area without forms); the last one must
+    keep |H - t| within rel_tol * max(|t|, 1) at its accepted steps."""
+    curve = LevelCurve(H)
     x0, y0 = curve.project(seed, t)
-    tangent = curve.tangent
-    integrands = _compile(forms)
-    acc = [0.0] * len(forms)
-    area2 = 0.0
-    length = 0.0
+    a0, b0 = curve.tangent(x0, y0)
+    field = _field(curve, forms)
+    step = dop853.step_function(len(forms) + 3)
 
-    def segment(x, y, xn, yn, mx, my):
-        """Add the chord (x, y) -> (xn, yn), integrands taken at (mx, my)."""
-        nonlocal area2, length
-        dx, dy = xn - x, yn - y
-        for i, g in enumerate(integrands(mx, my)):
-            acc[i] += g * dy
-        area2 += x * yn - xn * y
-        length += math.hypot(dx, dy)
+    def past(y):
+        """How far the point of y lies past the normal line at the start."""
+        return (y[0] - x0) * a0 + (y[1] - y0) * b0
 
-    x, y = x0, y0
-    hh, h6 = 0.5 * h, h / 6.0
-    steps = 0
-    started = False
+    def close(s, y, f, h, y_new):
+        nonlocal started, drift
+        drift = max(drift, abs(curve.f(y_new[0], y_new[1]) - t))
+        d = math.hypot(y_new[0] - x0, y_new[1] - y0)
+        if started and d <= h and past(y) < 0 <= past(y_new):
+            # secant on the step length till the end is on the line
+            h0, p0, h1, p1 = 0.0, past(y), h, past(y_new)
+            tol = 4 * sys.float_info.epsilon * max(abs(x0), abs(y0), h)
+            for _ in range(SECANT_STEPS):
+                if abs(p1) <= tol or p1 == p0:
+                    break
+                h0, p0, h1 = h1, p1, h1 - p1 * (h1 - h0) / (p1 - p0)
+                y_new = step(field, s, h1, y, f, rtol, rtol)[0]
+                p1 = past(y_new)
+            return y_new, s + h1
+        started = started or d > 2 * h
+        if s + h > MAX_LENGTH:
+            raise NotClosed(f"curve did not close within length {MAX_LENGTH}")
+
+    prev, rtol = None, rel_tol / 10
     while True:
-        a1, b1 = tangent(x, y)
-        a2, b2 = tangent(x + hh * a1, y + hh * b1)
-        a3, b3 = tangent(x + hh * a2, y + hh * b2)
-        a4, b4 = tangent(x + h * a3, y + h * b3)
-        dx = h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        dy = h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        xn, yn = curve.project((x + dx, y + dy), t)
-        # midpoint rule for the line integrals
-        segment(x, y, xn, yn, x + 0.5 * dx, y + 0.5 * dy)
-        x, y = xn, yn
-        steps += 1
-        d0 = math.hypot(x - x0, y - y0)
-        if started and d0 < 0.75 * h:
-            # close up exactly
-            segment(x, y, x0, y0, x + 0.5 * (x0 - x), y + 0.5 * (y0 - y))
-            break
-        if d0 > 2.0 * h:
-            started = True
-        if length > max_len or steps > max_len / h:
-            raise NotClosed(f"curve did not close within length {max_len}")
-    return acc, length, area2
-
-
-def trace_oval(H: MultiPoly, t: float, seed, h=1e-2):
-    """Perimeter and orientation data of the closed oval through `seed`."""
-    curve = LevelCurve(H)
-    acc, length, area2 = _trace(curve, t, seed, h, [])
-    return {"perimeter": length, "area": abs(area2) / 2,
-            "ccw": area2 > 0, "start": tuple(curve.project(seed, t))}
-
-
-def _monomial_form(alpha):
-    """g with the integrand g dx2 for basis index alpha."""
-    a1, a2 = alpha
-    return MultiPoly(("x1", "x2"), {(a1 + 1, a2): Fraction(1, a1 + 1)})
-
-
-def abelian_integral(H: MultiPoly, t: float, seed, alphas, h=1e-2,
-                     rel_tol=1e-8):
-    """Integrals of x1^(a1+1) x2^a2 / (a1+1) dx2 over the oval through seed.
-
-    Positive (counter-clockwise) orientation.  Step-halved until two passes
-    agree to rel_tol; raises ToleranceNotMet otherwise.
-    """
-    curve = LevelCurve(H)
-    forms = [_monomial_form(a) for a in alphas]
-    prev = None       # raw O(h^2) values
-    prev_ex = None    # Richardson-extrapolated values
-    for _ in range(10):
-        acc, length, area2 = _trace(curve, t, seed, h, forms)
-        sgn = 1.0 if area2 > 0 else -1.0
-        vals = [sgn * v for v in acc]
+        rtol = max(rtol, RTOL_FLOOR)
+        started, drift = False, 0.0
+        state, length = dop853.solve(field, [x0, y0] + [0.0] * (len(forms) + 1), math.inf,
+                                     rtol, rtol, math.inf, close)
+        area = state[-1]
+        vals = [v if area > 0 else -v for v in state[2:-1]]
+        cur = vals or [length, abs(area)]
         if prev is not None:
-            ex = [(4 * a - b) / 3 for a, b in zip(vals, prev)]
-            if prev_ex is not None:
-                scale = max(max(abs(v) for v in ex), 1e-12)
-                if max(abs(a - b) for a, b in zip(ex, prev_ex)) < rel_tol * scale:
-                    return ex
-            prev_ex = ex
-        prev = vals
-        h /= 2
-    raise ToleranceNotMet("oval quadrature did not self-converge")
+            scale = max(max(abs(v) for v in cur), 1e-12)
+            if max(abs(a - b) for a, b in zip(cur, prev)) < rel_tol * scale:
+                if drift > rel_tol * max(abs(t), 1.0):
+                    raise ToleranceNotMet(f"oval quadrature drifted {drift} off the curve")
+                return vals, length, area, (x0, y0)
+        if rtol == RTOL_FLOOR:
+            raise ToleranceNotMet("oval quadrature did not self-converge")
+        prev, rtol = cur, rtol / 100
+
+
+def trace_oval(H: MultiPoly, t: float, seed):
+    """Perimeter and orientation data of the closed oval through `seed`."""
+    _, length, area, start = _oval(H, t, seed, [], REL_TOL)
+    return {"perimeter": length, "area": abs(area), "ccw": area > 0,
+            "start": start}
+
+
+def abelian_integral(H: MultiPoly, t: float, seed, alphas, rel_tol=REL_TOL):
+    """Integrals of x1^(a1+1) x2^a2 / (a1+1) dx2 over the oval through seed,
+    in positive (counter-clockwise) orientation, by the passes of `_oval`."""
+    forms = [MultiPoly(("x1", "x2"), {(a1 + 1, a2): Fraction(1, a1 + 1)})
+             for a1, a2 in alphas]
+    return _oval(H, t, seed, forms, rel_tol)[0]
 
 
 def count_real_zeros(fn, a, b, samples=400, tol=1e-12):

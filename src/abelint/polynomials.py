@@ -22,7 +22,8 @@ exact rank at a point, the reduced row echelon form of a constant matrix
 and the roots of a univariate polynomial.  It is the
 only module that imports sympy.  `straight_line` generates the float kernels
 of the numeric layers: sums of terms written out as one expression, with
-the float operations of a loop over the terms.
+the float operations of a loop over the terms; `_generate` compiles the
+generated steps and right-hand sides of the integrator.
 """
 
 from __future__ import annotations
@@ -663,6 +664,19 @@ def _kernel_factory(source):
     scope = {}
     exec(compile(source, "<abelint kernel>", "exec"), scope)
     return scope["make"]
+
+
+def _sum(terms):
+    """The source of the left-to-right sum of terms."""
+    return " + ".join(terms)
+
+
+def _generate(head, name, args, lines):
+    """The function `make` of the source: the header line head, then the
+    function name(args) with the body lines, which make returns."""
+    return _kernel_factory("".join([f"{head}\n    def {name}({args}):\n"]
+                                   + [f"        {line}\n" for line in lines]
+                                   + [f"    return {name}\n"]))
 
 
 def straight_line(args, sums, tail, env=None):

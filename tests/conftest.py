@@ -39,7 +39,7 @@ class EllipticCase:
     def periods(self, t, rel_tol=1e-9):
         """Quadrature period vector X(t) over the oval around (1/sqrt3, 0)."""
         return np.array(abelian_integral(self.H0, t, self.seed, self.alphas,
-                                         h=4e-3, rel_tol=rel_tol))
+                                         rel_tol=rel_tol))
 
 
 @pytest.fixture(scope="session")

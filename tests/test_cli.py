@@ -379,13 +379,41 @@ def test_scientific_notation_arguments(capsys):
 
 
 def test_cli_import_skips_scipy():
-    # scipy.integrate (about 1 s to import) loads on the first continuation
+    # the DOP853 tableau is in abelint itself; scipy (about 1 s to import)
+    # is a test dependency only
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = "import sys, abelint.cli; print('scipy.integrate' in sys.modules)"
+    runs = [
+        ["integrate", "--hamiltonian", "x2^2/2 + x1^3 - x1", "--t", "0.1", "--seed", "0.5+1i"],
+        ["monodromy", "--operator", "t*D - 1/2", "--radius", "1"],
+        ["count", "--operator", "D^2 + 1", "--radius", "2", "--y0", "1;0"],
+    ]
+    code = ("import sys, abelint.cli\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            f"for argv in {runs!r}:\n"
+            "    assert abelint.cli.main(argv) == 0\n"
+            "    loaded.append('scipy' in sys.modules)\n"
+            "print(loaded)")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip().splitlines()[-1] == str([False] * 4)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    # no two passes agree to 1e-30, and the pass tolerance stops at 100 eps
+    (("x2^2/2 + x1^3 - x1", "0.1", "0.5+1i", "--rel-tol", "1e-30"), 3,
+     "did not self-converge"),
+    (("x1^2 - x2^2", "1", "1"), 4, "did not close"),
+])
+def test_integrate_fails_promptly(args, code, message):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    hamiltonian, t, seed, *rest = args
+    res = subprocess.run([sys.executable, "-m", "abelint.cli", "integrate",
+                          "--hamiltonian", hamiltonian, "--t", t, "--seed", seed, *rest],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert res.returncode == code and res.stdout == ""
+    assert message in res.stderr and "Traceback" not in res.stderr
 
 
 def test_integrate_circle(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint import counting
+from abelint import counting, dop853
 from abelint.counting import (QU_MAX_ORDER, AnnulusBound, ContourPath,
                               annulus_bound_formula, annulus_zero_bound,
                               continue_solution, count_region_partition,
@@ -179,7 +179,7 @@ def test_region_partition_sin():
 def test_circle_winding_single_pass(monkeypatch):
     """Each circle is integrated once, tracking arg(w); the end value of that
     pass decides single-valuedness."""
-    from abelint import counting
+    from abelint import counting, dop853
     calls = []
     real = counting._integrate_piece
 
@@ -220,7 +220,7 @@ def _polygon(inv, n=256):
 def test_equatorial_arc_matches_polygon(inner, outer, sign):
     """One exact Arc gives the monodromy of the 256-chord polygon, including
     its orientation, so M is never replaced by its inverse."""
-    from abelint import counting
+    from abelint import counting, dop853
     chart, _, _, _ = counting._annulus_chart(inner, outer)
     inv = chart.inverse()
     loop = counting._equatorial_loop(inv)
@@ -240,7 +240,7 @@ def test_equatorial_arc_matches_polygon(inner, outer, sign):
 ])
 def test_equatorial_loop_is_the_image_circle(inv):
     """Every inv(e^ia) lies on the Arc, and the Arc winds like the polygon."""
-    from abelint import counting
+    from abelint import counting, dop853
     arc = counting._equatorial_loop(inv).pieces[0]
     pts = np.array([inv(cmath.exp(1j * a)) for a in np.linspace(0, 2 * math.pi, 65)])
     assert np.abs(np.abs(pts - arc.center) - arc.radius).max() < 1e-12 * arc.radius
@@ -258,7 +258,7 @@ def test_equatorial_loop_is_the_image_circle(inv):
 ])
 def test_image_circle_closed_form(phi, circle):
     """Every phi(circle.point_at(a)) lies on the closed-form image circle."""
-    from abelint import counting
+    from abelint import counting, dop853
     image = counting._image_circle(phi, circle)
     pts = np.array([phi(circle.point_at(a)) for a in np.linspace(0, 2 * math.pi, 65)])
     assert np.abs(np.abs(pts - image.center) - image.radius).max() < 1e-12 * image.radius
@@ -320,6 +320,24 @@ def _sin_circle():
             np.array([1, 0], dtype=complex))
 
 
+def solve(fun, y):
+    """The stepper on [0, 1] at continuation's tolerances, step cap 0.1."""
+    return dop853.solve(fun, y, 0.1, counting.RTOL, counting.ATOL)
+
+
+def test_tableau_is_scipys():
+    """The tableau in `dop853` is scipy's DOP853 tableau, bit for bit."""
+    from scipy.integrate import DOP853
+
+    def hexes(rows):
+        return [[float(v).hex() for v in row] for row in rows]
+    n = DOP853.n_stages
+    assert hexes(row + [0.0] * (n - len(row)) for row in dop853.A) == hexes(DOP853.A)
+    for name in ("B", "C", "E3", "E5"):
+        assert hexes([getattr(dop853, name)]) == hexes([getattr(DOP853, name)])
+    assert dop853.EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
 @pytest.mark.parametrize("source, circle, Y0, combo", [
     _sin_circle(),
     # the step cap 0.2 / (2 pi) decides the step around the pole at 0
@@ -369,7 +387,7 @@ def test_array_state_follows_scalar_state():
         else:
             make = counting._array_rhs(2, True)
         rhs = make(A, piece.at_velocity, combo.tolist(), low)
-        ends.append((np.array(counting._dop853(rhs, state, 0.1)), len(calls), low[0]))
+        ends.append((np.array(solve(rhs, state)), len(calls), low[0]))
     (y1, n1, low1), (y2, n2, low2) = ends
     assert n1 == n2
     assert np.max(np.abs(y1 - y2)) <= 1e-12 * np.max(np.abs(y1))
@@ -393,6 +411,6 @@ def test_stepper_raises_numeric_overflow(state):
         assert len(calls) < 1000, "kept stepping on non-finite values"
         return [complex(math.inf, 0.0) * y[0], y[0]]
     with pytest.raises(NumericOverflow):
-        counting._dop853(rhs, state, 0.1)
+        solve(rhs, state)
     with pytest.raises(NumericOverflow):
-        counting._dop853(lambda s, y: np.array(rhs(s, y)), np.array(state), 0.1)
+        solve(lambda s, y: np.array(rhs(s, y)), np.array(state))

@@ -127,25 +127,28 @@ def test_eval_ignores_term_storage():
 
 
 # sha256 of repr() of numeric outputs of the quadrature, continuation and
-# winding code.  The quadrature and critical-value entries were recorded
-# before their inner loops became generated straight-line kernels, which
-# keep every float operation and its order.  The four continuation entries
-# were recorded when continuation moved from scipy's `solve_ivp` to the
-# in-house DOP853 stepper on Python complex scalars: it takes the same
-# steps, but sums in another order, so their last bits moved (by at most
-# 7.7e-14 relative, on "phi periods")
+# winding code.  The critical-value entry was recorded before its inner
+# loops became generated straight-line kernels, which keep every float
+# operation and its order.  The continuation entries were recorded when
+# continuation moved from scipy's `solve_ivp` to the in-house DOP853 stepper
+# on Python complex scalars: it takes the same steps, but sums in another
+# order, so their last bits moved.  The four quadrature entries and
+# "phi periods", whose initial data are quadrature values, were recorded
+# when the quadrature moved from a step-halved RK4 walk to DOP853 passes:
+# they moved by at most 1.2e-9 relative (the old walk's error at t = 0.2),
+# and "phi periods" by 9.3e-14
 ELLIPTIC_A = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench", "data", "elliptic_A.json")
 NUMERIC_SHA256 = {
-    "integral -0.2": "2ffd7591ff7ee9e64261e835e438916bfdf5e929e7aed03fcd8d90bfb9ffeac5",
-    "integral 0.0": "9060825700d26512d1c7df6d4bec852e925a6c3b7b0b6ed2b1e52319008ad474",
-    "integral 0.2": "565d4250a36f51b8641d9bba1c33be7b167f5e3fb5631313472facd8213dd301",
-    "integral quartic": "e66cefbda5dc0e02ac800e40231aac0a3cfc8b7403995a4c968ef10cd7a05a2f",
+    "integral -0.2": "e59a328dc28028b47cb8839387b8d38c72bf4ace089635200323ea4ecbf8c0df",
+    "integral 0.0": "1014078132a2af60ecdb454d46f4ba76ee8ac4abcb27d70f8b92cb9ac9a9202f",
+    "integral 0.2": "fb149f2a63b40ed7cc6f435c1070fde589f8900d64098e11a3c6ae3ed3bbc6e3",
+    "integral quartic": "a063b4194683ac032cfc9fa5e0426e3f82ef4c78646f82be27fd3d27c4fc7b67",
     "critical values": "4cd9e07f76a949b256f0d4e017b5dffa7cebe16b72d553757f747e171e5cd8e6",
     "continue": "74fa8d77bff7790d88508f1bf008631e81d3df23ee3b8d5c8ada68e9158f7110",
     "monodromy": "5a8dd9bb79f4718eb09212b5468b97025ded455cafec9fec80154b5e1acf4791",
     "phi sin": "fe007296e9372268eb8ea388e4cb94f44d8565874abe2f06a8a15e57119395cb",
-    "phi periods": "419172b850531f88d2babd9e970e45b1d7258896d323d807c352d15aab127e5b",
+    "phi periods": "cc16858e04daeeb3cf2a4362a9b3fc9ece6204d080d3ef9132df4f158e966bb2",
 }
 
 
