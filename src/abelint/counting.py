@@ -12,7 +12,10 @@ steps `solve_ivp(method="DOP853")` takes; oval quadrature runs on it too.
 It steps Python complex scalars, and the right-hand side is generated once
 per state shape with every sum written out, because numpy's per-call cost
 dominates on states of a few entries; states of more than UNROLL scalars
-step as numpy arrays.
+step as numpy arrays.  A(t) comes as rows of Python complex from the
+kernels that `LinearODESystem.eval` and `DiffOperator.companion_rhs`
+generate once per system or operator, so the scalar right-hand side makes
+no numpy call.
 """
 
 from __future__ import annotations
@@ -157,13 +160,13 @@ def _scalar_rhs(n, m, tracked):
     """make(A, at_velocity[, combo, low]) -> the right-hand side s, y -> dy/ds
     of dY/dt = A(t) Y along a piece, for the n x m matrix Y stored column by
     column in the list y: dY = dz * (A(z) Y) on Python complex scalars, with
-    A(z) read through `tolist`.  Tracked, y ends with arg w for
+    A(z) unpacked from the rows it returns.  Tracked, y ends with arg w for
     w = combo . Y[:, 0], whose derivative is Im(dw / w) (0 where w = 0), and
     low[0] keeps the smallest |w| seen.  Every product is written out, so
     the source has n * n * m terms."""
     rows = ", ".join("(" + "".join(f"a{i}_{k}, " for k in range(n)) + ")" for i in range(n))
     ys = "".join(f"y{k}_{j}, " for j in range(m) for k in range(n))
-    lines = ["z, dz = at_velocity(s)", f"{rows}, = A(z).tolist()",
+    lines = ["z, dz = at_velocity(s)", f"{rows}, = A(z)",
              f"{ys}{'_, ' if tracked else ''}= y"]
     lines += [f"d{i}_{j} = dz * ({_sum(f'a{i}_{k} * y{k}_{j}' for k in range(n))})"
               for j in range(m) for i in range(n)]
@@ -191,7 +194,7 @@ def _array_rhs(n, tracked):
         def rhs(s, y):
             z, dz = at_velocity(s)
             y = np.asarray(y)
-            dY = dz * (A(z) @ y[:len(y) - tracked].reshape(-1, n).T)
+            dY = dz * (np.array(A(z)) @ y[:len(y) - tracked].reshape(-1, n).T)
             out = dY.T.ravel()
             if not tracked:
                 return out

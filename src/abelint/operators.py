@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from .errors import NoSolution, NumericOverflow, UnsupportedInput
 from .linalg import check_solution, solve_linear
 from .polynomials import (MultiPoly, float_overflow, integer_parts, primitive_parts,
@@ -77,37 +75,39 @@ class DiffOperator:
 
     def companion_rhs(self, t):
         """y-vector (y, y', ..., y^(k-1)) derivative at t; top row from D=0.
-        The entries are the floats of `-eval_complex(p_j) / eval_complex(p0)`,
-        from a kernel compiled on the first call."""
+        The rows of the companion matrix as a tuple of tuples of Python
+        complex, with the floats of `-eval_complex(p_j) / eval_complex(p0)`
+        in the last row, from a kernel compiled on the first call."""
         if self._companion is None:
             self._companion = _companion_kernel(self.coeffs)
         try:
             return self._companion(t)
         except OverflowError as exc:
             raise float_overflow(exc) from None
+        except ZeroDivisionError:
+            raise NumericOverflow(f"the leading coefficient rounds to 0 at t = {t}") from None
 
     def leading_roots(self):
         return self.coeffs[0].univar_roots("t")
 
 
 def _companion_kernel(coeffs):
-    """t -> the companion matrix of p0 d^k + ... + pk (k >= 1): a copy of the
-    constant rows above the last, which holds -p_j(t) / p0(t) at column k - j,
-    each p_j(t) summed in the order and with the floats of `eval_complex`."""
+    """t -> the rows of the companion matrix of p0 d^k + ... + pk (k >= 1):
+    a unit in the next column in each row above the last, which holds
+    -p_j(t) / p0(t) at column k - j, each p_j(t) summed in the order and
+    with the floats of `eval_complex`."""
     k = len(coeffs) - 1
     if k < 1:
         raise UnsupportedInput("an operator of order 0 has no companion system")
     if any(set(p.effective_vars()) - {"t"} for p in coeffs):
         raise UnsupportedInput("operator coefficients must be polynomials in t")
-    base = np.zeros((k, k), dtype=complex)
-    for i in range(k - 1):
-        base[i, i + 1] = 1.0
     sums = [(f"p{j}", "0j", [(c, [f"t ** {e}" for _, e in mono])
                              for c, mono in p.numeric_terms()])
             for j, p in enumerate(coeffs)]
-    row = ", ".join(f"-p{j} / p0" for j in range(k, 0, -1))
-    return straight_line(("t",), sums, ["M = base.copy()", f"M[-1] = ({row},)",
-                                        "return M"], {"base": base})
+    rows = ["(" + "".join("(1+0j), " if j == i + 1 else "0j, " for j in range(k)) + ")"
+            for i in range(k - 1)]
+    rows.append("(" + "".join(f"-p{j} / p0, " for j in range(k, 0, -1)) + ")")
+    return straight_line(("t",), sums, [f"return ({''.join(r + ', ' for r in rows)})"])
 
 
 def standard_form(coeffs) -> DiffOperator:

@@ -103,12 +103,7 @@ class _Parser:
                 if val == "*":
                     v = v * rhs
                 else:
-                    if rhs.total_degree() > 0:
-                        raise ParseError("division only by constants")
-                    c = rhs.terms.get(tuple([0] * len(rhs.vars)))
-                    if not c:
-                        raise ParseError("division by zero")
-                    v = v * MultiPoly.const(1 / c, v.vars)
+                    v = self.divide(v, rhs)
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 # implicit multiplication: 2t, 3(t+1), t(t-1)
                 rhs = self.power()
@@ -126,20 +121,15 @@ class _Parser:
                 raise ParseError("negative exponents are not supported")
             if kind != "num" or e.denominator != 1:
                 raise ParseError("exponent must be a nonnegative integer")
-            return base ** int(e)
+            return self.raise_to(base, int(e))
         return base
 
     def atom(self):
         kind, val = self.next()
         if kind == "num":
-            return MultiPoly.const(val, self.vars)
+            return self.number(val)
         if kind == "name":
-            if val == "i":
-                return MultiPoly.const(GaussianRational(0, 1), self.vars)
-            if val not in self.vars:
-                raise ParseError(f"unknown variable {val!r} "
-                                 f"(expected one of {list(self.vars)})")
-            return MultiPoly.var(val, self.vars)
+            return self.name(val)
         if kind == "op" and val == "(":
             v = self.expr()
             self.expect_op(")")
@@ -149,6 +139,64 @@ class _Parser:
         if kind == "op" and val == "+":
             return self.power()
         raise ParseError(f"unexpected token {val!r}")
+
+    # -- the values: polynomials over self.vars ------------------------------
+    def number(self, val):
+        return MultiPoly.const(val, self.vars)
+
+    def name(self, val):
+        if val == "i":
+            return MultiPoly.const(GaussianRational(0, 1), self.vars)
+        if val not in self.vars:
+            raise ParseError(f"unknown variable {val!r} "
+                             f"(expected one of {list(self.vars)})")
+        return MultiPoly.var(val, self.vars)
+
+    def divide(self, v, rhs):
+        if rhs.total_degree() > 0:
+            raise ParseError("division only by constants")
+        c = rhs.terms.get(tuple([0] * len(rhs.vars)))
+        if not c:
+            raise ParseError("division by zero")
+        return v * MultiPoly.const(1 / c, v.vars)
+
+    def raise_to(self, base, k):
+        return base ** k
+
+
+class _ScalarParser(_Parser):
+    """Constant expressions evaluated on exact scalars, Fraction and
+    GaussianRational, with the values and errors of `_Parser` over no
+    variables."""
+
+    def __init__(self, tokens):
+        super().__init__(tokens, ())
+
+    def number(self, val):
+        return val
+
+    def name(self, val):
+        if val == "i":
+            return GaussianRational(0, 1)
+        return super().name(val)
+
+    def divide(self, v, rhs):
+        if not rhs:
+            raise ParseError("division by zero")
+        return v * (1 / rhs)
+
+    def raise_to(self, base, k):
+        if isinstance(base, Fraction):
+            return base ** k
+        # square and multiply: GaussianRational has no power of its own
+        out = Fraction(1)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
 
 def parse_poly(text: str, variables=("x1", "x2")) -> MultiPoly:
@@ -173,13 +221,9 @@ def parse_operator(text: str):
 
 
 def parse_number(text: str):
-    """Exact scalar: Fraction, or GaussianRational when i appears."""
-    p = _Parser(_tokenize(text), ())
-    poly = p.parse()
-    c = poly.terms.get((), Fraction(0)) if poly.vars == () else None
-    if c is None:
-        raise ParseError("expected a constant")
-    return c
+    """Exact scalar: Fraction, or GaussianRational when the value is not real."""
+    c = _ScalarParser(_tokenize(text)).parse()
+    return c.re if isinstance(c, GaussianRational) and not c.im else c
 
 
 def parse_complex(text: str) -> complex:

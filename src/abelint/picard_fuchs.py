@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                        basis_two_form, divide_one_form, divide_two_form)
-from .errors import DegenerateBasis, LineInLocus, NoSolution, UnsupportedInput
+from .errors import (DegenerateBasis, LineInLocus, NoSolution, NumericOverflow,
+                     UnsupportedInput)
 from .linalg import FieldMatrix, clear_rows, solve_linear
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, float_overflow, straight_line
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
 
@@ -86,15 +85,15 @@ def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
 
 
 class LinearODESystem:
-    """dX/dt = A(t) X with exact rational entries; `eval` gives A(t) in floats
-    by one Horner pass over the stacked coefficients of all entries."""
+    """dX/dt = A(t) X with exact rational entries; `eval` gives A(t) in
+    floats from a kernel generated on its first call."""
 
     def __init__(self, A: FieldMatrix, singular_poly: MultiPoly):
         self.A = A
         self.ell = A.rows
         self.singular_poly = singular_poly
         self._roots = None
-        self._stack = None
+        self._kernel = None
 
     @property
     def singular_points(self):
@@ -102,30 +101,48 @@ class LinearODESystem:
             self._roots = self.singular_poly.univar_roots("t")
         return self._roots
 
-    def _compiled(self):
-        """C[k, 0, i, j] and C[k, 1, i, j]: the coefficients of degree
-        deg - k of the numerator and denominator of entry (i, j)."""
-        if self._stack is None:
-            coeffs = [[[p.univar_coeffs("t") for p in (e.num, e.den)] for e in row]
-                      for row in self.A.data]
-            deg = max(len(c) for row in coeffs for pair in row for c in pair)
-            C = np.zeros((deg, 2, self.ell, self.ell), dtype=complex)
-            for i, row in enumerate(coeffs):
-                for j, pair in enumerate(row):
-                    for k, c in enumerate(pair):
-                        C[deg - len(c):, k, i, j] = [complex(float(x), 0.0) for x in c[::-1]]
-            self._stack = C
-        return self._stack
-
     def eval(self, t: complex):
-        # `np.polyval`'s loop on every entry at once: the zero padding at the
-        # top keeps y at +0 until an entry's leading coefficient, so each
-        # entry gets the floats of its own `np.polyval`
-        C = self._compiled()
-        y = C[0]
-        for c in C[1:]:
-            y = y * t + c
-        return y[0] / y[1]
+        """A(complex(t)) as a tuple of row tuples of Python complex, so that
+        the floats do not depend on the type of t."""
+        try:
+            if self._kernel is None:
+                self._kernel = _system_kernel(self.A)
+            return self._kernel(complex(t))
+        except OverflowError as exc:
+            raise float_overflow(exc) from None
+        except ZeroDivisionError:
+            raise NumericOverflow(f"a denominator of A(t) rounds to 0 at t = {t}") from None
+
+
+def _system_kernel(A):
+    """t -> A(t): each entry's numerator by Horner in `np.polyval`'s order,
+    divided by its denominator, which is evaluated once for all entries
+    whose denominators have the same floats.  A zero entry over the
+    denominator 1 is 0j, the quotient."""
+    dens = {}
+    horners = []
+    rows = []
+    for row in A.data:
+        cells = []
+        for e in row:
+            den = tuple(_coefficients(e.den))
+            if e.num.is_zero() and den == (1,):
+                cells.append("0j")
+                continue
+            if den not in dens:
+                dens[den] = f"d{len(dens)}"
+                horners.append((dens[den], "t", den))
+            num = f"n{len(horners)}"
+            horners.append((num, "t", _coefficients(e.num)))
+            cells.append(f"{num} / {dens[den]}")
+        rows.append("(" + "".join(f"{c}, " for c in cells) + ")")
+    return straight_line(("t",), [], [f"return ({''.join(r + ', ' for r in rows)})"],
+                         horners=horners)
+
+
+def _coefficients(p):
+    """The complex coefficients of p(t), highest degree first."""
+    return [complex(c) for c in reversed(p.univar_coeffs("t"))]
 
 
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:

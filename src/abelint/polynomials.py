@@ -21,9 +21,10 @@ which gives every object over Q or Q(i) one representative, the lcm, the
 exact rank at a point, the reduced row echelon form of a constant matrix
 and the roots of a univariate polynomial.  It is the
 only module that imports sympy.  `straight_line` generates the float kernels
-of the numeric layers: sums of terms written out as one expression, with
-the float operations of a loop over the terms; `_generate` compiles the
-generated steps and right-hand sides of the integrator.
+of the numeric layers: sums of terms and Horner evaluations written out as
+one expression each, with the float operations of the loop they replace;
+`_generate` compiles the generated steps and right-hand sides of the
+integrator.
 """
 
 from __future__ import annotations
@@ -679,11 +680,15 @@ def _generate(head, name, args, lines):
                                    + [f"    return {name}\n"]))
 
 
-def straight_line(args, sums, tail, env=None):
-    """A function of `args` that evaluates each sum (target, start, terms)
-    into the local `target`, then runs the source lines `tail`.
+def straight_line(args, sums, tail, env=None, horners=()):
+    """A function of `args` that evaluates each Horner and then each sum into
+    its local `target`, then runs the source lines `tail`.
 
-    Each term is (coefficient, factor sources): the text
+    Each Horner (target, x, coefficients), highest degree first, is the text
+    `target = (c0 * x + c1) * x + c2`: the float operations of the loop
+    `v = c0; for c in rest: v = v * x + c`, which are `np.polyval`'s at a
+    finite x (its first step, 0 * x + c0, gives c0 there).  Each sum
+    (target, start, terms) has terms (coefficient, factor sources): the text
     `target = start + c0 * f00 * f01 + c1 * f10 + ...` that Python evaluates
     left to right, so it makes the float operations of the loop
     `s = start; for c, fs in terms: v = c; for f in fs: v = v * f; s = s + v`
@@ -695,6 +700,19 @@ def straight_line(args, sums, tail, env=None):
     """
     env = dict(env or {})
     consts, lines = [], []
+    for target, x, coeffs in horners:
+        names = []
+        for c in coeffs:
+            names.append(f"c{len(consts)}")
+            consts.append(c)
+        value, rest = names[0], names[1:]
+        while True:
+            step, rest = rest[:TERMS_PER_LINE], rest[TERMS_PER_LINE:]
+            value = "(" * len(step) + value + "".join(f" * {x} + {c})" for c in step)
+            lines.append(f"{target} = {value}")
+            if not rest:
+                break
+            value = target
     for target, start, terms in sums:
         parts = []
         for c, factors in terms:

@@ -154,10 +154,12 @@ class RatFunc:
 def _cancel(num, den):
     if num.is_zero():
         return num, MultiPoly.const(1, num.vars)
-    g = MultiPoly.gcd(num, den)
-    if not g.is_constant():
-        num = num.divexact(g)
-        den = den.divexact(g)
+    # beside a nonzero constant the gcd is a constant, which is left out
+    if not (num.is_constant() or den.is_constant()):
+        g = MultiPoly.gcd(num, den)
+        if not g.is_constant():
+            num = num.divexact(g)
+            den = den.divexact(g)
     # normalize den by the rule of primitive_parts
     c, prim = den.primitive()
     num = num.divexact(c)

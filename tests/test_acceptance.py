@@ -86,7 +86,7 @@ def test_criterion_02_circle_end_to_end():
     t = RatFunc(MultiPoly.var("t"))
     exact = ode.A.rows == 1 and (ode.A.data[0][0] - 1 / t).is_zero()
     # oracle X(t) = 2 pi t: check t X' - X = 0 against A
-    oracle = all(abs(ode.eval(tv)[0, 0] * (2 * math.pi * tv) - 2 * math.pi)
+    oracle = all(abs(np.array(ode.eval(tv))[0, 0] * (2 * math.pi * tv) - 2 * math.pi)
                  < 1e-13 for tv in (0.25, 1.0, 3.0))
     report(2, "circle Hamiltonian yields A(t) = [1/t] exactly; 2 pi t oracle",
            exact and oracle)
@@ -100,7 +100,7 @@ def test_criterion_03_elliptic_picard_fuchs(elliptic):
         d = 1e-4
         dX = (8 * (q(t0 + d) - q(t0 - d)) -
               (q(t0 + 2 * d) - q(t0 - 2 * d))) / (12 * d)
-        rhs = elliptic.ode.eval(t0) @ q(t0)
+        rhs = np.array(elliptic.ode.eval(t0)) @ q(t0)
         res = np.max(np.abs(dX - rhs)) / np.max(np.abs(rhs))
         worst = max(worst, res)
         sys_ok = sys_ok and res <= 1e-4

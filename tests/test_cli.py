@@ -357,6 +357,18 @@ def test_count_initial_step_underflow(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["count", "--operator", "t^400*D + 1", "--center", "0", "--radius", "0.01",
+     "--y0", "1"],
+    ["monodromy", "--operator", "t^400*D + 1", "--radius", "0.01"],
+])
+def test_leading_coefficient_underflow(capsys, args):
+    # 0.01^400 rounds to 0 on the circle, so -1 / t^400 has no float value
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == ""
+    assert "leading coefficient rounds to 0" in err
+
+
 def test_scientific_notation_arguments(capsys):
     # a decimal exponent is read as a number, not as a variable e...
     code, out, err = run(capsys, "count", "--operator", "D^2 + 1", "--radius", "2",

@@ -3,7 +3,10 @@
 `integrals` once summed each polynomial with a loop over its terms, and
 `DiffOperator.companion_rhs` filled its matrix from `eval_complex`; both
 loops are kept here as references.  The kernels must give the same floats,
-bit for bit (signed zeros included), and the same errors.
+bit for bit (signed zeros included), and the same errors, except that a
+leading coefficient that is 0 in floats raises NumericOverflow instead of
+ZeroDivisionError.  `LinearODESystem.eval`'s kernel is checked against its
+loop in test_picard_fuchs; here, that constants never reach kernel source.
 """
 
 import math
@@ -15,13 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelint import polynomials
 from abelint.errors import (NotClosed, NumericOverflow, SeedOffCurve,
                             UnsupportedInput)
 from abelint.integrals import LevelCurve, _compile
+from abelint.linalg import FieldMatrix
 from abelint.operators import DiffOperator
 from abelint.parsing import parse_operator, parse_poly
+from abelint.picard_fuchs import LinearODESystem
 from abelint.polynomials import MultiPoly
 from abelint.qi import GaussianRational
+from abelint.ratfunc import RatFunc
 
 X = ("x1", "x2")
 
@@ -63,6 +70,14 @@ def loop_companion(D, t):
     for j in range(1, k + 1):
         M[k - 1, k - j] = -D.coeffs[j].eval_complex({"t": t}) / p0
     return M
+
+
+def _system(rows):
+    return LinearODESystem(FieldMatrix(rows), MultiPoly.const(1, ("t",)))
+
+
+def _rf(num, den="1"):
+    return RatFunc(parse_poly(num, ("t",)), parse_poly(den, ("t",)))
 
 
 def bits(v):
@@ -131,9 +146,13 @@ def test_companion_kernel_matches_eval_complex(coeffs, re, im, kind):
     t = kind(complex(re, im))
     with np.errstate(divide="ignore", invalid="ignore"):   # numpy's t at p0(t) = 0
         got, want = outcome(D.companion_rhs, t), outcome(loop_companion, D, t)
+    if want is ZeroDivisionError:
+        # a leading coefficient that is 0 in floats exits as NumericOverflow
+        want = NumericOverflow
     if isinstance(want, type):
         assert got == want
     else:
+        got = np.array(got)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -142,7 +161,7 @@ def test_companion_kernel_of_many_terms():
     D = parse_operator("(" + " + ".join(f"{k % 7 - 3}/{k + 1}*t^{k}" for k in range(200))
                        + ")*D^2 + t^3*D - 5")
     for t in (0.3 - 0.9j, -1.01 + 0.2j):
-        assert D.companion_rhs(t).tobytes() == loop_companion(D, t).tobytes()
+        assert np.array(D.companion_rhs(t)).tobytes() == loop_companion(D, t).tobytes()
 
 
 def test_float_overflow_keeps_its_errors():
@@ -151,6 +170,14 @@ def test_float_overflow_keeps_its_errors():
         parse_operator("t^200*D + 1").companion_rhs(1e3 + 0j)
     with pytest.raises(NumericOverflow):
         parse_operator("10^400*D + 1").companion_rhs(0.5 + 0j)
+    # a leading coefficient or a denominator that underflows to 0
+    with pytest.raises(NumericOverflow, match="leading coefficient rounds to 0"):
+        parse_operator("t^400*D + 1").companion_rhs(0.01 + 0j)
+    t400 = RatFunc(MultiPoly.const(1, ("t",)), parse_poly("t^400", ("t",)))
+    with pytest.raises(NumericOverflow, match="denominator of A"):
+        _system([[t400]]).eval(0.01)
+    with pytest.raises(NumericOverflow):
+        _system([[RatFunc(parse_poly("10^400*t", ("t",)))]]).eval(0.5)
     # x1 ** 3 beyond the float range inside the Newton projection
     curve = LevelCurve(parse_poly("x2^2/2 + x1^3 - x1", X))
     with pytest.raises(SeedOffCurve):
@@ -170,3 +197,35 @@ def test_companion_kernel_takes_only_t():
         c = MultiPoly.var(name, tuple(sorted(("t", name))))
         with pytest.raises(UnsupportedInput):
             DiffOperator([MultiPoly.const(1, ("t",)), c]).companion_rhs(0.5 + 0j)
+
+
+def test_system_constants_stay_out_of_kernel_source(monkeypatch):
+    """Coefficients reach the `eval` kernel as closure values, so its source
+    holds only the shape of A, and systems of one shape share its code."""
+    sources = []
+    factory = polynomials._kernel_factory
+
+    def recording(source):
+        sources.append(source)
+        return factory(source)
+    monkeypatch.setattr(polynomials, "_kernel_factory", recording)
+    M = _system([[_rf("12345/678*t + 98765", "t^2 + 1"), _rf("0")],
+                 [_rf("1"), _rf("t", "t^2 + 1")]])
+    assert M.eval(0.5)[0][0] == (12345 / 678 * 0.5 + 98765) / (0.5 ** 2 + 1)
+    assert len(sources) == 1
+    assert "12345" not in sources[0] and "678" not in sources[0]
+    assert "98765" not in sources[0]
+    # the denominators t^2 + 1 and 1, each evaluated once
+    assert "d1 = " in sources[0] and "d2 = " not in sources[0]
+
+
+def test_systems_of_one_shape_share_their_kernel():
+    def shaped(a, b):
+        return _system([[_rf(f"{a}*t + {b}", f"t^2 + {b}"), _rf("0")],
+                        [_rf(f"{b}"), _rf("t", f"t^2 + {b}")]])
+    shaped(3, 7).eval(0.5)
+    before = polynomials._kernel_factory.cache_info()
+    one, other = shaped(11, 5), shaped(Fraction(-2, 9), 13)
+    assert one.eval(0.5) != other.eval(0.5)
+    after = polynomials._kernel_factory.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelint.errors import ParseError
 from abelint.parsing import (parse_complex, parse_number, parse_operator,
@@ -69,3 +71,50 @@ def test_parse_errors():
 def test_unknown_variable():
     with pytest.raises(ParseError):
         parse_poly("x1 + y", ("x1",))
+
+
+def _value(parse, text):
+    """(type, value) of a parse, or the message of its ParseError."""
+    try:
+        v = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return (type(v), v)
+
+
+def _poly_constant(text):
+    """A constant expression parsed as a polynomial over no variables: the
+    reference for `parse_number`."""
+    return parse_poly(text, ()).terms.get((), Fraction(0))
+
+
+_atoms = st.sampled_from(["0", "1", "2", "3/4", "0.5", "1e-2", "7", "i", "x", "e"])
+_exponents = st.sampled_from(["0", "1", "2", "3", "5", "-1", "1.5"])
+
+
+def _expressions():
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " "]), inner).map(
+                lambda t: f"{t[0]}{t[1]}{t[2]}"),
+            st.tuples(inner, _exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda e: f"-({e})"),
+            inner.map(lambda e: f"({e})"))
+    return st.recursive(_atoms, extend, max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expressions())
+def test_parse_number_matches_polynomial_constant(text):
+    assert _value(parse_number, text) == _value(_poly_constant, text)
+
+
+def test_parse_number_values_and_errors():
+    assert _value(parse_number, "i^2") == (Fraction, Fraction(-1))
+    assert _value(parse_number, "(1+i)^4") == (Fraction, Fraction(-4))
+    assert parse_number("(1/2 + i)^3") == GaussianRational(Fraction(-11, 8), Fraction(-1, 4))
+    assert parse_number("0^0") == 1 and parse_number("10^400") == 10 ** 400
+    for text in ["y + 1", "1/0", "2/(i - i)", "2^-1", "2^1.5", "(1", "2^i"]:
+        assert _value(parse_number, text) == _value(_poly_constant, text)
+        with pytest.raises(ParseError):
+            parse_number(text)

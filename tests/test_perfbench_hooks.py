@@ -33,3 +33,19 @@ def test_tracer_install_and_uninstall(tracer):
     assert all(getattr(counting, name) is fn for name, fn in spans.items())
     assert operators.DiffOperator.__dict__["companion_rhs"] is rhs
     assert picard_fuchs.LinearODESystem.__dict__["eval"] is ode_eval
+
+
+def test_traced_periods_job_counts_rhs_evals(tracer):
+    """Continuation calls `LinearODESystem.eval` as a class method, once per
+    right-hand side, so the traced `periods` job counts its evaluations."""
+    import workloads
+    job = next(j for j in workloads.count(1) if j.kind == "periods")
+    tracer.install()
+    try:
+        tracer.active = True
+        ok, _ = job.check(job.run())
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert ok
+    assert tracer.totals()["counting.rhs_evals"]["calls"] > 0

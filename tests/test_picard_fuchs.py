@@ -29,7 +29,7 @@ def test_circle_system_exact():
     assert (ode.A.data[0][0] - 1 / t).is_zero()
     # oracle: X(t) = 2 pi t solves t X' = X
     for tv in (0.5, 1.0, 2.0):
-        assert abs(ode.eval(tv)[0, 0] * (2 * np.pi * tv) - 2 * np.pi) < 1e-14
+        assert abs(np.array(ode.eval(tv))[0, 0] * (2 * np.pi * tv) - 2 * np.pi) < 1e-14
 
 
 def test_circle_singular_pencil_detected():
@@ -77,7 +77,7 @@ def test_elliptic_system_matches_quadrature(elliptic):
     d = 1e-4
     q = elliptic.periods
     dX = (8 * (q(t0 + d) - q(t0 - d)) - (q(t0 + 2 * d) - q(t0 - 2 * d))) / (12 * d)
-    rhs = elliptic.ode.eval(t0) @ q(t0)
+    rhs = np.array(elliptic.ode.eval(t0)) @ q(t0)
     res = np.max(np.abs(dX - rhs)) / np.max(np.abs(rhs))
     assert res < 1e-5
 
@@ -101,24 +101,50 @@ def test_size_report(elliptic):
 
 
 def _polyval_entries(ode, t):
-    """A(t) entry by entry with `np.polyval`, the reference for `eval`."""
+    """A(t) entry by entry with `np.polyval`, which divides as numpy does."""
     def coeffs(p):
         return np.array([complex(float(c), 0.0) for c in p.univar_coeffs("t")][::-1])
     return [[np.polyval(coeffs(e.num), t) / np.polyval(coeffs(e.den), t)
              for e in row] for row in ode.A.data]
 
 
+def _loop_entries(ode, t):
+    """A(t) entry by entry, the reference for `eval`: a Horner loop on
+    Python complex scalars for the numerator and for the denominator, then
+    their quotient."""
+    def horner(p):
+        cs = [complex(c) for c in reversed(p.univar_coeffs("t"))]
+        y = cs[0]
+        for c in cs[1:]:
+            y = y * t + c
+        return y
+    t = complex(t)
+    return [[horner(e.num) / horner(e.den) for e in row] for row in ode.A.data]
+
+
 EVAL_POINTS = [0.3, -1.7, np.float64(2.5), 0.25 + 0.5j, -3.0 + 1e-3j,
                np.complex128(1e-6 - 2j), 1e4 + 1e4j, 2j]
+# numpy's array loops may round a Horner step differently from CPython's
+# complex operations, and numpy divides by multiplying with the reciprocal
+# of Smith's denominator, so `eval` parts from `np.polyval` in the last
+# bits: by at most 1.05 ulps of an entry at these points, which keep away
+# from the roots of the denominators, where a rounding of the denominator
+# is amplified
+EVAL_ULPS = 4
 
 
 def _assert_eval_matches_polyval(ode):
     for t in EVAL_POINTS:
         M = ode.eval(t)
+        assert type(M) is tuple and all(type(row) is tuple for row in M)
+        assert all(type(x) is complex for row in M for x in row)
+        # bit for bit, signed zeros included
+        assert np.array(M).tobytes() == np.array(_loop_entries(ode, t)).tobytes(), t
         ref = _polyval_entries(ode, t)
         for i in range(ode.ell):
             for j in range(ode.ell):
-                assert M[i, j] == ref[i][j], (t, i, j)
+                err = abs(M[i][j] - ref[i][j])
+                assert err <= EVAL_ULPS * np.finfo(float).eps * abs(ref[i][j]), (t, i, j)
 
 
 def test_eval_matches_polyval_elliptic(elliptic):
@@ -126,9 +152,20 @@ def test_eval_matches_polyval_elliptic(elliptic):
 
 
 def test_eval_matches_polyval_mixed_degrees():
-    # numerator/denominator degrees differ per entry, so the stack is padded
+    # numerator/denominator degrees differ per entry, and two entries share
+    # the denominator t^2 + 1
     def rf(num, den="1"):
         return RatFunc(parse_poly(num, ("t",)), parse_poly(den, ("t",)))
-    A = FieldMatrix([[rf("t^3 - 2*t + 1/3", "t^2 + 1"), rf("5/7")],
-                     [rf("1", "t - 3/2"), rf("2*t", "t^4 + t + 1")]])
+    A = FieldMatrix([[rf("t^3 - 2*t + 1/3", "t^2 + 1"), rf("5/7"), rf("0")],
+                     [rf("1", "t - 3/2"), rf("2*t", "t^4 + t + 1"), rf("-t", "t^2 + 1")],
+                     [rf("0"), rf("1/3"), rf("t^5 - 1")]])
     _assert_eval_matches_polyval(LinearODESystem(A, MultiPoly.const(1, ("t",))))
+
+
+def test_eval_of_high_degree_entries():
+    # more coefficients than one line of a generated Horner holds
+    num = " + ".join(f"{k % 5 - 2}/{k + 1}*t^{k}" for k in range(150))
+    A = FieldMatrix([[RatFunc(parse_poly(num, ("t",)), parse_poly("t^70 + 3", ("t",)))]])
+    ode = LinearODESystem(A, MultiPoly.const(1, ("t",)))
+    for t in (0.3 - 0.9j, -1.01 + 0.2j):
+        assert np.array(ode.eval(t)).tobytes() == np.array(_loop_entries(ode, t)).tobytes()
