@@ -485,10 +485,8 @@ def annulus_zero_bound(D: DiffOperator, inner: Circle, outer: Circle) -> Annulus
     qu, orders = is_quasiunipotent(M)
     if not qu:
         raise NotQuasiunipotent("equatorial monodromy is not quasiunipotent")
-    Dw = pullback(D, inv)               # operator in the concentric chart
-    Dsym = symmetrize(Dw, MobiusMap(1, GaussianRational(0, -1),
-                                    1, GaussianRational(0, 1)))
-    # carrier above: unit circle as Moebius image of the real axis
+    # D in the concentric chart, symmetrized across its unit circle
+    Dsym = symmetrize(D, MobiusMap(1, GaussianRational(0, -1), 1, GaussianRational(0, 1)), inv)
     kp = Dsym.order
     sing = Dsym.leading_roots()
     b1, b2 = (var_arg_bound(Dsym, ContourPath.from_circle(Circle(0, rho / req)).pieces[0],

@@ -16,14 +16,16 @@ Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: no common
 polynomial factor, the normal form of `primitive_parts` (the
 graded-lex leading coefficient of p0 a positive integer, joint content 1)
-and each coefficient's terms stored in descending order.  The affine slope
-is max_j ||p_j|| / ||p0|| in l1 coefficient norms; the invariant slope is
-approached by sampling Moebius pullbacks combined with symmetrization across
-circles and lines.
+and each coefficient's terms stored in descending order; it is fixed by
+the kernel, so results reached along different paths are equal.  The affine
+slope is max_j ||p_j|| / ||p0|| in l1 coefficient norms; the invariant
+slope is approached by sampling Moebius pullbacks combined with
+symmetrization across circles and lines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -50,6 +52,7 @@ class DiffOperator:
         if not coeffs:
             raise ValueError("zero operator")
         self.coeffs = coeffs
+        self.standard = False   # set by standard_form
         self._companion = None
 
     @property
@@ -110,16 +113,19 @@ def _companion_kernel(coeffs):
     return straight_line(("t",), sums, [f"return ({''.join(r + ', ' for r in rows)})"])
 
 
-def standard_form(coeffs) -> DiffOperator:
+def standard_form(coeffs, g=None) -> DiffOperator:
     """Normalize an operator with polynomial coefficients to its standard
     form, with the terms of each coefficient in descending order, so that
-    the form does not depend on how the operator was computed."""
+    the form does not depend on how the operator was computed; g is the
+    coefficients' gcd up to a scalar, when known."""
     polys = [c.extend(TVARS) for c in coeffs]
-    g = reduce(MultiPoly.gcd, polys)
+    g = reduce(MultiPoly.gcd, polys) if g is None else g
     if not g.is_constant():
         polys = [p.divexact(g) for p in polys]
     _, polys = primitive_parts(polys)
-    return DiffOperator([p.over_field().descending() for p in polys])
+    D = DiffOperator([p.over_field().descending() for p in polys])
+    D.standard = True
+    return D
 
 
 def reduce_to_scalar(ode) -> DiffOperator:
@@ -178,17 +184,22 @@ def _first_relation(N, q) -> DiffOperator:
         except NoSolution:
             cols.append(S)
             continue
-        return standard_form([d * q ** k] + [-y[j] * q ** j for j in reversed(range(k))])
+        # with gcd(d, y) = 1 the common factor divides q^k: for pi^a || q, a
+        # common pi^(e > k a) would divide d and every y_j
+        qk = q ** k
+        polys = [d * qk] + [-y[j] * q ** j for j in reversed(range(k))]
+        return standard_form(polys, reduce(MultiPoly.gcd, reversed(polys[1:]), qk))
     raise NoSolution("no scalar relation up to order ell")
 
 
-def _divide_out(u, polys):
-    """polys divided by the highest power of u that divides all of them."""
-    while True:
+def _divide_out(u, polys, limit=math.inf):
+    """polys divided by the highest power u^v, v <= limit, dividing all."""
+    while limit > 0:
         try:
-            polys = [p.divexact(u) for p in polys]
+            polys, limit = [p.divexact(u) for p in polys], limit - 1
         except ValueError:
-            return polys
+            break
+    return polys
 
 
 def affine_slope(D: DiffOperator):
@@ -238,7 +249,7 @@ class MobiusMap:
 
 # the line point + direction * R is the image of R under
 # MobiusMap(direction, point, 0, 1)
-REAL_AXIS = MobiusMap(1, 0, 0, 1)
+IDENTITY = REAL_AXIS = MobiusMap(1, 0, 0, 1)
 
 
 def circle_to_real_axis_map(center_re, center_im, radius):
@@ -249,12 +260,14 @@ def circle_to_real_axis_map(center_re, center_im, radius):
     return MobiusMap(c + r, i * (c - r), 1, i)
 
 
-def _compose_r_d(r: MultiPoly, L):
-    """(r * d/dt) applied to operator L = [c_0, c_1, ...] (ascending)."""
-    out = [r.const_like(0)] * (len(L) + 1)
-    for i, ci in enumerate(L):
-        out[i] = out[i] + r * ci.diff("t")
-        out[i + 1] = out[i + 1] + r * ci
+def _next_power(den: MultiPoly, j, E):
+    """E_{j+1} from E_j, ascending in d, for (den^2 d)^j = den^j E_j: den^2 d
+    (den^j e d^m) = den^(j+1) ((j den' e + den e') d^m + den e d^(m+1))."""
+    dd = den.diff("t") * j
+    out = [den.const_like(0)] * (len(E) + 1)
+    for m, e in enumerate(E):
+        out[m] = out[m] + dd * e + den * e.diff("t")
+        out[m + 1] = out[m + 1] + den * e
     return out
 
 
@@ -262,42 +275,47 @@ def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
     """Operator annihilating f o phi for every f annihilated by D.
 
     For phi = (at + b)/(ct + d), M = (1/phi') d/dt = (ct + d)^2 / det d/dt,
-    and p(phi) (ct + d)^N is a polynomial for N >= deg p, so the
-    pulled-back operator times (ct + d)^N, N the largest coefficient degree,
-    is built from polynomials alone.  It is built over Z[t] or Z[i][t]:
-    a common factor of a, b, c and d leaves phi as it is, so they are
-    scaled to integers, and so are D's coefficients, jointly.  The operator
-    times det^k is the sum over i of det^i p_i(phi) (det M)^(k - i), whose
-    det M = (ct + d)^2 d/dt has no denominator.
+    (det M)^j = (ct + d)^j E_j and H_i = p_i(phi) (ct + d)^(n_i), n_i = deg p_i,
+    with E_j and H_i polynomial over Z[t] or Z[i][t] (phi's entries and D's
+    coefficients are each scaled to integers jointly).  With s_i = k - i - n_i
+    and s = min s_i, det^k (ct + d)^-s times the operator is the polynomial
+    sum of det^i (ct + d)^(s_i - s) H_i E_(k-i).  For coprime p_i (D in
+    standard form) only a power (ct + d)^v can divide all its coefficients:
+    elsewhere the change of variables is invertible, so a common root u would
+    make every p_i vanish at phi(u).  v is at most the exact valuations s_k - s
+    of the d^0 coefficient (p_k != 0) and s_0 + k - s of the d^k one (N - n_k
+    and N - n_0 + 2k times (ct + d)^N, N = max n_i): exact divisions, no gcd.
     """
+    if not D.standard:
+        D = standard_form(D.coeffs)
     k = D.order
     t = MultiPoly.var("t")
     s, (num, den) = integer_parts([t * phi.a + phi.b, t * phi.c + phi.d])
     det = (phi.a * phi.d - phi.b * phi.c) / (s * s)
     _, coeffs = integer_parts(D.coeffs)
     one, zero = den.const_like(1), den.const_like(0)
-    r = den * den
-    # powers of det M = (ct + d)^2 d/dt
-    Mpow = [[one]]
-    for _ in range(k):
-        Mpow.append(_compose_r_d(r, Mpow[-1]))
-    N = max(p.total_degree() for p in coeffs)
-    den_pow = [one]
-    for _ in range(N):
-        den_pow.append(den_pow[-1] * den)
+    E = [[one]]
+    for j in range(k):
+        E.append(_next_power(den, j, E[-1]))
+    shift = [k - i - p.total_degree() for i, p in enumerate(coeffs)]   # inf for p_i = 0
+    low = min(shift)
+    den_pow = [den ** e for e in range(k + 1 + max(p.total_degree() for p in coeffs))]
     out = [zero] * (k + 1)
     det_i = GaussianRational(1)
     for i, p in enumerate(coeffs):
-        # homogeneous Horner: sum_j c_j num^j den^(N - j) = p(phi) den^N
-        aj = zero
-        cs = p.univar_coeffs("t")
-        for j in reversed(range(len(cs))):
-            aj = aj * num + den_pow[N - j] * cs[j]
-        aj = aj * det_i
-        for m, cm in enumerate(Mpow[k - i]):
-            out[m] = out[m] + aj * cm
+        if not p.is_zero():
+            # homogeneous Horner: sum_j c_j num^j den^(n_i - j) = H_i
+            aj = zero
+            cs = p.univar_coeffs("t")
+            for j in reversed(range(len(cs))):
+                aj = aj * num + den_pow[len(cs) - 1 - j] * cs[j]
+            aj = aj * det_i * den_pow[shift[i] - low]
+            for m, cm in enumerate(E[k - i]):
+                out[m] = out[m] + aj * cm
         det_i = det_i * det
-    return standard_form(list(reversed(out)))
+    if not den.is_constant():
+        out = _divide_out(den.primitive()[1], out, min(shift[k], shift[0] + k) - low)
+    return standard_form(list(reversed(out)), one)
 
 
 def reflect(D: DiffOperator) -> DiffOperator:
@@ -314,12 +332,15 @@ def lclm(D: DiffOperator) -> DiffOperator:
     of p0 and conj(p0), the system is N / q with q on the superdiagonals of
     the two k-blocks and, for c_j = -p_{k-j} h = a_j + i b_j, last rows
     (a | -b) and (b | a); the relation search from the row that selects
-    u = (f + g)/2 gives the lclm.  A real D decouples and comes back as
-    itself.
+    u = (f + g)/2 gives the lclm.  A real D is its own reflection, so its
+    own lclm, with no search.  gcd(p0, conj p0) = gcd(Re p0, Im p0), taken over
+    Q: a common factor of either pair divides both polynomials of the other.
     """
+    if not any(c.has_gaussian() for c in D.coeffs):
+        return D if D.standard else standard_form(D.coeffs)
     k, n = D.order, 2 * D.order
     p0, p0c = D.coeffs[0], D.coeffs[0].conj_coeffs()
-    h = p0c.divexact(MultiPoly.gcd(p0, p0c))
+    h = p0c.divexact(MultiPoly.gcd(p0 + p0c, (p0 - p0c) * GaussianRational(0, 1)))
     q = p0 * h
     N = [[MultiPoly.zero(TVARS) for _ in range(n)] for _ in range(n)]
     for i in range(k - 1):
@@ -333,15 +354,19 @@ def lclm(D: DiffOperator) -> DiffOperator:
     return _first_relation(N, q)
 
 
-def symmetrize(D: DiffOperator, gamma=REAL_AXIS) -> DiffOperator:
-    """Smallest operator containing ker D and its reflection across gamma.
+def symmetrize(D: DiffOperator, gamma=REAL_AXIS, phi=IDENTITY) -> DiffOperator:
+    """Smallest operator containing ker(D o phi) and its reflection across
+    gamma, pullback(lclm(pullback(D, phi o gamma)), gamma^-1): the standard
+    form is fixed by the kernel, so one pullback by phi o gamma is the two.
 
     gamma is a line or an exact circle, given as the MobiusMap that sends
     the real axis onto it; the result has order at most 2 * ord(D).
     """
     if not isinstance(gamma, MobiusMap):
         raise UnsupportedInput("gamma must be a MobiusMap onto the carrier")
-    return pullback(lclm(pullback(D, gamma)), gamma.inverse())
+    L = lclm(pullback(D, phi.compose(gamma)))
+    identity = not (gamma.b or gamma.c) and gamma.a == gamma.d
+    return L if identity else pullback(L, gamma.inverse())
 
 
 @dataclass
@@ -363,16 +388,14 @@ class SlopeReport:
 def default_slope_samples():
     """Deterministic (phi, gamma) sample set for the invariant slope."""
     i = GaussianRational(0, 1)
-    one = GaussianRational(1)
     samples = []
-    ident = MobiusMap(1, 0, 0, 1)
     unit_circle = circle_to_real_axis_map(0, 0, 1)
     imag_line = MobiusMap(i, 0, 0, 1)
-    for name, phi in [("id", ident),
+    for name, phi in [("id", IDENTITY),
                       ("shift+1", MobiusMap(1, 1, 0, 1)),
                       ("scale2", MobiusMap(2, 0, 0, 1)),
                       ("invert", MobiusMap(0, 1, 1, 0)),
-                      ("rot-i", MobiusMap(i, 0, 0, one))]:
+                      ("rot-i", MobiusMap(i, 0, 0, 1))]:
         for gname, gamma in [("R", REAL_AXIS), ("unit-circle", unit_circle),
                              ("imag-axis", imag_line)]:
             samples.append((f"{name}/{gname}", phi, gamma))
@@ -386,9 +409,10 @@ def invariant_slope_sampled(D: DiffOperator) -> SlopeReport:
     Always at least the plain affine slope (identity pullback across R).
     """
     report = SlopeReport(affine=affine_slope(D))
+    D = D if D.standard else standard_form(D.coeffs)   # once, not in each pullback
     for name, phi, gamma in default_slope_samples():
         try:
-            s = affine_slope(symmetrize(pullback(D, phi), gamma))
+            s = affine_slope(symmetrize(D, gamma, phi))
         except (NoSolution, ZeroDivisionError):
             continue
         report.samples.append((name, s))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from abelint.cli import main
+from abelint.parsing import MAX_POWER_BITS
 from abelint.serialize import dumps
 
 
@@ -496,3 +497,14 @@ def test_annulus_bound_needs_both_radii(capsys):
         code, _, err = run(capsys, "bound", "--operator", "t*D - 1", *radii)
         assert code == 2
         assert "--inner-radius and --outer-radius" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--operator", "D - 1", "--radius", "1", "--y0", "3^1000000000"],
+    ["slope", "--operator", "3^1000000000*D + 1"],
+    ["slope", "--operator", f"(t+1)^{MAX_POWER_BITS + 1}*D + 1"]])
+def test_huge_powers_exit_2(capsys, args):
+    """A power that would add more than MAX_POWER_BITS bits is an input
+    error, refused before its value is built."""
+    code, _, err = run(capsys, *args)
+    assert code == 2 and "bits" in err

@@ -404,10 +404,11 @@ def _realified_ratfunc_system(D):
 
 
 def test_lclm_system_is_realified_companion(monkeypatch):
-    """For random standard-form operators of orders 1-3 over Q and Q(i),
-    some with p0 and conj(p0) sharing a factor, lclm searches on N / q equal
-    to the realified companion matrix, and q is the lcm of its denominators
-    up to a rational scalar."""
+    """For random standard-form operators of orders 1-3 over Q(i), some with
+    p0 and conj(p0) sharing a factor, lclm searches on N / q equal to the
+    realified companion matrix, and q is the lcm of its denominators up to a
+    rational scalar.  A real operator is its own lclm: it comes back with
+    no search."""
     import random
 
     seen = []
@@ -429,7 +430,10 @@ def test_lclm_system_is_realified_companion(monkeypatch):
             coeffs[0] = MultiPoly.var("t") + 1
         D = standard_form(coeffs)
         seen.clear()
-        lclm(D)
+        L = lclm(D)
+        if not gaussian:
+            assert L == D and not seen
+            continue
         (N, q), = seen
         A = _realified_ratfunc_system(D)
         assert all(RatFunc(N[i][j], q) == A[i][j] for i in range(len(A)) for j in range(len(A)))
@@ -446,16 +450,19 @@ def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
     """The rows the relation search hands to its solve, and the pulled-back
     and searched coefficients that standard_form receives, are over Z or
     Z[i]: a stray rational factor would silently lift them to Q or Q(i).
-    The operators that come out are over Q or Q(i), as before."""
+    The operators that come out are over Q or Q(i), as before.  The inputs
+    are in standard form, so pullback does not normalize them.  Each case
+    symmetrizes a Gaussian operator, so the search runs; a real one across
+    the real axis is its own lclm and runs no search."""
     solved, normalized = [], []
 
     def spy_solve(rows, n, verify=True):
         solved.extend(e for row in rows for e in row)
         return solve_linear(rows, n, verify)
 
-    def spy_standard_form(coeffs):
+    def spy_standard_form(coeffs, g=None):
         normalized.extend(coeffs)
-        return standard_form(coeffs)
+        return standard_form(coeffs, g)
 
     monkeypatch.setattr(operators, "solve_linear", spy_solve)
     monkeypatch.setattr(operators, "standard_form", spy_standard_form)
@@ -463,8 +470,12 @@ def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
     outs = []
     for text, gamma in (("(t^2/3 - 1)*D^2 + t/2*D - 1", circle_to_real_axis_map(0, 0, 1)),
                         ("(t - i/2)*D^2 + 1/3", MobiusMap(I, 0, 0, 1))):
-        D = pullback(mk(text), MobiusMap(Fraction(1, 2), I / 3, 0, 1))
+        D = pullback(standard_form(mk(text).coeffs), MobiusMap(Fraction(1, 2), I / 3, 0, 1))
         outs += [D, symmetrize(D, gamma)]
+    searched = len(solved)
+    S = symmetrize(standard_form(mk("(t^2/3 - 1)*D^2 + t/2*D - 1").coeffs), REAL_AXIS)
+    assert not any(c.has_gaussian() for c in S.coeffs)
+    assert len(solved) == searched
     Ai = FieldMatrix([[RatFunc(MultiPoly(T, {(1,): I})), _rf("1", "3*t + 2")],
                       [_rf("t/5"), _rf("0")]])
     outs.append(reduce_to_scalar(LinearODESystem(Ai, MultiPoly.const(1, T))))
@@ -472,3 +483,135 @@ def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
     assert all(_over_integers(e) for e in solved)
     assert all(_over_integers(c) for c in normalized)
     assert not any(_over_integers(c) for D in outs for c in D.coeffs)
+
+
+def _oracle_operators():
+    """Seeded random standard-form operators of orders 1-3 over Q and Q(i)."""
+    import random
+
+    rng = random.Random(29)
+    ops = []
+    for case in range(6):
+        gaussian = case % 2 == 1
+        coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 3 - case // 2))
+                  for _ in range(case // 2 + 2)]
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.var("t") + 1
+        ops.append(standard_form(coeffs))
+    return ops
+
+
+def _oracle_charts():
+    """(phi, gamma): the 15 slope samples and the annulus chart of
+    0.5 < |t| < 4, whose inverse annulus_zero_bound symmetrizes across the
+    unit circle."""
+    I = GaussianRational(0, 1)
+    inv = counting._annulus_chart(Circle(0j, 0.5), Circle(0j, 4.0))[0].inverse()
+    return ([(phi, gamma) for _, phi, gamma in operators.default_slope_samples()]
+            + [(inv, MobiusMap(1, -I, 1, I))])
+
+
+_LCLM = {}
+
+
+def _memo_lclm(D):
+    key = tuple(D.coeffs)
+    if key not in _LCLM:
+        _LCLM[key] = lclm(D)
+    return _LCLM[key]
+
+
+def _searched(D):
+    """Whether the oracles symmetrize D: all but the order-3 operator over
+    Q(i), whose 16 order-6 searches take about 6 s."""
+    return D.order < 3 or not any(c.has_gaussian() for c in D.coeffs)
+
+
+def test_composed_pullback_and_symmetrize_are_exact(monkeypatch):
+    """One pullback by phi o gamma is the two by phi and gamma, and the
+    composed symmetrize is the three-call composition it replaces,
+    pullback(lclm(pullback(pullback(D, phi), gamma)), gamma^-1), both
+    stored term order included.  lclm is memoized: the composition asks
+    for the lclm of the operator that symmetrize searched on."""
+    monkeypatch.setattr(operators, "lclm", _memo_lclm)
+    for D in _oracle_operators():
+        for phi, gamma in _oracle_charts():
+            _assert_same_operator(pullback(D, phi.compose(gamma)),
+                                  pullback(pullback(D, phi), gamma))
+            if _searched(D):
+                old = pullback(_memo_lclm(pullback(pullback(D, phi), gamma)), gamma.inverse())
+                _assert_same_operator(symmetrize(D, gamma, phi), old)
+
+
+def test_stripped_pullback_matches_gcd_oracle(monkeypatch):
+    """The pullback removes the common power of ct + d by exact divisions,
+    up to its two valuation bounds, instead of a gcd chain, with the result
+    of the gcd path: standard_form of the unstripped coefficients.  The
+    cases are the two pullbacks of each symmetrization, into the chart and
+    back, and D pulled back by gamma^-1.  The oracle catches a strip of one
+    power too few and a skipped strip."""
+    cases = []
+    for D in _oracle_operators():
+        for phi, gamma in _oracle_charts():
+            cases += [(D, phi.compose(gamma)), (D, gamma.inverse())]
+            if _searched(D) and gamma.c:   # an affine map strips nothing
+                cases.append((_memo_lclm(pullback(D, phi.compose(gamma))), gamma.inverse()))
+    divide_out = operators._divide_out
+
+    def run(cases, mutate):
+        """(pullback, (unstripped coefficients, strip limit) or None for an
+        affine map) per case, with the strip limited to mutate(limit)."""
+        seen = []
+
+        def spy(u, polys, limit):
+            seen.append((polys, limit))
+            return divide_out(u, polys, mutate(limit))
+
+        monkeypatch.setattr(operators, "_divide_out", spy)
+        out = []
+        for E, m in cases:
+            seen.clear()
+            out.append((pullback(E, m), seen[0] if seen else None))
+        monkeypatch.undo()
+        return out
+
+    exact = [(case, P, raw) for case, (P, raw) in zip(cases, run(cases, lambda limit: limit))
+             if raw]
+    oracles = [standard_form(list(reversed(raw[0]))) for _, _, raw in exact]
+    assert len(oracles) > 100
+    for (_, P, _), oracle in zip(exact, oracles):
+        _assert_same_operator(P, oracle)
+    # a mutant can differ only where there is a power to strip
+    stripping = [(case, oracle) for (case, _, raw), oracle in zip(exact, oracles) if raw[1]]
+    assert len(stripping) > 10
+    for mutate in (lambda limit: limit - 1, lambda limit: 0):
+        results = run([case for case, _ in stripping], mutate)
+        assert sum(P.coeffs != o.coeffs for (P, _), (_, o) in zip(results, stripping)) > 0
+
+
+def test_symmetrization_call_counts(monkeypatch):
+    """On the README operator the sampled invariant slope makes 25
+    pullbacks and 6 relation searches (45 and 15 with one lclm and two
+    pullbacks per sample): one pullback by phi o gamma per sample, one back
+    only off the real axis, and a search only when the pullback is not
+    real.  The annulus bound makes 2 pullbacks to symmetrize (3 with a
+    separate pullback into its chart), plus one per boundary circle in
+    var_arg_bound."""
+    calls = {"pullback": 0, "_first_relation": 0, "chart": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(operators, "pullback", counted("pullback", pullback))
+    monkeypatch.setattr(operators, "_first_relation",
+                        counted("_first_relation", operators._first_relation))
+    monkeypatch.setattr(counting, "pullback", counted("chart", pullback))
+    D = mk("(t^2-1)*D^2 + t*D - 1")
+    operators.invariant_slope_sampled(D)
+    assert (calls["pullback"], calls["_first_relation"]) == (25, 6)
+    calls.update(pullback=0, _first_relation=0)
+    counting.annulus_zero_bound(mk("D^2 + 1"), Circle(0j, 0.5), Circle(0j, 4.0))
+    assert (calls["pullback"], calls["chart"]) == (2, 2)

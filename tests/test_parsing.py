@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelint.errors import ParseError
-from abelint.parsing import (parse_complex, parse_number, parse_operator,
+from abelint import parsing
+from abelint.parsing import (MAX_POWER_BITS, parse_complex, parse_number, parse_operator,
                              parse_poly)
 from abelint.polynomials import MultiPoly
 from abelint.qi import GaussianRational
@@ -118,3 +119,38 @@ def test_parse_number_values_and_errors():
         assert _value(parse_number, text) == _value(_poly_constant, text)
         with pytest.raises(ParseError):
             parse_number(text)
+
+
+def test_powers_are_capped_before_they_are_built(monkeypatch):
+    """A power that would add more than MAX_POWER_BITS bits to its base's
+    coefficients is refused before it is computed, also through nested
+    powers: 3^1000000000 would be an integer of about 200 MB.  A power of
+    a monomial with coefficient 1 adds none."""
+    cap = MAX_POWER_BITS
+    assert parse_number(f"2^{cap}") == 2 ** cap
+    assert parse_poly(f"(t+1)^{cap}", ("t",)).total_degree() == cap
+    assert parse_poly("t^100000000", ("t",)).total_degree() == 10 ** 8
+    assert parse_number("0^100000") == 0
+    built = []
+    for cls in (parsing._Parser, parsing._ScalarParser):
+        def spy(self, base, k, raise_to=cls.raise_to):
+            built.append(k)
+            return raise_to(self, base, k)
+        monkeypatch.setattr(cls, "raise_to", spy)
+
+    def poly(text):
+        return parse_poly(text, ("t",))
+
+    for parse, text, refused in [
+            (parse_number, "3^1000000000", 10 ** 9),
+            (parse_number, f"2^{cap + 1}", cap + 1),
+            (parse_number, f"(10^{cap // 4})^2", 2),
+            (parse_number, f"(1+i)^{cap + 1}", cap + 1),
+            (poly, f"(t+1)^{cap + 1}", cap + 1),
+            (poly, f"(t/2 + 1/2)^{cap + 1}", cap + 1),
+            (parse_operator, f"(2*t)^{cap + 1}*D + 1", cap + 1),
+            (parse_operator, "3^1000000000*D + 1", 10 ** 9)]:
+        built.clear()
+        with pytest.raises(ParseError, match="bits"):
+            parse(text)
+        assert refused not in built
