@@ -193,13 +193,32 @@ def _first_relation(N, q) -> DiffOperator:
 
 
 def _divide_out(u, polys, limit=math.inf):
-    """polys divided by the highest power u^v, v <= limit, dividing all."""
-    while limit > 0:
+    """polys divided by the highest power u^v, v <= limit, dividing all, for
+    a primitive u.  v is found on the nonzero polynomial of least degree,
+    which bounds it; each other one is then divided once, by u^v, and a
+    failure there starts over below v.  Over Z a quotient by the primitive
+    u that exists over Q is already over Z (Gauss's lemma), and over Z[i]
+    too when u is real, so only a Gaussian u retries a failed division over
+    Q(i)."""
+    field = u.has_gaussian()
+    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+    if not live:
+        return polys
+    first = min(live, key=lambda i: polys[i].total_degree())
+    v, q = 0, polys[first]
+    while v < limit:
         try:
-            polys, limit = [p.divexact(u) for p in polys], limit - 1
+            q = q.divexact(u, field)
         except ValueError:
             break
-    return polys
+        v += 1
+    if v == 0:
+        return polys
+    uv = u ** v
+    try:
+        return [q if i == first else p.divexact(uv, field) for i, p in enumerate(polys)]
+    except ValueError:
+        return _divide_out(u, polys, v - 1)
 
 
 def affine_slope(D: DiffOperator):

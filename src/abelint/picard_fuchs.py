@@ -1,12 +1,16 @@
 """Exact Pfaffian systems for period vectors of level-curve families.
 
 For the period vector X(lambda) of the n^2 basis 1-forms over a cycle on
-{H = 0} the derivation produces, entirely over Q(lambda):
+{H = 0} the derivation produces, exactly:
 
   * Pstar(t):  H m_a = sum_b (Pstar_ab o H) m_b + dH ^ eta_a
   * Q^s:       x^s eta_a = sum_b (Q^s_ab o H) w_b + u dH + dv
 
 whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
+For H = H0 + lambda_00 the Gauss-Manin connection of {H = t} depends on
+the free term only through a translation of t: the divisions run over Q
+(or Q(i)) on the concrete H0, and Pstar(t) = P0(t - lambda_00) +
+lambda_00 I, Q^s(t) = Q0^s(t - lambda_00) for their P0 and Q0^s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
@@ -57,31 +61,70 @@ class PfaffianSystem:
 
 
 def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
-    """Derive the exact Pfaffian structure for H.
+    """Derive the exact Pfaffian structure for H = H0 + l00.
 
-    H must carry at least the free-term coefficient as a symbolic variable so
-    that level shifts stay inside the family.  Q^s is derived for each s in
-    `s_list`; the default, Q^(0,0) only, is all that the pencil restriction
-    reads.  A regular monomial basis guarantees success; regularity is not
-    checked, and a division that is impossible raises SingularDivision.
+    H is what `Hamiltonian.from_x_poly(H0)` builds: a concrete polynomial H0
+    in x1, x2 plus one symbolic free term l00.  Both divisions run on H0,
+    so every division matrix is constant, and the results are translated:
+    since dH = dH0,
+
+      H m_a     = sum_b (P0_ab o (H - l00) + l00 delta_ab) m_b + dH ^ eta_a
+      x^s eta_a = sum_b (Q0^s_ab o (H - l00)) w_b + u dH + dv
+
+    for the P0, eta and Q0^s of H0, so P*(t) = P0(t - l00) + l00 I, with
+    the same eta, and Q^s(t) = Q0^s(t - l00), within the same x-degree
+    bounds.  Q^s is derived for each s in `s_list`; the default, Q^(0,0)
+    only, is all that the pencil restriction reads.  A regular monomial
+    basis guarantees success; regularity is not checked, and a division
+    that is impossible raises SingularDivision.  Any other H raises
+    UnsupportedInput.
     """
     n = H.n
     if n < 1:
         raise DegenerateBasis("Hamiltonian of degree 1: the form basis is empty")
-    if not H.lvars:
-        raise UnsupportedInput("Hamiltonian needs at least one symbolic coefficient")
-    free_var = "l00" if "l00" in H.lvars else H.lvars[0]
-    decs = divide_two_form(H, [H.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
-    Pstar = FieldMatrix([dec.p for dec in decs])
-    etas = [dec.eta for dec in decs]
+    free_var, H0 = _free_term_split(H)
+    l00 = MultiPoly.var(free_var)
+    shift = {"t": MultiPoly.var("t", (free_var,)) - l00}
+    pvars = tuple(sorted((free_var, "t")))
+    decs = divide_two_form(H0, [H0.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
+    Pstar = FieldMatrix([[_translated(p, shift, pvars, l00 if a == b else 0)
+                          for b, p in enumerate(dec.p)] for a, dec in enumerate(decs)])
+    etas0 = [dec.eta for dec in decs]
+    etas = [tuple(e if e.is_zero() else RatFunc(e.num.extend(l00.vars), canonical=True)
+                  for e in eta) for eta in etas0]
     Q = {}
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})
-        # canonical as they stand: the denominators are free of x
-        scaled = [[RatFunc(e.num * xs, e.den, canonical=True) for e in eta] for eta in etas]
-        decs = divide_one_form(H, [p for p, _ in scaled], [q for _, q in scaled])
-        Q[tuple(s)] = FieldMatrix([dec.p for dec in decs])
+        # canonical as they stand: the denominators are constant
+        scaled = [[RatFunc(e.num * xs, e.den, canonical=True) for e in eta] for eta in etas0]
+        decs = divide_one_form(H0, [p for p, _ in scaled], [q for _, q in scaled])
+        Q[tuple(s)] = FieldMatrix([[_translated(p, shift, pvars) for p in dec.p]
+                                   for dec in decs])
     return PfaffianSystem(H, Pstar, etas, Q, free_var)
+
+
+def _free_term_split(H):
+    """(l00, Hamiltonian(H0)) for H = H0(x1, x2) + l00, the one form that
+    `derive_pfaffian` accepts."""
+    if len(H.lvars) == 1:
+        free_var = H.lvars[0]
+        H0 = (H.poly - MultiPoly.var(free_var, H.poly.vars)).shrink()
+        if free_var not in H0.vars:
+            return free_var, Hamiltonian(H0)
+    raise UnsupportedInput(
+        "derive_pfaffian takes H = H0(x1, x2) + l00, as Hamiltonian.from_x_poly "
+        "builds it: the free term l00 is its one symbolic coefficient, and it "
+        "enters only as + l00")
+
+
+def _translated(p, shift, pvars, extra=0):
+    """p(t - l00) + extra for an entry p of the divisions on H0, whose
+    denominator is 1: over (l00, t, x1, x2) when nonzero and over (l00, t)
+    when zero, the variables that the system's JSON records."""
+    num = p.num.subs(shift) + extra
+    if num.is_zero():
+        return RatFunc.zero(pvars)
+    return RatFunc(num.extend(XVARS), canonical=True)
 
 
 class LinearODESystem:

@@ -9,9 +9,10 @@ pullback of `operators` run there, the divisions stay over Q.  Two
 polynomials meet in the smallest of these rings that holds both, lifted to
 the union of their variables; a scalar is built in its partner's ring when
 that ring holds it, and an exact quotient that Z or Z[i] does not hold is
-taken over Q or Q(i).  Arithmetic, exact division, gcd, differentiation and
-substitution are ring calls; coefficients leave the module as Fraction or
-GaussianRational.  The graded lexicographic order fixes
+taken over Q or Q(i).  A lift moves exponents through a cached table of
+variable positions and converts coefficients only when the domain changes.
+Arithmetic, exact division, gcd, differentiation and substitution are ring
+calls; coefficients leave the module as Fraction or GaussianRational.  The graded lexicographic order fixes
 leading terms, canonical signs and printed order.
 
 The module owns the normal forms that the other layers share: the
@@ -129,13 +130,35 @@ def _coef_out(c, domain):
     return GaussianRational(_frac(c.x), _frac(c.y)) if c.y else _frac(c.x)
 
 
+@lru_cache(maxsize=None)
+def _positions(old, new):
+    """Per variable of new, its index among old, or None where old lacks it."""
+    return tuple(old.index(v) if v in old else None for v in new)
+
+
+def _moved(f, old, vs, domain):
+    """Ring element f over the variables old in the ring over vs and domain,
+    which hold every variable and coefficient f uses, its terms in f's
+    stored order.  Exponents move through a cached position tuple and
+    coefficients are converted only when the domain changes: sympy's
+    `set_ring` finds each variable by comparing Symbols, which prints them."""
+    R = _ring(vs, domain)
+    if f.ring is R:
+        return f
+    terms = f.items()
+    if old != vs:
+        pos = _positions(old, vs)
+        terms = [(tuple(m[i] if i is not None else 0 for i in pos), c) for m, c in terms]
+    src = f.ring.domain
+    if src is not domain:
+        terms = [(m, domain.convert_from(c, src)) for m, c in terms]
+    return R.dtype(terms)
+
+
 def _in_ring(p, vs, domain):
     """p's ring element in the ring over vs and domain, which hold every
     variable and coefficient p uses."""
-    R = _ring(vs, domain)
-    if p.poly.ring is R:
-        return p.poly
-    return p.poly.set_ring(R) if p.poly else R.zero
+    return _moved(p.poly, p.vars, vs, domain)
 
 
 def _common(a, b):
@@ -371,9 +394,9 @@ class MultiPoly:
         domain = QQ_I if gauss else QQ
         vs = tuple(sorted(set(self.vars) | set(out)))
         R = _ring(vs, domain)
-        f = self.poly.set_ring(R).compose(
-            [(R.gens[vs.index(k)], p.poly.set_ring(R)) for k, p in mapping.items()])
-        return MultiPoly._new(out, f.set_ring(_ring(out, domain)))
+        f = _in_ring(self, vs, domain).compose(
+            [(R.gens[vs.index(k)], _in_ring(p, vs, domain)) for k, p in mapping.items()])
+        return MultiPoly._new(out, _moved(f, vs, out, domain))
 
     def numeric_terms(self):
         """(complex coefficient, [(variable, exponent), ...]) per stored term,
@@ -438,10 +461,12 @@ class MultiPoly:
         return MultiPoly._new(self.vars, self.poly.new(self.poly.terms()))
 
     # -- division ------------------------------------------------------------------
-    def divexact(self, divisor):
+    def divexact(self, divisor, field=True):
         """Exact division; raises ValueError if the division is not exact.
         Over Z or Z[i] a quotient that the ring does not hold is taken over
-        Q or Q(i), never truncated."""
+        Q or Q(i), never truncated; with field=False it is refused instead,
+        which loses nothing when the divisor is primitive over Z: by Gauss's
+        lemma its quotients over Q or Q(i) lie in Z[t] or Z[i][t]."""
         vs, f, g = _operands(self, divisor)
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
@@ -459,8 +484,11 @@ class MultiPoly:
                 return MultiPoly._new(vs, h)
             if domain.is_Field:
                 raise ValueError("inexact polynomial division")
-        R = _ring(vs, _FIELD[domain])
-        return MultiPoly._new(vs, f.set_ring(R)).divexact(MultiPoly._new(vs, g.set_ring(R)))
+        if not field:
+            raise ValueError("inexact polynomial division over Z or Z[i]")
+        field = _FIELD[domain]
+        return MultiPoly._new(vs, _moved(f, vs, vs, field)).divexact(
+            MultiPoly._new(vs, _moved(g, vs, vs, field)))
 
     # -- univariate views -------------------------------------------------------
     def effective_vars(self):

@@ -15,7 +15,7 @@ from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
 from abelint.parsing import parse_operator, parse_poly
 from abelint.qi import GaussianRational
 from abelint.picard_fuchs import LinearODESystem
-from abelint.polynomials import MultiPoly
+from abelint.polynomials import MultiPoly, integer_parts
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
 from abelint.slits import Circle
 
@@ -615,3 +615,33 @@ def test_symmetrization_call_counts(monkeypatch):
     calls.update(pullback=0, _first_relation=0)
     counting.annulus_zero_bound(mk("D^2 + 1"), Circle(0j, 0.5), Circle(0j, 4.0))
     assert (calls["pullback"], calls["chart"]) == (2, 2)
+
+
+def test_divide_out_finds_the_valuation_once(monkeypatch):
+    """The valuation v is found on the nonzero polynomial of least degree,
+    and each other one is divided once, by u^v: v + 1 exact divisions there
+    and one per other polynomial, none retried over Q for a primitive u
+    over Z (Gauss's lemma).  A polynomial of lower valuation, or the limit,
+    lowers v."""
+    def over_z(text):
+        return integer_parts([parse_poly(text, T)])[1][0]
+
+    u, a, b, c = (over_z(x) for x in ("3*t^2 - t + 5", "t + 1", "2*t^3 - 7", "t^4 + 2*t"))
+    zero = u.const_like(0)
+    over_field = []
+    divexact = MultiPoly.divexact
+
+    def spy(self, divisor, field=True):
+        over_field.append(self.poly.ring.domain.is_Field)
+        return divexact(self, divisor, field)
+
+    monkeypatch.setattr(MultiPoly, "divexact", spy)
+    assert operators._divide_out(u, [u ** 3 * b, u ** 3 * a, zero, u ** 5 * c]) == \
+        [b, a, zero, u ** 2 * c]
+    assert over_field == [False] * 7
+    del over_field[:]
+    assert operators._divide_out(u, [u ** 3 * a, u ** 5 * c], limit=2) == [u * a, u ** 3 * c]
+    assert len(over_field) == 3
+    # the least degree overstates v: u^3 against u b c, which u^2 does not divide
+    assert operators._divide_out(u, [u ** 3, u * b * c]) == [u ** 2, b * c]
+    assert operators._divide_out(u, [a, u * b]) == [a, u * b]

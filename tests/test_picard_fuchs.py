@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint.division import Hamiltonian
-from abelint.errors import LineInLocus
+from abelint import linalg
+from abelint.division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
+                              basis_two_form, divide_one_form, divide_two_form)
+from abelint.errors import LineInLocus, UnsupportedInput
 from abelint.linalg import FieldMatrix
 from abelint.parsing import parse_poly
 from abelint.picard_fuchs import (LinearODESystem, PfaffianSystem, derive_pfaffian,
@@ -169,3 +171,92 @@ def test_eval_of_high_degree_entries():
     ode = LinearODESystem(A, MultiPoly.const(1, ("t",)))
     for t in (0.3 - 0.9j, -1.01 + 0.2j):
         assert np.array(ode.eval(t)).tobytes() == np.array(_loop_entries(ode, t)).tobytes()
+
+
+# perfbench's random_hamiltonian(random.Random(1)), the seed-1 `derive` input
+RANDOM1 = ("x1^3 + x2^3 + (3)*x1^0*x2^0 + (0)*x1^0*x2^1 + (0)*x1^0*x2^2"
+           " + (-3/2)*x1^1*x2^0 + (3)*x1^1*x2^1")
+# Q^(0,0) and P* of these H do not depend on t, but Q^(2,0), Q^(1,1) and
+# Q^(0,2) do, so only they tell t - l00 from t + l00
+S_LIST = ((0, 0), (2, 0), (1, 1), (0, 2))
+
+
+def _shifted(p, sign):
+    """p(t + sign l00) for an entry p over t, x1, x2."""
+    t = MultiPoly.var("t", ("l00",))
+    return p.subs({"t": t + sign * MultiPoly.var("l00")})
+
+
+def _one_form_identity_holds(H, target, row, dec0):
+    """x^s eta_a = sum_b (row_b o H) w_b + u dH + dv with the u and v of the
+    division on H0: they serve H as well, since dH = dH0."""
+    return Decomposition(H, "one", target, row, u=dec0.u, v=dec0.v).verify()
+
+
+@pytest.mark.parametrize("text", ["x2^2/2 + x1^3 - x1", RANDOM1, "x1^4+x2^4+x1*x2-x1"])
+def test_system_is_the_translated_system_of_h0(text):
+    """P* = P0(t - l00) + l00 I and Q^s = Q0^s(t - l00), for P0, eta and Q0^s
+    recomputed here by dividing with H0; the translation t + l00 breaks the
+    division identities of H."""
+    H0 = parse_poly(text, X)
+    H = Hamiltonian.from_x_poly(H0)
+    system = derive_pfaffian(H, s_list=S_LIST)
+    assert system.check_identities()
+    concrete = Hamiltonian(H0)
+    decs = divide_two_form(concrete, [H0 * basis_two_form(a) for a in basis_exponents(H.n)])
+    l00 = RatFunc(MultiPoly.var("l00"))
+    for a, dec in enumerate(decs):
+        assert [RatFunc(e.num) for e in dec.eta] == list(system.etas[a])
+        for b, p in enumerate(dec.p):
+            assert system.Pstar.data[a][b] == _shifted(p, -1) + (l00 if a == b else 0)
+    mutant_breaks = False
+    for s in S_LIST:
+        xs = MultiPoly(XVARS, {s: Fraction(1)})
+        targets = [[RatFunc(e.num * xs) for e in dec.eta] for dec in decs]
+        decs0 = divide_one_form(concrete, [p for p, _ in targets], [q for _, q in targets])
+        for a, dec0 in enumerate(decs0):
+            row = system.Q[s].data[a]
+            assert row == [_shifted(p, -1) for p in dec0.p]
+            assert _one_form_identity_holds(H, targets[a], row, dec0)
+            mutant = [_shifted(p, +1) for p in dec0.p]
+            mutant_breaks |= not _one_form_identity_holds(H, targets[a], mutant, dec0)
+    assert mutant_breaks
+
+
+@pytest.mark.parametrize("text", ["x1^2/2 + x2^2/2", "x2^2/2 + x1^3 - x1", RANDOM1,
+                                  "x1^4+x2^4+x1*x2-x1", "x1^3+x2^3+i*x1"])
+def test_derivation_takes_no_bareiss_step(text, monkeypatch):
+    """Every division of the derivation runs on the concrete H0, so its
+    matrices are constant and take the reduced row echelon form."""
+    H = Hamiltonian.from_x_poly(parse_poly(text, X))
+    steps = []
+    step = linalg._bareiss_step
+    monkeypatch.setattr(linalg, "_bareiss_step", lambda *a: steps.append(1) or step(*a))
+    system = derive_pfaffian(H)
+    assert not steps
+    assert system.check_identities()
+
+
+@pytest.mark.parametrize("text, lvars", [
+    ("x1^3 + x2^2 + a*x1 + l00", ("a", "l00")),   # a second symbolic coefficient
+    ("x1^3 + x2^2 + 2*l00", ("l00",)),
+    ("x1^3 + x2^2 + l00*x1 + l00", ("l00",)),
+    ("x1^3 + x2^2", ()),
+])
+def test_only_a_symbolic_free_term_is_accepted(text, lvars):
+    H = Hamiltonian(parse_poly(text, X + lvars), lvars)
+    with pytest.raises(UnsupportedInput, match="from_x_poly") as exc:
+        derive_pfaffian(H)
+    assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_homogeneous_system_is_diagonal(n):
+    """For a homogeneous H0 of degree n + 1 with a regular basis, the
+    integral of x^a over {H0 <= t} is c t^((|a| + 2)/(n + 1)), so
+    A(t) = diag((|a| + 2)/(n + 1)) / t exactly."""
+    H = Hamiltonian.from_x_poly(parse_poly(f"x1^{n + 1} + x2^{n + 1}", X))
+    A = restrict_to_pencil(derive_pfaffian(H), free_term_value=0).A
+    t = RatFunc(MultiPoly.var("t"))
+    assert A.data == [[Fraction(sum(a) + 2, n + 1) / t if i == j else 0 for j in range(H.ell)]
+                      for i, a in enumerate(basis_exponents(n))]

@@ -298,3 +298,29 @@ def test_integer_ring_division_never_truncates():
     with pytest.raises(ValueError):
         q.divexact(t)
 
+
+
+def test_lift_matches_set_ring_and_keeps_term_order(monkeypatch):
+    """Moving a polynomial to more variables, to fewer unused ones, or to a
+    larger domain gives sympy's `set_ring` result with the same stored term
+    order, without calling it."""
+    from sympy.polys.domains import QQ, QQ_I, ZZ_I
+    from sympy.polys.rings import PolyElement
+
+    from abelint import polynomials
+
+    rng = random.Random(7)
+    cases = []
+    for gaussian in (False, True):
+        p = rand_poly(rng, ("x", "z"), gaussian=gaussian)
+        q = integer_parts([p])[1][0]
+        field = QQ_I if gaussian else QQ
+        cases += [(p, ("a", "x", "y", "z"), field), (q, ("x", "z"), field),
+                  (q, ("x", "y", "z"), field), (p.extend(("w",)), ("x", "z"), field)]
+    cases.append((integer_parts([rand_poly(rng)])[1][0], V, ZZ_I))
+    expected = [p.poly.set_ring(polynomials._ring(vs, dom)) for p, vs, dom in cases]
+    monkeypatch.setattr(PolyElement, "set_ring", None)
+    for (p, vs, dom), ref in zip(cases, expected):
+        got = polynomials._in_ring(p, vs, dom)
+        assert got.ring is ref.ring
+        assert list(got.items()) == list(ref.items())

@@ -95,6 +95,26 @@ DERIVE_PF_SHA256 = {
         "fbe3a70c508c2897c0338f4aa319431d1fbb4d273a5d89f1ebcee91eb31da832",
     RANDOM1:
         "ec747b0e194780a23706bbe67bc2a3b2d3de11b4843fc1e95d8695449adb5ebe",
+    # recorded while the derivation still divided over Q[l00]
+    "x1^4+x2^4+x1*x2-x1":
+        "f5b2b58e6f68b0a21c19cb8a300babc030035bc8f707bae7e853a145979278f5",
+}
+
+# sha256 of the stdout of `abelint derive-pf --hamiltonian H`, without
+# --pencil: size, P*(0) and Q^(0,0) of the Pfaffian system itself.  Recorded
+# while the derivation still divided over Q[l00], before it divided on the
+# concrete H0 and translated t -> t - l00
+DERIVE_PF_NO_PENCIL_SHA256 = {
+    "x1^2/2 + x2^2/2":
+        "0818d086fcf6db3ff02a17b402e70ce7708e4e35658d6c7248a10aa40e401b90",
+    "x2^2/2 + x1^3 - x1":
+        "0c3ef9913bdcffe3335fb1322ca7909c362c98ff880268eae0567c84dca86e8a",
+    RANDOM1:
+        "a13089d11af38cb36c9c178dd00e0ba1903ae5886f3851697e9dc7e91318225f",
+    "x1^4+x2^4+x1*x2-x1":
+        "38a7963c9ceb9e643ff689e4d1b4adadfe276e05af67c497741f6330a072cdcf",
+    "x1^3+x2^3+i*x1":
+        "86e17d748aeaa2a4d6655ea31ee588a2b5eff38c8cf3419d7ed54bdb2e184c81",
 }
 
 
@@ -103,6 +123,13 @@ def test_derive_pf_json_is_unchanged(text, capsys):
     assert main(["derive-pf", "--hamiltonian", text, "--pencil", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_PF_SHA256[text]
+
+
+@pytest.mark.parametrize("text", list(DERIVE_PF_NO_PENCIL_SHA256))
+def test_derive_pf_system_json_is_unchanged(text, capsys):
+    assert main(["derive-pf", "--hamiltonian", text]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_PF_NO_PENCIL_SHA256[text]
 
 
 def _reversed_storage(p):
