@@ -3,8 +3,9 @@
 Subcommands: derive-pf, reduce, slope, slits, monodromy, count, integrate,
 bound.  All structured output is JSON on stdout (exact rationals as strings);
 floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error
-(argparse rejects a non-finite --pencil or --t, a radius, --theta or
---size that is not finite and positive, and a --headline below 1),
+(argparse rejects a --pencil that is not an exact real number, read like
+every exact input, a non-finite --t, a radius, --theta or --size that is
+not finite and positive, and a --headline below 1),
 3 numeric tolerance failure or float overflow,
 4 domain error (degenerate input, open curve), 5 not quasiunipotent.
 """
@@ -24,8 +25,9 @@ from .division import Hamiltonian, basis_exponents
 from .errors import AbelintError, ParseError
 from .integrals import REL_TOL, abelian_integral, critical_values
 from .operators import DiffOperator, invariant_slope_sampled, reduce_to_scalar
-from .parsing import parse_complex, parse_operator, parse_poly
+from .parsing import parse_complex, parse_number, parse_operator, parse_poly
 from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
+from .qi import GaussianRational
 from .serialize import dumps, loads
 from .slits import THETA, Circle, build_slits, is_admissible, svg_export
 
@@ -45,6 +47,18 @@ def _finite(text):
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return x
+
+
+def _exact_real(text):
+    """argparse type: an exact real number, read like every exact input
+    (0.1 is 1/10, and 1/3 is a fraction)."""
+    try:
+        c = parse_number(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}: {exc}") from None
+    if isinstance(c, GaussianRational):
+        raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+    return c
 
 
 def _positive(text):
@@ -131,7 +145,7 @@ def cmd_reduce(args):
     else:
         H0 = parse_poly(args.hamiltonian, ("x1", "x2"))
         system = derive_pfaffian(Hamiltonian.from_x_poly(H0))
-        ode = restrict_to_pencil(system, free_term_value=args.pencil or 0)
+        ode = restrict_to_pencil(system, free_term_value=args.pencil)
     D = reduce_to_scalar(ode)
     _emit({"order": D.order, "operator": D, "display": str(D)})
     return 0
@@ -232,14 +246,16 @@ def build_parser():
     p = sub.add_parser("derive-pf", help="derive the exact Pfaffian system")
     p.add_argument("--hamiltonian", required=True,
                    help="polynomial in x1, x2, e.g. 'x2^2/2 + x1^3 - x1'")
-    p.add_argument("--pencil", type=_finite, default=None,
-                   help="restrict the free term to c0 - t and emit A(t)")
+    p.add_argument("--pencil", type=_exact_real, default=None,
+                   help="restrict the free term to c0 - t and emit A(t); c0 is an "
+                        "exact real number such as 0, 1/3 or 0.1")
     p.add_argument("--output", help="write JSON to this file")
     p.set_defaults(fn=cmd_derive_pf)
 
     p = sub.add_parser("reduce", help="scalar operator for the first basis entry")
     p.add_argument("--hamiltonian", help="polynomial in x1, x2")
-    p.add_argument("--pencil", type=_finite, default=0.0)
+    p.add_argument("--pencil", type=_exact_real, default="0",
+                   help="the free-term value c0 of the pencil c0 - t (default 0)")
     p.add_argument("--system", help="JSON file with an 'A' matrix")
     p.set_defaults(fn=cmd_reduce)
 

@@ -26,6 +26,14 @@ unknowns depends only on the degree d and the cap, so the targets still
 open at (d, cap) are the right-hand sides of one solve, and each target
 stops at its own first (d, cap) that admits a solution, with the p and the
 cofactors that dividing it alone gives.
+
+A column of that matrix holds one unknown's form split by x-monomial into
+its lambda-coefficients.  h1, h2 and each power H^j are split once, and
+every column is one of these splits with its exponents shifted by a
+monomial (x^beta h_i, or H^j times the monomial of a basis form) and its
+values scaled by that monomial's coefficient when it is not 1; the column
+of d(x^beta) has one term per component.  So building the columns
+multiplies no polynomials, for concrete and symbolic H alike.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from fractions import Fraction
 
 from .errors import SingularDivision, UnsupportedInput
 from .linalg import solve_columns
-from .polynomials import MultiPoly, NEG_INF, rank_at_point
+from .polynomials import MultiPoly, NEG_INF, monomial_sum, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
 XVARS = ("x1", "x2")
@@ -233,15 +241,30 @@ def _split_x(poly: MultiPoly):
     return poly.extend(sorted(set(poly.vars) | set(XVARS))).coeff_split(XVARS)
 
 
+def _shifted(split, terms):
+    """The split of f p from the split of p, for f given by its terms
+    {x-exponent: coefficient}: each term shifts the keys by its exponent and
+    scales the values by its coefficient when that is not 1."""
+    out = {}
+    for (a1, a2), c in terms.items():
+        for (e1, e2), v in split.items():
+            key = (e1 + a1, e2 + a2)
+            v = v if c == 1 else v * c
+            out[key] = out[key] + v if key in out else v
+    return out
+
+
 def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     """Shared indeterminate-coefficient solver for both form divisions.
 
     `targets`: each target's components, with denominators in lambda only;
-    `forms[a]`: the components of basis form a; `cofactor_unknowns(d, n,
-    h1, h2)`: (label, components) of the other unknowns at degree d, label
-    (name, beta) standing for x^beta.  A target tries the degrees d from
-    its own x-degree, and the caps at each d, until one admits a solution.
-    Returns, per target, p and the dict name -> cofactor.
+    `forms[a]`: the components of basis form a, polynomials in x1, x2;
+    `cofactor_unknowns(d, n, s1, s2)`, for the splits s1, s2 of h1, h2:
+    (label, column) of the other unknowns at degree d, label (name, beta)
+    standing for x^beta and the column holding the split of each
+    component.  A target tries the degrees d from its own x-degree, and the
+    caps at each d, until one admits a solution.  Returns, per target, p
+    and the dict name -> cofactor.
     """
     n = H.n
     slack = 3 * (n + 1)
@@ -257,10 +280,15 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
         dens.append(den)
         rhs.append([_split_x(p) for p in polys])
         starts.append(max(int(d_strict) if d_strict is not NEG_INF else 0, 0))
-    h1, h2 = H.grad()
+    s1, s2 = (_split_x(h) for h in H.grad())
     weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
+    form_terms = [tuple(f.terms for f in form) for form in forms]
     zero = MultiPoly.zero(H.lvars)
+    # H^j and its split, kept across degrees and caps; the column of the
+    # unknown (a, j) is the split of H^j shifted by the terms of form a
     Hpow = [MultiPoly.const(1, H.poly.vars)]
+    Hsplit = [_split_x(Hpow[0])]
+    pcols = {}
     found = [None] * len(targets)
 
     def open_at(d):
@@ -274,15 +302,19 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
         max_cap = max([0] + bounds)
         while len(Hpow) <= max_cap:
             Hpow.append(Hpow[-1] * H.poly)
-        cofactors = [(label, tuple(_split_x(c) for c in contrib))
-                     for label, contrib in cofactor_unknowns(d, n, h1, h2)]
+            Hsplit.append(_split_x(Hpow[-1]))
+        cofactors = cofactor_unknowns(d, n, s1, s2)
         for cap in range(0, max_cap + 1):
             open_ = open_at(d)
             if not open_:
                 break
-            unknowns = [(("p", ai, j), tuple(_split_x(Hpow[j] * f) for f in form))
-                        for ai, (form, bound) in enumerate(zip(forms, bounds))
-                        for j in range(min(cap, bound) + 1)] + cofactors
+            unknowns = []
+            for ai, bound in enumerate(bounds):
+                for j in range(min(cap, bound) + 1):
+                    if (ai, j) not in pcols:
+                        pcols[ai, j] = tuple(_shifted(Hsplit[j], ft) for ft in form_terms[ai])
+                    unknowns.append((("p", ai, j), pcols[ai, j]))
+            unknowns += cofactors
             # one polynomial equation per component and x-monomial, over
             # Q[lambda]; the targets' coefficients form the last columns
             columns = [splits for _, splits in unknowns] + [rhs[k] for k in open_]
@@ -303,47 +335,49 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
 
 def _assemble(H, den, unknowns, y):
     """p_a = sum_j y_(a,j) t^j / den and each cofactor sum_beta y_beta
-    x^beta / den, one cancellation each."""
-    tvar = MultiPoly.var("t")
+    x^beta / den, each numerator built from one term dict, one cancellation
+    each."""
     pvars = tuple(sorted(set(H.lvars) | {"t"}))
-    pnums = [MultiPoly.zero(pvars) for _ in basis_exponents(H.n)]
-    cnums = defaultdict(MultiPoly.zero)
+    pparts = [[] for _ in basis_exponents(H.n)]
+    cparts = defaultdict(list)
     for (label, _), val in zip(unknowns, y):
         if val.is_zero():
             continue
         if label[0] == "p":
             _, ai, j = label
-            pnums[ai] = pnums[ai] + val * tvar ** j
+            pparts[ai].append((val, {"t": j}))
         else:
             name, beta = label
-            cnums[name] = cnums[name] + val * MultiPoly(XVARS, {beta: Fraction(1)})
-    p = [RatFunc.zero(pvars) if num.is_zero() else RatFunc(num, den) for num in pnums]
-    cofactors = defaultdict(RatFunc.zero,
-                            {name: RatFunc(num, den) for name, num in cnums.items()})
+            cparts[name].append((val, dict(zip(XVARS, beta))))
+    p = [RatFunc(monomial_sum(parts, pvars), den) if parts else RatFunc.zero(pvars)
+         for parts in pparts]
+    cofactors = defaultdict(RatFunc.zero, {name: RatFunc(monomial_sum(parts, XVARS), den)
+                                           for name, parts in cparts.items()})
     return p, cofactors
 
 
-def _eta_unknowns(d, n, h1, h2):
-    """Coefficients of eta = (E1, E2): dH ^ eta = (h1 E2 - h2 E1) dx1^dx2."""
+def _eta_unknowns(d, n, s1, s2):
+    """Coefficients of eta = (E1, E2): dH ^ eta = (h1 E2 - h2 E1) dx1^dx2,
+    for the splits s1, s2 of h1, h2."""
     out = []
     for beta in _monomials_upto(max(d + 1 - n, -1)):
-        mono = MultiPoly(XVARS, {beta: Fraction(1)})
-        out.append((("e1", beta), (-(mono * h2),)))
-        out.append((("e2", beta), (mono * h1,)))
+        out.append((("e1", beta), (_shifted(s2, {beta: -1}),)))
+        out.append((("e2", beta), (_shifted(s1, {beta: 1}),)))
     return out
 
 
-def _uv_unknowns(d, n, h1, h2):
-    """Coefficients of u (in u dH) and of v (in dv)."""
+def _uv_unknowns(d, n, s1, s2):
+    """Coefficients of u (in u dH) and of v (in dv), for the splits s1, s2
+    of h1, h2; the column of d(x^beta) has one term per component."""
     out = []
     for beta in _monomials_upto(max(d + 1 - n, -1)):
-        mono = MultiPoly(XVARS, {beta: Fraction(1)})
-        out.append((("u", beta), (mono * h1, mono * h2)))
-    for beta in _monomials_upto(d + 1):
-        if beta == (0, 0):
+        out.append((("u", beta), (_shifted(s1, {beta: 1}), _shifted(s2, {beta: 1}))))
+    for b1, b2 in _monomials_upto(d + 1):
+        if (b1, b2) == (0, 0):
             continue  # constants do not contribute to dv
-        mono = MultiPoly(XVARS, {beta: Fraction(1)})
-        out.append((("v", beta), (mono.diff("x1"), mono.diff("x2"))))
+        out.append((("v", (b1, b2)),
+                    ({(b1 - 1, b2): MultiPoly.const(b1)} if b1 else {},
+                     {(b1, b2 - 1): MultiPoly.const(b2)} if b2 else {})))
     return out
 
 

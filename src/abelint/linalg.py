@@ -11,12 +11,12 @@ the back substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact
 division, because the pivots are minors of A and d y_c is one by Cramer's
 rule.  So no rational function arises inside the solve, and a caller that
 wants x = y / d cancels each entry once; rows over Z[t] or Z[i][t], which
-the relation search of `operators` hands in, stay there (Bareiss, Math.
-Comp. 22, 1968: the elimination is integer-preserving), while the
-divisions solve over Q.  Both eliminations pick the
-leftmost basis of the columns of A and set the free variables to zero, so
-x is the same.  A column c is consistent iff its entries in the rows below
-rank(A) of the eliminated matrix vanish.  For polynomial rows, an
+the pencil restriction and the relation search of `operators` hand in,
+stay there (Bareiss, Math. Comp. 22, 1968: the elimination is
+integer-preserving), while the divisions solve over Q.  Both eliminations
+pick the leftmost basis of the columns of A and set the free variables to
+zero, so x is the same.  A column c is consistent iff its entries in the
+rows below rank(A) of the eliminated matrix vanish.  For polynomial rows, an
 overdetermined column c whose [A | c] has full column rank at one rational
 point has full rank generically, so it is refuted before any elimination.
 `solve_columns` solves column by column and marks the inconsistent ones;

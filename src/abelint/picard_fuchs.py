@@ -14,9 +14,11 @@ lambda_00 I, Q^s(t) = Q0^s(t - lambda_00) for their P0 and Q0^s.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
-for more.  Both evaluations are one simultaneous substitution
-{t: 0, lambda_00: c0 - t}, and A comes from one fraction-free solve
-Pstar(0) Y = d Q^(0,0)(0), whose single elimination serves all ell columns.
+for more.  Both evaluations are one substitution {t: 0, lambda_00: c0 - t}
+per entry, on its numerator when its denominator is constant; each row of
+[Pstar(0) | Q^(0,0)(0)] is then scaled into Z[t] (Z[i][t] for a Gaussian
+H), and A comes from one fraction-free solve Pstar(0) Y = d Q^(0,0)(0)
+there, whose single elimination serves all ell columns.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
 from .errors import (DegenerateBasis, LineInLocus, NoSolution, NumericOverflow,
                      UnsupportedInput)
 from .linalg import FieldMatrix, clear_rows, solve_linear
-from .polynomials import MultiPoly, float_overflow, straight_line
+from .polynomials import MultiPoly, float_overflow, integer_parts, straight_line
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
 
@@ -191,34 +193,58 @@ def _coefficients(p):
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
     """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
     free_term_value; every other coefficient must already be concrete.
-    One simultaneous substitution {t: 0, lambda_00: c0 - t} into P* and
-    Q^(0,0) gives P0 and Qs, one cancellation per entry, and A = -Y/d for
-    the solution P0 Y = d Qs of one solve on the cleared rows of [P0 | Qs],
-    each entry cancelled once and stored in descending term order, so that
-    A's storage is a function of its value."""
+
+    Each entry of P* and Q^(0,0) takes the substitution {t: 0, lambda_00:
+    c0 - t} once: on its numerator, shrunk to the variables it uses, when
+    its denominator is constant, and otherwise as a rational function,
+    whose row is then cleared by `clear_rows`.  Each row of [P0 | Qs] is
+    scaled into Z[t], or Z[i][t], by `integer_parts`, and one solve there
+    gives P0 Y = d Qs.  A = -Y/d, each entry cancelled once and stored in
+    descending term order, so that A's storage is a function of its value,
+    over the variables of the substituted entries."""
+    lam = sys.free_var
     pencil = {"t": MultiPoly.const(0),
-              sys.free_var: MultiPoly.const(Fraction(free_term_value), ("t",))
-              - MultiPoly.var("t")}
-    P0 = sys.Pstar.subs(pencil)
-    Qs = sys.Q[(0, 0)].subs(pencil)
+              lam: MultiPoly.const(Fraction(free_term_value), ("t",)) - MultiPoly.var("t")}
+    rows = []
+    avars = {"t"}
     leftover = set()
-    for e in P0.flatten() + Qs.flatten():
-        leftover |= set(e.num.effective_vars()) | set(e.den.effective_vars())
+    for row in (a + q for a, q in zip(sys.Pstar.data, sys.Q[(0, 0)].data)):
+        for e in row:
+            avars.update(e.vars)
+        if all(e.den.is_constant() for e in row):
+            polys = [_on_pencil(e.num.shrink(), e.den.constant_value(), pencil)
+                     for e in row]
+        else:
+            subbed = [e.subs(pencil) for e in row]
+            for r in subbed:
+                leftover.update(r.num.effective_vars(), r.den.effective_vars())
+            polys = clear_rows([subbed])[0]
+        rows.append([p.shrink() for p in polys])
+        leftover.update(*(p.vars for p in rows[-1]))
+    avars = tuple(sorted(avars - {lam}))
     leftover -= {"t"}
     if leftover:
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
-    rows = clear_rows([a + q for a, q in zip(P0.data, Qs.data)])
+    rows = [integer_parts(p.extend(("t",)) for p in row)[1] for row in rows]
     try:
-        d, Y = solve_linear(rows, P0.cols, verify=True)
+        d, Y = solve_linear(rows, sys.Pstar.cols, verify=True)
     except NoSolution as exc:
         raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
-    A = FieldMatrix([[_descending(RatFunc(-y[i], d)) for y in Y] for i in range(P0.rows)])
+    A = FieldMatrix([[_descending(RatFunc(-y[i], d), avars) for y in Y]
+                     for i in range(sys.Pstar.rows)])
     sing = ratfunc_lcm_den(A.flatten()).extend(("t",))
     return LinearODESystem(A, sing)
 
 
-def _descending(r):
-    return RatFunc(r.num.descending(), r.den.descending(), canonical=True)
+def _on_pencil(num, den, pencil):
+    """num / den at the pencil, for a polynomial num and a constant den."""
+    p = num.subs(pencil)
+    return p if den == 1 else p.divexact(den)
+
+
+def _descending(r, variables):
+    return RatFunc(r.num.extend(variables).descending(),
+                   r.den.extend(variables).descending(), canonical=True)
 
 
 def size_report(sys: PfaffianSystem) -> dict:

@@ -4,8 +4,9 @@ A MultiPoly is a sorted tuple of variable names plus one element of sympy's
 sparse ring Q[vars], or Q(i)[vars] when some coefficient has a nonzero
 imaginary part, under graded lexicographic order.  `integer_parts` scales
 polynomials jointly into Z[vars] or Z[i][vars], whose integer coefficients
-are native ints rather than Python fractions; the relation search and the
-pullback of `operators` run there, the divisions stay over Q.  Two
+are native ints rather than Python fractions; the pencil restriction, and
+the relation search and the pullback of `operators`, run there, the
+divisions stay over Q.  Two
 polynomials meet in the smallest of these rings that holds both, lifted to
 the union of their variables; a scalar is built in its partner's ring when
 that ring holds it, and an exact quotient that Z or Z[i] does not hold is
@@ -508,7 +509,9 @@ class MultiPoly:
         """np.roots of a univariate polynomial in `name`; empty for a constant.
         When a coefficient overflows the floats, or a nonzero one underflows
         to 0, all are first scaled exactly by one power of two, which leaves
-        the roots as they are."""
+        the roots as they are.  When the leading coefficient still underflows,
+        the coefficients span more than the float range and some root is
+        out of reach: that raises NumericOverflow."""
         cs = self.univar_coeffs(name)
         try:
             fs = [_complex(c) for c in cs]
@@ -518,8 +521,10 @@ class MultiPoly:
         if not in_range:
             scale = Fraction(2) ** -max(_log2_abs(c) for c in cs if c)
             fs = [_complex(c * scale) for c in cs]
-        while len(fs) > 1 and fs[-1] == 0:
-            fs.pop()
+            if not fs[-1]:
+                raise NumericOverflow(
+                    f"the roots of a polynomial of degree {len(cs) - 1} in {name} are "
+                    "beyond the float range: its coefficients span more than that range")
         if len(fs) <= 1:
             return np.array([], dtype=complex)
         return np.roots(fs[::-1])
@@ -634,6 +639,26 @@ def integer_parts(polys):
             f = _ring(p.vars, ZZ).dtype({m: scaled(x) for m, x in p.poly.items()})
         parts.append(MultiPoly._new(p.vars, f))
     return c, parts
+
+
+def monomial_sum(parts, base=()):
+    """sum c * m over the parts (c, m), c a MultiPoly and m a monomial
+    {variable: exponent} such that no two parts make a common monomial:
+    built as one term dict, over the variables of base and of every c and
+    over Q or Q(i), with its terms stored in the order in which the sum of
+    the products would store them."""
+    vs = tuple(sorted(set(base).union(*(c.vars for c, _ in parts))))
+    domain = QQ
+    for c, _ in parts:
+        domain = _join(domain, c.poly.ring.domain)
+    terms = {}
+    for c, mono in parts:
+        src = c.poly.ring.domain
+        pos = list(zip(_positions(c.vars, vs), [mono.get(v, 0) for v in vs]))
+        for m, x in c.poly.items():
+            exp = tuple((m[i] if i is not None else 0) + e for i, e in pos)
+            terms[exp] = x if src is domain else domain.convert_from(x, src)
+    return MultiPoly._new(vs, _ring(vs, domain).dtype(terms))
 
 
 def poly_lcm(a, b):

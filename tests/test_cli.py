@@ -10,7 +10,8 @@ import pytest
 
 from abelint.cli import main
 from abelint.parsing import MAX_POWER_BITS
-from abelint.serialize import dumps
+from abelint.polynomials import MultiPoly
+from abelint.serialize import dumps, loads
 
 
 def run(capsys, *args):
@@ -205,6 +206,33 @@ def test_derive_pf_circle(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["n"] == 1 and data["ell"] == 1
+
+
+def test_pencil_is_read_exactly(capsys):
+    """--pencil reads c0 like every exact input: 0.1 is 1/10, so the circle's
+    singular polynomial is 10t - 1, and a fraction such as 1/3 is accepted."""
+    t = MultiPoly.var("t")
+    for c0, singular in (("0.1", 10 * t - 1), ("1/3", 3 * t - 1), ("-3", t + 3)):
+        code, out, _ = run(capsys, "derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2",
+                           "--pencil", c0)
+        assert code == 0
+        assert loads(out)["singular"] == singular
+    code, out, _ = run(capsys, "reduce", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "0.1")
+    assert code == 0
+    assert json.loads(out)["display"] == "(10*t + -1)D + (-10)"
+
+
+def test_pencil_beyond_the_float_range(capsys):
+    """c0 = 1e400 is exact, and so is A(t); its singular point 1e400 is
+    beyond the float range, which exits 3 rather than printing no point."""
+    code, out, err = run(capsys, "derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2",
+                         "--pencil", "1e400")
+    assert code == 3
+    assert out == "" and "float range" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "reduce", "--hamiltonian", "x1^2/2 + x2^2/2",
+                       "--pencil", "1e400")
+    assert code == 0
+    assert json.loads(out)["order"] == 1
 
 
 def test_reduce_circle(capsys):
@@ -453,6 +481,11 @@ def test_slope_large_gaussian_coefficients(capsys):
 @pytest.mark.parametrize("args", [
     ("reduce", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "nan"),
     ("derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "inf"),
+    # --pencil is an exact real number
+    ("derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "1+i"),
+    ("reduce", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "i"),
+    ("derive-pf", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "x1"),
+    ("reduce", "--hamiltonian", "x1^2/2 + x2^2/2", "--pencil", "1e99999"),
     ("integrate", "--hamiltonian", "x1^2/2 + x2^2/2", "--t", "-inf", "--seed", "1"),
     ("count", "--poly", "t", "--radius", "-1"),
     ("count", "--poly", "t", "--radius", "0"),

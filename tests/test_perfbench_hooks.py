@@ -49,3 +49,21 @@ def test_traced_periods_job_counts_rhs_evals(tracer):
         tracer.uninstall()
     assert ok
     assert tracer.totals()["counting.rhs_evals"]["calls"] > 0
+
+
+def test_traced_derive_random_job_records_its_spans(tracer):
+    """A traced `derive-random` job passes its check and records the spans of
+    the derivation's divisions, the pencil restriction and its solve."""
+    import workloads
+    job = next(j for j in workloads.derive(1) if j.kind == "derive-random")
+    tracer.install()
+    try:
+        tracer.active = True
+        ok, _ = job.check(job.run())
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert ok
+    names = {span[1] for span in tracer.spans}
+    assert {"picard_fuchs.restrict_to_pencil", "division.divide_two_form",
+            "linalg.solve_linear"} <= names

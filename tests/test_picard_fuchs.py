@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint import linalg
+from abelint import linalg, picard_fuchs
 from abelint.division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                               basis_two_form, divide_one_form, divide_two_form)
 from abelint.errors import LineInLocus, UnsupportedInput
@@ -260,3 +260,84 @@ def test_homogeneous_system_is_diagonal(n):
     t = RatFunc(MultiPoly.var("t"))
     assert A.data == [[Fraction(sum(a) + 2, n + 1) / t if i == j else 0 for j in range(H.ell)]
                       for i, a in enumerate(basis_exponents(n))]
+
+
+def _fingerprints(M):
+    """Value, variables and stored terms of every entry of a FieldMatrix."""
+    return [[[(p.vars, list(p.terms.items())) for p in (e.num, e.den)] for e in row]
+            for row in M.data]
+
+
+def _recorded_solves(monkeypatch):
+    """The rows of every solve that `restrict_to_pencil` makes."""
+    seen = []
+    solve = picard_fuchs.solve_linear
+
+    def recording(rows, n, verify=True):
+        seen.append(rows)
+        return solve(rows, n, verify=verify)
+
+    monkeypatch.setattr(picard_fuchs, "solve_linear", recording)
+    return seen
+
+
+@pytest.mark.parametrize("text, gaussian", [("x2^2/2 + x1^3 - x1", False), (RANDOM1, False),
+                                            ("x1^3+x2^3+i*x1", True)])
+def test_restriction_solves_over_integer_polynomials(text, gaussian, monkeypatch):
+    """Each row of [P*(0) | Q^(0,0)(0)] reaches the solve over Z[t], or over
+    Z[i][t] for a Gaussian H, as polynomials in t alone; A's entries still
+    carry (t, x1, x2)."""
+    H = Hamiltonian.from_x_poly(parse_poly(text, X))
+    system = derive_pfaffian(H)
+    seen = _recorded_solves(monkeypatch)
+    ode = restrict_to_pencil(system, free_term_value=Fraction(1, 2))
+    (rows,) = seen
+    entries = [p for row in rows for p in row]
+    assert all(p.vars == ("t",) for p in entries)
+    assert all(not p.poly.ring.domain.is_Field for p in entries)
+    assert any(p.has_gaussian() for p in entries) == gaussian
+    assert {e.vars for e in ode.A.flatten()} == {("t", "x1", "x2")}
+
+
+def test_elliptic_derivation_splits_each_form_once(monkeypatch):
+    """One derivation of the elliptic H splits 19 polynomials by x-monomial:
+    in the two-form division its 4 targets, h1, h2, H^0 and H^1, and in the
+    one-form division its 8 target components, h1, h2 and H^0.  Every
+    column is one of these splits shifted, so no product per unknown is
+    split."""
+    H = Hamiltonian.from_x_poly(parse_poly("x2^2/2 + x1^3 - x1", X))
+    calls = []
+    split = MultiPoly.coeff_split
+    monkeypatch.setattr(MultiPoly, "coeff_split",
+                        lambda self, front: calls.append(1) or split(self, front))
+    system = derive_pfaffian(H)
+    assert len(calls) == 19
+    assert system.check_identities()
+
+
+def test_rational_entries_take_the_cleared_rows(elliptic, monkeypatch):
+    """A hand-built system whose first row of [P* | Q^(0,0)] is divided by
+    l00 + 7, a factor that is nonzero on the pencil l00 = -t and so leaves A
+    as it is: that row is substituted as rational functions and cleared,
+    the others go straight to Z[t], and A is the elliptic A, stored terms
+    included."""
+    sys = elliptic.system
+    r = RatFunc(MultiPoly.const(1), MultiPoly.var("l00") + 7)
+
+    def first_row_divided(M):
+        return FieldMatrix([[e * r for e in row] if a == 0 else row
+                            for a, row in enumerate(M.data)])
+
+    hand = PfaffianSystem(sys.H, first_row_divided(sys.Pstar), sys.etas,
+                          {(0, 0): first_row_divided(sys.Q[(0, 0)])}, sys.free_var)
+    assert not hand.Pstar.data[0][0].den.is_constant()
+    cleared = []
+    clear = picard_fuchs.clear_rows
+    monkeypatch.setattr(picard_fuchs, "clear_rows",
+                        lambda rows: cleared.append(len(rows)) or clear(rows))
+    seen = _recorded_solves(monkeypatch)
+    ode = restrict_to_pencil(hand, free_term_value=0)
+    assert cleared == [1]
+    assert all(p.vars == ("t",) for row in seen[0] for p in row)
+    assert _fingerprints(ode.A) == _fingerprints(elliptic.ode.A)
+    assert ode.singular_poly == elliptic.ode.singular_poly

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelint.errors import NumericOverflow
 from abelint.polynomials import MultiPoly, integer_parts, poly_lcm, primitive_parts
 from abelint.qi import GaussianRational
 
@@ -253,6 +254,16 @@ def test_univar_roots_of_huge_coefficients():
     r = MultiPoly.const(Fraction(3, 7)) * (t - 1) * (t - Fraction(1, 3))
     expect = np.roots([complex(float(c), 0) for c in reversed(r.univar_coeffs("t"))])
     assert np.array_equal(r.univar_roots("t"), expect)
+
+
+def test_univar_roots_beyond_the_float_range_raise():
+    """Coefficients that span more than the float range leave the leading one
+    at 0.0 after scaling: the roots are out of reach, and no root is dropped
+    in silence."""
+    t = MultiPoly.var("t")
+    for p in (t - 10 ** 400, MultiPoly.const(Fraction(1, 10 ** 400)) * t + 1):
+        with pytest.raises(NumericOverflow, match="float range"):
+            p.univar_roots("t")
 
 
 def _over_integers(p):

@@ -125,6 +125,32 @@ def test_derive_pf_json_is_unchanged(text, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_PF_SHA256[text]
 
 
+# sha256 of the stdout of `abelint derive-pf --hamiltonian H --pencil c0` at
+# free-term values other than 0, recorded before the restriction solved over
+# Z[t] and before --pencil was read exactly (1/2 was then given as 0.5)
+DERIVE_PF_PENCIL_SHA256 = {
+    ("x2^2/2 + x1^3 - x1", "1/2"):
+        "fb85ab41347fd0923ba2b4aff816929c88ca1ad2225300635007c91520097a2a",
+    ("x2^2/2 + x1^3 - x1", "-3"):
+        "6be33b02fe6b7a464a9c5fe763615f66f7bd89be5277c94b42cd392e12d205e6",
+    (RANDOM1, "1/2"):
+        "3c9d48a59f0c8394af08d3500ad296324448bfbf1487abd237c2f85d0e44f8c9",
+    (RANDOM1, "-3"):
+        "18d4736e3468875d9c3ece794b127fd4b1878b8b6e74351294b184ed8decd177",
+    ("x1^3+x2^3+i*x1", "1/2"):
+        "71bb506005b6ca32ff14bf20f33b8090aebce01a924ba531b998833e09f8dd23",
+    ("x1^3+x2^3+i*x1", "-3"):
+        "5dcbacd004d9819193d1bbef586d38f629603d030223da5253a4750d35b35faf",
+}
+
+
+@pytest.mark.parametrize("text,c0", list(DERIVE_PF_PENCIL_SHA256))
+def test_derive_pf_json_off_zero_is_unchanged(text, c0, capsys):
+    assert main(["derive-pf", "--hamiltonian", text, "--pencil", c0]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_PF_PENCIL_SHA256[text, c0]
+
+
 @pytest.mark.parametrize("text", list(DERIVE_PF_NO_PENCIL_SHA256))
 def test_derive_pf_system_json_is_unchanged(text, capsys):
     assert main(["derive-pf", "--hamiltonian", text]) == 0
