@@ -28,6 +28,9 @@ rational functions into such polynomial rows.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import attrgetter
+
 from .errors import NoSolution
 from .polynomials import MultiPoly, constant_rref, rank_at_point
 from .ratfunc import RatFunc, ratfunc_lcm_den
@@ -106,18 +109,41 @@ def _refuted(rows, n):
             if rank_at_point([row[:n] + [row[n + j]] for row in rows]) == n + 1]
 
 
+_VARS, _POLY = attrgetter("vars"), attrgetter("poly")
+
+
+def _constant_entries(rows):
+    """(entries, vs, gaussian) for rows whose nonzero entries are all
+    constant, from one pass that reads each nonzero entry once: entries
+    {(i, j): MultiPoly} holds the nonzero ones, vs is the union of every
+    entry's variables and gaussian whether a coefficient is complex.  None
+    at the first entry that is not constant."""
+    entries, varsets, gaussian = {}, set(), False
+    for i, row in enumerate(rows):
+        varsets.update(map(_VARS, row))
+        # compress skips the zero entries without a Python-level test
+        for j in compress(count(), map(_POLY, row)):
+            e = row[j]
+            if not e.poly.is_ground:
+                return None
+            entries[i, j] = e
+            gaussian = gaussian or e.has_gaussian()
+    return entries, tuple(sorted(set().union(*varsets))), gaussian
+
+
 def _eliminate(rows, n, constant):
     """(d, Y) for [A | C]: d a nonzero polynomial and, per column c, a
     polynomial y with A y = d c, free variables zero, or None when c is
     inconsistent, i.e. when its entries in the rows below rank(A) of the
-    eliminated matrix do not all vanish."""
+    eliminated matrix do not all vanish.  constant is `_constant_entries`
+    of constant rows, None for the others."""
     m = len(rows)
     ncols = len(rows[0]) - n
-    if constant:
+    if constant is not None:
         # one sparse reduced row echelon form, d = 1; the pivots at or
         # after n lie in the rows below rank(A)
-        vs = tuple(sorted(set().union(*(e.vars for row in rows for e in row))))
-        pivots, R = constant_rref(rows, vs)
+        entries, vs, gaussian = constant
+        pivots, R = constant_rref(entries, (m, len(rows[0])), vs, gaussian)
         zero = MultiPoly.zero(vs)
         rank = sum(c < n for c in pivots)
         ys = []
@@ -184,8 +210,8 @@ def solve_columns(rows, n):
     of the elimination, and none runs when every column is refuted (d is
     then None)."""
     ncols = len(rows[0]) - n
-    constant = all(e.is_constant() for row in rows for e in row)
-    refuted = [] if constant else _refuted(rows, n)
+    constant = _constant_entries(rows)
+    refuted = [] if constant is not None else _refuted(rows, n)
     live = [j for j in range(ncols) if j not in refuted]
     ys = [None] * ncols
     if not live:
@@ -208,8 +234,8 @@ def solve_linear(rows, n, verify=True):
     NoSolution when some column is inconsistent, before any elimination
     when a column of polynomial rows is refuted at a point.
     """
-    constant = all(e.is_constant() for row in rows for e in row)
-    if not constant and _refuted(rows, n):
+    constant = _constant_entries(rows)
+    if constant is None and _refuted(rows, n):
         raise NoSolution("inconsistent linear system")
     d, ys = _eliminate(rows, n, constant)
     if None in ys:

@@ -1,16 +1,26 @@
 """Scalar differential operators: reduction, slopes, pullbacks, symmetrization.
 
 One relation search, a cyclic-vector reduction of a system X' = A X given
-as polynomials (N, q) with A = N / q, gives both the operator of its first
-component X[0] (`reduce_to_scalar`) and the lclm of an operator and its
-reflection (`lclm`, from the realified system over Q, whose N and q are
-built from the operator's coefficients directly).  It runs on polynomial
-rows S_k = q^k R_k from the first unit row, and its one verified solve per
-order is fraction-free, so the search builds no rational function.  It
-scales q and N jointly to integer coefficients first, and the pullback
-scales the Moebius entries and the operator's coefficients, so both run
-over Z[t] or Z[i][t]; `standard_form` hands their results back over Q or
-Q(i).
+as polynomials (N, q) with A = N / q from a constant start row, gives the
+operator of the first component X[0] (`reduce_to_scalar`), the lclm of an
+operator and its reflection (`lclm`, from the realified system over Q,
+whose N and q are built from the operator's coefficients directly) and
+the lclm of two operators (`lclm(D, E)`, from the direct sum of their
+companion systems and the row that selects y1 + y2).  It runs on
+polynomial rows S_k = q^k R_k, and its one verified solve per order is
+fraction-free, so the search builds no rational function.  It scales q
+and N jointly to integer coefficients first, and the pullback scales the
+Moebius entries and the operator's coefficients, so both run over Z[t] or
+Z[i][t]; `standard_form` hands their results back over Q or Q(i).
+
+Symmetrization across a circle or line gamma in the chart phi is, for a
+real D, the chart identity symmetrize(D, gamma, phi) = pullback(lclm(D,
+pullback(D, rho)), phi) with rho = conj(phi) o conj(gamma) o gamma^-1 o
+phi^-1: when rho is real the lclm runs over Z[t] in D's own chart, and
+the samples of one invariant slope that share rho share it.  A Gaussian D
+or a complex rho takes the definition through the chart phi o gamma, whose
+realified search also runs over Z[t], where the direct sum would run over
+Z[i][t].
 
 Operators are written D = p0(t) d^k + p1(t) d^{k-1} + ... + pk(t) with
 polynomial coefficients over Q or Q(i).  Standard form: no common
@@ -135,14 +145,19 @@ def reduce_to_scalar(ode) -> DiffOperator:
     return _first_relation(N, q)
 
 
-def _first_relation(N, q) -> DiffOperator:
-    """With R_0 = e0 and R_{k+1} = R_k' + R_k A for A = N / q, the first
-    k <= ell with R_k = sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j
-    d^j in standard form.
+def _first_relation(N, q, start=None) -> DiffOperator:
+    """With R_0 = start, a constant row of integers (e0 by default), and
+    R_{k+1} = R_k' + R_k A for A = N / q, the first k <= ell with R_k =
+    sum_{j<k} c_j R_j over Q(t) gives D = d^k - sum c_j d^j in standard
+    form: R_k X = (R_0 X)^(k) for X' = A X, so D is the minimal operator
+    annihilating R_0 X for every solution X.  e0 gives the operator of X[0]
+    (`reduce_to_scalar`, and the realified `lclm`, whose X[0] is
+    (f + g)/2); the row that selects y1 + y2 in a direct sum gives the lclm
+    of the summands' operators.
 
     The search keeps polynomial rows S_k = q^k R_k,
 
-      S_0 = e0,  S_{k+1} = q S_k' - k q' S_k + S_k N,
+      S_0 = R_0,  S_{k+1} = q S_k' - k q' S_k + S_k N,
 
     so no rational function arises at all: the fraction-free solve
     e S_k = sum_j y_j S_j, e its last pivot, gives c_j = y_j / (e q^(k-j)),
@@ -160,7 +175,8 @@ def _first_relation(N, q) -> DiffOperator:
     # already over Z, so dividing out powers of u stays in Z[t]
     u = q.primitive()[1]
     zero = q.const_like(0)
-    S = [q.const_like(1)] + [zero] * (ell - 1)
+    S = ([q.const_like(1)] + [zero] * (ell - 1) if start is None
+         else [q.const_like(c) for c in start])
     cols = [S]
     for k in range(1, ell + 1):
         w = dq * (k - 1)
@@ -271,6 +287,50 @@ class MobiusMap:
 IDENTITY = REAL_AXIS = MobiusMap(1, 0, 0, 1)
 
 
+def _gaussian_integers(m: MobiusMap):
+    """m's entries (a, b, c, d) times the lcm of their denominators, as
+    Gaussian integers (re, im)."""
+    parts = [q for e in (m.a, m.b, m.c, m.d) for q in (e.re, e.im)]
+    den = math.lcm(*(q.denominator for q in parts))
+    ints = [q.numerator * (den // q.denominator) for q in parts]
+    return list(zip(ints[::2], ints[1::2]))
+
+
+def _matmul(m, n):
+    """The product of two 2x2 matrices (a, b, c, d) of Gaussian integers."""
+    def dot(x, y, z, w):
+        return (x[0] * y[0] - x[1] * y[1] + z[0] * w[0] - z[1] * w[1],
+                x[0] * y[1] + x[1] * y[0] + z[0] * w[1] + z[1] * w[0])
+    a, b, c, d = m
+    e, f, g, h = n
+    return [dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)]
+
+
+def _reflection_map(gamma: MobiusMap, phi: MobiusMap):
+    """rho = conj(phi) o conj(gamma) o gamma^-1 o phi^-1, conj conjugating a
+    map's entries, as real integer entries (a, b, c, d) with gcd 1 and the
+    first nonzero one positive, so equal maps give equal tuples; None when
+    rho is not real up to a scalar.  The entries are scaled to Gaussian
+    integers and the adjugate (d, -b, -c, a) inverts a map up to a scalar,
+    so rho is three integer 2x2 products and one gcd."""
+    def conj(m):
+        return [(x, -y) for x, y in m]
+
+    def adjugate(m):
+        a, (b0, b1), (c0, c1), d = m
+        return [d, (-b0, -b1), (-c0, -c1), a]
+
+    g, p = _gaussian_integers(gamma), _gaussian_integers(phi)
+    rho = _matmul(_matmul(conj(p), conj(g)), _matmul(adjugate(g), adjugate(p)))
+    # times the conjugate of the first nonzero entry, which becomes positive
+    x, y = next(e for e in rho if e != (0, 0))
+    scaled = [(u * x + v * y, v * x - u * y) for u, v in rho]
+    if any(im for _, im in scaled):
+        return None
+    g = math.gcd(*(re for re, _ in scaled))
+    return tuple(re // g for re, _ in scaled)
+
+
 def circle_to_real_axis_map(center_re, center_im, radius):
     """Moebius phi with phi(R u {inf}) = circle; exact rational data."""
     c = GaussianRational(Fraction(center_re), Fraction(center_im))
@@ -342,19 +402,31 @@ def reflect(D: DiffOperator) -> DiffOperator:
     return standard_form([c.conj_coeffs() for c in D.coeffs])
 
 
-def lclm(D: DiffOperator) -> DiffOperator:
-    """lclm(D, reflect(D)), the minimal operator annihilating f + g for f in
-    ker D and g in ker reflect(D), found over Q(t).
+def lclm(D: DiffOperator, E: DiffOperator = None) -> DiffOperator:
+    """lclm(D, E), the minimal operator annihilating f + g for f in ker D and
+    g in ker E, with E = reflect(D) by default; one relation search, over
+    Z[t] for real D and E.
 
-    With f = u + i v, the companion system of D is a real system of order 2k
-    for (u, v).  For h = conj(p0) / gcd(p0, conj(p0)) and q = p0 h, the lcm
-    of p0 and conj(p0), the system is N / q with q on the superdiagonals of
-    the two k-blocks and, for c_j = -p_{k-j} h = a_j + i b_j, last rows
-    (a | -b) and (b | a); the relation search from the row that selects
-    u = (f + g)/2 gives the lclm.  A real D is its own reflection, so its
-    own lclm, with no search.  gcd(p0, conj p0) = gcd(Re p0, Im p0), taken over
-    Q: a common factor of either pair divides both polynomials of the other.
+    For a given E (`symmetrize` passes E = D o rho, real D and rho), the
+    search runs on the direct sum of the companion systems of D and E,
+    N / q with q = lcm(p0, r0) for the leading coefficients p0 of D and r0
+    of E, from the row e0 + e_k that selects y1 + y2.  An E equal to D is
+    its own lclm, with no search.
+
+    For E = reflect(D) it runs on the realified system, whose coefficients
+    are rational even for a Gaussian D: with f = u + i v, the companion
+    system of D is a real system of order 2k for (u, v).  For h = conj(p0) /
+    gcd(p0, conj(p0)) and q = p0 h, the lcm of p0 and conj(p0), the system
+    is N / q with q on the superdiagonals of the two k-blocks and, for c_j =
+    -p_{k-j} h = a_j + i b_j, last rows (a | -b) and (b | a); the search
+    from e0, which selects u = (f + g)/2, gives the lclm.  A real D is its
+    own reflection, so its own lclm, with no search.  gcd(p0, conj p0) =
+    gcd(Re p0, Im p0), taken over Q: a common factor of either pair divides
+    both polynomials of the other.
     """
+    if E is not None:
+        D, E = (X if X.standard else standard_form(X.coeffs) for X in (D, E))
+        return D if E == D else _direct_sum_lclm(D, E)
     if not any(c.has_gaussian() for c in D.coeffs):
         return D if D.standard else standard_form(D.coeffs)
     k, n = D.order, 2 * D.order
@@ -373,19 +445,72 @@ def lclm(D: DiffOperator) -> DiffOperator:
     return _first_relation(N, q)
 
 
-def symmetrize(D: DiffOperator, gamma=REAL_AXIS, phi=IDENTITY) -> DiffOperator:
-    """Smallest operator containing ker(D o phi) and its reflection across
-    gamma, pullback(lclm(pullback(D, phi o gamma)), gamma^-1): the standard
-    form is fixed by the kernel, so one pullback by phi o gamma is the two.
+def _direct_sum_lclm(D, E):
+    """The relation search for lclm(D, E) on the direct sum of the two
+    companion systems: block i has q on its superdiagonal and -p_{k-j} h_i
+    in its last row, for h_i = q / p0 of its operator, and the search
+    starts from the row with a 1 on each block's first component."""
+    p0, r0 = D.coeffs[0], E.coeffs[0]
+    g = MultiPoly.gcd(p0, r0)
+    hs = (r0.divexact(g), p0.divexact(g))
+    q = p0 * hs[0]
+    n = D.order + E.order
+    N = [[MultiPoly.zero(TVARS) for _ in range(n)] for _ in range(n)]
+    start = [0] * n
+    off = 0
+    for op, h in zip((D, E), hs):
+        k = op.order
+        for i in range(k - 1):
+            N[off + i][off + i + 1] = q
+        for j in range(k):
+            N[off + k - 1][off + j] = -op.coeffs[k - j] * h
+        start[off] = 1
+        off += k
+    return _first_relation(N, q, start)
 
-    gamma is a line or an exact circle, given as the MobiusMap that sends
-    the real axis onto it; the result has order at most 2 * ord(D).
+
+def _is_identity(m: MobiusMap):
+    return not (m.b or m.c) and m.a == m.d
+
+
+def symmetrize(D: DiffOperator, gamma=REAL_AXIS, phi=IDENTITY, lclms=None) -> DiffOperator:
+    """Smallest operator containing ker(D o phi) and its reflection across
+    gamma.  gamma is a line or an exact circle, given as the MobiusMap that
+    sends the real axis onto it; the result has order at most 2 * ord(D).
+
+    By definition it is pullback(lclm(pullback(D, psi)), gamma^-1) for psi
+    = phi o gamma: the reflection across gamma is t -> gamma(conj(gamma^-1
+    (t))).  For a real D, conj(f(conj z)) is in ker D with f, so the
+    reflection of ker(D o psi) across R is ker(D o conj(psi)), conj
+    conjugating a map's entries, and the reflection of ker(D o phi) across
+    gamma is ker(D o sigma), sigma = conj(phi) o conj(gamma) o gamma^-1.
+    With rho = sigma o phi^-1 that is the chart identity
+
+      symmetrize(D, gamma, phi) = pullback(lclm(D, pullback(D, rho)), phi),
+
+    and the standard form is fixed by the kernel, so both give the same
+    operator.  When rho is real up to a scalar the lclm runs over Z[t] in
+    D's own chart, on the direct sum of D and D o rho; rho = identity gives
+    D with no search.  A Gaussian D, for which the identity does not hold,
+    and a complex rho (a circle off the real axis), for which the direct
+    sum would run over Z[i][t] and is much slower, take the definition,
+    whose realified search runs over Z[t]: one pullback by psi and one back
+    by gamma^-1 unless gamma is the identity.
+
+    lclms, a dict kept across calls on one D, holds the lclm per rho, so
+    samples that share a reflection map search once.
     """
     if not isinstance(gamma, MobiusMap):
         raise UnsupportedInput("gamma must be a MobiusMap onto the carrier")
-    L = lclm(pullback(D, phi.compose(gamma)))
-    identity = not (gamma.b or gamma.c) and gamma.a == gamma.d
-    return L if identity else pullback(L, gamma.inverse())
+    D = D if D.standard else standard_form(D.coeffs)
+    rho = None if any(c.has_gaussian() for c in D.coeffs) else _reflection_map(gamma, phi)
+    if rho is None:
+        L = lclm(pullback(D, phi.compose(gamma)))
+        return L if _is_identity(gamma) else pullback(L, gamma.inverse())
+    lclms = {} if lclms is None else lclms
+    if rho not in lclms:
+        lclms[rho] = D if rho == (1, 0, 0, 1) else lclm(D, pullback(D, MobiusMap(*rho)))
+    return lclms[rho] if _is_identity(phi) else pullback(lclms[rho], phi)
 
 
 @dataclass
@@ -429,9 +554,10 @@ def invariant_slope_sampled(D: DiffOperator) -> SlopeReport:
     """
     report = SlopeReport(affine=affine_slope(D))
     D = D if D.standard else standard_form(D.coeffs)   # once, not in each pullback
+    lclms = {}   # one lclm per reflection map, shared by the samples
     for name, phi, gamma in default_slope_samples():
         try:
-            s = affine_slope(symmetrize(D, gamma, phi))
+            s = affine_slope(symmetrize(D, gamma, phi, lclms))
         except (NoSolution, ZeroDivisionError):
             continue
         report.samples.append((name, s))

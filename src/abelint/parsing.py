@@ -26,6 +26,14 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE]([+-]?\d+))?)|([A-Za-z_][A-Za-z
 # the most bits that a power, nested or not, may add to its base's coefficients;
 # timed, the largest allowed parse fast: 3^5000 in 0.1 ms, (t+1)^10000 in 0.13 s
 MAX_POWER_BITS = 10_000
+# the most terms, and the most term products, that a power may take by
+# `_power_size`; timed, the largest allowed powers parse in under a second:
+# (x1+x2+1)^300, 45451 terms, in 0.33 s, (t+1)^10000, whose bits are at
+# MAX_POWER_BITS, in 0.15 s, (x1+x2+x1^2+x2^2+1)^36, 456950 products, in
+# 0.77 s, and (x1+x2+x1^2+x2^2+x1*x2+1)^37, 482256 products, in 0.44 s.
+# Terms alone would let (x1+x2+x1^2+x2^2+1)^60, 7321 terms, take 5.5 s
+MAX_POWER_TERMS = 50_000
+MAX_POWER_PRODUCTS = 500_000
 
 
 def _bits_per_power(value):
@@ -36,6 +44,36 @@ def _bits_per_power(value):
     den = math.lcm(*(q.denominator for q in parts))
     return max(max(int(sum(abs(q) * den for q in parts)) - 1, 0).bit_length(),
                (den - 1).bit_length())
+
+
+def _power_size(base, e):
+    """(terms, products) for the polynomial base^e, e >= 2: an upper bound
+    on its terms, the smaller of the multinomial count C(e + m - 1, m - 1)
+    for a base of m terms and the number C(d + v, v) of monomials of degree
+    at most d = e deg(base) in the base's v variables, and an estimate of
+    the term products its expansion makes.  The ring expands a base of at
+    most 5 terms by the multinomial theorem, m products per composition of
+    e, and a larger one by square and multiply, T(a) T(b) products for
+    base^a times base^b, with T the term bound."""
+    m = base.nterms()
+    if m <= 1:
+        return m, m
+    v, deg = len(base.effective_vars()), base.total_degree()
+
+    def terms(k):
+        return min(math.comb(k + m - 1, m - 1), math.comb(k * deg + v, v))
+
+    if m <= 5:
+        return terms(e), m * math.comb(e + m - 1, m - 1)
+    products, p, c, n = 0, 0, 1, e   # the exponents of p and c
+    while True:
+        if n & 1:
+            products += terms(p) * terms(c)
+            p, n = p + c, n - 1
+            if not n:
+                return terms(e), products
+        products += terms(c) ** 2
+        c, n = 2 * c, n // 2
 
 
 def _number(text, exponent):
@@ -139,6 +177,13 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer")
             if e * _bits_per_power(base) > MAX_POWER_BITS:
                 raise ParseError(f"a power would add more than {MAX_POWER_BITS} bits")
+            if isinstance(base, MultiPoly) and e >= 2:
+                terms, products = _power_size(base, int(e))
+                if terms > MAX_POWER_TERMS:
+                    raise ParseError(f"a power could have more than {MAX_POWER_TERMS} terms")
+                if products > MAX_POWER_PRODUCTS:
+                    raise ParseError(f"a power could take more than {MAX_POWER_PRODUCTS} "
+                                     "term products")
             return self.raise_to(base, int(e))
         return base
 

@@ -688,18 +688,19 @@ def rank_at_point(rows):
     return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()
 
 
-def constant_rref(rows, vs):
-    """Reduced row echelon form over Q or Q(i) of a matrix of constant
-    MultiPoly, by sympy's sparse elimination: (pivots, R), R[i] the nonzero
-    entries {column: MultiPoly over vs} of row i < len(pivots), whose pivot
-    column is pivots[i]; the rows after them are zero."""
-    domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ
+def constant_rref(entries, shape, vs, gaussian):
+    """Reduced row echelon form over Q, or over Q(i) when gaussian, of a
+    matrix of constant MultiPoly, given by its nonzero entries {(i, j):
+    MultiPoly} and its shape, by sympy's sparse elimination: (pivots, R),
+    R[i] the nonzero entries {column: MultiPoly over vs} of row i <
+    len(pivots), whose pivot column is pivots[i]; the rows after them are
+    zero."""
+    domain = QQ_I if gaussian else QQ
     data = {}
-    for i, row in enumerate(rows):
-        entries = {j: domain.convert(p.poly.LC) for j, p in enumerate(row) if p.poly}
-        if entries:
-            data[i] = entries
-    R, pivots = DomainMatrix(data, (len(rows), len(rows[0])), domain).rref()
+    for (i, j), p in entries.items():
+        # the one term of a nonzero constant, with no search for the leading one
+        data.setdefault(i, {})[j] = domain.convert(next(iter(p.poly.values())))
+    R, pivots = DomainMatrix(data, shape, domain).rref()
     ring = _ring(vs, domain)
     zero_exp = (0,) * len(vs)
     return pivots, [{j: MultiPoly._new(vs, ring.dtype({zero_exp: c}))

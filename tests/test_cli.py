@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -530,6 +531,15 @@ def test_annulus_bound_needs_both_radii(capsys):
         code, _, err = run(capsys, "bound", "--operator", "t*D - 1", *radii)
         assert code == 2
         assert "--inner-radius and --outer-radius" in err
+
+
+def test_power_with_too_many_terms_exits_2_at_once(capsys):
+    """(x1+x2+1)^1000 is inside MAX_POWER_BITS but would have 501501 terms
+    (6.5 s to build): refused by the term cap within a second."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, "derive-pf", "--hamiltonian", "(x1+x2+1)^1000")
+    assert code == 2 and "terms" in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("args", [

@@ -147,13 +147,14 @@ def test_lclm_of_real_operator_is_itself():
 def test_symmetrize_searches_over_q(monkeypatch):
     """The relation search of a symmetrization across the unit circle or the
     imaginary axis, where the pulled-back operator is over Q(i), sees no
-    Gaussian coefficient."""
+    Gaussian coefficient: for a real operator it runs on the direct sum of
+    D and D o rho, in D's own chart."""
     seen = []
     relation = operators._first_relation
 
-    def spy(N, q):
+    def spy(N, q, start=None):
         seen.extend([e for row in N for e in row] + [q])
-        return relation(N, q)
+        return relation(N, q, start)
 
     monkeypatch.setattr(operators, "_first_relation", spy)
     for D, gamma in ((mk("(t^2-1)*D^2 + t*D - 1"), circle_to_real_axis_map(0, 0, 1)),
@@ -514,10 +515,10 @@ def _oracle_charts():
 _LCLM = {}
 
 
-def _memo_lclm(D):
-    key = tuple(D.coeffs)
+def _memo_lclm(D, E=None):
+    key = (tuple(D.coeffs), E and tuple(E.coeffs))
     if key not in _LCLM:
-        _LCLM[key] = lclm(D)
+        _LCLM[key] = lclm(D, E)
     return _LCLM[key]
 
 
@@ -541,6 +542,140 @@ def test_composed_pullback_and_symmetrize_are_exact(monkeypatch):
             if _searched(D):
                 old = pullback(_memo_lclm(pullback(pullback(D, phi), gamma)), gamma.inverse())
                 _assert_same_operator(symmetrize(D, gamma, phi), old)
+
+
+def test_direct_sum_lclm_matches_ratfunc_reference(monkeypatch):
+    """lclm(D, E) of random real operators of orders 1 and 2, of equal or
+    different orders, is the operator, stored term order included, that
+    the direct-sum search over RatFunc rows gives; lclm(D, D) is D with no
+    search."""
+    import random
+
+    searched = []
+    relation = operators._first_relation
+
+    def spy(N, q, start=None):
+        searched.append(start)
+        return relation(N, q, start)
+
+    monkeypatch.setattr(operators, "_first_relation", spy)
+    rng = random.Random(37)
+
+    def operator(order):
+        coeffs = [_rand_poly(rng, False, rng.randint(0, 2)) for _ in range(order + 1)]
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.var("t") + 1
+        return standard_form(coeffs)
+
+    for orders in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 2)):
+        D, E = (operator(k) for k in orders)
+        searched.clear()
+        _assert_same_operator(lclm(D, E), _direct_sum_lclm(D, E))
+        assert searched == [[1] + [0] * (D.order - 1) + [1] + [0] * (E.order - 1)]
+        searched.clear()
+        assert lclm(D, D) is D and not searched
+
+
+def _conj_map(m):
+    return MobiusMap(m.a.conjugate(), m.b.conjugate(), m.c.conjugate(), m.d.conjugate())
+
+
+def _reference_rho(gamma, phi):
+    """conj(phi) o conj(gamma) o gamma^-1 o phi^-1 over Q(i), and whether it
+    is real up to a scalar and whether it is the identity."""
+    rho = _conj_map(phi).compose(_conj_map(gamma)).compose(gamma.inverse()).compose(
+        phi.inverse())
+    entries = [rho.a, rho.b, rho.c, rho.d]
+    lead = next(e for e in entries if e)
+    real = all(not (e / lead).im for e in entries)
+    return rho, real, not (rho.b or rho.c) and rho.a == rho.d
+
+
+def _random_chart(rng, kind):
+    """A Moebius map with small rational entries: real, i times a real one
+    ("imaginary"), or with Gaussian entries."""
+    I = GaussianRational(0, 1)
+
+    def entry(real=True):
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                0 if real else Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+    while True:
+        a, b, c, d = (entry(kind != "gaussian") for _ in range(4))
+        if kind == "imaginary":
+            a, b = I * a, I * b
+        if a * d - b * c:
+            return MobiusMap(a, b, c, d)
+
+
+def _random_carrier(rng, on_axis):
+    """gamma onto a circle or a line, centred on (or crossing
+    perpendicularly) the real axis when on_axis, and off it otherwise."""
+    I = GaussianRational(0, 1)
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    if rng.random() < 0.5:
+        im = 0 if on_axis else Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        return circle_to_real_axis_map(re, im, Fraction(rng.randint(1, 4), rng.randint(1, 2)))
+    if on_axis:   # the real axis, or the vertical line through re
+        return MobiusMap(rng.choice([1, I]), re, 0, 1)
+    direction = GaussianRational(rng.randint(1, 2), rng.choice([-1, 1, 2]))
+    return MobiusMap(direction, re + I * rng.randint(1, 2), 0, 1)
+
+
+# (chart kind, carrier on the real axis): real charts on the axis reflect by
+# a real rho, i times a real chart across R by rho(t) = -t, the others
+# mostly by a complex rho
+_ROUTE_CASES = [("real", True), ("imaginary", None), ("real", False), ("gaussian", True)]
+
+
+def test_symmetrize_takes_the_real_chart_only_for_real_reflections(monkeypatch):
+    """Seeded real operators of orders 1-3 against random rational phi and
+    gamma, gamma's carrier on and off the real axis, and one Gaussian D:
+    symmetrize is its definition, pullback(lclm(pullback(D, phi o gamma)),
+    gamma^-1), stored terms included.  A spy on the relation search checks
+    the route: for a real D and a real rho = conj(phi) o conj(gamma) o
+    gamma^-1 o phi^-1 (computed here over Q(i)) one search on the direct
+    sum of D and D o rho from e0 + e_k, none when rho is the identity or
+    D o rho = D; otherwise the realified search from e0, at most once."""
+    import random
+
+    starts = []
+    relation = operators._first_relation
+
+    def spy(N, q, start=None):
+        starts.append(start)
+        return relation(N, q, start)
+
+    rng = random.Random(41)
+    routes = {"direct": 0, "realified": 0, "none": 0}
+    for case in range(13):
+        gaussian = case == 12
+        order = 1 + case % 3
+        kind, on_axis = _ROUTE_CASES[case % 4]
+        coeffs = [_rand_poly(rng, gaussian, rng.randint(0, 3 - order)) for _ in range(order + 1)]
+        if coeffs[0].is_zero():
+            coeffs[0] = MultiPoly.var("t") + 1
+        D = standard_form(coeffs)
+        phi = _random_chart(rng, kind)
+        gamma = REAL_AXIS if on_axis is None else _random_carrier(rng, on_axis)
+        rho, real, identity = _reference_rho(gamma, phi)
+        definition = lclm(pullback(D, phi.compose(gamma)))
+        if gamma.b or gamma.c or gamma.a != gamma.d:
+            definition = pullback(definition, gamma.inverse())
+        monkeypatch.setattr(operators, "_first_relation", spy)
+        starts.clear()
+        _assert_same_operator(symmetrize(D, gamma, phi), definition)
+        monkeypatch.undo()
+        if gaussian or not real:
+            route = "realified" if starts else "none"
+            assert starts in ([], [None])
+        elif identity or pullback(D, rho) == D:
+            route = "none"
+            assert starts == []
+        else:
+            route = "direct"
+            assert starts == [([1] + [0] * (D.order - 1)) * 2]
+        routes[route] += 1
+    assert routes["direct"] >= 5 and routes["realified"] >= 4
 
 
 def test_stripped_pullback_matches_gcd_oracle(monkeypatch):
@@ -590,14 +725,18 @@ def test_stripped_pullback_matches_gcd_oracle(monkeypatch):
 
 
 def test_symmetrization_call_counts(monkeypatch):
-    """On the README operator the sampled invariant slope makes 25
-    pullbacks and 6 relation searches (45 and 15 with one lclm and two
-    pullbacks per sample): one pullback by phi o gamma per sample, one back
-    only off the real axis, and a search only when the pullback is not
-    real.  The annulus bound makes 2 pullbacks to symmetrize (3 with a
-    separate pullback into its chart), plus one per boundary circle in
+    """On the README operator the sampled invariant slope makes 17
+    pullbacks and 4 relation searches (25 and 6 with one pullback by
+    phi o gamma per sample and a realified search whenever that pullback is
+    not real).  The 15 samples have 6 reflection maps rho: the identity,
+    which needs no lclm, and 5 others, each pulled back once; rho(t) = -t
+    gives the operator back, so 4 are searched.  Each sample then makes one
+    pullback by phi, none for phi = identity (12).  The annulus bound
+    makes 2 pullbacks and one direct-sum search to symmetrize (D o rho and
+    the lclm by the chart's inverse), plus one per boundary circle in
     var_arg_bound."""
     calls = {"pullback": 0, "_first_relation": 0, "chart": 0}
+    starts = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -605,16 +744,25 @@ def test_symmetrization_call_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
+    search = operators._first_relation
+
+    def relation(N, q, start=None):
+        calls["_first_relation"] += 1
+        starts.append(start)
+        return search(N, q, start)
+
     monkeypatch.setattr(operators, "pullback", counted("pullback", pullback))
-    monkeypatch.setattr(operators, "_first_relation",
-                        counted("_first_relation", operators._first_relation))
+    monkeypatch.setattr(operators, "_first_relation", relation)
     monkeypatch.setattr(counting, "pullback", counted("chart", pullback))
     D = mk("(t^2-1)*D^2 + t*D - 1")
     operators.invariant_slope_sampled(D)
-    assert (calls["pullback"], calls["_first_relation"]) == (25, 6)
+    assert (calls["pullback"], calls["_first_relation"]) == (17, 4)
+    assert starts == [[1, 0, 1, 0]] * 4
     calls.update(pullback=0, _first_relation=0)
+    starts.clear()
     counting.annulus_zero_bound(mk("D^2 + 1"), Circle(0j, 0.5), Circle(0j, 4.0))
-    assert (calls["pullback"], calls["chart"]) == (2, 2)
+    assert (calls["pullback"], calls["_first_relation"], calls["chart"]) == (2, 1, 2)
+    assert starts == [[1, 0, 1, 0]]
 
 
 def test_divide_out_finds_the_valuation_once(monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from abelint.errors import ParseError
 from abelint import parsing
-from abelint.parsing import (MAX_POWER_BITS, parse_complex, parse_number, parse_operator,
-                             parse_poly)
+from abelint.parsing import (MAX_POWER_BITS, MAX_POWER_PRODUCTS, MAX_POWER_TERMS,
+                             parse_complex, parse_number, parse_operator, parse_poly)
 from abelint.polynomials import MultiPoly
 from abelint.qi import GaussianRational
 
@@ -154,3 +154,34 @@ def test_powers_are_capped_before_they_are_built(monkeypatch):
         with pytest.raises(ParseError, match="bits"):
             parse(text)
         assert refused not in built
+
+
+def test_powers_are_capped_by_their_terms_and_products(monkeypatch):
+    """A polynomial power whose result could have more than MAX_POWER_TERMS
+    terms, or whose expansion could take more than MAX_POWER_PRODUCTS term
+    products, is refused before it is built.  The term bound is the smaller
+    of the multinomial count and the count of monomials of the result's
+    degree, and it holds on the powers that are built."""
+    built = []
+
+    def spy(self, base, k, raise_to=parsing._Parser.raise_to):
+        built.append(k)
+        return raise_to(self, base, k)
+
+    monkeypatch.setattr(parsing._Parser, "raise_to", spy)
+    assert parse_poly("(x1+x2+1)^20").nterms() == 231
+    assert parse_poly("(t+1)^10000", ("t",)).nterms() == 10001
+    for text in ("x1+x2+1", "x1^3 + x2", "x1*x2 + x1^2 - 3", "x1+x2+x1^2+x2^2+x1*x2+1"):
+        base = parse_poly(text)
+        for e in (2, 3, 7):
+            assert parse_poly(f"({text})^{e}").nterms() <= parsing._power_size(base, e)[0]
+    for text, refused, cap in [("(x1+x2+1)^1000", 1000, "terms"),
+                               ("(x1+x2+1)^2000", 2000, "terms"),
+                               ("(x1+x2+x1^2+x2^2+1)^60", 60, "products"),
+                               ("((x1+x2+1)^10)^11", 11, "products")]:
+        built.clear()
+        with pytest.raises(ParseError, match=cap):
+            parse_poly(text)
+        assert refused not in built
+    assert parsing._power_size(parse_poly("(x1+x2+1)"), 1000)[0] > MAX_POWER_TERMS
+    assert parsing._power_size(parse_poly("x1+x2+x1^2+x2^2+1"), 60)[1] > MAX_POWER_PRODUCTS
