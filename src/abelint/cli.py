@@ -5,8 +5,9 @@ bound.  All structured output is JSON on stdout (exact rationals as strings);
 floats are printed with %.12g.  Exit codes: 0 ok, 2 parse/input error
 (argparse rejects a --pencil that is not an exact real number, read like
 every exact input, a non-finite --t, a radius, --theta or --size that is
-not finite and positive, and a --headline below 1),
-3 numeric tolerance failure or float overflow,
+not finite and positive, and a --headline below 1; so does a system or
+operator file that is not valid JSON or does not decode),
+3 numeric tolerance failure or float overflow (anywhere in the core),
 4 domain error (degenerate input, open curve), 5 not quasiunipotent.
 """
 
@@ -17,13 +18,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .counting import (ContourPath, annulus_zero_bound, count_zeros,
                        headline_bound, is_quasiunipotent, monodromy)
 from .division import Hamiltonian, basis_exponents
-from .errors import AbelintError, ParseError
+from .errors import AbelintError, NumericOverflow, ParseError
 from .integrals import REL_TOL, abelian_integral, critical_values
+from .linalg import FieldMatrix
 from .operators import DiffOperator, invariant_slope_sampled, reduce_to_scalar
 from .parsing import parse_complex, parse_number, parse_operator, parse_poly
 from .picard_fuchs import derive_pfaffian, restrict_to_pencil, size_report
@@ -136,11 +136,11 @@ def cmd_derive_pf(args):
 def cmd_reduce(args):
     if args.system:
         data = loads(open(args.system).read())
-        if not isinstance(data, dict) or "A" not in data:
-            raise ParseError("system file must contain an 'A' matrix")
+        A = data.get("A") if isinstance(data, dict) else None
+        if not isinstance(A, FieldMatrix) or not A.rows or A.rows != A.cols:
+            raise ParseError("system file must contain a square 'A' matrix")
         from .picard_fuchs import LinearODESystem
         from .ratfunc import ratfunc_lcm_den
-        A = data["A"]
         ode = LinearODESystem(A, ratfunc_lcm_den(A.flatten()))
     else:
         H0 = parse_poly(args.hamiltonian, ("x1", "x2"))
@@ -176,6 +176,7 @@ def cmd_slits(args):
 
 
 def cmd_monodromy(args):
+    import numpy as np
     D = _load_operator(args)
     center = parse_complex(args.center)
     loop = ContourPath.from_circle(Circle(center, args.radius))
@@ -198,7 +199,7 @@ def cmd_count(args):
         D = _load_operator(args)
         if not args.y0:
             raise ParseError("--y0 initial data required for operator sources")
-        y0 = np.array([parse_complex(v) for v in args.y0.split(";")])
+        y0 = [parse_complex(v) for v in args.y0.split(";")]
         if len(y0) != D.order:
             raise ParseError(f"--y0 needs {D.order} values")
         n = count_zeros(D, loop, y0=y0)
@@ -324,6 +325,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:    # float arithmetic beyond the float range
+        print(f"error: a float is beyond the float range: {exc}", file=sys.stderr)
+        return NumericOverflow.exit_code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ dominates on states of a few entries; states of more than UNROLL scalars
 step as numpy arrays.  A(t) comes as rows of Python complex from the
 kernels that `LinearODESystem.eval` and `DiffOperator.companion_rhs`
 generate once per system or operator, so the scalar right-hand side makes
-no numpy call.
+no numpy call.  numpy is imported inside the functions that call it (the
+states of continuation, monodromy and eigenvalues), not with the module:
+the argument variation of an explicit function samples at s = k / 32 and
+never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import dop853
 from .errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
@@ -116,6 +117,7 @@ def _as_source(obj):
 def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
     """Continue Y (matrix columns) along one piece; with combo, also track
     arg(w) for w = combo . Y[:, 0] (Y is then a matrix)."""
+    import numpy as np
     dist = _dist_to_set(piece, sing)
     # every point of the piece lies within its length of its start
     scale = max(abs(piece.at(0.0)) + piece.length(), 1.0)
@@ -152,6 +154,7 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
 
 def _from_columns(state, shape):
     """The array of the given shape stored column by column in state."""
+    import numpy as np
     return np.array(state).reshape(shape[::-1]).T
 
 
@@ -189,6 +192,7 @@ def _array_rhs(n, tracked):
     """What _scalar_rhs(n, m, tracked) makes, for any m, on numpy arrays y,
     whose per-call cost a large state pays back."""
     def make(A, at_velocity, combo=None, low=None):
+        import numpy as np
         c = np.array(combo) if tracked else None
 
         def rhs(s, y):
@@ -219,6 +223,7 @@ def _continue(obj, path: ContourPath, Y, combo=None):
 
 def continue_solution(obj, path: ContourPath, Y0):
     """Continue the solution (vector or matrix of columns) along the path."""
+    import numpy as np
     return _continue(obj, path, np.array(Y0, dtype=complex))[0]
 
 
@@ -230,6 +235,7 @@ def variation_of_argument(obj, path: ContourPath, y0, combo=None):
     """
     if callable(obj):
         return _variation_callable(obj, path)
+    import numpy as np
     Y = np.array(y0, dtype=complex)
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
@@ -244,8 +250,8 @@ def _variation_callable(f, path: ContourPath):
     """Adaptive sampled argument variation for an explicit function."""
     params = []
     for i in range(len(path.pieces)):
-        for s in np.linspace(0, 1, 33)[:-1]:
-            params.append((i, s))
+        for k in range(32):
+            params.append((i, k / 32))
     params.append((len(path.pieces) - 1, 1.0))
 
     def point(pr):
@@ -316,6 +322,7 @@ def _winding_number(phi) -> int:
 
 def monodromy(obj, loop: ContourPath):
     """Fundamental-solution monodromy matrix along a closed loop."""
+    import numpy as np
     dim = _as_source(obj)[2]
     if not loop.is_closed():
         raise UnsupportedInput("monodromy needs a closed loop")
@@ -324,6 +331,7 @@ def monodromy(obj, loop: ContourPath):
 
 def is_quasiunipotent(M):
     """(ok, orders): eigenvalues on the unit circle with root-of-unity orders."""
+    import numpy as np
     eigs = np.linalg.eigvals(np.asarray(M, dtype=complex))
     orders = []
     for lam in eigs:
@@ -370,6 +378,7 @@ def var_arg_bound(D: DiffOperator, piece, singular_points) -> BoundReport:
     singular locus is 1, the exact slope of the pulled-back operator is
     computed there, and the bound k * S * L * max(L,1)^(C_VAR * d) applies.
     """
+    import numpy as np
     sing = np.asarray(singular_points, dtype=complex)
     dist = _dist_to_set(piece, sing)
     if not math.isfinite(dist):
@@ -595,6 +604,7 @@ def count_region_partition(obj, system: SlitSystem, y0, combo=None):
     (when the branch is single-valued) plus a certified annulus bound for
     operator sources.
     """
+    import numpy as np
     regs = regions(system)
     out = []
     y0 = np.asarray(y0, dtype=complex)
@@ -672,6 +682,7 @@ def _basepoint(system: SlitSystem):
 
 
 def _circle_winding(obj, system, circle, y0, combo):
+    import numpy as np
     start = circle.point_at(0.0)
     y_at = _transport_initial(obj, system, y0, start)
     loop = ContourPath.from_circle(circle, ccw=True)

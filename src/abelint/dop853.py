@@ -8,7 +8,8 @@ of scipy's `select_initial_step` and the step-size control of its
 `RungeKutta._step_impl`.  The step runs on a list of Python scalars (real or
 complex), through a function generated once per state length with every
 sum written out, because numpy's per-call cost dominates on states of a few
-entries; `None` for the length takes the step on numpy arrays instead.
+entries; `None` for the length takes the step on numpy arrays instead, and
+only that step imports numpy, so the scalar steps run without it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import NumericOverflow, ToleranceNotMet
 from .polynomials import _generate, _sum
@@ -119,7 +118,10 @@ def step_function(n):
               "return y_new, f_new, h * n5 / sqrt((n5 + 0.01 * n3) * len(y))"]
     head = f"def make(sqrt, maximum, {', '.join(consts.values())}):"
     make = _generate(head, "step", "fun, t, h, y, f, rtol, atol", lines)
-    return make(math.sqrt, np.maximum, *consts)
+    maximum = None
+    if n is None:   # only the array step calls numpy
+        from numpy import maximum
+    return make(math.sqrt, maximum, *consts)
 
 
 def _rms(xs, scale):

@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import dop853
 from .errors import NotClosed, SeedOffCurve, ToleranceNotMet, UnsupportedInput
 from .polynomials import MultiPoly, straight_line
@@ -111,6 +109,7 @@ def critical_values(H: MultiPoly):
     Newton from a 24 x 24 grid of starting points in [-4, 4]^2; duplicates
     merged.  Returns a sorted list of floats.
     """
+    import numpy as np
     curve = LevelCurve(H)
     Hx, Hy = curve.H.diff("x1"), curve.H.diff("x2")
     hessian = _compile([Hx.diff("x1"), Hx.diff("x2"), Hy.diff("x2")])
@@ -230,6 +229,7 @@ def count_real_zeros(fn, a, b, samples=400, tol=1e-12):
     Zeros of even multiplicity are invisible to sign changes; the result is a
     lower bound in general and exact for simple zeros.
     """
+    import numpy as np
     if b <= a:
         raise UnsupportedInput("empty interval")
     ts = np.linspace(a, b, samples)

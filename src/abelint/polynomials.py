@@ -35,7 +35,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from sympy import Symbol
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.matrices import DomainMatrix
@@ -512,6 +511,7 @@ class MultiPoly:
         the roots as they are.  When the leading coefficient still underflows,
         the coefficients span more than the float range and some root is
         out of reach: that raises NumericOverflow."""
+        import numpy as np
         cs = self.univar_coeffs(name)
         try:
             fs = [_complex(c) for c in cs]

@@ -132,7 +132,12 @@ def dumps(obj, **kw):
 
 
 def loads(text):
+    """decode(JSON text); malformed JSON or encoded data raises ParseError."""
     try:
-        return decode(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed data: {type(exc).__name__}: {exc}") from None

@@ -264,6 +264,38 @@ def test_reduce_system_file_is_univariate(capsys, elliptic, tmp_path):
     assert all(c["vars"] == ["t"] for c in data["operator"]["coeffs"])
 
 
+def _system_file(entries):
+    """A system file whose A has the given rows of (numerator, denominator)
+    polynomials, each a (vars, terms) pair."""
+    def poly(vars_terms):
+        vars, terms = vars_terms
+        return {"type": "poly", "vars": vars, "terms": terms}
+    data = [[{"type": "ratfunc", "num": poly(num), "den": poly(den)} for num, den in row]
+            for row in entries]
+    return {"A": {"type": "matrix", "rows": len(data), "cols": len(data[0]), "data": data}}
+
+
+ONE = (["t"], [[[0], "1"]])
+T = (["t"], [[[1], "1"]])
+
+
+@pytest.mark.parametrize("system, message", [
+    (_system_file([[(ONE, T), (ONE, ONE)], [(ONE, T)]]), "ragged matrix"),
+    (_system_file([[(ONE, (["t"], []))]]), "zero denominator"),
+    (_system_file([[((["t"], [[[-1], "1"]]), ONE)]]), "negative exponent"),
+    (_system_file([[((["t", "a"], [[[1, 0], "1"]]), ONE)]]), "must be sorted"),
+    (_system_file([[((["t"], [[[1], "abc"]]), ONE)]]), "'abc'"),
+    ({"A": 5}, "square 'A' matrix"),
+], ids=["ragged", "zero-den", "negative-exponent", "unsorted-vars", "coefficient",
+        "not-a-matrix"])
+def test_malformed_system_file_exits_2(capsys, tmp_path, system, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "reduce", "--system", str(path))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["derive-pf", "reduce"])
 def test_degree_one_hamiltonian_is_degenerate(capsys, cmd):
     # x-degree 1 leaves an empty form basis (n = 0)
@@ -420,6 +452,20 @@ def test_scientific_notation_arguments(capsys):
         assert code == 2 and out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, code", [
+    (("count", "--poly", "0", "--radius", "1"), 3),
+    (("count", "--poly", "t^2", "--radius", "1e308"), 3),
+    (("monodromy", "--operator", "t*D - 1", "--radius", "1e-300"), 3),
+    (("slits", "--points", "0; 0"), 2),
+    # |d|^2 of a segment to a point overflows in float arithmetic
+    (("slits", "--points", "0; 1e200; 3e200"), 3),
+])
+def test_exit_code_without_traceback(capsys, args, code):
+    got, out, err = run(capsys, *args)
+    assert got == code and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_import_skips_scipy():
     # the DOP853 tableau is in abelint itself; scipy (about 1 s to import)
     # is a test dependency only
@@ -439,6 +485,52 @@ def test_cli_import_skips_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip().splitlines()[-1] == str([False] * 4)
+
+
+def test_exact_commands_skip_numpy(elliptic, tmp_path):
+    # numpy (about 0.1 s to import) loads only inside the functions that
+    # call it; the exact commands and `count --poly` never do
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    system = tmp_path / "system.json"
+    system.write_text(dumps({"A": elliptic.ode.A}))
+    exact = [
+        ["derive-pf", "--hamiltonian", "x2^2/2 + x1^3 - x1"],
+        ["reduce", "--hamiltonian", "x1^2/2 + x2^2/2"],
+        ["reduce", "--system", str(system)],
+        ["slope", "--operator", "(t^2-1)*D^2 + t*D - 1"],
+        ["slits", "--points", "0; 1; 2+i"],
+        ["bound", "--headline", "3"],
+        ["count", "--poly", "t^3 - 1", "--radius", "2"],
+    ]
+    code = ("import sys, contextlib, io\n"
+            "import abelint\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "import abelint.cli\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            f"for argv in {exact!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert abelint.cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip().splitlines()[-1] == str([False] * (2 + len(exact)))
+    # the numeric commands load it at first use, each in a fresh interpreter
+    numeric = [
+        ["count", "--operator", "D^2 + 1", "--radius", "2", "--y0", "1;0"],
+        ["monodromy", "--operator", "t*D - 1/2", "--radius", "1"],
+        ["integrate", "--hamiltonian", "x2^2/2 + x1^3 - x1", "--t", "0.1",
+         "--seed", "0.5+1i"],
+    ]
+    code = ("import sys, contextlib, io, abelint.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert abelint.cli.main(sys.argv[1:]) == 0\n"
+            "print('numpy' in sys.modules)")
+    for argv in numeric:
+        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "True", argv
 
 
 @pytest.mark.parametrize("args, code, message", [
