@@ -3,36 +3,57 @@
 `solve_linear(rows, n)` takes the rows [a_1 .. a_n | c_1 .. c_m] of MultiPoly
 of a system A y = d c with one right-hand side c or several, and returns
 (d, Y): d a nonzero polynomial with A y = d c for each column c and its
-polynomial y, 1 for constant rows.  Constant rows take one sparse reduced
-row echelon form over Q or Q(i) (sympy's, through `polynomials`); other
-rows one fraction-free (Bareiss) elimination of [A | C], whose last pivot
-is d.  Its first step divides by nothing; each later step and each step of
-the back substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact
-division, because the pivots are minors of A and d y_c is one by Cramer's
-rule.  So no rational function arises inside the solve, and a caller that
-wants x = y / d cancels each entry once; rows over Z[t] or Z[i][t], which
-the pencil restriction and the relation search of `operators` hand in,
-stay there (Bareiss, Math. Comp. 22, 1968: the elimination is
-integer-preserving), while the divisions solve over Q.  Both eliminations
-pick the leftmost basis of the columns of A and set the free variables to
-zero, so x is the same.  A column c is consistent iff its entries in the
-rows below rank(A) of the eliminated matrix vanish.  For polynomial rows, an
-overdetermined column c whose [A | c] has full column rank at one rational
-point has full rank generically, so it is refuted before any elimination.
+polynomial y, 1 for constant rows.  The rows pick the path:
+
+- constant rows take one sparse reduced row echelon form over Q or Q(i)
+  (sympy's, through `polynomials`), with d = 1;
+- rows whose entries are polynomials in one variable t, as the pencil
+  restriction hands in, are converted to dense coefficient lists and take
+  `solve_dense`, which the relation search of `operators` calls on its
+  own dense rows over Z[t] or Z[i][t];
+- rows in several variables (the Q[lambda] rows of a division on a
+  symbolic H) take the same elimination on MultiPoly.
+
+The elimination is fraction-free (Bareiss) on [A | C], the pivot of each
+column the entry with the fewest terms, and its last pivot is d.  Its
+first step divides by nothing; each later step and each step of the back
+substitution y_c = (d c_r - sum_j a_rj y_j) / a_rc is an exact division,
+because the pivots are minors of A and d y_c is one by Cramer's rule.  So
+no rational function arises inside the solve, and a caller that wants
+x = y / d cancels each entry once; rows over Z[t] or Z[i][t] stay there
+(Bareiss, Math. Comp. 22, 1968: the elimination is integer-preserving),
+while the divisions solve over Q.  Both eliminations pick the leftmost
+basis of the columns of A and set the free variables to zero, so x is the
+same.  A column c is consistent iff its entries in the rows below rank(A)
+of the eliminated matrix vanish.
+
+An overdetermined column c is refuted before any elimination when [A | c]
+has full column rank at one point, which means full rank generically.  On
+dense rows the point is `polynomials.POINT` and the rank is taken modulo
+the 61-bit prime `polynomials.MODULUS` (i a square root of -1 there):
+reduction mod p is a ring homomorphism, so a nonzero minor mod p is the
+image of a nonzero minor over Q(t) or Q(i)(t), and the refutation is
+sound.  An unlucky point or prime only lowers the rank, refutes nothing,
+and the elimination then finds the inconsistency exactly, so no result
+depends on them.  Rows in several variables are refuted by their exact
+rank over Q or Q(i) at a rational point (`polynomials.rank_at_point`).
 `solve_columns` solves column by column and marks the inconsistent ones;
 `solve_linear` raises NoSolution when any column is inconsistent.
-Verification (`check_solution`) checks each row of each column as one
-polynomial identity, sum_j a_j y_j = d c.  `clear_rows` turns rows of
-rational functions into such polynomial rows.
+Verification (`check_solution`, `check_dense`) checks each row of each
+column as one polynomial identity, sum_j a_j y_j = d c.  `clear_rows`
+turns rows of rational functions into polynomial rows.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import attrgetter
+from operator import add, attrgetter, mul, neg, not_, sub
+from typing import Callable, NamedTuple
 
 from .errors import NoSolution
-from .polynomials import MultiPoly, constant_rref, rank_at_point
+from .polynomials import (MODULUS, MultiPoly, constant_rref, dense_exquo, dense_mul, dup_add,
+                          dup_neg, dup_sub, from_dense, polynomial_variable, rank_at_point,
+                          residue, to_dense)
 from .ratfunc import RatFunc, ratfunc_lcm_den
 
 
@@ -69,40 +90,111 @@ def clear_rows(rows):
     return out
 
 
+class _Ring(NamedTuple):
+    """The operations that the elimination and the check use on one
+    representation: MultiPoly, or dense lists over one domain."""
+    is_zero: Callable
+    nterms: Callable
+    add: Callable
+    sub: Callable
+    neg: Callable
+    mul: Callable
+    exquo: Callable
+    zero: Callable
+    one: Callable
+
+
+_SPARSE = _Ring(MultiPoly.is_zero, MultiPoly.nterms, add, sub, neg, mul, MultiPoly.divexact,
+                MultiPoly.zero, lambda: MultiPoly.const(1))
+
+
+def _dense_ring(K):
+    return _Ring(not_, lambda e: sum(map(bool, e)), lambda a, b: dup_add(a, b, K),
+                 lambda a, b: dup_sub(a, b, K), lambda a: dup_neg(a, K),
+                 lambda a, b: dense_mul(a, b, K), lambda a, b: dense_exquo(a, b, K),
+                 list, lambda: [K.one])
+
+
+def _check(rows, n, d, ys, ring):
+    for j, y in enumerate(ys):
+        live = [(k, yk) for k, yk in enumerate(y) if not ring.is_zero(yk)]
+        for row in rows:
+            lhs = ring.zero()
+            for k, yk in live:
+                if not ring.is_zero(row[k]):
+                    lhs = ring.add(lhs, ring.mul(row[k], yk))
+            if lhs != ring.mul(d, row[n + j]):
+                raise NoSolution("verification failed: A y != d c")
+
+
 def check_solution(rows, n, d, ys):
     """Raise NoSolution unless A y = d c holds for every row
     [a_1 .. a_n | c_1 ..] and every column y of ys, as polynomial
     identities."""
-    for j, y in enumerate(ys):
-        live = [(k, yk) for k, yk in enumerate(y) if not yk.is_zero()]
-        for row in rows:
-            lhs = MultiPoly.zero()
-            for k, yk in live:
-                if not row[k].is_zero():
-                    lhs = lhs + row[k] * yk
-            if lhs != d * row[n + j]:
-                raise NoSolution("verification failed: A y != d c")
+    _check(rows, n, d, ys, _SPARSE)
 
 
-def _bareiss_step(p, e, f, g, prev):
+def check_dense(rows, n, d, ys, K):
+    """`check_solution` on dense rows over K."""
+    _check(rows, n, d, ys, _dense_ring(K))
+
+
+def _bareiss_step(ring, p, e, f, g, prev):
     """(p e - f g) / prev, computing only the nonzero products; prev is None
     at the first step, which divides by nothing.  With f = 0 this is the
     rescale that keeps the Bareiss divisibility invariant."""
-    if f.is_zero() or g.is_zero():
-        if e.is_zero():
+    if ring.is_zero(f) or ring.is_zero(g):
+        if ring.is_zero(e):
             return e
-        r = p * e
-    elif e.is_zero():
-        r = -(f * g)
+        r = ring.mul(p, e)
+    elif ring.is_zero(e):
+        r = ring.neg(ring.mul(f, g))
     else:
-        r = p * e - f * g
-    return r if prev is None else r.divexact(prev)
+        r = ring.sub(ring.mul(p, e), ring.mul(f, g))
+    return r if prev is None else ring.exquo(r, prev)
+
+
+def _rank_mod_p(rows):
+    """The rank of a matrix of integers modulo MODULUS."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, MODULUS)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % MODULUS
+            if f:
+                rows[r] = [(a - f * b) % MODULUS for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def _refuted_dense(rows, n, K):
+    """`_refuted` for dense rows over K, by the rank of [A | c_j] at POINT
+    modulo MODULUS (`polynomials.residue`).  That map is a ring
+    homomorphism, so a nonzero minor mod p is the image of a nonzero minor
+    over Q(t) or Q(i)(t): rank n + 1 mod p means generic rank n + 1.  A
+    point or prime where the rank drops refutes nothing, and the
+    elimination then decides the column exactly, as it does when p
+    divides a denominator of rows over Q or Q(i)."""
+    if len(rows) <= n:
+        return []
+    values = [[residue(e, K) for e in row] for row in rows]
+    if any(v is None for row in values for v in row):
+        return []
+    return [j for j in range(len(rows[0]) - n)
+            if _rank_mod_p([row[:n] + [row[n + j]] for row in values]) == n + 1]
 
 
 def _refuted(rows, n):
-    """The columns j of polynomial rows [A | C] that are refuted before any
-    elimination: rank n + 1 of [A | c_j] at one point means generic rank
-    n + 1, so c_j is not in the span of A."""
+    """The columns j of polynomial rows [A | C] in several variables that
+    are refuted before any elimination: rank n + 1 of [A | c_j] at one
+    rational point means generic rank n + 1, so c_j is not in the span of
+    A."""
     if len(rows) <= n:
         return []
     return [j for j in range(len(rows[0]) - n)
@@ -131,31 +223,35 @@ def _constant_entries(rows):
     return entries, tuple(sorted(set().union(*varsets))), gaussian
 
 
-def _eliminate(rows, n, constant):
-    """(d, Y) for [A | C]: d a nonzero polynomial and, per column c, a
-    polynomial y with A y = d c, free variables zero, or None when c is
-    inconsistent, i.e. when its entries in the rows below rank(A) of the
-    eliminated matrix do not all vanish.  constant is `_constant_entries`
-    of constant rows, None for the others."""
+def _rref(rows, n, constant):
+    """(d, Y) for constant rows [A | C], constant their `_constant_entries`:
+    d = 1 and, per column c, y = x with A x = c, free variables zero, or
+    None when c is inconsistent, from one sparse reduced row echelon form;
+    the pivots at or after n lie in the rows below rank(A)."""
+    entries, vs, gaussian = constant
+    pivots, R = constant_rref(entries, (len(rows), len(rows[0])), vs, gaussian)
+    zero = MultiPoly.zero(vs)
+    rank = sum(c < n for c in pivots)
+    ys = []
+    for j in range(n, len(rows[0])):
+        if any(j in R[i] for i in range(rank, len(pivots))):
+            ys.append(None)
+            continue
+        y = [zero] * n
+        for i in range(rank):
+            y[pivots[i]] = R[i].get(j, zero)
+        ys.append(y)
+    return MultiPoly.const(1, vs), ys
+
+
+def _bareiss(rows, n, ring):
+    """(d, Y) for polynomial rows [A | C] in the representation of ring: d a
+    nonzero polynomial and, per column c, a polynomial y with A y = d c,
+    free variables zero, or None when c is inconsistent, i.e. when its
+    entries in the rows below rank(A) of the eliminated matrix do not all
+    vanish.  One fraction-free elimination of [A | C]; the pivot of each
+    column is the entry with the fewest terms."""
     m = len(rows)
-    ncols = len(rows[0]) - n
-    if constant is not None:
-        # one sparse reduced row echelon form, d = 1; the pivots at or
-        # after n lie in the rows below rank(A)
-        entries, vs, gaussian = constant
-        pivots, R = constant_rref(entries, (m, len(rows[0])), vs, gaussian)
-        zero = MultiPoly.zero(vs)
-        rank = sum(c < n for c in pivots)
-        ys = []
-        for j in range(n, n + ncols):
-            if any(j in R[i] for i in range(rank, len(pivots))):
-                ys.append(None)
-                continue
-            y = [zero] * n
-            for i in range(rank):
-                y[pivots[i]] = R[i].get(j, zero)
-            ys.append(y)
-        return MultiPoly.const(1, vs), ys
     M = list(rows)
     pivots = []  # (row, col)
     prev = None
@@ -165,8 +261,8 @@ def _eliminate(rows, n, constant):
         best = None
         for r in range(row, m):
             e = M[r][col]
-            if not e.is_zero():
-                k = e.nterms()
+            if not ring.is_zero(e):
+                k = ring.nterms(e)
                 if best is None or k < best:
                     best = k
                     piv = r
@@ -177,31 +273,74 @@ def _eliminate(rows, n, constant):
         p = M[row][col]
         for r in range(row + 1, m):
             f = M[r][col]
-            M[r] = [_bareiss_step(p, e, f, g, prev) for e, g in zip(M[r], M[row])]
+            M[r] = [_bareiss_step(ring, p, e, f, g, prev) for e, g in zip(M[r], M[row])]
         prev = p
         pivots.append((row, col))
         row += 1
         if row == m:
             break
-    d = prev if prev is not None else MultiPoly.const(1)
+    d = prev if prev is not None else ring.one()
     # fraction-free back substitution per consistent column, free variables = 0
     ys = []
-    for j in range(n, n + ncols):
-        if any(not M[r][j].is_zero() for r in range(row, m)):
+    for j in range(n, len(rows[0])):
+        if any(not ring.is_zero(M[r][j]) for r in range(row, m)):
             ys.append(None)
             continue
-        y = [MultiPoly.zero() for _ in range(n)]
+        y = [ring.zero() for _ in range(n)]
         for i, (r, c) in enumerate(reversed(pivots)):
             if i == 0:  # the last pivot is d itself: y_c = d c_r / d
                 y[c] = M[r][j]
                 continue
-            acc = d * M[r][j]
+            acc = ring.mul(d, M[r][j])
             for k in range(c + 1, n):
-                if not M[r][k].is_zero() and not y[k].is_zero():
-                    acc = acc - M[r][k] * y[k]
-            y[c] = acc.divexact(M[r][c])
+                if not ring.is_zero(M[r][k]) and not ring.is_zero(y[k]):
+                    acc = ring.sub(acc, ring.mul(M[r][k], y[k]))
+            y[c] = ring.exquo(acc, M[r][c])
         ys.append(y)
     return d, ys
+
+
+def _dense_rows(rows):
+    """(dense rows, K, var, vs) for polynomial rows whose nonconstant
+    entries are polynomials in one variable var, the entries over the
+    variables vs of all of them; None for rows in several variables."""
+    entries = [e for row in rows for e in row]
+    var = polynomial_variable(entries)
+    if var is None:
+        return None
+    flat, K = to_dense(entries, var)
+    vs = tuple(sorted({var}.union(*(e.vars for e in entries))))
+    w = len(rows[0])
+    return [flat[i:i + w] for i in range(0, len(flat), w)], K, var, vs
+
+
+def _paths(rows, n):
+    """(R, refuted, eliminate, check, back) for MultiPoly rows [A | C]: R the
+    rows in the representation of their path, refuted the columns that are
+    inconsistent before any elimination, eliminate(R, n) -> (d, Y) and
+    check(R, n, d, Y) on that representation, and back, which turns its
+    polynomials into MultiPoly, or None when they are MultiPoly.  Constant
+    rows take the reduced row echelon form, rows in one variable the dense
+    elimination and rows in several variables the elimination on
+    MultiPoly."""
+    constant = _constant_entries(rows)
+    if constant is not None:
+        return rows, [], lambda R, n: _rref(R, n, constant), check_solution, None
+    dense = _dense_rows(rows)
+    if dense is None:
+        return (rows, _refuted(rows, n), lambda R, n: _bareiss(R, n, _SPARSE),
+                check_solution, None)
+    R, K, var, vs = dense
+    return (R, _refuted_dense(R, n, K), lambda R, n: _bareiss(R, n, _dense_ring(K)),
+            lambda R, n, d, ys: check_dense(R, n, d, ys, K),
+            lambda p: from_dense(p, K, vs, var))
+
+
+def _back(d, ys, back):
+    if back is None:
+        return d, ys
+    return (None if d is None else back(d),
+            [None if y is None else [back(e) for e in y] for y in ys])
 
 
 def solve_columns(rows, n):
@@ -209,18 +348,28 @@ def solve_columns(rows, n):
     Y[j] None where column j is inconsistent.  Refuted columns are left out
     of the elimination, and none runs when every column is refuted (d is
     then None)."""
+    R, refuted, eliminate, _, back = _paths(rows, n)
     ncols = len(rows[0]) - n
-    constant = _constant_entries(rows)
-    refuted = [] if constant is not None else _refuted(rows, n)
     live = [j for j in range(ncols) if j not in refuted]
     ys = [None] * ncols
     if not live:
         return None, ys
     if refuted:
-        rows = [row[:n] + [row[n + j] for j in live] for row in rows]
-    d, found = _eliminate(rows, n, constant)
+        R = [row[:n] + [row[n + j] for j in live] for row in R]
+    d, found = eliminate(R, n)
     for j, y in zip(live, found):
         ys[j] = y
+    return _back(d, ys, back)
+
+
+def _solve(R, n, refuted, eliminate, check, verify):
+    if refuted:
+        raise NoSolution("inconsistent linear system")
+    d, ys = eliminate(R, n)
+    if None in ys:
+        raise NoSolution("inconsistent linear system")
+    if verify:
+        check(R, n, d, ys)
     return d, ys
 
 
@@ -234,12 +383,12 @@ def solve_linear(rows, n, verify=True):
     NoSolution when some column is inconsistent, before any elimination
     when a column of polynomial rows is refuted at a point.
     """
-    constant = _constant_entries(rows)
-    if constant is None and _refuted(rows, n):
-        raise NoSolution("inconsistent linear system")
-    d, ys = _eliminate(rows, n, constant)
-    if None in ys:
-        raise NoSolution("inconsistent linear system")
-    if verify:
-        check_solution(rows, n, d, ys)
-    return d, ys
+    R, refuted, eliminate, check, back = _paths(rows, n)
+    return _back(*_solve(R, n, refuted, eliminate, check, verify), back)
+
+
+def solve_dense(rows, n, K, verify=True):
+    """`solve_linear` on dense rows over K: (d, Y) as dense lists."""
+    return _solve(rows, n, _refuted_dense(rows, n, K),
+                  lambda R, n: _bareiss(R, n, _dense_ring(K)),
+                  lambda R, n, d, ys: check_dense(R, n, d, ys, K), verify)

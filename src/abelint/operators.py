@@ -11,7 +11,10 @@ polynomial rows S_k = q^k R_k, and its one verified solve per order is
 fraction-free, so the search builds no rational function.  It scales q
 and N jointly to integer coefficients first, and the pullback scales the
 Moebius entries and the operator's coefficients, so both run over Z[t] or
-Z[i][t]; `standard_form` hands their results back over Q or Q(i).
+Z[i][t], on dense coefficient lists (sympy's `dup` routines, through
+`polynomials`): an operator's MultiPoly coefficients become lists where it
+enters, and `standard_form` hands the results back as MultiPoly over Q or
+Q(i).  A refuted order costs one rank modulo a prime (`linalg`).
 
 Symmetrization across a circle or line gamma in the chart phi is, for a
 real D, the chart identity symmetrize(D, gamma, phi) = pullback(lclm(D,
@@ -41,9 +44,11 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import NoSolution, NumericOverflow, UnsupportedInput
-from .linalg import check_solution, solve_linear
-from .polynomials import (MultiPoly, float_overflow, integer_parts, primitive_parts,
-                          straight_line)
+from .linalg import check_dense, solve_dense
+from .polynomials import (ExactQuotientFailed, MultiPoly, dense_exquo, dense_gcd, dense_mul,
+                          dense_scalar, dup_add, dup_diff, dup_mul_ground, dup_neg, dup_pow,
+                          dup_primitive, dup_sub, float_overflow, from_dense, integer_parts,
+                          primitive_parts, straight_line, to_dense)
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -139,8 +144,15 @@ def standard_form(coeffs, g=None) -> DiffOperator:
 
 
 def reduce_to_scalar(ode) -> DiffOperator:
-    """Scalar operator annihilating X[0] for X' = A X."""
-    q = ratfunc_lcm_den(ode.A.flatten()).extend(TVARS)
+    """Scalar operator annihilating X[0] for X' = A X, for A(t) with entries
+    in t alone; an entry in another variable raises UnsupportedInput."""
+    entries = ode.A.flatten()
+    for e in entries:
+        extra = set(e.num.effective_vars()) | set(e.den.effective_vars())
+        if extra - set(TVARS):
+            raise UnsupportedInput(f"A(t) has an entry in {sorted(extra - set(TVARS))}: "
+                                   "the entries of a system must be univariate in t")
+    q = ratfunc_lcm_den(entries).extend(TVARS)
     N = [[e.cleared(q) for e in row] for row in ode.A.data]
     return _first_relation(N, q)
 
@@ -161,80 +173,98 @@ def _first_relation(N, q, start=None) -> DiffOperator:
 
     so no rational function arises at all: the fraction-free solve
     e S_k = sum_j y_j S_j, e its last pivot, gives c_j = y_j / (e q^(k-j)),
-    and D is proportional to e q^k d^k - sum_j y_j q^j d^j.
+    and D is proportional to e q^k d^k - sum_j y_j q^j d^j.  From
+    `integer_parts` to `standard_form` every polynomial is a dense
+    coefficient list over Z or Z[i] (`linalg.solve_dense`).
     """
     ell = len(N)
     # one positive rational factor on q and every entry of N leaves A as it
     # is and brings the whole search to Z[t], where it stays; entries that
     # still carry variables of a derivation in degree 0 lose them
-    _, (q, *entries) = integer_parts(p.shrink().extend(TVARS)
-                                     for p in [q, *(e for row in N for e in row)])
+    _, parts = integer_parts(p.shrink().extend(TVARS)
+                             for p in [q, *(e for row in N for e in row)])
+    (q, *entries), K = to_dense(parts)
     N = [entries[i * ell:(i + 1) * ell] for i in range(ell)]
-    dq = q.diff("t")
-    # by Gauss's lemma a quotient by the primitive u that exists over Q is
-    # already over Z, so dividing out powers of u stays in Z[t]
-    u = q.primitive()[1]
-    zero = q.const_like(0)
-    S = ([q.const_like(1)] + [zero] * (ell - 1) if start is None
-         else [q.const_like(c) for c in start])
+    dq = dup_diff(q, 1, K)
+    # by Gauss's lemma a quotient by the primitive u that exists over Q (or
+    # Q(i)) is already over Z (or Z[i]), so dividing out powers of u stays
+    # in Z[t] (or Z[i][t])
+    u = dup_primitive(q, K)[1]
+    S = ([[K.one]] + [[]] * (ell - 1) if start is None
+         else [[K(c)] if c else [] for c in start])
     cols = [S]
     for k in range(1, ell + 1):
-        w = dq * (k - 1)
+        w = dup_mul_ground(dq, K(k - 1), K)
         # zero products are skipped: companion matrices are mostly zero
-        S = [q * S[j].diff("t") - w * S[j] +
-             sum((S[m] * N[m][j] for m in range(ell)
-                  if not (S[m].is_zero() or N[m][j].is_zero())), zero)
-             for j in range(ell)]
+        S_next = []
+        for j in range(ell):
+            e = dup_sub(dense_mul(q, dup_diff(S[j], 1, K), K), dense_mul(w, S[j], K), K)
+            for m in range(ell):
+                if S[m] and N[m][j]:
+                    e = dup_add(e, dense_mul(S[m], N[m][j], K), K)
+            S_next.append(e)
+        S = S_next
         rows = [[col[i] for col in cols] + [S[i]] for i in range(ell)]
         try:
-            d, (y,) = solve_linear(rows, k, verify=False)
+            d, (y,) = solve_dense(rows, k, K, verify=False)
             # d and the y_j share the factors of the minors of the S_j:
             # dividing those out first keeps the check and the gcd in
             # standard_form small.  Most are powers of q, which exact
             # divisions remove faster than a gcd of the full polynomials
-            if not u.is_constant():
-                d, *y = _divide_out(u, [d, *y])
-            g = reduce(MultiPoly.gcd, y, d)
-            d, y = d.divexact(g), [e.divexact(g) for e in y]
-            check_solution(rows, k, d, [y])
+            if len(u) > 1:
+                d, *y = _strip(u, [d, *y], K)
+            g = reduce(lambda a, b: dense_gcd(a, b, K), y, d)
+            d, y = dense_exquo(d, g, K), [dense_exquo(e, g, K) for e in y]
+            check_dense(rows, k, d, [y], K)
         except NoSolution:
             cols.append(S)
             continue
         # with gcd(d, y) = 1 the common factor divides q^k: for pi^a || q, a
         # common pi^(e > k a) would divide d and every y_j
-        qk = q ** k
-        polys = [d * qk] + [-y[j] * q ** j for j in reversed(range(k))]
-        return standard_form(polys, reduce(MultiPoly.gcd, reversed(polys[1:]), qk))
+        qpow = [[K.one]]
+        for _ in range(k):
+            qpow.append(dense_mul(qpow[-1], q, K))
+        polys = [dense_mul(d, qpow[k], K)] + [dup_neg(dense_mul(y[j], qpow[j], K), K)
+                                             for j in reversed(range(k))]
+        g = reduce(lambda a, b: dense_gcd(a, b, K), reversed(polys[1:]), qpow[k])
+        return standard_form([from_dense(dense_exquo(p, g, K), K) for p in polys],
+                             MultiPoly.const(1, TVARS))
     raise NoSolution("no scalar relation up to order ell")
 
 
-def _divide_out(u, polys, limit=math.inf):
-    """polys divided by the highest power u^v, v <= limit, dividing all, for
-    a primitive u.  v is found on the nonzero polynomial of least degree,
-    which bounds it; each other one is then divided once, by u^v, and a
-    failure there starts over below v.  Over Z a quotient by the primitive
-    u that exists over Q is already over Z (Gauss's lemma), and over Z[i]
-    too when u is real, so only a Gaussian u retries a failed division over
-    Q(i)."""
-    field = u.has_gaussian()
-    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+def _strip(u, polys, K, limit=math.inf):
+    """The dense lists polys over K divided by the highest power u^v, v <=
+    limit, dividing all, for u primitive over Z or Z[i].  v is found on
+    the nonzero polynomial of least degree, which bounds it; each other one
+    is then divided once, by u^v, and a failure there starts over below v.
+    Z[t] and Z[i][t] are unique factorization domains, so by Gauss's lemma
+    a quotient by the primitive u that exists over Q or Q(i) is already
+    over Z or Z[i]: no division needs the field."""
+    live = [i for i, p in enumerate(polys) if p]
     if not live:
         return polys
-    first = min(live, key=lambda i: polys[i].total_degree())
+    first = min(live, key=lambda i: len(polys[i]))
     v, q = 0, polys[first]
     while v < limit:
         try:
-            q = q.divexact(u, field)
-        except ValueError:
+            q = dense_exquo(q, u, K)
+        except ExactQuotientFailed:
             break
         v += 1
     if v == 0:
         return polys
-    uv = u ** v
+    uv = dup_pow(u, v, K)
     try:
-        return [q if i == first else p.divexact(uv, field) for i, p in enumerate(polys)]
-    except ValueError:
-        return _divide_out(u, polys, v - 1)
+        return [q if i == first else dense_exquo(p, uv, K) for i, p in enumerate(polys)]
+    except ExactQuotientFailed:
+        return _strip(u, polys, K, v - 1)
+
+
+def _divide_out(u, polys, limit=math.inf):
+    """`_strip` of MultiPoly polys in t by the powers of the MultiPoly u,
+    made primitive over Z or Z[i] first."""
+    (u, *dense), K = to_dense([u, *polys])
+    return [from_dense(p, K) for p in _strip(dup_primitive(u, K)[1], dense, K, limit)]
 
 
 def affine_slope(D: DiffOperator):
@@ -339,15 +369,21 @@ def circle_to_real_axis_map(center_re, center_im, radius):
     return MobiusMap(c + r, i * (c - r), 1, i)
 
 
-def _next_power(den: MultiPoly, j, E):
+def _next_power(den, j, E, K):
     """E_{j+1} from E_j, ascending in d, for (den^2 d)^j = den^j E_j: den^2 d
-    (den^j e d^m) = den^(j+1) ((j den' e + den e') d^m + den e d^(m+1))."""
-    dd = den.diff("t") * j
-    out = [den.const_like(0)] * (len(E) + 1)
+    (den^j e d^m) = den^(j+1) ((j den' e + den e') d^m + den e d^(m+1)),
+    on dense lists over K."""
+    dd = dup_mul_ground(dup_diff(den, 1, K), K(j), K)
+    out = [[] for _ in range(len(E) + 1)]
     for m, e in enumerate(E):
-        out[m] = out[m] + dd * e + den * e.diff("t")
-        out[m + 1] = out[m + 1] + den * e
+        step = dup_add(dense_mul(dd, e, K), dense_mul(den, dup_diff(e, 1, K), K), K)
+        out[m] = dup_add(out[m], step, K)
+        out[m + 1] = dup_add(out[m + 1], dense_mul(den, e, K), K)
     return out
+
+
+def _degree(f):
+    return len(f) - 1 if f else -math.inf
 
 
 def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
@@ -356,45 +392,54 @@ def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
     For phi = (at + b)/(ct + d), M = (1/phi') d/dt = (ct + d)^2 / det d/dt,
     (det M)^j = (ct + d)^j E_j and H_i = p_i(phi) (ct + d)^(n_i), n_i = deg p_i,
     with E_j and H_i polynomial over Z[t] or Z[i][t] (phi's entries and D's
-    coefficients are each scaled to integers jointly).  With s_i = k - i - n_i
-    and s = min s_i, det^k (ct + d)^-s times the operator is the polynomial
-    sum of det^i (ct + d)^(s_i - s) H_i E_(k-i).  For coprime p_i (D in
-    standard form) only a power (ct + d)^v can divide all its coefficients:
-    elsewhere the change of variables is invertible, so a common root u would
-    make every p_i vanish at phi(u).  v is at most the exact valuations s_k - s
-    of the d^0 coefficient (p_k != 0) and s_0 + k - s of the d^k one (N - n_k
-    and N - n_0 + 2k times (ct + d)^N, N = max n_i): exact divisions, no gcd.
+    coefficients are each scaled to integers jointly), kept as dense
+    coefficient lists.  With s_i = k - i - n_i and s = min s_i, det^k
+    (ct + d)^-s times the operator is the polynomial sum of det^i
+    (ct + d)^(s_i - s) H_i E_(k-i).  For coprime p_i (D in standard form)
+    only a power (ct + d)^v can divide all its coefficients: elsewhere the
+    change of variables is invertible, so a common root u would make every
+    p_i vanish at phi(u).  v is at most the exact valuations s_k - s of the
+    d^0 coefficient (p_k != 0) and s_0 + k - s of the d^k one (N - n_k and
+    N - n_0 + 2k times (ct + d)^N, N = max n_i): exact divisions, no gcd.
+    Zero coefficients of the p_i are skipped in the Horner sums, and a
+    factor that is a monomial, such as a power of den = t, is a shift.
     """
     if not D.standard:
         D = standard_form(D.coeffs)
     k = D.order
     t = MultiPoly.var("t")
     s, (num, den) = integer_parts([t * phi.a + phi.b, t * phi.c + phi.d])
-    det = (phi.a * phi.d - phi.b * phi.c) / (s * s)
     _, coeffs = integer_parts(D.coeffs)
-    one, zero = den.const_like(1), den.const_like(0)
-    E = [[one]]
+    (num, den, *coeffs), K = to_dense([num, den, *coeffs])
+    # an integer of K: num and den hold phi's entries divided by s
+    det = dense_scalar((phi.a * phi.d - phi.b * phi.c) / (s * s), K)
+    E = [[[K.one]]]
     for j in range(k):
-        E.append(_next_power(den, j, E[-1]))
-    shift = [k - i - p.total_degree() for i, p in enumerate(coeffs)]   # inf for p_i = 0
+        E.append(_next_power(den, j, E[-1], K))
+    shift = [k - i - _degree(p) for i, p in enumerate(coeffs)]   # inf for p_i = 0
     low = min(shift)
-    den_pow = [den ** e for e in range(k + 1 + max(p.total_degree() for p in coeffs))]
-    out = [zero] * (k + 1)
-    det_i = GaussianRational(1)
+    den_pow = [[K.one]]
+    for _ in range(k + max(_degree(p) for p in coeffs)):
+        den_pow.append(dense_mul(den_pow[-1], den, K))
+    out = [[] for _ in range(k + 1)]
+    det_i = K.one
     for i, p in enumerate(coeffs):
-        if not p.is_zero():
-            # homogeneous Horner: sum_j c_j num^j den^(n_i - j) = H_i
-            aj = zero
-            cs = p.univar_coeffs("t")
-            for j in reversed(range(len(cs))):
-                aj = aj * num + den_pow[len(cs) - 1 - j] * cs[j]
-            aj = aj * det_i * den_pow[shift[i] - low]
+        if p:
+            # homogeneous Horner: sum_j c_j num^j den^(n_i - j) = H_i, the
+            # c_j from the highest degree down
+            aj = []
+            for e, c in enumerate(p):
+                aj = dense_mul(aj, num, K)
+                if c:
+                    aj = dup_add(aj, dup_mul_ground(den_pow[e], c, K), K)
+            aj = dense_mul(dup_mul_ground(aj, det_i, K), den_pow[shift[i] - low], K)
             for m, cm in enumerate(E[k - i]):
-                out[m] = out[m] + aj * cm
+                out[m] = dup_add(out[m], dense_mul(aj, cm, K), K)
         det_i = det_i * det
-    if not den.is_constant():
-        out = _divide_out(den.primitive()[1], out, min(shift[k], shift[0] + k) - low)
-    return standard_form(list(reversed(out)), one)
+    out = [from_dense(p, K) for p in out]
+    if len(den) > 1:
+        out = _divide_out(from_dense(den, K), out, min(shift[k], shift[0] + k) - low)
+    return standard_form(list(reversed(out)), MultiPoly.const(1, TVARS))
 
 
 def reflect(D: DiffOperator) -> DiffOperator:

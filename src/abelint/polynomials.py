@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials over Q (or Q(i)) with exact coefficients.
+"""Polynomials over Q (or Q(i)) with exact coefficients: sparse multivariate
+ones, and dense univariate lists for the exact algebra in t.
 
 A MultiPoly is a sorted tuple of variable names plus one element of sympy's
 sparse ring Q[vars], or Q(i)[vars] when some coefficient has a nonzero
@@ -15,6 +16,23 @@ variable positions and converts coefficients only when the domain changes.
 Arithmetic, exact division, gcd, differentiation and substitution are ring
 calls; coefficients leave the module as Fraction or GaussianRational.  The graded lexicographic order fixes
 leading terms, canonical signs and printed order.
+
+Every polynomial that the relation search, the pullback and the
+univariate solves of `linalg` compute with is univariate in t, so they run
+on dense coefficient lists instead: sympy's `dup` format, highest degree
+first and [] for zero, over one domain K (Z or Z[i], or Q or Q(i) for rows
+that hand in fractions), with sympy's `densearith`, `densetools` and
+`euclidtools` routines, which this module re-exports (`dup_add`,
+`dup_diff`, `dup_gcd`, ...).  Products and exact quotients, where the time
+goes, are `dense_mul` and `dense_exquo`: schoolbook multiplication and
+long division like sympy's `dup_mul` and `dup_exquo`, but over the nonzero
+coefficients only, since the restriction's rows fill about every other
+degree and the pullbacks multiply by monomials.  `to_dense` and
+`from_dense` convert where a polynomial enters or leaves that algebra.  `residue` maps a dense list to
+its value at one fixed integer point modulo one fixed 61-bit prime p = 1
+(mod 4), sending i to a fixed square root of -1 mod p: a ring
+homomorphism, so a minor that is nonzero mod p is nonzero over Q(t) or
+Q(i)(t), which makes the rank mod p a sound refutation for `linalg`.
 
 The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
@@ -36,7 +54,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from sympy import Symbol
+from sympy.polys.densearith import dup_add, dup_mul_ground, dup_neg, dup_pow, dup_sub
+from sympy.polys.densetools import dup_diff, dup_primitive
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
+from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed
@@ -666,6 +687,158 @@ def poly_lcm(a, b):
     if g.is_zero():
         return g
     return a.extend(sorted(set(a.vars) | set(b.vars))).divexact(g) * b
+
+
+# ---------------------------------------------------------------------------
+# dense univariate lists
+
+
+def to_dense(polys, var="t"):
+    """(lists, K): polys, each a polynomial in var alone or a constant, as
+    dense coefficient lists, highest degree first and [] for zero, over K,
+    the smallest of Z, Z[i], Q and Q(i) that holds them all.  A polynomial
+    that uses another variable raises UnsupportedInput."""
+    polys = list(polys)
+    K = ZZ
+    for p in polys:
+        if p.poly:
+            K = _join(K, p.poly.ring.domain)
+    return [_dense(p, var, K) for p in polys], K
+
+
+def _dense(p, var, K):
+    f = p.poly
+    if not f:
+        return []
+    src = f.ring.domain
+    i = p.vars.index(var) if var in p.vars else None
+    coeffs = {}
+    for m, c in f.items():
+        e = m[i] if i is not None else 0
+        if sum(m) != e:
+            raise UnsupportedInput(f"polynomial is not univariate in {var}: vars {p.vars}")
+        coeffs[e] = c if src is K else K.convert_from(c, src)
+    n = max(coeffs)
+    out = [K.zero] * (n + 1)
+    for e, c in coeffs.items():
+        out[n - e] = c
+    return out
+
+
+def dense_scalar(c, K):
+    """The int, Fraction or GaussianRational c as an element of K, which
+    holds it."""
+    return _coef_in(c, K)
+
+
+def from_dense(f, K, variables=("t",), var="t"):
+    """The MultiPoly over variables (which hold var) of the dense list f over
+    K, its terms stored in descending order, and over Z or Q when no
+    coefficient is complex."""
+    vs = tuple(variables)
+    i, n = vs.index(var), len(f) - 1
+    base = [0] * len(vs)
+    terms = {}
+    for k, c in enumerate(f):
+        if c:
+            base[i] = n - k
+            terms[tuple(base)] = c
+    return MultiPoly._new(vs, _ring(vs, K).dtype(terms))
+
+
+def polynomial_variable(polys):
+    """The one variable that the nonconstant polys use, or None when they use
+    more than one, or when every one is constant."""
+    var = None
+    for p in polys:
+        f = p.poly
+        if f.is_ground:
+            continue
+        used = [v for v, d in zip(p.vars, f.degrees()) if d]
+        if len(used) > 1 or var not in (None, used[0]):
+            return None
+        var = used[0]
+    return var
+
+
+def dense_mul(f, g, K):
+    """f g for dense lists over K.  The products of zero coefficients are
+    skipped, which sympy's `dup_mul` forms: the rows of the pencil
+    restriction fill only every other degree, and a monomial factor costs
+    one pass over the other."""
+    if not (f and g):
+        return []
+    nf = [(i, c) for i, c in enumerate(f) if c]
+    ng = [(j, c) for j, c in enumerate(g) if c]
+    h = [K.zero] * (len(f) + len(g) - 1)
+    for i, a in nf:
+        for j, b in ng:
+            h[i + j] += a * b
+    return h
+
+
+def dense_exquo(f, g, K):
+    """f / g for dense lists over K when g divides f there; else
+    ExactQuotientFailed.  Long division from the leading term, skipping the
+    zero coefficients of g and of the quotient."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    m = len(f) - len(g)
+    if not f:
+        return []
+    if m < 0:
+        raise ExactQuotientFailed(f, g, K)
+    lc, tail = g[0], [(j, c) for j, c in enumerate(g) if j and c]
+    r, q = list(f), [K.zero] * (m + 1)
+    for k in range(m + 1):
+        if r[k]:
+            c, rem = K.div(r[k], lc)
+            if rem:
+                raise ExactQuotientFailed(f, g, K)
+            q[k] = c
+            for j, b in tail:
+                r[k + j] -= c * b
+    if any(r[m + 1:]):
+        raise ExactQuotientFailed(f, g, K)
+    return q
+
+
+def dense_gcd(f, g, K):
+    """gcd(f, g) of dense lists over K, primitive over Z or Z[i] (up to a
+    unit) and monic over a field."""
+    h = dup_gcd(f, g, K)
+    return h if K.is_Field else dup_primitive(h, K)[1]
+
+
+# 61-bit prime p = 1 (mod 4), a square root of -1 mod p and an integer point:
+# `residue` evaluates a dense list there, mod p, with i -> SQRT_MINUS_ONE,
+# a ring homomorphism from Z[i][t] (and from the rationals whose
+# denominators p does not divide) onto the integers mod p
+MODULUS = 2305843009213693921
+SQRT_MINUS_ONE = 583529827753931384
+POINT = 1414213562373095048
+
+
+def _coef_mod_p(c, K):
+    if K is ZZ:
+        return c % MODULUS
+    if K is ZZ_I:
+        return (c.x + SQRT_MINUS_ONE * c.y) % MODULUS
+    parts = (c.x, c.y) if K is QQ_I else (c, QQ.zero)
+    re, im = (int(q.numerator) * pow(int(q.denominator), -1, MODULUS) for q in parts)
+    return (re + SQRT_MINUS_ONE * im) % MODULUS
+
+
+def residue(f, K):
+    """f(POINT) mod MODULUS for a dense list f over K; None when a
+    denominator of a coefficient over Q or Q(i) is divisible by MODULUS."""
+    v = 0
+    try:
+        for c in f:
+            v = (v * POINT + _coef_mod_p(c, K)) % MODULUS
+    except ValueError:   # pow(denominator, -1, MODULUS) of a multiple of MODULUS
+        return None
+    return v
 
 
 def rank_at_point(rows):

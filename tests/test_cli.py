@@ -296,6 +296,21 @@ def test_malformed_system_file_exits_2(capsys, tmp_path, system, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [
+    ((["a", "t"], [[[1, 1], "1"]]), ONE),
+    (ONE, (["t", "x1"], [[[1, 0], "1"], [[0, 1], "1"]])),
+], ids=["a*t", "den-in-x1"])
+def test_system_entry_in_another_variable_exits_2(capsys, tmp_path, entry):
+    """An A entry must be univariate in t once unused variables are dropped:
+    a*t, or a denominator t + x1, exits 2 instead of printing an operator
+    with a coefficient in a."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_system_file([[entry]])))
+    code, out, err = run(capsys, "reduce", "--system", str(path))
+    assert code == 2 and out == ""
+    assert "univariate in t" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["derive-pf", "reduce"])
 def test_degree_one_hamiltonian_is_degenerate(capsys, cmd):
     # x-degree 1 leaves an empty form basis (n = 0)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from abelint import linalg
 from abelint.errors import NoSolution
 from abelint.linalg import check_solution, clear_rows, solve_columns, solve_linear
-from abelint.polynomials import MultiPoly, poly_lcm, rank_at_point
+from abelint.polynomials import (MODULUS, POINT, SQRT_MINUS_ONE, MultiPoly, integer_parts,
+                                 poly_lcm, rank_at_point, to_dense)
 from abelint.qi import GaussianRational
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
 
@@ -255,13 +256,22 @@ def _sparse_system(rng, m, n, gaussian):
 def test_sparse_solve_matches_dense_elimination(gaussian):
     """Skipping zero products and unit denominators changes no value,
     variable or term of d or y; the systems have zero entries both in pivot
-    rows and in the rows they eliminate."""
+    rows and in the rows they eliminate.  Over Q(i)(t) the rows are in t
+    alone and take the dense solve, whose d and y have the values of the
+    reference and a storage of their own."""
     rng = random.Random(31 + gaussian)
     for m, n in [(4, 4), (5, 5), (5, 3), (3, 4)] * 4:
         A, b = _sparse_system(rng, m, n, gaussian)
         d, (y,) = solve_linear(clear_rows([row + [bi] for row, bi in zip(A, b)]), n)
         dense_d, dense_y = _dense_solve(A, b)
-        assert _fingerprint([d] + y) == _fingerprint([dense_d] + dense_y)
+        if gaussian:
+            # rows in t alone take the solve on dense lists, which stores
+            # every entry over (t,) with its terms in descending order
+            assert [d] + y == [dense_d] + dense_y
+            assert all(p.vars == T and list(p.terms) == sorted(p.terms, reverse=True)
+                       for p in [d] + y)
+        else:
+            assert _fingerprint([d] + y) == _fingerprint([dense_d] + dense_y)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -488,3 +498,74 @@ def test_copied_inconsistent_column_is_inconsistent():
     rows = [[one, zero, zero, one], [zero, one, one, zero]]
     d, Y = solve_columns(rows, 1)
     assert Y == [None, None, [one]]
+
+
+def test_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    import sympy
+
+    assert MODULUS.bit_length() == 61 and MODULUS % 4 == 1 and sympy.isprime(MODULUS)
+    assert pow(SQRT_MINUS_ONE, 2, MODULUS) == MODULUS - 1
+    assert 1 < POINT < MODULUS
+
+
+def _integer_rows(rng, m, n, rank, gaussian):
+    """Dense rows [A | c0 c1 c2] over Z[t] or Z[i][t]: A = L R of the given
+    rank, c0 = A x0 in its span, c1 a random column and c2 = c0 plus one
+    in one row, each row scaled to integers by `integer_parts`."""
+    t = MultiPoly.var("t")
+
+    def poly():
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if gaussian:
+            c = c + I * rng.randint(-1, 1)
+        return t * t * rng.randint(-1, 1) + t * rng.randint(-2, 2) + MultiPoly.const(c, T)
+
+    L = [[poly() for _ in range(rank)] for _ in range(m)]
+    R = [[poly() for _ in range(n)] for _ in range(rank)]
+    A = [[sum((L[i][k] * R[k][j] for k in range(rank)), MultiPoly.zero(T))
+          for j in range(n)] for i in range(m)]
+    x0 = [poly() for _ in range(n)]
+    c0 = [sum((a * xj for a, xj in zip(row, x0)), MultiPoly.zero(T)) for row in A]
+    bump = rng.randrange(m)
+    rows = [row + [c0[i], poly(), c0[i] + (1 if i == bump else 0)]
+            for i, row in enumerate(A)]
+    flat, K = to_dense(p for row in rows for p in integer_parts(row)[1])
+    w = n + 3
+    return [flat[i:i + w] for i in range(0, len(flat), w)], K
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_modular_refutation_is_sound(gaussian):
+    """On seeded overdetermined rows over Z[t] and Z[i][t], of full and of
+    lower rank, every column that the rank mod p refutes is inconsistent
+    under the exact elimination of that column alone; the column in the
+    span of A is never refuted, and the refuter does reject columns."""
+    rng = random.Random(97 + gaussian)
+    refuted_total = 0
+    for m, n, rank in [(4, 2, 2), (5, 3, 3), (5, 3, 2), (6, 4, 4), (4, 3, 3), (3, 1, 1)] * 3:
+        rows, K = _integer_rows(rng, m, n, rank, gaussian)
+        assert not K.is_Field
+        refuted = linalg._refuted_dense(rows, n, K)
+        assert 0 not in refuted
+        for j in refuted:
+            single = [row[:n] + [row[n + j]] for row in rows]
+            _, (y,) = linalg._bareiss(single, n, linalg._dense_ring(K))
+            assert y is None
+        refuted_total += len(refuted)
+    assert refuted_total >= 10
+
+
+def test_a_rank_drop_at_the_point_mod_p_falls_through():
+    """t - POINT vanishes at the point, so neither system below has full
+    rank there mod p, although the first has full rank generically; the
+    elimination decides both, exactly."""
+    one, zero = MultiPoly.const(1, T), MultiPoly.zero(T)
+    s = MultiPoly(T, {(1,): 1, (0,): -POINT})
+    rows = [[one, zero], [one, s]]
+    (drows, K) = to_dense(p for row in rows for p in row)
+    assert linalg._refuted_dense([drows[:2], drows[2:]], 1, K) == []
+    with pytest.raises(NoSolution, match="inconsistent"):
+        solve_linear(rows, 1)
+    rows = [[one, s], [s, s * s]]
+    d, (y,) = solve_linear(rows, 1)
+    assert y == [d * s]

@@ -7,7 +7,7 @@ import sympy
 
 from abelint import counting, operators
 from abelint.errors import NoSolution
-from abelint.linalg import FieldMatrix, clear_rows, solve_linear
+from abelint.linalg import FieldMatrix, clear_rows, solve_dense, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
                                pullback, reduce_to_scalar, reflect,
@@ -147,22 +147,29 @@ def test_lclm_of_real_operator_is_itself():
 def test_symmetrize_searches_over_q(monkeypatch):
     """The relation search of a symmetrization across the unit circle or the
     imaginary axis, where the pulled-back operator is over Q(i), sees no
-    Gaussian coefficient: for a real operator it runs on the direct sum of
-    D and D o rho, in D's own chart."""
-    seen = []
-    relation = operators._first_relation
+    Gaussian coefficient, and its dense rows are over Z: for a real
+    operator it runs on the direct sum of D and D o rho, in D's own
+    chart."""
+    seen, domains = [], []
+    relation, solve = operators._first_relation, operators.solve_dense
 
     def spy(N, q, start=None):
         seen.extend([e for row in N for e in row] + [q])
         return relation(N, q, start)
 
+    def spy_solve(rows, n, K, verify=True):
+        domains.append(K)
+        return solve(rows, n, K, verify)
+
     monkeypatch.setattr(operators, "_first_relation", spy)
+    monkeypatch.setattr(operators, "solve_dense", spy_solve)
     for D, gamma in ((mk("(t^2-1)*D^2 + t*D - 1"), circle_to_real_axis_map(0, 0, 1)),
                      (mk("t*D^2 + D - 1"), MobiusMap(GaussianRational(0, 1), 0, 0, 1))):
         assert any(c.has_gaussian() for c in pullback(D, gamma).coeffs)
         symmetrize(D, gamma)
-    assert seen
+    assert seen and domains
     assert not any(e.has_gaussian() for e in seen)
+    assert all(K.is_ZZ for K in domains)
 
 
 def test_reflect_conjugates():
@@ -448,24 +455,25 @@ def _over_integers(p):
 
 
 def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
-    """The rows the relation search hands to its solve, and the pulled-back
-    and searched coefficients that standard_form receives, are over Z or
-    Z[i]: a stray rational factor would silently lift them to Q or Q(i).
-    The operators that come out are over Q or Q(i), as before.  The inputs
-    are in standard form, so pullback does not normalize them.  Each case
-    symmetrizes a Gaussian operator, so the search runs; a real one across
-    the real axis is its own lclm and runs no search."""
+    """The dense rows the relation search hands to its solve are over Z or
+    Z[i], never a field, and the pulled-back and searched coefficients that
+    standard_form receives are over Z or Z[i]: a stray rational factor
+    would silently lift them to Q or Q(i).  The operators that come out are
+    over Q or Q(i), as before.  The inputs are in standard form, so
+    pullback does not normalize them.  Each case symmetrizes a Gaussian
+    operator, so the search runs; a real one across the real axis is its
+    own lclm and runs no search."""
     solved, normalized = [], []
 
-    def spy_solve(rows, n, verify=True):
-        solved.extend(e for row in rows for e in row)
-        return solve_linear(rows, n, verify)
+    def spy_solve(rows, n, K, verify=True):
+        solved.append(K)
+        return solve_dense(rows, n, K, verify)
 
     def spy_standard_form(coeffs, g=None):
         normalized.extend(coeffs)
         return standard_form(coeffs, g)
 
-    monkeypatch.setattr(operators, "solve_linear", spy_solve)
+    monkeypatch.setattr(operators, "solve_dense", spy_solve)
     monkeypatch.setattr(operators, "standard_form", spy_standard_form)
     I = GaussianRational(0, 1)
     outs = []
@@ -481,7 +489,7 @@ def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
                       [_rf("t/5"), _rf("0")]])
     outs.append(reduce_to_scalar(LinearODESystem(Ai, MultiPoly.const(1, T))))
     assert solved and normalized
-    assert all(_over_integers(e) for e in solved)
+    assert not any(K.is_Field for K in solved)
     assert all(_over_integers(c) for c in normalized)
     assert not any(_over_integers(c) for D in outs for c in D.coeffs)
 
@@ -768,28 +776,70 @@ def test_symmetrization_call_counts(monkeypatch):
 def test_divide_out_finds_the_valuation_once(monkeypatch):
     """The valuation v is found on the nonzero polynomial of least degree,
     and each other one is divided once, by u^v: v + 1 exact divisions there
-    and one per other polynomial, none retried over Q for a primitive u
-    over Z (Gauss's lemma).  A polynomial of lower valuation, or the limit,
-    lowers v."""
+    and one per other polynomial, all over Z or Z[i], never over a field.
+    u is made primitive over Z or Z[i] first, and Z[t] and Z[i][t] are
+    unique factorization domains, so by Gauss's lemma every quotient that
+    exists over Q or Q(i) is found there; that includes a Gaussian u whose
+    content over Z[i] is not a unit, 5t + 6 - 3i = (2 - i)((2 + i)t + 3),
+    which needed a retry over Q(i) as long as u was only primitive over Z.
+    A polynomial of lower valuation, or the limit, lowers v."""
     def over_z(text):
         return integer_parts([parse_poly(text, T)])[1][0]
 
     u, a, b, c = (over_z(x) for x in ("3*t^2 - t + 5", "t + 1", "2*t^3 - 7", "t^4 + 2*t"))
     zero = u.const_like(0)
-    over_field = []
-    divexact = MultiPoly.divexact
+    domains = []
+    exquo = operators.dense_exquo
 
-    def spy(self, divisor, field=True):
-        over_field.append(self.poly.ring.domain.is_Field)
-        return divexact(self, divisor, field)
+    def spy(f, g, K):
+        domains.append(K)
+        return exquo(f, g, K)
 
-    monkeypatch.setattr(MultiPoly, "divexact", spy)
+    monkeypatch.setattr(operators, "dense_exquo", spy)
     assert operators._divide_out(u, [u ** 3 * b, u ** 3 * a, zero, u ** 5 * c]) == \
         [b, a, zero, u ** 2 * c]
-    assert over_field == [False] * 7
-    del over_field[:]
+    assert len(domains) == 7 and not any(K.is_Field for K in domains)
+    del domains[:]
     assert operators._divide_out(u, [u ** 3 * a, u ** 5 * c], limit=2) == [u * a, u ** 3 * c]
-    assert len(over_field) == 3
+    assert len(domains) == 3
     # the least degree overstates v: u^3 against u b c, which u^2 does not divide
     assert operators._divide_out(u, [u ** 3, u * b * c]) == [u ** 2, b * c]
     assert operators._divide_out(u, [a, u * b]) == [a, u * b]
+    del domains[:]
+    g, h, f = (over_z(x) for x in ("5*t + 6 - 3*i", "(2 + i)*t + 3", "t^2 + i"))
+    # v = 2 on h^2, then h f fails u^2 and the search starts over at v = 1
+    x, y = operators._divide_out(g, [h * f, h ** 2])
+    assert x.total_degree() == 2 and y.total_degree() == 1 and x * h == y * f
+    assert len(domains) == 6 and not any(K.is_Field for K in domains)
+
+
+def test_operators_do_not_depend_on_the_modular_refutation(monkeypatch, elliptic):
+    """With a refuter that never refutes, every order of every relation
+    search runs the exact elimination, which finds the inconsistencies the
+    rank mod p found: the symmetrizations of the README operator over the
+    slope samples, and the operators of the elliptic A(t) and of the
+    restriction of x1^4 + x2^4 + x1*x2 - x1, are today's, stored terms
+    included."""
+    from abelint import linalg
+    from abelint.division import Hamiltonian
+    from abelint.picard_fuchs import derive_pfaffian, restrict_to_pencil
+
+    D = standard_form(mk("(t^2-1)*D^2 + t*D - 1").coeffs)
+    H = parse_poly("x1^4 + x2^4 + x1*x2 - x1", ("x1", "x2"))
+    ode = restrict_to_pencil(derive_pfaffian(Hamiltonian.from_x_poly(H)))
+
+    def operators_of_the_searches():
+        return ([symmetrize(D, gamma, phi) for _, phi, gamma in operators.default_slope_samples()]
+                + [reduce_to_scalar(elliptic.ode), reduce_to_scalar(ode)])
+
+    refuted = []
+    refute = linalg._refuted_dense
+    monkeypatch.setattr(linalg, "_refuted_dense",
+                        lambda *a: refuted.extend(refute(*a)) or refute(*a))
+    expected = operators_of_the_searches()
+    assert refuted
+    monkeypatch.setattr(linalg, "_refuted_dense", lambda rows, n, K: [])
+    got = operators_of_the_searches()
+    assert [D.order for D in got[-2:]] == [2, 7]
+    for ours, ref in zip(got, expected):
+        _assert_same_operator(ours, ref)
