@@ -266,12 +266,6 @@ class MultiPoly:
         c = _coef_in(c, domain)
         return MultiPoly._new(vs, _ring(vs, domain).dtype({(0,) * len(vs): c} if c else {}))
 
-    def const_like(self, c):
-        """The constant c over self's variables, in self's ring when that
-        ring holds c, else in the smallest one that holds both."""
-        vs, _, g = _operands(self, c)
-        return MultiPoly._new(vs, g)
-
     @staticmethod
     def var(name, variables=None):
         vs = sorted(set(variables or ()) | {name})
@@ -482,12 +476,10 @@ class MultiPoly:
         return MultiPoly._new(self.vars, self.poly.new(self.poly.terms()))
 
     # -- division ------------------------------------------------------------------
-    def divexact(self, divisor, field=True):
+    def divexact(self, divisor):
         """Exact division; raises ValueError if the division is not exact.
         Over Z or Z[i] a quotient that the ring does not hold is taken over
-        Q or Q(i), never truncated; with field=False it is refused instead,
-        which loses nothing when the divisor is primitive over Z: by Gauss's
-        lemma its quotients over Q or Q(i) lie in Z[t] or Z[i][t]."""
+        Q or Q(i), never truncated."""
         vs, f, g = _operands(self, divisor)
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
@@ -505,8 +497,6 @@ class MultiPoly:
                 return MultiPoly._new(vs, h)
             if domain.is_Field:
                 raise ValueError("inexact polynomial division")
-        if not field:
-            raise ValueError("inexact polynomial division over Z or Z[i]")
         field = _FIELD[domain]
         return MultiPoly._new(vs, _moved(f, vs, vs, field)).divexact(
             MultiPoly._new(vs, _moved(g, vs, vs, field)))

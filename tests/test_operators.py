@@ -787,7 +787,7 @@ def test_divide_out_finds_the_valuation_once(monkeypatch):
         return integer_parts([parse_poly(text, T)])[1][0]
 
     u, a, b, c = (over_z(x) for x in ("3*t^2 - t + 5", "t + 1", "2*t^3 - 7", "t^4 + 2*t"))
-    zero = u.const_like(0)
+    zero = MultiPoly.zero(T)
     domains = []
     exquo = operators.dense_exquo
 

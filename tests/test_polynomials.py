@@ -284,9 +284,9 @@ def test_integer_parts_and_their_ring_operations():
     assert not a.has_gaussian() and b.has_gaussian()
     results = [a + b, a - b, a * b, a * 3, b * I, b.diff("t"), (a * b).divexact(a),
                (a * a).divexact(a * 2), (a * 6).divexact(2), b.divexact(I),
-               MultiPoly.gcd(a * b, a * a), (a - a) ** 0, a.const_like(5), b.const_like(0)]
+               MultiPoly.gcd(a * b, a * a), (a - a) ** 0]
     assert all(_over_integers(r) for r in results)
-    assert results[-3:] == [1, 5, 0]
+    assert results[-1] == 1
     # the parts of all-zero input
     assert integer_parts([MultiPoly.zero(("t",))])[0] == 1
 
