@@ -381,7 +381,9 @@ def solve_linear(rows, n, verify=True):
     elimination serves every column, and y / d is the solution that each
     column's own solve gives.  Free variables are set to zero.  Raises
     NoSolution when some column is inconsistent, before any elimination
-    when a column of polynomial rows is refuted at a point.
+    when a column of polynomial rows is refuted at a point: rows in one
+    variable by their rank at an integer point modulo a prime, rows in
+    several by their exact rank at a rational point.
     """
     R, refuted, eliminate, check, back = _paths(rows, n)
     return _back(*_solve(R, n, refuted, eliminate, check, verify), back)
