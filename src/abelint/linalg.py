@@ -314,33 +314,27 @@ def _dense_rows(rows):
     return [flat[i:i + w] for i in range(0, len(flat), w)], K, var, vs
 
 
-def _paths(rows, n):
-    """(R, refuted, eliminate, check, back) for MultiPoly rows [A | C]: R the
-    rows in the representation of their path, refuted the columns that are
-    inconsistent before any elimination, eliminate(R, n) -> (d, Y) and
-    check(R, n, d, Y) on that representation, and back, which turns its
-    polynomials into MultiPoly, or None when they are MultiPoly.  Constant
-    rows take the reduced row echelon form, rows in one variable the dense
-    elimination and rows in several variables the elimination on
-    MultiPoly."""
-    constant = _constant_entries(rows)
-    if constant is not None:
-        return rows, [], lambda R, n: _rref(R, n, constant), check_solution, None
-    dense = _dense_rows(rows)
-    if dense is None:
-        return (rows, _refuted(rows, n), lambda R, n: _bareiss(R, n, _SPARSE),
-                check_solution, None)
-    R, K, var, vs = dense
-    return (R, _refuted_dense(R, n, K), lambda R, n: _bareiss(R, n, _dense_ring(K)),
-            lambda R, n, d, ys: check_dense(R, n, d, ys, K),
-            lambda p: from_dense(p, K, vs, var))
+def _by_column(R, n, refuted, ring):
+    """`_bareiss` on the columns of [A | C] that refuted leaves, in the
+    representation of ring: (d, Y) with None in Y for every refuted or
+    inconsistent column, and d None when every column is refuted."""
+    ncols = len(R[0]) - n
+    live = [j for j in range(ncols) if j not in refuted]
+    ys = [None] * ncols
+    if not live:
+        return None, ys
+    if refuted:
+        R = [row[:n] + [row[n + j] for j in live] for row in R]
+    d, found = _bareiss(R, n, ring)
+    for j, y in zip(live, found):
+        ys[j] = y
+    return d, ys
 
 
-def _back(d, ys, back):
-    if back is None:
-        return d, ys
-    return (None if d is None else back(d),
-            [None if y is None else [back(e) for e in y] for y in ys])
+def _from_dense(d, ys, K, vs, var):
+    """(d, Y) of the dense solve as MultiPoly over the variables vs."""
+    return (None if d is None else from_dense(d, K, vs, var),
+            [None if y is None else [from_dense(e, K, vs, var) for e in y] for y in ys])
 
 
 def solve_columns(rows, n):
@@ -348,49 +342,55 @@ def solve_columns(rows, n):
     Y[j] None where column j is inconsistent.  Refuted columns are left out
     of the elimination, and none runs when every column is refuted (d is
     then None)."""
-    R, refuted, eliminate, _, back = _paths(rows, n)
-    ncols = len(rows[0]) - n
-    live = [j for j in range(ncols) if j not in refuted]
-    ys = [None] * ncols
-    if not live:
-        return None, ys
-    if refuted:
-        R = [row[:n] + [row[n + j] for j in live] for row in R]
-    d, found = eliminate(R, n)
-    for j, y in zip(live, found):
-        ys[j] = y
-    return _back(d, ys, back)
+    constant = _constant_entries(rows)
+    if constant is not None:
+        return _rref(rows, n, constant)
+    dense = _dense_rows(rows)
+    if dense is None:
+        return _by_column(rows, n, _refuted(rows, n), _SPARSE)
+    R, K, var, vs = dense
+    return _from_dense(*_by_column(R, n, _refuted_dense(R, n, K), _dense_ring(K)), K, vs, var)
 
 
-def _solve(R, n, refuted, eliminate, check, verify):
-    if refuted:
-        raise NoSolution("inconsistent linear system")
-    d, ys = eliminate(R, n)
-    if None in ys:
-        raise NoSolution("inconsistent linear system")
-    if verify:
-        check(R, n, d, ys)
-    return d, ys
-
-
-def solve_linear(rows, n, verify=True):
+def solve_linear(rows, n):
     """Solve [A | C] on polynomial rows, A the first n entries of each row.
 
     Returns (d, Y): d a nonzero polynomial, 1 for constant rows, and Y one
     list y per column c of C, each y polynomial with A y = d c; one
     elimination serves every column, and y / d is the solution that each
-    column's own solve gives.  Free variables are set to zero.  Raises
-    NoSolution when some column is inconsistent, before any elimination
-    when a column of polynomial rows is refuted at a point: rows in one
-    variable by their rank at an integer point modulo a prime, rows in
-    several by their exact rank at a rational point.
+    column's own solve gives.  Free variables are set to zero, and every
+    solution is checked.  Raises NoSolution when some column is
+    inconsistent, before any elimination when a column of polynomial rows
+    is refuted at a point: rows in one variable by their rank at an
+    integer point modulo a prime, rows in several by their exact rank at a
+    rational point.
     """
-    R, refuted, eliminate, check, back = _paths(rows, n)
-    return _back(*_solve(R, n, refuted, eliminate, check, verify), back)
+    constant = _constant_entries(rows)
+    if constant is not None:
+        d, ys = _rref(rows, n, constant)
+    else:
+        dense = _dense_rows(rows)
+        if dense is not None:
+            R, K, var, vs = dense
+            d, ys = solve_dense(R, n, K)
+            check_dense(R, n, d, ys, K)
+            return _from_dense(d, ys, K, vs, var)
+        if _refuted(rows, n):
+            raise NoSolution("inconsistent linear system")
+        d, ys = _bareiss(rows, n, _SPARSE)
+    if None in ys:
+        raise NoSolution("inconsistent linear system")
+    check_solution(rows, n, d, ys)
+    return d, ys
 
 
-def solve_dense(rows, n, K, verify=True):
-    """`solve_linear` on dense rows over K: (d, Y) as dense lists."""
-    return _solve(rows, n, _refuted_dense(rows, n, K),
-                  lambda R, n: _bareiss(R, n, _dense_ring(K)),
-                  lambda R, n, d, ys: check_dense(R, n, d, ys, K), verify)
+def solve_dense(rows, n, K):
+    """`solve_linear` on dense rows over K, unchecked: (d, Y) as dense
+    lists, or NoSolution when a column is refuted mod p or inconsistent.
+    The caller checks the solution it keeps (`check_dense`)."""
+    if _refuted_dense(rows, n, K):
+        raise NoSolution("inconsistent linear system")
+    d, ys = _bareiss(rows, n, _dense_ring(K))
+    if None in ys:
+        raise NoSolution("inconsistent linear system")
+    return d, ys

@@ -46,9 +46,9 @@ from functools import reduce
 from .errors import NoSolution, NumericOverflow, UnsupportedInput
 from .linalg import check_dense, solve_dense
 from .polynomials import (ExactQuotientFailed, MultiPoly, dense_exquo, dense_gcd, dense_mul,
-                          dense_scalar, dup_add, dup_diff, dup_mul_ground, dup_neg, dup_pow,
-                          dup_primitive, dup_sub, float_overflow, from_dense, integer_parts,
-                          primitive_parts, straight_line, to_dense)
+                          dup_add, dup_diff, dup_mul_ground, dup_neg, dup_pow, dup_primitive,
+                          dup_sub, float_overflow, from_dense, integer_parts, primitive_parts,
+                          straight_line, to_dense)
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -206,7 +206,7 @@ def _first_relation(N, q, start=None) -> DiffOperator:
         S = S_next
         rows = [[col[i] for col in cols] + [S[i]] for i in range(ell)]
         try:
-            d, (y,) = solve_dense(rows, k, K, verify=False)
+            d, (y,) = solve_dense(rows, k, K)
             # d and the y_j share the factors of the minors of the S_j:
             # dividing those out first keeps the check and the gcd in
             # standard_form small.  Most are powers of q, which exact
@@ -408,11 +408,13 @@ def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
         D = standard_form(D.coeffs)
     k = D.order
     t = MultiPoly.var("t")
-    s, (num, den) = integer_parts([t * phi.a + phi.b, t * phi.c + phi.d])
+    _, (num, den) = integer_parts([t * phi.a + phi.b, t * phi.c + phi.d])
     _, coeffs = integer_parts(D.coeffs)
     (num, den, *coeffs), K = to_dense([num, den, *coeffs])
-    # an integer of K: num and den hold phi's entries divided by s
-    det = dense_scalar((phi.a * phi.d - phi.b * phi.c) / (s * s), K)
+    # num = a t + b and den = c t + d hold phi's entries scaled jointly to
+    # integers of K, and det is theirs
+    (a, b), (c, d) = ([K.zero] * (2 - len(f)) + f for f in (num, den))
+    det = a * d - b * c
     E = [[[K.one]]]
     for j in range(k):
         E.append(_next_power(den, j, E[-1], K))

@@ -227,7 +227,7 @@ def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESyste
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
     rows = [integer_parts(p.extend(("t",)) for p in row)[1] for row in rows]
     try:
-        d, Y = solve_linear(rows, sys.Pstar.cols, verify=True)
+        d, Y = solve_linear(rows, sys.Pstar.cols)
     except NoSolution as exc:
         raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
     A = FieldMatrix([[_descending(RatFunc(-y[i], d), avars) for y in Y]

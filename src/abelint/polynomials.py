@@ -715,12 +715,6 @@ def _dense(p, var, K):
     return out
 
 
-def dense_scalar(c, K):
-    """The int, Fraction or GaussianRational c as an element of K, which
-    holds it."""
-    return _coef_in(c, K)
-
-
 def from_dense(f, K, variables=("t",), var="t"):
     """The MultiPoly over variables (which hold var) of the dense list f over
     K, its terms stored in descending order, and over Z or Q when no

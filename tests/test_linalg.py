@@ -257,21 +257,18 @@ def test_sparse_solve_matches_dense_elimination(gaussian):
     """Skipping zero products and unit denominators changes no value,
     variable or term of d or y; the systems have zero entries both in pivot
     rows and in the rows they eliminate.  Over Q(i)(t) the rows are in t
-    alone and take the dense solve, whose d and y have the values of the
-    reference and a storage of their own."""
+    alone and take the dense solve, which stores every entry over (t,)
+    with its terms in descending order: the reference's entries, so
+    extended and stored, have the same fingerprint."""
     rng = random.Random(31 + gaussian)
     for m, n in [(4, 4), (5, 5), (5, 3), (3, 4)] * 4:
         A, b = _sparse_system(rng, m, n, gaussian)
         d, (y,) = solve_linear(clear_rows([row + [bi] for row, bi in zip(A, b)]), n)
         dense_d, dense_y = _dense_solve(A, b)
+        reference = [dense_d] + dense_y
         if gaussian:
-            # rows in t alone take the solve on dense lists, which stores
-            # every entry over (t,) with its terms in descending order
-            assert [d] + y == [dense_d] + dense_y
-            assert all(p.vars == T and list(p.terms) == sorted(p.terms, reverse=True)
-                       for p in [d] + y)
-        else:
-            assert _fingerprint([d] + y) == _fingerprint([dense_d] + dense_y)
+            reference = [p.extend(T).descending() for p in reference]
+        assert _fingerprint([d] + y) == _fingerprint(reference)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

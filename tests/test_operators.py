@@ -157,9 +157,9 @@ def test_symmetrize_searches_over_q(monkeypatch):
         seen.extend([e for row in N for e in row] + [q])
         return relation(N, q, start)
 
-    def spy_solve(rows, n, K, verify=True):
+    def spy_solve(rows, n, K):
         domains.append(K)
-        return solve(rows, n, K, verify)
+        return solve(rows, n, K)
 
     monkeypatch.setattr(operators, "_first_relation", spy)
     monkeypatch.setattr(operators, "solve_dense", spy_solve)
@@ -318,7 +318,7 @@ def _ratfunc_first_relation(A, start):
         rhs = [e for row in nxt for e in row]
         rows = clear_rows([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))])
         try:
-            d, (y,) = solve_linear(rows, len(cols), verify=True)
+            d, (y,) = solve_linear(rows, len(cols))
             c = [RatFunc(yj, d) for yj in y]
         except NoSolution:
             R_list.append(nxt)
@@ -465,9 +465,9 @@ def test_relation_search_and_pullback_stay_over_integers(monkeypatch):
     own lclm and runs no search."""
     solved, normalized = [], []
 
-    def spy_solve(rows, n, K, verify=True):
+    def spy_solve(rows, n, K):
         solved.append(K)
-        return solve_dense(rows, n, K, verify)
+        return solve_dense(rows, n, K)
 
     def spy_standard_form(coeffs, g=None):
         normalized.extend(coeffs)

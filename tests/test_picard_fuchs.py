@@ -273,9 +273,9 @@ def _recorded_solves(monkeypatch):
     seen = []
     solve = picard_fuchs.solve_linear
 
-    def recording(rows, n, verify=True):
+    def recording(rows, n):
         seen.append(rows)
-        return solve(rows, n, verify=verify)
+        return solve(rows, n)
 
     monkeypatch.setattr(picard_fuchs, "solve_linear", recording)
     return seen
