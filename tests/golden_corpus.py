@@ -3,9 +3,11 @@
 The corpus covers the exact layers end to end: `slope` and `bound` on real
 and Gaussian operators of orders 1-3, with annuli centred on and off the
 real axis (so both the direct-sum search in the operator's own chart and
-the realified search of a complex reflection run), and `reduce
---hamiltonian` and `derive-pf --pencil 0` on Hamiltonians of degree n + 1
-for n = 1, 2, 3.  `golden_hashes.json` maps each case to its exit code and
+the realified search of a complex reflection run), `reduce --hamiltonian`
+and `derive-pf` without `--pencil` and at the pencils 0, 1/2 and -3 on
+Hamiltonians of degree n + 1 for n = 1, 2, 3, and `derive-pf` at the same
+four pencils on Hamiltonians whose principal parts are not regular but
+whose critical points are isolated, and on one Hamiltonian with n = 4.  `golden_hashes.json` maps each case to its exit code and
 the SHA-256 of its stdout; `test_golden.py` replays it in process.
 
 Record the hashes again, after a change that moves an output on purpose,
@@ -88,6 +90,14 @@ HAMILTONIANS = ["x1^2 + x2^2", "x1^2 + 3*x2^2 + x1*x2 - x2",
                 "x1^3 + x2^3 + i*x1*x2 - x1",
                 "x1^4 + x2^4 + x1*x2 - x1"]
 
+# principal parts that are not regular, with isolated critical points, and
+# one H with n = 4: `derive-pf` only, since `reduce` is too slow at n = 4
+DERIVE_ONLY = ["x1^3 + x2^2 + x1*x2", "x1^2*x2 + x2^2 + x1", "(x1+x2)^3 + x1^2 - x2",
+               "x1^4 + x2^2 + x1*x2^2 - x1", "x1^5+x2^5+x1*x2^2-x2"]
+
+# `derive-pf` without `--pencil`, then at each of these pencil values
+PENCILS = ["1/2", "-3"]
+
 
 def cases():
     """{name: argv} for every case of the corpus."""
@@ -106,6 +116,14 @@ def cases():
     for i, H in enumerate(HAMILTONIANS):
         out[f"reduce/h{i}"] = ["reduce", "--hamiltonian", H]
         out[f"derive-pf/h{i}"] = ["derive-pf", "--hamiltonian", H, "--pencil", "0"]
+    for i, H in enumerate(DERIVE_ONLY):
+        out[f"derive-pf/x{i}"] = ["derive-pf", "--hamiltonian", H, "--pencil", "0"]
+    for tag, hams in (("h", HAMILTONIANS), ("x", DERIVE_ONLY)):
+        for i, H in enumerate(hams):
+            out[f"derive-pf/{tag}{i}/system"] = ["derive-pf", "--hamiltonian", H]
+            for c in PENCILS:
+                out[f"derive-pf/{tag}{i}/pencil={c}"] = ["derive-pf", "--hamiltonian", H,
+                                                         "--pencil", c]
     return out
 
 
