@@ -113,7 +113,7 @@ def _parse_points(spec):
 
 def cmd_derive_pf(args):
     H0 = parse_poly(args.hamiltonian, ("x1", "x2"))
-    H = Hamiltonian.from_x_poly(H0)
+    H = Hamiltonian(H0)
     system = derive_pfaffian(H)
     out = {"n": H.n, "ell": H.ell, "size": size_report(system)}
     if args.pencil is not None:
@@ -144,7 +144,7 @@ def cmd_reduce(args):
         ode = LinearODESystem(A, ratfunc_lcm_den(A.flatten()))
     else:
         H0 = parse_poly(args.hamiltonian, ("x1", "x2"))
-        system = derive_pfaffian(Hamiltonian.from_x_poly(H0))
+        system = derive_pfaffian(Hamiltonian(H0))
         ode = restrict_to_pencil(system, free_term_value=args.pencil)
     D = reduce_to_scalar(ode)
     _emit({"order": D.order, "operator": D, "display": str(D)})

@@ -1,7 +1,7 @@
 """Division of polynomial differential forms along a level-curve family.
 
-For a bivariate Hamiltonian H of degree n+1 (possibly with symbolic
-coefficients) every 1-form omega splits as
+For a bivariate Hamiltonian H of degree n+1 over Q or Q(i) every 1-form
+omega splits as
 
     omega = sum_a (p_a o H) w_a  +  u dH  +  dv
 
@@ -16,10 +16,10 @@ n^2 exponents 0 <= a1, a2 <= n-1, and the degrees obey
     deg u <= deg target - n,   deg v <= deg target,
     deg eta <= deg target - n.
 
-Degrees count only the x-variables.  The split is not unique; we solve by
-indeterminate coefficients with the smallest t-degree cap on the p_a that
-admits a solution (free unknowns set to zero), which keeps the constant term
-of the resulting matrices as non-degenerate as the family allows.
+The split is not unique; we solve by indeterminate coefficients with the
+smallest t-degree cap on the p_a that admits a solution (free unknowns set
+to zero), which keeps the constant term of the resulting matrices as
+non-degenerate as the family allows.
 
 Several targets of one kind can be divided together: the matrix of the
 unknowns depends only on the degree d and the cap, so the targets still
@@ -28,12 +28,14 @@ stops at its own first (d, cap) that admits a solution, with the p and the
 cofactors that dividing it alone gives.
 
 A column of that matrix holds one unknown's form split by x-monomial into
-its lambda-coefficients.  h1, h2 and each power H^j are split once, and
-every column is one of these splits with its exponents shifted by a
-monomial (x^beta h_i, or H^j times the monomial of a basis form) and its
-values scaled by that monomial's coefficient when it is not 1; the column
-of d(x^beta) has one term per component.  So building the columns
-multiplies no polynomials, for concrete and symbolic H alike.
+its coefficients.  h1, h2 and each power H^j are split once, and every
+column is one of these splits with its exponents shifted by a monomial
+(x^beta h_i, or H^j times the monomial of a basis form) and its values
+scaled by that monomial's coefficient when it is not 1; the column of
+d(x^beta) has one term per component.  So building the columns multiplies
+no polynomials.  Every entry is a constant, so each (d, cap) is one reduced
+row echelon form over Q or Q(i) (`linalg.solve_columns`), and the p_a (in
+t), eta, u and v are polynomials over Q or Q(i).
 """
 
 from __future__ import annotations
@@ -43,33 +45,29 @@ from fractions import Fraction
 
 from .errors import SingularDivision, UnsupportedInput
 from .linalg import solve_columns
-from .polynomials import MultiPoly, NEG_INF, monomial_sum, rank_at_point
-from .ratfunc import RatFunc, ratfunc_lcm_den
+from .polynomials import MultiPoly, NEG_INF, constant_rref, monomial_sum
 
 XVARS = ("x1", "x2")
 
 
 class Hamiltonian:
-    """Polynomial H(x1, x2) of x-degree n+1 with optional symbolic coefficients."""
+    """Polynomial H(x1, x2) of degree n+1 over Q or Q(i)."""
 
-    def __init__(self, poly: MultiPoly, lvars=()):
-        lvars = tuple(sorted(lvars))
-        allowed = set(XVARS) | set(lvars)
-        if any(v not in allowed for v in poly.effective_vars()):
+    def __init__(self, poly: MultiPoly):
+        if not set(poly.effective_vars()) <= set(XVARS):
             raise UnsupportedInput(
-                f"Hamiltonian uses variables outside x1,x2,{lvars}: {poly.effective_vars()}")
-        self.poly = poly.extend(sorted(allowed))
-        self.lvars = lvars
-        d = poly.degree_in(XVARS)
+                f"Hamiltonian uses variables other than x1, x2: {poly.effective_vars()}")
+        self.poly = poly.shrink().extend(XVARS)
+        d = self.poly.total_degree()
         if d is NEG_INF or d < 1:
             raise UnsupportedInput("Hamiltonian must be nonconstant in x1, x2")
         self.n = int(d) - 1
 
     @staticmethod
-    def from_x_poly(poly: MultiPoly, free_term_var="l00"):
-        """Concrete x-polynomial plus one symbolic free term l00."""
-        p = poly.extend(sorted(set(poly.vars) | {free_term_var} | set(XVARS)))
-        return Hamiltonian(p + MultiPoly.var(free_term_var, p.vars), (free_term_var,))
+    def from_x_poly(poly: MultiPoly):
+        """Hamiltonian(poly): the name that the benchmark's derive jobs
+        (perfbench/workloads.py) still call."""
+        return Hamiltonian(poly)
 
     @property
     def ell(self):
@@ -81,24 +79,12 @@ class Hamiltonian:
         return (n + 3) * (n + 2) // 2 - 1
 
     def principal_part(self):
-        """Top x-degree homogeneous part (must be lambda-free to inspect)."""
+        """Top-degree homogeneous part."""
         d = self.n + 1
-        split = self.poly.coeff_split(XVARS)
-        vs = sorted(set(self.poly.vars))
-        terms = {}
-        for xexp, coef in split.items():
-            if sum(xexp) != d:
-                continue
-            if not coef.is_constant():
-                raise UnsupportedInput("principal part has symbolic coefficients")
-            exp = tuple(xexp[0] if v == "x1" else xexp[1] if v == "x2" else 0
-                        for v in vs)
-            terms[exp] = coef.constant_value()
-        return MultiPoly(vs, terms).shrink()
+        return MultiPoly(XVARS, {e: c for e, c in self.poly.terms.items() if sum(e) == d})
 
     def grad(self):
         return self.poly.diff("x1"), self.poly.diff("x2")
-
 
 
 def basis_exponents(n):
@@ -146,22 +132,19 @@ def is_basis_regular(H: Hamiltonian) -> bool:
             mono = MultiPoly(XVARS, {(b1, b2): Fraction(1)})
             rel_polys.append(mono * g1)
             rel_polys.append(mono * g2)
-        monos = [(i, d - i) for i in range(d + 1)]
-        idx = {m: k for k, m in enumerate(monos)}
-
-        def vec(p):
-            row = [MultiPoly.zero()] * len(monos)
-            for exp, c in p.extend(XVARS).coeff_split(XVARS).items():
-                if sum(exp) == d:
-                    row[idx[exp]] = c
-            return row
-
-        rel = [vec(p) for p in rel_polys]
-        base_rank = rank_at_point(rel) if rel else 0
-        full = rel + [vec(MultiPoly(XVARS, {c: Fraction(1)})) for c in cands]
-        if rank_at_point(full) != base_rank + len(cands):
+        rel = [p.terms for p in rel_polys]
+        if _rank(rel + [{c: 1} for c in cands], d) != _rank(rel, d) + len(cands):
             return False
     return True
+
+
+def _rank(rows, d):
+    """The exact rank over Q or Q(i) of the degree-d coefficients of rows,
+    each given by its terms {x-exponent: coefficient}."""
+    entries = {(i, e[0]): MultiPoly.const(c) for i, row in enumerate(rows)
+               for e, c in row.items() if sum(e) == d}
+    gaussian = any(p.has_gaussian() for p in entries.values())
+    return len(constant_rref(entries, (len(rows), d + 1), (), gaussian)[0])
 
 
 class Decomposition:
@@ -171,65 +154,42 @@ class Decomposition:
         self.H = H
         self.kind = kind  # "one" | "two"
         self.target = target
-        self.p = p        # list of RatFunc in lvars + ("t",)
-        self.eta = eta    # (E1, E2) RatFunc over x+lambda, or None
+        self.p = p        # list of MultiPoly in t
+        self.eta = eta    # (E1, E2) MultiPoly over x1, x2, or None
         self.u = u
         self.v = v
 
     def verify(self) -> bool:
         """Recheck the defining identity exactly."""
         H = self.H
-        tvar = "t"
-        acc = [RatFunc.zero(), RatFunc.zero()] if self.kind == "one" else [RatFunc.zero()]
-        for alpha, p in zip(basis_exponents(H.n), self.p):
-            pH = p.subs({tvar: H.poly})
-            if self.kind == "one":
-                w1, w2 = basis_one_form(alpha)
-                acc[0] = acc[0] + pH * RatFunc(w1)
-                acc[1] = acc[1] + pH * RatFunc(w2)
-            else:
-                acc[0] = acc[0] + pH * RatFunc(basis_two_form(alpha))
         h1, h2 = H.grad()
-        if self.kind == "one":
-            if self.u is not None:
-                acc[0] = acc[0] + self.u * RatFunc(h1)
-                acc[1] = acc[1] + self.u * RatFunc(h2)
-            if self.v is not None:
-                acc[0] = acc[0] + self.v.diff("x1")
-                acc[1] = acc[1] + self.v.diff("x2")
-            return (acc[0] - self.target[0]).is_zero() and \
-                   (acc[1] - self.target[1]).is_zero()
-        e1, e2 = self.eta
-        acc[0] = acc[0] + RatFunc(h1) * e2 - RatFunc(h2) * e1
-        return (acc[0] - self.target).is_zero()
+        pH = [p.subs({"t": H.poly}) for p in self.p]
+        alphas = basis_exponents(H.n)
+        if self.kind == "two":
+            e1, e2 = self.eta
+            acc = sum((q * basis_two_form(a) for q, a in zip(pH, alphas)), h1 * e2 - h2 * e1)
+            return acc == self.target
+        ws = [basis_one_form(a) for a in alphas]
+        acc1 = sum((q * w1 for q, (w1, _) in zip(pH, ws)), self.u * h1 + self.v.diff("x1"))
+        acc2 = sum((q * w2 for q, (_, w2) in zip(pH, ws)), self.u * h2 + self.v.diff("x2"))
+        return acc1 == self.target[0] and acc2 == self.target[1]
 
     def degree_bounds_ok(self) -> bool:
         n = self.H.n
         if self.kind == "two":
-            d = _xdeg_ratfunc(self.target)
+            d = self.target.degree_in(XVARS)
         else:
-            d = max(_xdeg_ratfunc(self.target[0]), _xdeg_ratfunc(self.target[1]))
+            d = max(c.degree_in(XVARS) for c in self.target)
         for alpha, p in zip(basis_exponents(n), self.p):
             if p.is_zero():
                 continue
             w = sum(alpha) + (1 if self.kind == "one" else 0)
-            degp = p.num.degree_in("t")
-            if (n + 1) * degp + w > d:
+            if (n + 1) * p.degree_in("t") + w > d:
                 return False
-        if self.kind == "two":
-            for e in self.eta:
-                if not e.is_zero() and _xdeg_ratfunc(e) > d + 1 - n:
-                    return False
-        else:
-            if self.u is not None and not self.u.is_zero() and _xdeg_ratfunc(self.u) > d + 1 - n:
-                return False
-            if self.v is not None and not self.v.is_zero() and _xdeg_ratfunc(self.v) > d + 1:
-                return False
-        return True
-
-
-def _xdeg_ratfunc(r: RatFunc):
-    return r.num.degree_in(XVARS)
+        cofactors = self.eta if self.kind == "two" else (self.u,)
+        if any(not e.is_zero() and e.degree_in(XVARS) > d + 1 - n for e in cofactors):
+            return False
+        return self.kind == "two" or self.v.is_zero() or self.v.degree_in(XVARS) <= d + 1
 
 
 def _monomials_upto(d):
@@ -237,8 +197,8 @@ def _monomials_upto(d):
 
 
 def _split_x(poly: MultiPoly):
-    """x-monomial -> lambda-coefficient polynomial."""
-    return poly.extend(sorted(set(poly.vars) | set(XVARS))).coeff_split(XVARS)
+    """x-monomial -> its coefficient, a constant MultiPoly."""
+    return poly.extend(XVARS).coeff_split(XVARS)
 
 
 def _shifted(split, terms):
@@ -257,33 +217,24 @@ def _shifted(split, terms):
 def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     """Shared indeterminate-coefficient solver for both form divisions.
 
-    `targets`: each target's components, with denominators in lambda only;
+    `targets`: each target's components, polynomials in x1, x2;
     `forms[a]`: the components of basis form a, polynomials in x1, x2;
     `cofactor_unknowns(d, n, s1, s2)`, for the splits s1, s2 of h1, h2:
     (label, column) of the other unknowns at degree d, label (name, beta)
     standing for x^beta and the column holding the split of each
-    component.  A target tries the degrees d from its own x-degree, and the
+    component.  A target tries the degrees d from its own degree, and the
     caps at each d, until one admits a solution.  Returns, per target, p
     and the dict name -> cofactor.
     """
     n = H.n
     slack = 3 * (n + 1)
-    dens, rhs, starts = [], [], []
-    for comps in targets:
-        for c in comps:
-            if c.den.degree_in(XVARS) not in (0, NEG_INF):
-                raise UnsupportedInput("form denominators must be free of x1, x2")
-        # clear lambda denominators
-        den = ratfunc_lcm_den(comps)
-        polys = [c.cleared(den) for c in comps]
-        d_strict = max((p.degree_in(XVARS) for p in polys if not p.is_zero()), default=0)
-        dens.append(den)
-        rhs.append([_split_x(p) for p in polys])
-        starts.append(max(int(d_strict) if d_strict is not NEG_INF else 0, 0))
+    rhs = [[_split_x(c) for c in comps] for comps in targets]
+    starts = [int(max((c.degree_in(XVARS) for c in comps if not c.is_zero()), default=0))
+              for comps in targets]
     s1, s2 = (_split_x(h) for h in H.grad())
     weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
     form_terms = [tuple(f.terms for f in form) for form in forms]
-    zero = MultiPoly.zero(H.lvars)
+    zero = MultiPoly.zero()
     # H^j and its split, kept across degrees and caps; the column of the
     # unknown (a, j) is the split of H^j shifted by the terms of form a
     Hpow = [MultiPoly.const(1, H.poly.vars)]
@@ -315,16 +266,16 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
                         pcols[ai, j] = tuple(_shifted(Hsplit[j], ft) for ft in form_terms[ai])
                     unknowns.append((("p", ai, j), pcols[ai, j]))
             unknowns += cofactors
-            # one polynomial equation per component and x-monomial, over
-            # Q[lambda]; the targets' coefficients form the last columns
+            # one equation per component and x-monomial, over Q or Q(i);
+            # the targets' coefficients form the last columns
             columns = [splits for _, splits in unknowns] + [rhs[k] for k in open_]
             xmonos = sorted(set().union(*(s.keys() for col in columns for s in col)))
             rows = [[col[ci].get(m, zero) for col in columns]
                     for ci in range(len(forms[0])) for m in xmonos]
-            det, ys = solve_columns(rows, len(unknowns))
+            ys = solve_columns(rows, len(unknowns))
             for k, y in zip(open_, ys):
                 if y is not None:
-                    found[k] = _assemble(H, det * dens[k], unknowns, y)
+                    found[k] = _assemble(n, unknowns, y)
     for k, s in enumerate(starts):
         if found[k] is None:
             raise SingularDivision(
@@ -333,12 +284,10 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     return found
 
 
-def _assemble(H, den, unknowns, y):
-    """p_a = sum_j y_(a,j) t^j / den and each cofactor sum_beta y_beta
-    x^beta / den, each numerator built from one term dict, one cancellation
-    each."""
-    pvars = tuple(sorted(set(H.lvars) | {"t"}))
-    pparts = [[] for _ in basis_exponents(H.n)]
+def _assemble(n, unknowns, y):
+    """p_a = sum_j y_(a,j) t^j and each cofactor sum_beta y_beta x^beta,
+    each built from one term dict."""
+    pparts = [[] for _ in basis_exponents(n)]
     cparts = defaultdict(list)
     for (label, _), val in zip(unknowns, y):
         if val.is_zero():
@@ -349,10 +298,9 @@ def _assemble(H, den, unknowns, y):
         else:
             name, beta = label
             cparts[name].append((val, dict(zip(XVARS, beta))))
-    p = [RatFunc(monomial_sum(parts, pvars), den) if parts else RatFunc.zero(pvars)
-         for parts in pparts]
-    cofactors = defaultdict(RatFunc.zero, {name: RatFunc(monomial_sum(parts, XVARS), den)
-                                           for name, parts in cparts.items()})
+    p = [monomial_sum(parts, ("t",)) if parts else MultiPoly.zero(("t",)) for parts in pparts]
+    cofactors = defaultdict(MultiPoly.zero, {name: monomial_sum(parts, XVARS)
+                                             for name, parts in cparts.items()})
     return p, cofactors
 
 
@@ -382,11 +330,11 @@ def _uv_unknowns(d, n, s1, s2):
 
 
 def divide_two_form(H: Hamiltonian, coeff):
-    """Split mu = coeff dx1^dx2 as sum (p_a o H) m_a + dH ^ eta.  Given a
-    list of coefficients, divides them together and returns the list of
-    their Decompositions."""
+    """Split mu = coeff dx1^dx2 as sum (p_a o H) m_a + dH ^ eta, for a
+    polynomial coeff in x1, x2.  Given a list of coefficients, divides them
+    together and returns the list of their Decompositions."""
     batch = isinstance(coeff, list)
-    targets = [RatFunc.coerce(c) for c in (coeff if batch else [coeff])]
+    targets = coeff if batch else [coeff]
     forms = [(basis_two_form(alpha),) for alpha in basis_exponents(H.n)]
     found = _divide(H, [[t] for t in targets], forms, _eta_unknowns)
     decs = [Decomposition(H, "two", t, p, eta=(cof["e1"], cof["e2"]))
@@ -395,12 +343,11 @@ def divide_two_form(H: Hamiltonian, coeff):
 
 
 def divide_one_form(H: Hamiltonian, p_comp, q_comp):
-    """Split omega = p dx1 + q dx2 as sum (p_a o H) w_a + u dH + dv.  Given
-    lists of p and q components, divides the forms together and returns
-    the list of their Decompositions."""
+    """Split omega = p dx1 + q dx2 as sum (p_a o H) w_a + u dH + dv, for
+    polynomials p, q in x1, x2.  Given lists of p and q components, divides
+    the forms together and returns the list of their Decompositions."""
     batch = isinstance(p_comp, list)
-    pairs = zip(p_comp, q_comp) if batch else [(p_comp, q_comp)]
-    targets = [(RatFunc.coerce(p), RatFunc.coerce(q)) for p, q in pairs]
+    targets = list(zip(p_comp, q_comp)) if batch else [(p_comp, q_comp)]
     forms = [basis_one_form(alpha) for alpha in basis_exponents(H.n)]
     found = _divide(H, [list(t) for t in targets], forms, _uv_unknowns)
     decs = [Decomposition(H, "one", t, p, u=cof["u"], v=cof["v"])

@@ -260,13 +260,6 @@ def _strip(u, polys, K, limit=math.inf):
         return _strip(u, polys, K, v - 1)
 
 
-def _divide_out(u, polys, limit=math.inf):
-    """`_strip` of MultiPoly polys in t by the powers of the MultiPoly u,
-    made primitive over Z or Z[i] first."""
-    (u, *dense), K = to_dense([u, *polys])
-    return [from_dense(p, K) for p in _strip(dup_primitive(u, K)[1], dense, K, limit)]
-
-
 def affine_slope(D: DiffOperator):
     """max_j ||p_j|| / ||p0||; exact Fraction for rational operators."""
     n0 = D.coeffs[0].l1_norm()
@@ -438,10 +431,9 @@ def pullback(D: DiffOperator, phi: MobiusMap) -> DiffOperator:
             for m, cm in enumerate(E[k - i]):
                 out[m] = dup_add(out[m], dense_mul(aj, cm, K), K)
         det_i = det_i * det
-    out = [from_dense(p, K) for p in out]
     if len(den) > 1:
-        out = _divide_out(from_dense(den, K), out, min(shift[k], shift[0] + k) - low)
-    return standard_form(list(reversed(out)), MultiPoly.const(1, TVARS))
+        out = _strip(dup_primitive(den, K)[1], out, K, min(shift[k], shift[0] + k) - low)
+    return standard_form([from_dense(p, K) for p in reversed(out)], MultiPoly.const(1, TVARS))
 
 
 def reflect(D: DiffOperator) -> DiffOperator:

@@ -15,10 +15,10 @@ Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
 for more.  Both evaluations are one substitution {t: 0, lambda_00: c0 - t}
-per entry, on its numerator when its denominator is constant; each row of
-[Pstar(0) | Q^(0,0)(0)] is then scaled into Z[t] (Z[i][t] for a Gaussian
-H), and A comes from one fraction-free solve Pstar(0) Y = d Q^(0,0)(0)
-there, whose single elimination serves all ell columns.
+per entry, each a polynomial; each row of [Pstar(0) | Q^(0,0)(0)] is then
+scaled into Z[t] (Z[i][t] for a Gaussian H), and A comes from one
+fraction-free solve Pstar(0) Y = d Q^(0,0)(0) there, whose single
+elimination serves all ell columns.
 """
 
 from __future__ import annotations
@@ -29,101 +29,90 @@ from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                        basis_two_form, divide_one_form, divide_two_form)
 from .errors import (DegenerateBasis, LineInLocus, NoSolution, NumericOverflow,
                      UnsupportedInput)
-from .linalg import FieldMatrix, clear_rows, solve_linear
+from .linalg import FieldMatrix, solve_linear
 from .polynomials import MultiPoly, float_overflow, integer_parts, straight_line
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
+# the free term lambda_00 of H = H0 + lambda_00, the one symbolic coefficient
+# of a derived system
+FREE_TERM = "l00"
+
 
 class PfaffianSystem:
-    """Exact output of the derivation for one Hamiltonian."""
+    """Exact output of the derivation for one Hamiltonian H0 + l00."""
 
-    def __init__(self, H, Pstar, etas, Q, free_var):
-        self.H = H
+    def __init__(self, H, Pstar, etas, Q):
+        self.H = H                  # the concrete Hamiltonian H0
         self.n = H.n
         self.ell = H.ell
-        self.Pstar = Pstar          # FieldMatrix over lambda + t
+        self.Pstar = Pstar          # FieldMatrix over l00, t
         self.etas = etas            # per-row (E1, E2) RatFunc pairs
-        self.Q = Q                  # dict s-exponent -> FieldMatrix over lambda
-        self.free_var = free_var    # name of the free-term coefficient
+        self.Q = Q                  # dict s-exponent -> FieldMatrix over l00, t
 
     @property
     def Pstar0(self):
         return self.Pstar.subs({"t": MultiPoly.const(0)})
 
     def check_identities(self) -> bool:
-        """Re-verify every division identity exactly."""
+        """Re-verify every two-form division identity exactly: since P*(t) =
+        P0(t - l00) + l00 I, the rows of P*(t + l00) - l00 I are the p of
+        the divisions of H0 m_a, with the same eta."""
         H = self.H
-        ok = True
-        for ai, alpha in enumerate(basis_exponents(self.n)):
-            target = RatFunc(H.poly * basis_two_form(alpha))
-            dec = Decomposition(H, "two", target, list(self.Pstar.data[ai]),
-                                eta=self.etas[ai])
-            ok = ok and dec.verify()
-        return ok
+        l00 = MultiPoly.var(FREE_TERM)
+        back = {"t": MultiPoly.var("t", (FREE_TERM,)) + l00}
+        for a, (alpha, row, eta) in enumerate(zip(basis_exponents(self.n), self.Pstar.data,
+                                                  self.etas)):
+            p = [e.as_poly().subs(back) - (l00 if a == b else 0) for b, e in enumerate(row)]
+            dec = Decomposition(H, "two", H.poly * basis_two_form(alpha), p,
+                                eta=tuple(e.as_poly() for e in eta))
+            if not dec.verify():
+                return False
+        return True
 
 
 def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
-    """Derive the exact Pfaffian structure for H = H0 + l00.
+    """Derive the exact Pfaffian structure for H0 + l00, H0 the concrete
+    Hamiltonian H.
 
-    H is what `Hamiltonian.from_x_poly(H0)` builds: a concrete polynomial H0
-    in x1, x2 plus one symbolic free term l00.  Both divisions run on H0,
-    so every division matrix is constant, and the results are translated:
-    since dH = dH0,
+    Both divisions run on H0, so every division matrix is constant, and the
+    results are translated: since d(H0 + l00) = dH0,
 
-      H m_a     = sum_b (P0_ab o (H - l00) + l00 delta_ab) m_b + dH ^ eta_a
-      x^s eta_a = sum_b (Q0^s_ab o (H - l00)) w_b + u dH + dv
+      (H0 + l00) m_a = sum_b (P0_ab o H0 + l00 delta_ab) m_b + dH0 ^ eta_a
+      x^s eta_a      = sum_b (Q0^s_ab o H0) w_b + u dH0 + dv
 
     for the P0, eta and Q0^s of H0, so P*(t) = P0(t - l00) + l00 I, with
     the same eta, and Q^s(t) = Q0^s(t - l00), within the same x-degree
     bounds.  Q^s is derived for each s in `s_list`; the default, Q^(0,0)
     only, is all that the pencil restriction reads.  A regular monomial
     basis guarantees success; regularity is not checked, and a division
-    that is impossible raises SingularDivision.  Any other H raises
-    UnsupportedInput.
+    that is impossible raises SingularDivision.
     """
     n = H.n
     if n < 1:
         raise DegenerateBasis("Hamiltonian of degree 1: the form basis is empty")
-    free_var, H0 = _free_term_split(H)
-    l00 = MultiPoly.var(free_var)
-    shift = {"t": MultiPoly.var("t", (free_var,)) - l00}
-    pvars = tuple(sorted((free_var, "t")))
-    decs = divide_two_form(H0, [H0.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
+    l00 = MultiPoly.var(FREE_TERM)
+    shift = {"t": MultiPoly.var("t", (FREE_TERM,)) - l00}
+    pvars = (FREE_TERM, "t")
+    decs = divide_two_form(H, [H.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
     Pstar = FieldMatrix([[_translated(p, shift, pvars, l00 if a == b else 0)
                           for b, p in enumerate(dec.p)] for a, dec in enumerate(decs)])
     etas0 = [dec.eta for dec in decs]
-    etas = [tuple(e if e.is_zero() else RatFunc(e.num.extend(l00.vars), canonical=True)
-                  for e in eta) for eta in etas0]
+    etas = [tuple(RatFunc(e if e.is_zero() else e.extend((FREE_TERM,))) for e in eta)
+            for eta in etas0]
     Q = {}
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})
-        # canonical as they stand: the denominators are constant
-        scaled = [[RatFunc(e.num * xs, e.den, canonical=True) for e in eta] for eta in etas0]
-        decs = divide_one_form(H0, [p for p, _ in scaled], [q for _, q in scaled])
+        decs = divide_one_form(H, [e1 * xs for e1, _ in etas0], [e2 * xs for _, e2 in etas0])
         Q[tuple(s)] = FieldMatrix([[_translated(p, shift, pvars) for p in dec.p]
                                    for dec in decs])
-    return PfaffianSystem(H, Pstar, etas, Q, free_var)
-
-
-def _free_term_split(H):
-    """(l00, Hamiltonian(H0)) for H = H0(x1, x2) + l00, the one form that
-    `derive_pfaffian` accepts."""
-    if len(H.lvars) == 1:
-        free_var = H.lvars[0]
-        H0 = (H.poly - MultiPoly.var(free_var, H.poly.vars)).shrink()
-        if free_var not in H0.vars:
-            return free_var, Hamiltonian(H0)
-    raise UnsupportedInput(
-        "derive_pfaffian takes H = H0(x1, x2) + l00, as Hamiltonian.from_x_poly "
-        "builds it: the free term l00 is its one symbolic coefficient, and it "
-        "enters only as + l00")
+    return PfaffianSystem(H, Pstar, etas, Q)
 
 
 def _translated(p, shift, pvars, extra=0):
-    """p(t - l00) + extra for an entry p of the divisions on H0, whose
-    denominator is 1: over (l00, t, x1, x2) when nonzero and over (l00, t)
-    when zero, the variables that the system's JSON records."""
-    num = p.num.subs(shift) + extra
+    """p(t - l00) + extra for a polynomial p in t of the divisions on H0:
+    over (l00, t, x1, x2) when nonzero and over (l00, t) when zero, the
+    variables that the system's JSON records."""
+    num = p.subs(shift) + extra
     if num.is_zero():
         return RatFunc.zero(pvars)
     return RatFunc(num.extend(XVARS), canonical=True)
@@ -191,38 +180,30 @@ def _coefficients(p):
 
 
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:
-    """Restrict to the free-term pencil lambda_00 = c0 - t, with c0 the
-    free_term_value; every other coefficient must already be concrete.
+    """Restrict to the free-term pencil l00 = c0 - t, with c0 the
+    free_term_value.
 
-    Each entry of P* and Q^(0,0) takes the substitution {t: 0, lambda_00:
-    c0 - t} once: on its numerator, shrunk to the variables it uses, when
-    its denominator is constant, and otherwise as a rational function,
-    whose row is then cleared by `clear_rows`.  Each row of [P0 | Qs] is
-    scaled into Z[t], or Z[i][t], by `integer_parts`, and one solve there
-    gives P0 Y = d Qs.  A = -Y/d, each entry cancelled once and stored in
-    descending term order, so that A's storage is a function of its value,
-    over the variables of the substituted entries."""
-    lam = sys.free_var
+    Each entry of P* and Q^(0,0) is a polynomial, as `derive_pfaffian`
+    makes it, and takes the substitution {t: 0, l00: c0 - t} once, shrunk
+    to the variables it uses; an entry with a nonconstant denominator, or
+    one that keeps another symbolic coefficient, raises UnsupportedInput.
+    Each row of [P0 | Qs] is scaled into Z[t], or Z[i][t], by
+    `integer_parts`, and one solve there gives P0 Y = d Qs.  A = -Y/d,
+    each entry cancelled once and stored in descending term order, so that
+    A's storage is a function of its value, over the variables of the
+    substituted entries."""
     pencil = {"t": MultiPoly.const(0),
-              lam: MultiPoly.const(Fraction(free_term_value), ("t",)) - MultiPoly.var("t")}
+              FREE_TERM: MultiPoly.const(Fraction(free_term_value), ("t",)) - MultiPoly.var("t")}
     rows = []
     avars = {"t"}
-    leftover = set()
     for row in (a + q for a, q in zip(sys.Pstar.data, sys.Q[(0, 0)].data)):
+        if not all(e.is_poly() for e in row):
+            raise UnsupportedInput("the entries of P* and Q^(0,0) must be polynomials")
         for e in row:
             avars.update(e.vars)
-        if all(e.den.is_constant() for e in row):
-            polys = [_on_pencil(e.num.shrink(), e.den.constant_value(), pencil)
-                     for e in row]
-        else:
-            subbed = [e.subs(pencil) for e in row]
-            for r in subbed:
-                leftover.update(r.num.effective_vars(), r.den.effective_vars())
-            polys = clear_rows([subbed])[0]
-        rows.append([p.shrink() for p in polys])
-        leftover.update(*(p.vars for p in rows[-1]))
-    avars = tuple(sorted(avars - {lam}))
-    leftover -= {"t"}
+        rows.append([e.as_poly().shrink().subs(pencil).shrink() for e in row])
+    avars = tuple(sorted(avars - {FREE_TERM}))
+    leftover = set().union(*(p.vars for row in rows for p in row)) - {"t"}
     if leftover:
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
     rows = [integer_parts(p.extend(("t",)) for p in row)[1] for row in rows]
@@ -234,12 +215,6 @@ def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESyste
                      for i in range(sys.Pstar.rows)])
     sing = ratfunc_lcm_den(A.flatten()).extend(("t",))
     return LinearODESystem(A, sing)
-
-
-def _on_pencil(num, den, pencil):
-    """num / den at the pencil, for a polynomial num and a constant den."""
-    p = num.subs(pencil)
-    return p if den == 1 else p.divexact(den)
 
 
 def _descending(r, variables):
@@ -255,8 +230,7 @@ def size_report(sys: PfaffianSystem) -> dict:
         entries += M.flatten()
     sizes = [size_of(e) for e in entries]
     degs_t = [e.num.degree_in("t") for e in sys.Pstar.flatten() if not e.is_zero()]
-    lvars = sys.H.lvars
-    degs_l = [max(e.num.degree_in(lvars), e.den.degree_in(lvars))
+    degs_l = [max(e.num.degree_in(FREE_TERM), e.den.degree_in(FREE_TERM))
               for e in entries if not e.is_zero()]
     return {
         "n": n,

@@ -38,8 +38,8 @@ The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
 first nonzero polynomial, then by the positive joint rational content),
 which gives every object over Q or Q(i) one representative, the lcm, the
-exact rank at a point, the reduced row echelon form of a constant matrix
-and the roots of a univariate polynomial.  It is the
+reduced row echelon form of a constant matrix and the roots of a
+univariate polynomial.  It is the
 only module that imports sympy.  `straight_line` generates the float kernels
 of the numeric layers: sums of terms and Horner evaluations written out as
 one expression each, with the float operations of the loop they replace;
@@ -730,21 +730,6 @@ def from_dense(f, K, variables=("t",), var="t"):
     return MultiPoly._new(vs, _ring(vs, K).dtype(terms))
 
 
-def polynomial_variable(polys):
-    """The one variable that the nonconstant polys use, or None when they use
-    more than one, or when every one is constant."""
-    var = None
-    for p in polys:
-        f = p.poly
-        if f.is_ground:
-            continue
-        used = [v for v, d in zip(p.vars, f.degrees()) if d]
-        if len(used) > 1 or var not in (None, used[0]):
-            return None
-        var = used[0]
-    return var
-
-
 def dense_mul(f, g, K):
     """f g for dense lists over K.  The products of zero coefficients are
     skipped, which sympy's `dup_mul` forms: the rows of the pencil
@@ -823,26 +808,6 @@ def residue(f, K):
     except ValueError:   # pow(denominator, -1, MODULUS) of a multiple of MODULUS
         return None
     return v
-
-
-def rank_at_point(rows):
-    """Exact rank over Q or Q(i) of a matrix of MultiPoly at one fixed point.
-
-    The k-th variable in sorted order takes the value 2 - 3/(5 + 2k), so t
-    alone is 7/5.  The rank at a point is at most the generic rank; for
-    constant entries it is the exact rank.  Entries over Z or Z[i] are
-    evaluated over Q or Q(i).
-    """
-    vs = sorted(set().union(*(p.vars for row in rows for p in row)))
-    domain = QQ_I if any(p.has_gaussian() for row in rows for p in row) else QQ
-    point = {v: QQ(2) - QQ(3, 5 + 2 * k) for k, v in enumerate(vs)}
-
-    def value(p):
-        f = p.over_field().poly
-        return domain.convert(f(*(point[v] for v in p.vars)) if p.vars else f.LC)
-
-    vals = [[value(p) for p in row] for row in rows]
-    return DomainMatrix(vals, (len(rows), len(rows[0])), domain).rank()
 
 
 def constant_rref(entries, shape, vs, gaussian):

@@ -5,9 +5,9 @@ Canonical form: gcd(num, den) = 1 and den in the normal form of
 and content 1; every rational function has exactly one such representative.
 `size_of` measures the canonical representative after clearing to coprime
 integer coefficients, as an upper bound for the minimum over all
-representations.  The normal-form rule (`primitive_parts`), the lcm, the
-exact rank and the roots of a polynomial belong to `polynomials`; this
-module applies the first two to num/den pairs.
+representations.  The normal-form rule (`primitive_parts`), the lcm and
+the roots of a polynomial belong to `polynomials`; this module applies the
+first two to num/den pairs.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from .division import Hamiltonian
 from .errors import ParseError
 from .linalg import FieldMatrix
 from .operators import DiffOperator
-from .picard_fuchs import LinearODESystem, PfaffianSystem
+from .picard_fuchs import FREE_TERM, LinearODESystem, PfaffianSystem
 from .polynomials import MultiPoly
 from .qi import GaussianRational
 from .ratfunc import RatFunc
@@ -61,9 +61,9 @@ def encode(obj):
                 "points": [[p.real, p.imag] for p in obj.points]}
     if isinstance(obj, PfaffianSystem):
         return {"type": "pfaffian-system",
-                "hamiltonian": encode(obj.H.poly),
-                "lvars": list(obj.H.lvars),
-                "free_var": obj.free_var,
+                "hamiltonian": encode(obj.H.poly + MultiPoly.var(FREE_TERM, obj.H.poly.vars)),
+                "lvars": [FREE_TERM],
+                "free_var": FREE_TERM,
                 "Pstar": encode(obj.Pstar),
                 "etas": [[encode(e1), encode(e2)] for e1, e2 in obj.etas],
                 "Q": [[list(s), encode(M)] for s, M in sorted(obj.Q.items())]}
@@ -106,12 +106,11 @@ def decode(data):
             return Arc(complex(*data["center"]), data["radius"],
                        data["a0"], data["a1"])
         if t == "pfaffian-system":
-            H = Hamiltonian(decode(data["hamiltonian"]),
-                            tuple(data["lvars"]))
+            H = decode(data["hamiltonian"])
+            H = Hamiltonian(H - MultiPoly.var(FREE_TERM, H.vars))
             etas = [(decode(e1), decode(e2)) for e1, e2 in data["etas"]]
             Q = {tuple(s): decode(M) for s, M in data["Q"]}
-            return PfaffianSystem(H, decode(data["Pstar"]), etas, Q,
-                                  data["free_var"])
+            return PfaffianSystem(H, decode(data["Pstar"]), etas, Q)
         if t == "ode-system":
             return LinearODESystem(decode(data["A"]), decode(data["singular"]))
         if t == "slit-system":

@@ -28,7 +28,7 @@ class EllipticCase:
 
     def __init__(self):
         self.H0 = elliptic_poly()
-        self.H = Hamiltonian.from_x_poly(self.H0)
+        self.H = Hamiltonian(self.H0)
         self.system = derive_pfaffian(self.H)
         self.ode = restrict_to_pencil(self.system, free_term_value=0)
         self.scalar = reduce_to_scalar(self.ode)

@@ -80,7 +80,7 @@ def test_criterion_01_petrov_exactness():
 def test_criterion_02_circle_end_to_end():
     x1 = MultiPoly.var("x1", X)
     x2 = MultiPoly.var("x2", X)
-    H = Hamiltonian.from_x_poly((x1 * x1 + x2 * x2) *
+    H = Hamiltonian((x1 * x1 + x2 * x2) *
                                 MultiPoly.const(Fraction(1, 2), X))
     ode = restrict_to_pencil(derive_pfaffian(H), free_term_value=0)
     t = RatFunc(MultiPoly.var("t"))

@@ -12,7 +12,6 @@ from abelint.division import (Hamiltonian, basis_exponents, basis_one_form,
 from abelint.errors import SingularDivision, UnsupportedInput
 from abelint.parsing import parse_poly
 from abelint.polynomials import MultiPoly
-from abelint.ratfunc import RatFunc
 
 X = ("x1", "x2")
 
@@ -99,9 +98,9 @@ def test_constant_hamiltonian_rejected():
 
 
 def test_division_without_decomposition_names_degree():
-    # H = x1^2 + l00 has n = 1 and dH = 2 x1 dx1, so x2 = p(H) + 2 x1 E2
-    # would give x2 = p(l00) at x1 = 0: no degree admits a decomposition
-    H = Hamiltonian.from_x_poly(parse_poly("x1^2"))
+    # H = x1^2 has n = 1 and dH = 2 x1 dx1, so x2 = p(H) + 2 x1 E2
+    # would give x2 = p(0) at x1 = 0: no degree admits a decomposition
+    H = Hamiltonian(parse_poly("x1^2"))
     with pytest.raises(SingularDivision, match=r"at degree \d+"):
         divide_two_form(H, MultiPoly.var("x2", X))
 
@@ -111,9 +110,9 @@ RANDOM1 = ("x1^3 + x2^3 + (3)*x1^0*x2^0 + (0)*x1^0*x2^1 + (0)*x1^0*x2^2"
            " + (-3/2)*x1^1*x2^0 + (3)*x1^1*x2^1")
 
 
-def _fingerprint(r):
-    """Value, variables and stored terms of a RatFunc."""
-    return [(p.vars, list(p.terms.items())) for p in (r.num, r.den)]
+def _fingerprint(p):
+    """Value, variables and stored terms of a MultiPoly."""
+    return p.vars, list(p.terms.items())
 
 
 @pytest.mark.parametrize("text", ["x1^2/2 + x2^2/2", "x2^2/2 + x1^3 - x1", RANDOM1,
@@ -123,19 +122,19 @@ def test_batched_division_matches_one_division_per_target(text, monkeypatch):
     one-form targets eta_a, gives every target the (degree, cap), the p and
     the cofactors, stored terms included, of its own `_divide`.  The unknown
     labels at which a target succeeds fix (degree, cap)."""
-    H = Hamiltonian.from_x_poly(parse_poly(text))
+    H = Hamiltonian(parse_poly(text))
     labels = {}
     assemble = division._assemble
 
-    def recording(H, den, unknowns, y):
-        out = assemble(H, den, unknowns, y)
+    def recording(n, unknowns, y):
+        out = assemble(n, unknowns, y)
         labels[id(out)] = [label for label, _ in unknowns]
         return out
 
     monkeypatch.setattr(division, "_assemble", recording)
     alphas = basis_exponents(H.n)
     two = ([(basis_two_form(a),) for a in alphas], division._eta_unknowns,
-           [[RatFunc(H.poly * basis_two_form(a))] for a in alphas])
+           [[H.poly * basis_two_form(a)] for a in alphas])
     batch = division._divide(H, two[2], *two[:2])
     etas = [(cof["e1"], cof["e2"]) for _, cof in batch]
     one = ([basis_one_form(a) for a in alphas], division._uv_unknowns,
@@ -154,7 +153,7 @@ def test_batched_division_matches_one_division_per_target(text, monkeypatch):
 def test_elliptic_one_form_divisions_take_no_bareiss_step(monkeypatch):
     """The one-form division matrices of the elliptic H are constant, so
     they take the reduced row echelon form and no Bareiss step."""
-    H = Hamiltonian.from_x_poly(parse_poly("x2^2/2 + x1^3 - x1"))
+    H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1"))
     etas = [dec.eta for dec in divide_two_form(
         H, [H.poly * basis_two_form(a) for a in basis_exponents(H.n)])]
     steps = []

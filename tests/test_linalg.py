@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelint import linalg
-from abelint.errors import NoSolution
-from abelint.linalg import check_solution, clear_rows, solve_columns, solve_linear
-from abelint.polynomials import (MODULUS, POINT, SQRT_MINUS_ONE, MultiPoly, integer_parts,
-                                 poly_lcm, rank_at_point, to_dense)
+from abelint.errors import NoSolution, UnsupportedInput
+from abelint.linalg import check_dense, solve_columns, solve_linear
+from abelint.polynomials import (MODULUS, POINT, SQRT_MINUS_ONE, MultiPoly, dup_add,
+                                 integer_parts, poly_lcm, to_dense)
 from abelint.qi import GaussianRational
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
+from linalg_helpers import clear_rows
 
 import pytest
 
@@ -113,22 +114,6 @@ def test_overdetermined_systems(gaussian):
             _solve(A, [bi + row[n] for bi, row in zip(b, P)])
 
 
-def test_rank_drop_at_the_point_falls_through():
-    """5t - 7 vanishes at t = 7/5, so neither system below has full rank
-    there, although the first has full rank generically; Bareiss decides
-    both."""
-    one, zero = MultiPoly.const(1, T), MultiPoly.zero(T)
-    s = MultiPoly(T, {(1,): 5, (0,): -7})
-    rows = [[one, zero], [one, s]]
-    assert rank_at_point(rows) == 1
-    with pytest.raises(NoSolution, match="inconsistent"):
-        solve_linear(rows, 1)
-    rows = [[one, s], [s, s * s]]
-    assert rank_at_point(rows) == 1
-    d, (y,) = solve_linear(rows, 1)
-    assert y == [d * s]
-
-
 def test_satisfies_rejects_perturbed_solution():
     rng = random.Random(5)
     for gaussian in (False, True):
@@ -137,11 +122,15 @@ def test_satisfies_rejects_perturbed_solution():
         x0 = [rand_ratfunc(rng, gaussian) for _ in range(2)]
         rows = clear_rows([row + [bi] for row, bi in zip(A, _matvec(A, x0))])
         d, (y,) = solve_linear(rows, 2)
-        check_solution(rows, 2, d, [y])
-        bump = MultiPoly.const(1, T)
-        for bad_d, bad_y in [(d, [y[0], y[1] + bump]), (d * 2, y), (d, [y[0] * 2, y[1]])]:
+        (dense_d, *dense_rows), K = to_dense([d] + [p for row in rows for p in row] + y)
+        R, y = [dense_rows[i:i + 3] for i in range(0, 9, 3)], dense_rows[9:]
+        check_dense(R, 2, dense_d, [y], K)
+        bump = [K.one]
+        double = [2 * c for c in dense_d]
+        for bad_d, bad_y in [(dense_d, [y[0], dup_add(y[1], bump, K)]), (double, y),
+                             (dense_d, [[2 * c for c in y[0]], y[1]])]:
             with pytest.raises(NoSolution, match="verification"):
-                check_solution(rows, 2, bad_d, [bad_y])
+                check_dense(R, 2, bad_d, [bad_y], K)
 
 
 def test_cleared_rows_match_cancelled_product():
@@ -173,10 +162,10 @@ def _fingerprint(ps):
 
 
 def bareiss_reference(rows, n):
-    """The dense fraction-free (Bareiss) solve on polynomial rows, as
-    `solve_linear` ran it on every system before constant rows took the
-    reduced row echelon form: every product formed, and (d, Y) with
-    A y = d c per column, or NoSolution when a column is inconsistent."""
+    """The fraction-free (Bareiss) solve on MultiPoly rows, as `solve_linear`
+    ran it before it moved to dense coefficient lists: every product
+    formed, and (d, Y) with A y = d c per column, or NoSolution when a
+    column is inconsistent."""
     m = len(rows)
     M = list(rows)
     pivots, prev, row = [], None, 0
@@ -233,10 +222,11 @@ def _dense_solve(A, b):
 
 
 def _sparse_system(rng, m, n, gaussian):
-    """A sparse m x n system over Q(l, t), or over Q(i)(t), whose rows use
-    different variables, with b = A x0 for an x0 with zero entries."""
+    """A sparse m x n system over Q(t), whose rows alternate between linear
+    and quadratic entries, or over Q(i)(t), with b = A x0 for an x0 with
+    zero entries."""
     t = RatFunc(MultiPoly.var("t"))
-    s = t if gaussian else RatFunc(MultiPoly.var("l"))
+    s = t if gaussian else t * t
 
     def entry(i):
         if rng.random() < 0.45:
@@ -256,18 +246,15 @@ def _sparse_system(rng, m, n, gaussian):
 def test_sparse_solve_matches_dense_elimination(gaussian):
     """Skipping zero products and unit denominators changes no value,
     variable or term of d or y; the systems have zero entries both in pivot
-    rows and in the rows they eliminate.  Over Q(i)(t) the rows are in t
-    alone and take the dense solve, which stores every entry over (t,)
-    with its terms in descending order: the reference's entries, so
-    extended and stored, have the same fingerprint."""
+    rows and in the rows they eliminate.  The dense solve stores every
+    entry over (t,) with its terms in descending order: the reference's
+    entries, so extended and stored, have the same fingerprint."""
     rng = random.Random(31 + gaussian)
     for m, n in [(4, 4), (5, 5), (5, 3), (3, 4)] * 4:
         A, b = _sparse_system(rng, m, n, gaussian)
         d, (y,) = solve_linear(clear_rows([row + [bi] for row, bi in zip(A, b)]), n)
         dense_d, dense_y = _dense_solve(A, b)
-        reference = [dense_d] + dense_y
-        if gaussian:
-            reference = [p.extend(T).descending() for p in reference]
+        reference = [p.extend(T).descending() for p in [dense_d] + dense_y]
         assert _fingerprint([d] + y) == _fingerprint(reference)
 
 
@@ -275,12 +262,12 @@ def test_sparse_solve_matches_dense_elimination(gaussian):
 def test_many_columns_match_single_column_solves(gaussian):
     """One elimination of [A | C] gives every column the d and the y,
     variables and stored terms included, of its own solve on the same rows,
-    on square and consistent overdetermined systems over Q(l, t) and
+    on square and consistent overdetermined systems over Q(t) and
     Q(i)(t); and y / d is the solution that each column's own system,
     cleared alone, gives."""
     rng = random.Random(41 + gaussian)
     t = RatFunc(MultiPoly.var("t"))
-    s = t if gaussian else RatFunc(MultiPoly.var("l"))
+    s = t if gaussian else t * t
     for m, n in [(3, 3), (4, 4), (5, 3), (4, 2)] * 2:
         A, _ = _sparse_system(rng, m, n, gaussian)
         polys = [[RatFunc.zero() if j % 2 == k else t * rng.randint(-3, 3) + s * s + k
@@ -297,11 +284,11 @@ def test_many_columns_match_single_column_solves(gaussian):
 
 
 def _poly_system(rng, m, n, gaussian, rank=None):
-    """Random m x n polynomial rows over Q[l, t] or Q(i)[t] of the given
-    rank (default min(m, n)), with c = A x0 / q for polynomial x0 and a
+    """Random m x n polynomial rows over Q[t] or Q(i)[t] of the given rank
+    (default min(m, n)), with c = A x0 / q for polynomial x0 and a
     constant q, so that the system is consistent."""
     t = MultiPoly.var("t")
-    s = t if gaussian else MultiPoly.var("l")
+    s = t if gaussian else t * t
 
     def poly():
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -323,8 +310,8 @@ def _poly_system(rng, m, n, gaussian, rank=None):
 @pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (2, 4), (4, 4)])
 def test_solution_is_polynomial_with_last_pivot(gaussian, m, n):
-    """Square, over- and underdetermined consistent systems over Q(l, t)
-    and Q(i)(t): d is nonzero, each y is a polynomial, A y = d c holds as
+    """Square, over- and underdetermined consistent systems over Q(t) and
+    Q(i)(t): d is nonzero, each y is a polynomial, A y = d c holds as
     polynomial identities, and the free variables are zero."""
     rng = random.Random(61 + 7 * m + n + gaussian)
     for rank in sorted({min(m, n), min(m, n) - 1}):
@@ -353,28 +340,28 @@ def test_one_inconsistent_column_raises(gaussian):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_columns_of_rank_deficient_rows_match_their_own_solves(gaussian):
-    """Polynomial rows of rank below n leave several rows under the
-    elimination, and the rank check refutes no column; each column of one
-    `solve_columns` is None exactly when its own `solve_linear` raises,
-    and otherwise has its y / d, also for a copy of an inconsistent column."""
+    """Constant rows of rank below n (polynomial rows at t = 2) leave
+    several rows under the elimination, and the rank check refutes no
+    column; each column of one `solve_columns` is None exactly when its own
+    dense `solve_linear` raises, and otherwise has its y / d, also for a
+    copy of an inconsistent column."""
     rng = random.Random(81 + gaussian)
-    bump = MultiPoly.const(1, T)
+    bump = MultiPoly.const(1)
     for m, n, rank in [(5, 3, 1), (4, 3, 2), (5, 2, 1), (3, 3, 1)] * 2:
-        base = _poly_system(rng, m, n, gaussian, rank)
+        base = [[p.subs({"t": 2}) for p in row] for row in _poly_system(rng, m, n, gaussian, rank)]
         cols = [[row[n] for row in base]]
         for i in rng.sample(range(m), 2):
-            cols.append([c + (bump if r == i else MultiPoly.zero(T))
-                         for r, c in enumerate(cols[0])])
+            cols.append([c + (bump if r == i else 0) for r, c in enumerate(cols[0])])
         cols.append(list(cols[-1]))
         rows = [row[:n] + [c[i] for c in cols] for i, row in enumerate(base)]
-        d, Y = solve_columns(rows, n)
+        Y = solve_columns(rows, n)
         for j, y in enumerate(Y):
             try:
                 own_d, (own_y,) = solve_linear([row[:n] + [row[n + j]] for row in rows], n)
             except NoSolution:
                 assert y is None
                 continue
-            assert [RatFunc(yk, d) for yk in y] == [RatFunc(yk, own_d) for yk in own_y]
+            assert [RatFunc(yk) for yk in y] == [RatFunc(yk, own_d) for yk in own_y]
         assert Y[0] is not None and Y[-1] is None
 
 
@@ -453,39 +440,38 @@ def constant_systems(draw):
 @given(constant_systems())
 def test_constant_systems_match_dense_bareiss(system):
     """The reduced row echelon form on constant rows refuses exactly the
-    systems, and exactly the columns, that the dense Bareiss loop refuses,
-    and gives every consistent column its x = y / d, entry by entry, with
-    d = 1; no Bareiss step runs."""
+    columns that the Bareiss loop refuses, and gives every consistent
+    column its x = y / d, entry by entry, with no Bareiss step; the dense
+    `solve_linear` on the same rows, degree-0 lists, refuses exactly the
+    systems that the loop refuses and gives the same quotients."""
     n, rows = system
     steps = []
     step = linalg._bareiss_step
     linalg._bareiss_step = lambda *a: steps.append(1) or step(*a)
     try:
-        try:
-            ref = bareiss_reference(rows, n)
-        except NoSolution:
-            ref = None
-        try:
-            got = solve_linear(rows, n)
-        except NoSolution:
-            got = None
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert got[0] == 1
-            assert [_quotients(got[0], y) for y in got[1]] == \
-                [_quotients(ref[0], y) for y in ref[1]]
-        d, Y = solve_columns(rows, n)
-        for j, y in enumerate(Y):
-            try:
-                ref_d, (ref_y,) = bareiss_reference([row[:n] + [row[n + j]] for row in rows], n)
-            except NoSolution:
-                assert y is None
-                continue
-            assert y is not None and d == 1
-            assert _quotients(d, y) == _quotients(ref_d, ref_y)
+        Y = solve_columns(rows, n)
     finally:
         linalg._bareiss_step = step
     assert not steps
+    for j, y in enumerate(Y):
+        try:
+            ref_d, (ref_y,) = bareiss_reference([row[:n] + [row[n + j]] for row in rows], n)
+        except NoSolution:
+            assert y is None
+            continue
+        assert y is not None
+        assert [yk.constant_value() for yk in y] == _quotients(ref_d, ref_y)
+    try:
+        ref = bareiss_reference(rows, n)
+    except NoSolution:
+        ref = None
+    try:
+        got = solve_linear(rows, n)
+    except NoSolution:
+        got = None
+    assert (got is None) == (ref is None) == (None in Y)
+    if ref is not None:
+        assert [_quotients(got[0], y) for y in got[1]] == [_quotients(ref[0], y) for y in ref[1]]
 
 
 def test_copied_inconsistent_column_is_inconsistent():
@@ -493,8 +479,19 @@ def test_copied_inconsistent_column_is_inconsistent():
     column, and c2 has none, but c2 is not in the span of A either."""
     one, zero = MultiPoly.const(1, T), MultiPoly.zero(T)
     rows = [[one, zero, zero, one], [zero, one, one, zero]]
-    d, Y = solve_columns(rows, 1)
-    assert Y == [None, None, [one]]
+    assert solve_columns(rows, 1) == [None, None, [one]]
+
+
+def test_each_solve_refuses_the_other_kind_of_row():
+    """`solve_columns` takes constant rows only, and `solve_linear` rows in
+    t only: rows in another variable, or in several, exit 2."""
+    t, l = MultiPoly.var("t"), MultiPoly.var("l")
+    with pytest.raises(UnsupportedInput):
+        solve_columns([[t, MultiPoly.const(1)]], 1)
+    for rows in ([[l, l + 1]], [[t, l]], [[t * l, t]]):
+        with pytest.raises(UnsupportedInput) as exc:
+            solve_linear(rows, 1)
+        assert exc.value.exit_code == 2
 
 
 def test_modulus_is_a_prime_with_a_square_root_of_minus_one():
@@ -546,7 +543,7 @@ def test_modular_refutation_is_sound(gaussian):
         assert 0 not in refuted
         for j in refuted:
             single = [row[:n] + [row[n + j]] for row in rows]
-            _, (y,) = linalg._bareiss(single, n, linalg._dense_ring(K))
+            _, (y,) = linalg._bareiss(single, n, K)
             assert y is None
         refuted_total += len(refuted)
     assert refuted_total >= 10

@@ -1,5 +1,6 @@
 """Scalar operators: reduction, slope, pullback, lclm, symmetrization."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import sympy
 
 from abelint import counting, operators
 from abelint.errors import NoSolution
-from abelint.linalg import FieldMatrix, clear_rows, solve_dense, solve_linear
+from abelint.linalg import FieldMatrix, solve_dense, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
                                pullback, reduce_to_scalar, reflect,
@@ -15,9 +16,10 @@ from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
 from abelint.parsing import parse_operator, parse_poly
 from abelint.qi import GaussianRational
 from abelint.picard_fuchs import LinearODESystem
-from abelint.polynomials import MultiPoly, integer_parts
+from abelint.polynomials import MultiPoly, dup_primitive, from_dense, integer_parts, to_dense
 from abelint.ratfunc import RatFunc, ratfunc_lcm_den
 from abelint.slits import Circle
+from linalg_helpers import clear_rows
 
 T = ("t",)
 
@@ -699,18 +701,18 @@ def test_stripped_pullback_matches_gcd_oracle(monkeypatch):
             cases += [(D, phi.compose(gamma)), (D, gamma.inverse())]
             if _searched(D) and gamma.c:   # an affine map strips nothing
                 cases.append((_memo_lclm(pullback(D, phi.compose(gamma))), gamma.inverse()))
-    divide_out = operators._divide_out
+    strip = operators._strip
 
     def run(cases, mutate):
         """(pullback, (unstripped coefficients, strip limit) or None for an
         affine map) per case, with the strip limited to mutate(limit)."""
         seen = []
 
-        def spy(u, polys, limit):
-            seen.append((polys, limit))
-            return divide_out(u, polys, mutate(limit))
+        def spy(u, polys, K, limit):
+            seen.append(([from_dense(p, K) for p in polys], limit))
+            return strip(u, polys, K, mutate(limit))
 
-        monkeypatch.setattr(operators, "_divide_out", spy)
+        monkeypatch.setattr(operators, "_strip", spy)
         out = []
         for E, m in cases:
             seen.clear()
@@ -773,7 +775,15 @@ def test_symmetrization_call_counts(monkeypatch):
     assert starts == [[1, 0, 1, 0]]
 
 
-def test_divide_out_finds_the_valuation_once(monkeypatch):
+def _strip(u, polys, limit=math.inf):
+    """`operators._strip` of MultiPoly polys in t by the powers of the
+    MultiPoly u, made primitive over Z or Z[i] first, as `pullback` calls
+    it on its dense lists."""
+    (u, *dense), K = to_dense([u, *polys])
+    return [from_dense(p, K) for p in operators._strip(dup_primitive(u, K)[1], dense, K, limit)]
+
+
+def test_strip_finds_the_valuation_once(monkeypatch):
     """The valuation v is found on the nonzero polynomial of least degree,
     and each other one is divided once, by u^v: v + 1 exact divisions there
     and one per other polynomial, all over Z or Z[i], never over a field.
@@ -796,19 +806,19 @@ def test_divide_out_finds_the_valuation_once(monkeypatch):
         return exquo(f, g, K)
 
     monkeypatch.setattr(operators, "dense_exquo", spy)
-    assert operators._divide_out(u, [u ** 3 * b, u ** 3 * a, zero, u ** 5 * c]) == \
+    assert _strip(u, [u ** 3 * b, u ** 3 * a, zero, u ** 5 * c]) == \
         [b, a, zero, u ** 2 * c]
     assert len(domains) == 7 and not any(K.is_Field for K in domains)
     del domains[:]
-    assert operators._divide_out(u, [u ** 3 * a, u ** 5 * c], limit=2) == [u * a, u ** 3 * c]
+    assert _strip(u, [u ** 3 * a, u ** 5 * c], limit=2) == [u * a, u ** 3 * c]
     assert len(domains) == 3
     # the least degree overstates v: u^3 against u b c, which u^2 does not divide
-    assert operators._divide_out(u, [u ** 3, u * b * c]) == [u ** 2, b * c]
-    assert operators._divide_out(u, [a, u * b]) == [a, u * b]
+    assert _strip(u, [u ** 3, u * b * c]) == [u ** 2, b * c]
+    assert _strip(u, [a, u * b]) == [a, u * b]
     del domains[:]
     g, h, f = (over_z(x) for x in ("5*t + 6 - 3*i", "(2 + i)*t + 3", "t^2 + i"))
     # v = 2 on h^2, then h f fails u^2 and the search starts over at v = 1
-    x, y = operators._divide_out(g, [h * f, h ** 2])
+    x, y = _strip(g, [h * f, h ** 2])
     assert x.total_degree() == 2 and y.total_degree() == 1 and x * h == y * f
     assert len(domains) == 6 and not any(K.is_Field for K in domains)
 
@@ -826,7 +836,7 @@ def test_operators_do_not_depend_on_the_modular_refutation(monkeypatch, elliptic
 
     D = standard_form(mk("(t^2-1)*D^2 + t*D - 1").coeffs)
     H = parse_poly("x1^4 + x2^4 + x1*x2 - x1", ("x1", "x2"))
-    ode = restrict_to_pencil(derive_pfaffian(Hamiltonian.from_x_poly(H)))
+    ode = restrict_to_pencil(derive_pfaffian(Hamiltonian(H)))
 
     def operators_of_the_searches():
         return ([symmetrize(D, gamma, phi) for _, phi, gamma in operators.default_slope_samples()]

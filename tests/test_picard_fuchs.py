@@ -22,7 +22,7 @@ X = ("x1", "x2")
 def test_circle_system_exact():
     x1 = MultiPoly.var("x1", X)
     x2 = MultiPoly.var("x2", X)
-    H = Hamiltonian.from_x_poly((x1 * x1 + x2 * x2) *
+    H = Hamiltonian((x1 * x1 + x2 * x2) *
                                 MultiPoly.const(Fraction(1, 2), X))
     system = derive_pfaffian(H)
     ode = restrict_to_pencil(system, free_term_value=0)
@@ -40,7 +40,7 @@ def test_circle_singular_pencil_detected():
     # H with no free-term dependence left after substitution cannot happen;
     # instead check the genuinely singular direction: a Hamiltonian whose
     # constant term never enters P*0 invertibly is rejected
-    H = Hamiltonian.from_x_poly((x1 * x1 + x2 * x2) *
+    H = Hamiltonian((x1 * x1 + x2 * x2) *
                                 MultiPoly.const(Fraction(1, 2), X))
     system = derive_pfaffian(H)
     ode = restrict_to_pencil(system, free_term_value=0)
@@ -56,8 +56,7 @@ def test_restriction_evaluates_q_at_zero(elliptic):
     M = [[Fraction(1 + 2 * i - j, 3) for j in range(Q.cols)] for i in range(Q.rows)]
     shifted = PfaffianSystem(sys.H, sys.Pstar, sys.etas,
                              {(0, 0): FieldMatrix([[e + t * m for e, m in zip(row, mrow)]
-                                                   for row, mrow in zip(Q.data, M)])},
-                             sys.free_var)
+                                                   for row, mrow in zip(Q.data, M)])})
     A = restrict_to_pencil(shifted, free_term_value=0).A
     assert A.flatten() == elliptic.ode.A.flatten()
 
@@ -188,39 +187,53 @@ def _shifted(p, sign):
 
 
 def _one_form_identity_holds(H, target, row, dec0):
-    """x^s eta_a = sum_b (row_b o H) w_b + u dH + dv with the u and v of the
-    division on H0: they serve H as well, since dH = dH0."""
-    return Decomposition(H, "one", target, row, u=dec0.u, v=dec0.v).verify()
+    """x^s eta_a = sum_b (row_b o (H0 + l00)) w_b + u dH0 + dv with the u and
+    v of the division on H0, checked as the identity of H0 for row(t + l00):
+    the u and v serve H0 + l00 as well, since d(H0 + l00) = dH0."""
+    back = [_shifted(e.as_poly(), +1) for e in row]
+    return Decomposition(H, "one", target, back, u=dec0.u, v=dec0.v).verify()
 
 
 @pytest.mark.parametrize("text", ["x2^2/2 + x1^3 - x1", RANDOM1, "x1^4+x2^4+x1*x2-x1"])
 def test_system_is_the_translated_system_of_h0(text):
     """P* = P0(t - l00) + l00 I and Q^s = Q0^s(t - l00), for P0, eta and Q0^s
     recomputed here by dividing with H0; the translation t + l00 breaks the
-    division identities of H."""
+    division identities of H0 + l00."""
     H0 = parse_poly(text, X)
-    H = Hamiltonian.from_x_poly(H0)
+    H = Hamiltonian(H0)
     system = derive_pfaffian(H, s_list=S_LIST)
     assert system.check_identities()
-    concrete = Hamiltonian(H0)
-    decs = divide_two_form(concrete, [H0 * basis_two_form(a) for a in basis_exponents(H.n)])
+    decs = divide_two_form(H, [H0 * basis_two_form(a) for a in basis_exponents(H.n)])
     l00 = RatFunc(MultiPoly.var("l00"))
     for a, dec in enumerate(decs):
-        assert [RatFunc(e.num) for e in dec.eta] == list(system.etas[a])
+        assert [RatFunc(e) for e in dec.eta] == list(system.etas[a])
         for b, p in enumerate(dec.p):
             assert system.Pstar.data[a][b] == _shifted(p, -1) + (l00 if a == b else 0)
     mutant_breaks = False
     for s in S_LIST:
         xs = MultiPoly(XVARS, {s: Fraction(1)})
-        targets = [[RatFunc(e.num * xs) for e in dec.eta] for dec in decs]
-        decs0 = divide_one_form(concrete, [p for p, _ in targets], [q for _, q in targets])
+        targets = [[e * xs for e in dec.eta] for dec in decs]
+        decs0 = divide_one_form(H, [p for p, _ in targets], [q for _, q in targets])
         for a, dec0 in enumerate(decs0):
             row = system.Q[s].data[a]
             assert row == [_shifted(p, -1) for p in dec0.p]
             assert _one_form_identity_holds(H, targets[a], row, dec0)
-            mutant = [_shifted(p, +1) for p in dec0.p]
+            mutant = [RatFunc(_shifted(p, +1)) for p in dec0.p]
             mutant_breaks |= not _one_form_identity_holds(H, targets[a], mutant, dec0)
     assert mutant_breaks
+
+
+def test_a_broken_identity_is_caught(elliptic):
+    """`check_identities` reads the stored P*: one entry moved by l00 (a
+    factor that the translation back does not remove), or one eta
+    component changed, fails it."""
+    sys = elliptic.system
+    l00 = RatFunc(MultiPoly.var("l00"))
+    Pstar = FieldMatrix([[e + l00 if (a, b) == (0, 1) else e for b, e in enumerate(row)]
+                         for a, row in enumerate(sys.Pstar.data)])
+    assert not PfaffianSystem(sys.H, Pstar, sys.etas, sys.Q).check_identities()
+    etas = [(e1, e2 + 1) if a == 1 else (e1, e2) for a, (e1, e2) in enumerate(sys.etas)]
+    assert not PfaffianSystem(sys.H, sys.Pstar, etas, sys.Q).check_identities()
 
 
 @pytest.mark.parametrize("text", ["x1^2/2 + x2^2/2", "x2^2/2 + x1^3 - x1", RANDOM1,
@@ -228,7 +241,7 @@ def test_system_is_the_translated_system_of_h0(text):
 def test_derivation_takes_no_bareiss_step(text, monkeypatch):
     """Every division of the derivation runs on the concrete H0, so its
     matrices are constant and take the reduced row echelon form."""
-    H = Hamiltonian.from_x_poly(parse_poly(text, X))
+    H = Hamiltonian(parse_poly(text, X))
     steps = []
     step = linalg._bareiss_step
     monkeypatch.setattr(linalg, "_bareiss_step", lambda *a: steps.append(1) or step(*a))
@@ -244,10 +257,18 @@ def test_derivation_takes_no_bareiss_step(text, monkeypatch):
     ("x1^3 + x2^2", ()),
 ])
 def test_only_a_symbolic_free_term_is_accepted(text, lvars):
-    H = Hamiltonian(parse_poly(text, X + lvars), lvars)
-    with pytest.raises(UnsupportedInput, match="from_x_poly") as exc:
-        derive_pfaffian(H)
-    assert exc.value.exit_code == 2
+    """A Hamiltonian is concrete: one that uses a variable other than x1,
+    x2 exits 2.  The free term l00 is the derivation's own, the one
+    symbolic coefficient of the system it derives from a concrete H0."""
+    poly = parse_poly(text, X + lvars)
+    if lvars:
+        with pytest.raises(UnsupportedInput, match="other than x1, x2") as exc:
+            Hamiltonian(poly)
+        assert exc.value.exit_code == 2
+        return
+    system = derive_pfaffian(Hamiltonian(poly))
+    assert {v for e in system.Pstar.flatten() for v in e.num.effective_vars()} <= \
+        {"l00", "t"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -255,7 +276,7 @@ def test_homogeneous_system_is_diagonal(n):
     """For a homogeneous H0 of degree n + 1 with a regular basis, the
     integral of x^a over {H0 <= t} is c t^((|a| + 2)/(n + 1)), so
     A(t) = diag((|a| + 2)/(n + 1)) / t exactly."""
-    H = Hamiltonian.from_x_poly(parse_poly(f"x1^{n + 1} + x2^{n + 1}", X))
+    H = Hamiltonian(parse_poly(f"x1^{n + 1} + x2^{n + 1}", X))
     A = restrict_to_pencil(derive_pfaffian(H), free_term_value=0).A
     t = RatFunc(MultiPoly.var("t"))
     assert A.data == [[Fraction(sum(a) + 2, n + 1) / t if i == j else 0 for j in range(H.ell)]
@@ -287,7 +308,7 @@ def test_restriction_solves_over_integer_polynomials(text, gaussian, monkeypatch
     """Each row of [P*(0) | Q^(0,0)(0)] reaches the solve over Z[t], or over
     Z[i][t] for a Gaussian H, as polynomials in t alone; A's entries still
     carry (t, x1, x2)."""
-    H = Hamiltonian.from_x_poly(parse_poly(text, X))
+    H = Hamiltonian(parse_poly(text, X))
     system = derive_pfaffian(H)
     seen = _recorded_solves(monkeypatch)
     ode = restrict_to_pencil(system, free_term_value=Fraction(1, 2))
@@ -305,7 +326,7 @@ def test_elliptic_derivation_splits_each_form_once(monkeypatch):
     one-form division its 8 target components, h1, h2 and H^0.  Every
     column is one of these splits shifted, so no product per unknown is
     split."""
-    H = Hamiltonian.from_x_poly(parse_poly("x2^2/2 + x1^3 - x1", X))
+    H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1", X))
     calls = []
     split = MultiPoly.coeff_split
     monkeypatch.setattr(MultiPoly, "coeff_split",
@@ -315,29 +336,30 @@ def test_elliptic_derivation_splits_each_form_once(monkeypatch):
     assert system.check_identities()
 
 
-def test_rational_entries_take_the_cleared_rows(elliptic, monkeypatch):
-    """A hand-built system whose first row of [P* | Q^(0,0)] is divided by
-    l00 + 7, a factor that is nonzero on the pencil l00 = -t and so leaves A
-    as it is: that row is substituted as rational functions and cleared,
-    the others go straight to Z[t], and A is the elliptic A, stored terms
-    included."""
+def test_rational_entries_are_refused(elliptic, monkeypatch):
+    """Every entry that `derive_pfaffian` makes is a polynomial.  A
+    hand-built system whose first row of [P* | Q^(0,0)] is divided by
+    l00 + 7 is refused before any solve (exit 2), as is one whose Q^(0,0)
+    keeps a symbolic coefficient other than l00; the elliptic system
+    itself restricts to its A, stored terms included."""
     sys = elliptic.system
     r = RatFunc(MultiPoly.const(1), MultiPoly.var("l00") + 7)
 
-    def first_row_divided(M):
-        return FieldMatrix([[e * r for e in row] if a == 0 else row
+    def first_row_times(M, f):
+        return FieldMatrix([[e * f for e in row] if a == 0 else row
                             for a, row in enumerate(M.data)])
 
-    hand = PfaffianSystem(sys.H, first_row_divided(sys.Pstar), sys.etas,
-                          {(0, 0): first_row_divided(sys.Q[(0, 0)])}, sys.free_var)
-    assert not hand.Pstar.data[0][0].den.is_constant()
-    cleared = []
-    clear = picard_fuchs.clear_rows
-    monkeypatch.setattr(picard_fuchs, "clear_rows",
-                        lambda rows: cleared.append(len(rows)) or clear(rows))
     seen = _recorded_solves(monkeypatch)
-    ode = restrict_to_pencil(hand, free_term_value=0)
-    assert cleared == [1]
-    assert all(p.vars == ("t",) for row in seen[0] for p in row)
+    for f in (r, RatFunc(MultiPoly.var("a"))):
+        hand = PfaffianSystem(sys.H, sys.Pstar, sys.etas,
+                              {(0, 0): first_row_times(sys.Q[(0, 0)], f)})
+        with pytest.raises(UnsupportedInput) as exc:
+            restrict_to_pencil(hand, free_term_value=0)
+        assert exc.value.exit_code == 2
+    hand = PfaffianSystem(sys.H, first_row_times(sys.Pstar, r), sys.etas, sys.Q)
+    with pytest.raises(UnsupportedInput, match="polynomials"):
+        restrict_to_pencil(hand, free_term_value=0)
+    assert not seen
+    ode = restrict_to_pencil(sys, free_term_value=0)
     assert _fingerprints(ode.A) == _fingerprints(elliptic.ode.A)
     assert ode.singular_poly == elliptic.ode.singular_poly

@@ -68,7 +68,7 @@ def _validate(instance, schema):
 
 
 def _system(text):
-    return derive_pfaffian(Hamiltonian.from_x_poly(parse_poly(text, ("x1", "x2"))))
+    return derive_pfaffian(Hamiltonian(parse_poly(text, ("x1", "x2"))))
 
 
 def test_every_schema_is_valid_and_registered():

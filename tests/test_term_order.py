@@ -71,7 +71,7 @@ def _hash(obj):
 
 @pytest.mark.parametrize("text", list(GOLDEN))
 def test_derived_term_order_is_unchanged(text):
-    H = Hamiltonian.from_x_poly(parse_poly(text, ("x1", "x2")))
+    H = Hamiltonian(parse_poly(text, ("x1", "x2")))
     system = derive_pfaffian(H)
     ode = restrict_to_pencil(system, free_term_value=0)
     D = reduce_to_scalar(ode)
@@ -167,7 +167,7 @@ def test_eval_ignores_term_storage():
     `eval` floats and the same scalar operator, stored terms included:
     `eval` reads dense coefficients and the reduction ends in
     `standard_form`."""
-    H = Hamiltonian.from_x_poly(parse_poly(RANDOM1, ("x1", "x2")))
+    H = Hamiltonian(parse_poly(RANDOM1, ("x1", "x2")))
     ode = restrict_to_pencil(derive_pfaffian(H), free_term_value=0)
     A = FieldMatrix([[RatFunc(_reversed_storage(e.num), _reversed_storage(e.den),
                               canonical=True) for e in row] for row in ode.A.data])
