@@ -9,16 +9,24 @@ the solution, so the argument stays continuous by construction.
 
 The integrator is the Dormand-Prince 8(5,3) of `dop853`, which takes the
 steps `solve_ivp(method="DOP853")` takes; oval quadrature runs on it too.
-It steps Python complex scalars, and the right-hand side is generated once
-per state shape with every sum written out, because numpy's per-call cost
-dominates on states of a few entries; states of more than UNROLL scalars
-step as numpy arrays.  A(t) comes as rows of Python complex from the
-kernels that `LinearODESystem.eval` and `DiffOperator.companion_rhs`
-generate once per system or operator, so the scalar right-hand side makes
-no numpy call.  numpy is imported inside the functions that call it (the
-states of continuation, monodromy and eigenvalues), not with the module:
-the argument variation of an explicit function samples at s = k / 32 and
-never loads it.
+It steps Python complex scalars, because numpy's per-call cost dominates on
+states of a few entries; states of more than UNROLL scalars step as numpy
+arrays.  The derivative dY = dz A(z) Y, with the tracked Im(dw / w), is
+written into the generated step as source lines (`_derivative`), with the
+point and velocity of an Arc or a Segment written out, so a stage makes no
+call but the one of A: the step builds stage sums only for the components
+that the derivative reads, and leaves out every product by an entry that
+is exactly 0 in the exact source (a zero entry of a system's A, a
+structural zero of a companion matrix or one from a zero coefficient, a
+zero entry of the tracked combination).  Such a product can change a sum
+only in the sign of a zero.  The same lines give the standalone
+right-hand side for the first evaluation and the initial step.  A(t) comes
+as rows of Python complex from the kernels that `LinearODESystem.eval` and
+`DiffOperator.companion_rhs` generate once per system or operator, read
+once per stage, so the scalar step makes no numpy call.  numpy is imported
+inside the functions that call it (the states of continuation, monodromy
+and eigenvalues), not with the module: the argument variation of an
+explicit function samples at s = k / 32 and never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
                      PathTooClose, ToleranceNotMet, UnsupportedInput,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
-from .polynomials import _generate, _sum
+from .polynomials import _sum
 from .qi import GaussianRational
 from .slits import Arc, Circle, Segment, SlitSystem, _dist_to_set, regions
 
@@ -114,9 +122,24 @@ def _as_source(obj):
     raise UnsupportedInput(f"cannot continue solutions of {type(obj).__name__}")
 
 
-def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
+def _zeros(obj):
+    """Per entry of the matrix A(t) of obj, whether the exact source makes
+    it 0: the structural zeros of a companion matrix and the entries of the
+    operator's zero coefficients, or the zero entries of a system's exact
+    A; None, for no zero, when obj has no exact source."""
+    if isinstance(obj, DiffOperator):
+        k = obj.order
+        return tuple(tuple(j != i + 1 for j in range(k)) for i in range(k - 1)) + (
+            tuple(obj.coeffs[k - j].is_zero() for j in range(k)),)
+    if hasattr(obj, "A"):
+        return tuple(tuple(e.num.is_zero() for e in row) for row in obj.A.data)
+    return None
+
+
+def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0, zeros=None):
     """Continue Y (matrix columns) along one piece; with combo, also track
-    arg(w) for w = combo . Y[:, 0] (Y is then a matrix)."""
+    arg(w) for w = combo . Y[:, 0] (Y is then a matrix).  zeros marks the
+    entries of A that are exactly 0 (see `_zeros`)."""
     import numpy as np
     dist = _dist_to_set(piece, sing)
     # every point of the piece lies within its length of its start
@@ -129,7 +152,10 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
     n = len(Y0)
     tracked = combo is not None
     state = Y0.T.ravel()    # column by column
-    args = (A, piece.at_velocity)
+    scalars = len(state) + tracked <= UNROLL
+    kind = type(piece) if scalars and type(piece) in _POINT else None
+    args = (A, *(_point_values(piece) if kind else (piece.at_velocity,)))
+    zero_combo = None
     if tracked:
         combo = [complex(c) for c in combo]
         if sum(c * y for c, y in zip(combo, state)) == 0:
@@ -137,12 +163,14 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0):
         state = np.append(state, phi0)
         low = [math.inf]    # the smallest |w| at any evaluation
         args += (combo, low)
-    if len(state) <= UNROLL:
-        state = state.tolist()
-        make = _scalar_rhs(n, Y0.size // n, tracked)
+        zero_combo = tuple(c == 0 for c in combo)
+    if scalars:
+        shape = (n, Y0.size // n, tracked, kind, zeros, zero_combo)
+        step = dop853.step_function(len(state), _derivative(*shape))(*args)
+        final = dop853.solve(_scalar_rhs(*shape)(*args), state.tolist(), max_step,
+                             RTOL, ATOL, step=step)
     else:
-        make = _array_rhs(n, tracked)
-    final = dop853.solve(make(*args), state, max_step, RTOL, ATOL)
+        final = dop853.solve(_array_rhs(n, tracked)(*args), state, max_step, RTOL, ATOL)
     if not tracked:
         return _from_columns(final, Y0.shape), None
     Yf = _from_columns(final[:-1], Y0.shape)
@@ -158,39 +186,75 @@ def _from_columns(state, shape):
     return np.array(state).reshape(shape[::-1]).T
 
 
-@lru_cache(maxsize=None)
-def _scalar_rhs(n, m, tracked):
-    """make(A, at_velocity[, combo, low]) -> the right-hand side s, y -> dy/ds
-    of dY/dt = A(t) Y along a piece, for the n x m matrix Y stored column by
-    column in the list y: dY = dz * (A(z) Y) on Python complex scalars, with
-    A(z) unpacked from the rows it returns.  Tracked, y ends with arg w for
-    w = combo . Y[:, 0], whose derivative is Im(dw / w) (0 where w = 0), and
-    low[0] keeps the smallest |w| seen.  Every product is written out, so
-    the source has n * n * m terms."""
-    rows = ", ".join("(" + "".join(f"a{i}_{k}, " for k in range(n)) + ")" for i in range(n))
-    ys = "".join(f"y{k}_{j}, " for j in range(m) for k in range(n))
-    lines = ["z, dz = at_velocity(s)", f"{rows}, = A(z)",
-             f"{ys}{'_, ' if tracked else ''}= y"]
-    lines += [f"d{i}_{j} = dz * ({_sum(f'a{i}_{k} * y{k}_{j}' for k in range(n))})"
-              for j in range(m) for i in range(n)]
-    out = [f"d{i}_{j}" for j in range(m) for i in range(n)]
-    head = "def make(A, at_velocity):"
+# the source of the point z and the velocity dz at s on a piece, written
+# out with the floats of its `at_velocity`, as (parameters, lines) per
+# piece type; None calls at_velocity
+_POINT = {
+    None: (("at_velocity",), ("z, dz = at_velocity(s)",)),
+    Segment: (("z0", "dz"), ("z = z0 + s * dz",)),
+    Arc: (("exp", "center", "radius", "phase", "sweep", "v"),
+          ("e = exp(1j * (phase + s * sweep))", "z = center + radius * e", "dz = v * e")),
+}
+
+
+def _point_values(piece):
+    """The values of the parameters of `_POINT[type(piece)]`."""
+    if isinstance(piece, Segment):
+        return piece.z0, piece.z1 - piece.z0
+    sweep = piece.a1 - piece.a0
+    return cmath.exp, piece.center, piece.radius, piece.a0, sweep, piece.radius * sweep * 1j
+
+
+@lru_cache(maxsize=256)
+def _derivative(n, m, tracked, kind=None, zeros=None, zero_combo=None):
+    """The dop853.Derivative of dY/dt = A(t) Y along a piece, for the n x m
+    matrix Y stored column by column in the state: dY = dz * (A(z) Y) on
+    Python complex scalars, with z and dz those of `_POINT[kind]` and A(z)
+    unpacked from the rows it returns.  Its parameters are A, those of the
+    point and, tracked, combo and low: the state then ends with arg w for
+    w = combo . Y[:, 0], whose derivative is Im(dw / w) (0 where w = 0),
+    and low[0] keeps the smallest |w| seen.  Every product is written out
+    but those with an entry of A that `zeros` marks or an entry of combo
+    that `zero_combo` marks, which are exactly 0; a row of A with no entry
+    left gives 0j."""
+    nonzero = [[not (zeros and zeros[i][k]) for k in range(n)] for i in range(n)]
+    point_params, lines = _POINT[kind]
+    rows = ", ".join("(" + "".join(f"a{i}_{k}, " if nonzero[i][k] else "_, " for k in range(n))
+                     + ")" for i in range(n))
+    lines = [*lines, f"{rows}, = A(z)"]
+    for j in range(m):
+        for i in range(n):
+            terms = [f"a{i}_{k} * u_{j * n + k}" for k in range(n) if nonzero[i][k]]
+            lines.append(f"{{k}}{j * n + i} = "
+                         + (f"dz * ({_sum(terms)})" if terms else "0j"))
+    reads = {j * n + k for j in range(m) for k in range(n)
+             if any(nonzero[i][k] for i in range(n))}
+    params, setup = ("A", *point_params), ()
     if tracked:
-        head = "def make(A, at_velocity, combo, low):\n    " + "".join(
-            f"c{k}, " for k in range(n)) + "= combo"
-        lines += [f"w = {_sum(f'c{k} * y{k}_0' for k in range(n))}",
+        live = [k for k in range(n) if not (zero_combo and zero_combo[k])]
+        reads.update(live)
+        params += ("combo", "low")
+        setup = ("".join(f"q{k}, " for k in range(n)) + "= combo",)
+        lines += [f"w = {_sum(f'q{k} * u_{k}' for k in live)}",
                   "aw = abs(w)",
                   "if aw < low[0]:",
                   "    low[0] = aw",
-                  f"dw = {_sum(f'c{k} * d{k}_0' for k in range(n))}"]
-        out.append("(dw / w).imag if aw > 0 else 0.0")
-    lines.append(f"return [{', '.join(out)}]")
-    return _generate(head, "rhs", "s, y", lines)
+                  f"dw = {_sum(f'q{k} * {{k}}{k}' for k in live)}",
+                  f"{{k}}{n * m} = (dw / w).imag if aw > 0 else 0.0"]
+    return dop853.Derivative(params, setup, tuple(sorted(reads)), tuple(lines))
+
+
+def _scalar_rhs(n, m, tracked, kind=None, zeros=None, zero_combo=None):
+    """make(*parameters of `_derivative`) -> the right-hand side s, y ->
+    dy/ds of `_derivative(n, m, tracked, kind, zeros, zero_combo)` on a
+    list y, for the evaluations outside the step."""
+    return dop853.rhs_function(n * m + tracked, _derivative(n, m, tracked, kind, zeros, zero_combo))
 
 
 def _array_rhs(n, tracked):
     """What _scalar_rhs(n, m, tracked) makes, for any m, on numpy arrays y,
-    whose per-call cost a large state pays back."""
+    whose per-call cost a large state pays back: make(A, at_velocity[,
+    combo, low])."""
     def make(A, at_velocity, combo=None, low=None):
         import numpy as np
         c = np.array(combo) if tracked else None
@@ -215,9 +279,10 @@ def _continue(obj, path: ContourPath, Y, combo=None):
     """(Y, phi): Y continued along every piece of the path and, when combo is
     given, the variation phi of arg(combo . Y[:, 0]) along it (else None)."""
     A, sing, _ = _as_source(obj)
+    zeros = _zeros(obj)
     phi = 0.0
     for piece in path.pieces:
-        Y, phi = _integrate_piece(A, sing, piece, Y, combo=combo, phi0=phi)
+        Y, phi = _integrate_piece(A, sing, piece, Y, combo=combo, phi0=phi, zeros=zeros)
     return Y, phi
 
 

@@ -10,13 +10,22 @@ complex), through a function generated once per state length with every
 sum written out, because numpy's per-call cost dominates on states of a few
 entries; `None` for the length takes the step on numpy arrays instead, and
 only that step imports numpy, so the scalar steps run without it.
+
+A caller may hand the right-hand side in as source lines, a `Derivative`:
+the generated step then writes the derivative into every stage instead of
+calling a function per stage, builds stage sums only for the components
+that the derivative reads, and `rhs_function` makes the standalone
+right-hand side, for the first evaluation and the initial step, from the
+same lines.  Continuation writes in dY = dz A(z) Y with the products by
+the exact zeros of A left out, oval quadrature the call of its rates.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import NumericOverflow, ToleranceNotMet
 from .polynomials import _generate, _sum
@@ -66,15 +75,41 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 
 
-@lru_cache(maxsize=None)
-def step_function(n):
+class Derivative(NamedTuple):
+    """The right-hand side F(s, y) of dy/ds = F(s, y) as source lines, which
+    `step_function` writes into each stage and `rhs_function` into a
+    function of (s, y).  The lines read the time s, the components u_i for
+    i in `reads` and the names in `params`, whose values are bound once per
+    use, after the `setup` lines have run on them; they write component i of
+    F to the name `{k}i`, for every i, with k a format field.  Names of
+    their own must differ from the step's: t, h, s, y, f, fun, rtol, atol,
+    y_i, u_i, k*_i, g_i, a, b, sc, e5, e3, n5, n3, y_new, f_new, sqrt,
+    maximum and c0, c1, ..."""
+    params: tuple
+    setup: tuple
+    reads: tuple
+    lines: tuple
+
+
+def _make_head(names, setup):
+    """The header of `make(names)` with the setup lines of its body."""
+    return f"def make({', '.join(names)}):" + "".join(f"\n    {line}" for line in setup)
+
+
+@lru_cache(maxsize=256)
+def step_function(n, rhs=None):
     """step(fun, t, h, y, f, rtol, atol) -> (y_new, f_new, err): one
     Dormand-Prince 8(5,3) step, as scipy's `rk_step` and
     `DOP853._estimate_error_norm` take it, on a list y of n Python scalars,
     with f = fun(t, y), f_new = fun(t + h, y_new) and err the error norm.
     Every stage sum is written out, without the tableau's zeros, with the
     tableau as closure constants, and so is every component; n = None
-    takes the step on numpy arrays instead."""
+    takes the step on numpy arrays instead.
+
+    With a Derivative rhs, each stage computes fun from rhs.lines written
+    into the step instead of calling fun, which the step then does not
+    read, and builds stage sums only for the components in rhs.reads;
+    step_function(n, rhs) is then bind(*values of rhs.params) -> step."""
     consts = {}     # value -> its name in the source
 
     def const(c):
@@ -91,13 +126,28 @@ def step_function(n):
     def unpack(name):
         return f"{name}_ " if n is None else "".join(f"{name}_{i}, " for i in range(n))
 
+    def derivative(time, k):
+        """The lines of rhs at the time source, writing to names k + i."""
+        return [f"s = {time}", *(line.format(k=k) for line in rhs.lines)]
+
     lines = [f"{unpack('y')}= y", f"{unpack('k0')}= f"]
     for s in range(1, len(C)):
-        arg = vector(lambda i: f"y_{i} + ({comb(A[s], i)}) * h")
-        lines.append(f"{unpack(f'k{s}')}= fun(t + {const(C[s])} * h, {arg})")
-    lines += [f"y_new = {vector(lambda i: f'y_{i} + h * ({comb(B, i)})')}",
-              "f_new = fun(t + h, y_new)",
-              f"{unpack('u')}= y_new"]
+        time = f"t + {const(C[s])} * h"
+        if rhs is None:
+            arg = vector(lambda i: f"y_{i} + ({comb(A[s], i)}) * h")
+            lines.append(f"{unpack(f'k{s}')}= fun({time}, {arg})")
+        else:
+            lines += [f"u_{i} = y_{i} + ({comb(A[s], i)}) * h" for i in rhs.reads]
+            lines += derivative(time, f"k{s}_")
+    if rhs is None:
+        lines += [f"y_new = {vector(lambda i: f'y_{i} + h * ({comb(B, i)})')}",
+                  "f_new = fun(t + h, y_new)",
+                  f"{unpack('u')}= y_new"]
+    else:
+        lines += [f"u_{i} = y_{i} + h * ({comb(B, i)})" for i in range(n)]
+        lines += derivative("t + h", "g_")
+        lines += [f"y_new = [{', '.join(f'u_{i}' for i in range(n))}]",
+                  f"f_new = [{', '.join(f'g_{i}' for i in range(n))}]"]
     if n is None:
         lines += ["sc = atol + maximum(abs(y_), abs(u_)) * rtol",
                   f"e5 = ({comb(E5, '')}) / sc",
@@ -116,12 +166,25 @@ def step_function(n):
     lines += ["if n5 == 0 and n3 == 0:",
               "    return y_new, f_new, 0.0",
               "return y_new, f_new, h * n5 / sqrt((n5 + 0.01 * n3) * len(y))"]
-    head = f"def make(sqrt, maximum, {', '.join(consts.values())}):"
-    make = _generate(head, "step", "fun, t, h, y, f, rtol, atol", lines)
+    params, setup = (rhs.params, rhs.setup) if rhs else ((), ())
+    make = _generate(_make_head(["sqrt", "maximum", *consts.values(), *params], setup),
+                     "step", "fun, t, h, y, f, rtol, atol", lines)
     maximum = None
     if n is None:   # only the array step calls numpy
         from numpy import maximum
-    return make(math.sqrt, maximum, *consts)
+    bound = partial(make, math.sqrt, maximum, *consts)
+    return bound if rhs else bound()
+
+
+@lru_cache(maxsize=256)
+def rhs_function(n, rhs):
+    """bind(*values of rhs.params) -> fun(s, y): the right-hand side of the
+    Derivative rhs on a list y of n Python scalars, from the lines that
+    `step_function(n, rhs)` writes into its stages."""
+    unpack = "".join(f"u_{i}, " if i in rhs.reads else "_, " for i in range(n))
+    lines = [f"{unpack}= y", *(line.format(k="k_") for line in rhs.lines),
+             f"return [{', '.join(f'k_{i}' for i in range(n))}]"]
+    return _generate(_make_head(rhs.params, rhs.setup), "rhs", "s, y", lines)
 
 
 def _rms(xs, scale):
@@ -145,7 +208,7 @@ def _initial_step(fun, y, f, max_step, rtol, atol, end):
     return min(100 * h0, h1, end, max_step)
 
 
-def solve(fun, y, max_step, rtol, atol, end=1.0, stop=None):
+def solve(fun, y, max_step, rtol, atol, end=1.0, stop=None, step=None):
     """The state at s = end of dy/ds = fun(s, y) from y at s = 0, a list of
     Python scalars or a numpy array, by the steps of
     `scipy.integrate.solve_ivp(fun, (0, end), y, method="DOP853", rtol=rtol,
@@ -153,11 +216,15 @@ def solve(fun, y, max_step, rtol, atol, end=1.0, stop=None):
 
     With `stop`, stop(s, y, f, h, y_new) is called after every accepted
     step from (s, y) with f = fun(s, y) to y_new at s + h; the first value
-    other than None it returns is returned instead.  A non-finite stage
-    makes the error norm non-finite; that, a complex beyond the float range
-    or a non-finite end state raises NumericOverflow, and a step below ten
-    float spacings raises ToleranceNotMet."""
-    step = step_function(len(y) if isinstance(y, list) else None)
+    other than None it returns is returned instead.  `step` replaces the
+    step of `step_function` for the length of y, with the step that
+    `step_function(len(y), rhs)` binds for a Derivative rhs of fun.  A
+    non-finite stage makes the error norm non-finite; that, a complex
+    beyond the float range or a non-finite end state raises
+    NumericOverflow, and a step below ten float spacings raises
+    ToleranceNotMet."""
+    if step is None:
+        step = step_function(len(y) if isinstance(y, list) else None)
     try:
         f = fun(0.0, y)
         h_abs = _initial_step(fun, y, f, max_step, rtol, atol, end)

@@ -8,7 +8,12 @@ normal line at the start within one step of it, once more than two steps
 away, and a secant on that step's length puts the end on the line.  H, its
 gradient, the unit tangent and the integrands are straight-line kernels
 generated once per level curve (`polynomials.straight_line`), with the
-floats of a loop over the terms in stored order.
+floats of a loop over the terms in stored order.  The call of the rates
+kernel is written into the generated `dop853` step, so a stage makes that
+one call, and its stage sums are built for x1 and x2 only, the components
+the rates read; the integrals and the area get none.  Products by exact
+zeros are left out as in every generated step: those of the tableau (the
+rates have none of their own).
 """
 
 from __future__ import annotations
@@ -144,13 +149,18 @@ def critical_values(H: MultiPoly):
 
 
 def _field(curve: LevelCurve, forms):
-    """dy/ds of a pass for y = [x1, x2, integral of g dx2 for g in forms,
-    area]: the unit tangent (a, b) and one kernel of the integrands."""
+    """(field, step): field(s, y) = dy/ds of a pass for y = [x1, x2,
+    integral of g dx2 for g in forms, area], from the unit tangent (a, b)
+    and one kernel of the integrands, `rates`, and the dop853 step with
+    the call of rates written into its stages, which read only x1 and x2."""
     rates = _compile(forms, [
         "a, b = tangent(x1, x2)",
         f"return [a, b, {''.join(f'v{i} * b, ' for i in range(len(forms)))}"
         "0.5 * (x1 * b - x2 * a)]"], {"tangent": curve.tangent})
-    return lambda s, y: rates(y[0], y[1])
+    n = len(forms) + 3
+    rhs = dop853.Derivative(("rates",), (), (0, 1),
+                            ("".join(f"{{k}}{i}, " for i in range(n)) + "= rates(u_0, u_1)",))
+    return dop853.rhs_function(n, rhs)(rates), dop853.step_function(n, rhs)(rates)
 
 
 def _oval(H: MultiPoly, t, seed, forms, rel_tol):
@@ -162,8 +172,7 @@ def _oval(H: MultiPoly, t, seed, forms, rel_tol):
     curve = LevelCurve(H)
     x0, y0 = curve.project(seed, t)
     a0, b0 = curve.tangent(x0, y0)
-    field = _field(curve, forms)
-    step = dop853.step_function(len(forms) + 3)
+    field, step = _field(curve, forms)
 
     def past(y):
         """How far the point of y lies past the normal line at the start."""
@@ -193,7 +202,7 @@ def _oval(H: MultiPoly, t, seed, forms, rel_tol):
         rtol = max(rtol, RTOL_FLOOR)
         started, drift = False, 0.0
         state, length = dop853.solve(field, [x0, y0] + [0.0] * (len(forms) + 1), math.inf,
-                                     rtol, rtol, math.inf, close)
+                                     rtol, rtol, math.inf, close, step)
         area = state[-1]
         vals = [v if area > 0 else -v for v in state[2:-1]]
         cur = vals or [length, abs(area)]

@@ -48,7 +48,7 @@ from .linalg import check_dense, solve_dense
 from .polynomials import (ExactQuotientFailed, MultiPoly, dense_exquo, dense_gcd, dense_mul,
                           dup_add, dup_diff, dup_mul_ground, dup_neg, dup_pow, dup_primitive,
                           dup_sub, float_overflow, from_dense, integer_parts, primitive_parts,
-                          straight_line, to_dense)
+                          straight_line, to_dense, unit_scale)
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -261,13 +261,33 @@ def _strip(u, polys, K, limit=math.inf):
 
 
 def affine_slope(D: DiffOperator):
-    """max_j ||p_j|| / ||p0||; exact Fraction for rational operators."""
-    n0 = D.coeffs[0].l1_norm()
+    """max_j ||p_j|| / ||p0||; exact Fraction for rational operators.  When
+    a norm leaves the float range, which the float sums of Q(i) norms can,
+    the norms are taken again of the coefficients all scaled by one power
+    of two, `unit_scale` of their coefficients, which leaves every ratio as
+    it is."""
+    try:
+        return _slope(D.coeffs)
+    except NumericOverflow:
+        scale = unit_scale([c for p in D.coeffs for c in p.terms.values()])
+        return _slope([p * scale for p in D.coeffs])
+
+
+def _slope(coeffs):
+    """max_j ||p_j|| / ||p0|| for coeffs [p0, p1, ...]; NumericOverflow when
+    a norm or the slope leaves the float range, or the slope rounds to 0
+    while some p_j is not 0."""
+    n0 = coeffs[0].l1_norm()
     best = Fraction(0)
-    for c in D.coeffs[1:]:
-        v = c.l1_norm() / n0
-        if v > best:
-            best = v
+    try:
+        for c in coeffs[1:]:
+            v = c.l1_norm() / n0
+            if v > best:
+                best = v
+    except (ZeroDivisionError, OverflowError):
+        best = math.inf
+    if best == math.inf or not best and any(not c.is_zero() for c in coeffs[1:]):
+        raise NumericOverflow("the affine slope is beyond the float range")
     return best
 
 

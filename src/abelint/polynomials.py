@@ -140,6 +140,13 @@ def _log2_abs(c):
                for q in map(Fraction, parts) if q)
 
 
+def unit_scale(coeffs):
+    """The power of two 2^-k, with k within 2 of log2 of the largest |c| for
+    c in coeffs (Fractions or GaussianRationals, not all 0), that brings the
+    largest near 1."""
+    return Fraction(2) ** -max(_log2_abs(c) for c in coeffs if c)
+
+
 def float_overflow(exc):
     """The NumericOverflow for an OverflowError of a polynomial evaluation."""
     return NumericOverflow(f"polynomial evaluation exceeds the float range: {exc}")
@@ -506,14 +513,10 @@ class MultiPoly:
         return self.shrink().vars
 
     def univar_coeffs(self, name):
-        """Dense coefficient list [c0, c1, ...] of a univariate polynomial."""
-        p = self.shrink()
-        if p.vars not in ((), (name,)):
-            raise UnsupportedInput(f"polynomial is not univariate in {name}: vars {p.vars}")
-        if p.vars == ():
-            return [p.constant_value()]
-        domain = p.poly.ring.domain
-        return [_coef_out(c, domain) for c in reversed(p.poly.to_dense())]
+        """Dense coefficient list [c0, c1, ...] of a polynomial in name alone
+        or a constant, read in its own ring; [0] for zero."""
+        domain = self.poly.ring.domain
+        return [_coef_out(c, domain) for c in reversed(_dense(self, name, domain))] or [Fraction(0)]
 
     def univar_roots(self, name):
         """np.roots of a univariate polynomial in `name`; empty for a constant.
@@ -530,7 +533,7 @@ class MultiPoly:
         except OverflowError:
             in_range = False
         if not in_range:
-            scale = Fraction(2) ** -max(_log2_abs(c) for c in cs if c)
+            scale = unit_scale(cs)
             fs = [_complex(c * scale) for c in cs]
             if not fs[-1]:
                 raise NumericOverflow(
@@ -706,7 +709,8 @@ def _dense(p, var, K):
     for m, c in f.items():
         e = m[i] if i is not None else 0
         if sum(m) != e:
-            raise UnsupportedInput(f"polynomial is not univariate in {var}: vars {p.vars}")
+            raise UnsupportedInput(
+                f"polynomial is not univariate in {var}: vars {p.effective_vars()}")
         coeffs[e] = c if src is K else K.convert_from(c, src)
     n = max(coeffs)
     out = [K.zero] * (n + 1)

@@ -56,13 +56,26 @@ class Segment:
         return self.z0 + s * d, d
 
     def dist_to_point(self, p: complex) -> float:
-        d = self.z1 - self.z0
+        return self.dist_to_set((p,))
+
+    def dist_to_set(self, points) -> float:
+        """Exact distance to the nearest of points (a sequence or an array),
+        inf for none: per point, the distance to its projection on the line
+        of the segment, clamped to the segment's ends."""
+        z0 = self.z0
+        d = self.z1 - z0
         L2 = abs(d) ** 2
         if L2 == 0:
-            return abs(p - self.z0)
-        s = ((p - self.z0).real * d.real + (p - self.z0).imag * d.imag) / L2
-        s = min(1.0, max(0.0, s))
-        return abs(p - (self.z0 + s * d))
+            return min([abs(complex(p) - z0) for p in points], default=math.inf)
+        dr, di = d.real, d.imag
+        out = []
+        for p in points:
+            p = complex(p)
+            v = p - z0
+            s = (v.real * dr + v.imag * di) / L2
+            s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+            out.append(abs(p - (z0 + s * d)))
+        return min(out, default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,8 @@ class Arc:
 def _dist_to_set(piece, points):
     """Exact distance from piece to the nearest of points (a sequence or an
     array), inf for none."""
+    if isinstance(piece, Segment):
+        return piece.dist_to_set(points)
     return min((piece.dist_to_point(complex(p)) for p in points), default=float("inf"))
 
 
@@ -267,9 +282,9 @@ def regions(system: SlitSystem):
             raise UnsupportedInput(f"segment {si} does not join boundary circles of its region")
         region_segs[host].append(seg)
         seg_edges[host].append((e0, e1))
-        for p in pts:
-            if seg.dist_to_point(p) <= tol:
-                raise UnsupportedInput(f"point {p} lies on segment {si}")
+        if seg.dist_to_set(pts) <= tol:
+            p = next(p for p in pts if seg.dist_to_point(p) <= tol)
+            raise UnsupportedInput(f"point {p} lies on segment {si}")
 
     out = []
 

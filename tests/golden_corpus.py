@@ -72,8 +72,9 @@ NESTED = ("1/5*i", "0.5", "0", "2")
 EULER = ["t*D - 1/2", "t^2*D^2 + t*D - 1/4", "2*t*D^2 + D + (1 + i)*t"]
 
 # (operator, annulus) for `bound`: small operators whose bound stays in the
-# float range (exit 0), real and Gaussian of orders 1-3, and one Gaussian
-# order-3 case that ends in exit 3 after its symmetrization
+# float range (exit 0), real and Gaussian of orders 1-3; the last, a
+# Gaussian order-3 case, needs the scaled norms of `affine_slope` after its
+# symmetrization
 BOUNDS = [("D + t", ON_AXIS), ("D + t", OFF_AXIS), ("D + t", NESTED),
           ("D - i*t + 1/2", ON_AXIS), ("D - i*t + 1/2", OFF_AXIS),
           ("t*D - 1/2", ON_AXIS),

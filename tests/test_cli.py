@@ -391,6 +391,22 @@ def test_bound_huge_leading_coefficient(capsys):
         assert out == "" and "float range" in err
 
 
+@pytest.mark.parametrize("operator, center", [
+    ("D^3 + i/4*D + 1/8", "1/2+1/2*i"),
+    ("D^2 + i*t*D + 1", "0"),
+])
+def test_bound_gaussian_operator(capsys, operator, center):
+    """The Q(i) norms of the symmetrized operator's chart pullbacks leave
+    the float range here; the slope, a ratio of norms, does not."""
+    code, out, err = run(capsys, "bound", "--operator", operator,
+                         "--inner-center", center, "--inner-radius", "0.5",
+                         "--outer-center", center, "--outer-radius", "1.5")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["quasiunipotent"]
+    assert data["bound"] == (2 * data["order"] + 1) * (2 * data["B"] + 1) > 0
+
+
 @pytest.mark.parametrize("circles", [
     ("--inner-center", "5", "--inner-radius", "1", "--outer-radius", "2"),
     ("--inner-radius", "2", "--outer-radius", "2"),

@@ -1,9 +1,12 @@
 """Continuation, winding numbers, monodromy, and certified annulus bounds."""
 
 import cmath
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflo
 from abelint.operators import MobiusMap
 from abelint.parsing import parse_operator
 from abelint.qi import GaussianRational
-from abelint.slits import Arc, Circle, build_slits
+from abelint.slits import Arc, Circle, Segment, build_slits
 
 
 def test_continuation_exponential():
@@ -414,3 +417,75 @@ def test_stepper_raises_numeric_overflow(state):
         solve(rhs, state)
     with pytest.raises(NumericOverflow):
         solve(lambda s, y: np.array(rhs(s, y)), np.array(state))
+
+
+def _dense_rhs(A, piece, n, m, combo):
+    """The right-hand side of continuation with every product formed, as a
+    loop: dY = dz * (A(z) Y) for the n x m matrix Y stored column by column
+    in y, then, with combo, Im(dw / w) for w = combo . Y[:, 0]."""
+    def total(terms):
+        return reduce(operator.add, terms)
+
+    def rhs(s, y):
+        z, dz = piece.at_velocity(s)
+        a = A(z)
+        d = [dz * total(a[i][k] * y[j * n + k] for k in range(n))
+             for j in range(m) for i in range(n)]
+        if combo is None:
+            return d
+        w, dw = total(c * v for c, v in zip(combo, y)), total(c * v for c, v in zip(combo, d))
+        return d + [(dw / w).imag if abs(w) > 0 else 0.0]
+    return rhs
+
+
+def _step_hexes(step, fun, t, h, y):
+    """float.hex of every part of y_new and f_new, and of the error norm, of
+    one step from (t, y) with f = fun(t, y)."""
+    y_new, f_new, err = step(fun, t, h, y, fun(t, y), counting.RTOL, counting.ATOL)
+    return [v.hex() for z in y_new + f_new for v in (z.real, z.imag)] + [err.hex()]
+
+
+@pytest.mark.parametrize("text", [
+    "(t - 3)*D + t^2",
+    "D^2 + t + 1",              # a zero coefficient of D
+    "D^3 + t*D + 1",            # a zero coefficient of D^2
+    "D^4 + (t^2 - 1)*D^2 + 1",  # zero coefficients of D^3 and D
+    None,                       # the elliptic A(t), with 8 zero entries
+])
+def test_generated_step_matches_generic_step(elliptic, text):
+    """The continuation step with dY = dz A(z) Y written into its stages and
+    the products by exact zeros of A and of combo left out returns, bit for
+    bit, what the generic step returns with every product formed, on Arc and
+    Segment pieces, with and without the tracked phase; marking one nonzero
+    entry of A or of combo as zero changes the result."""
+    source = elliptic.ode if text is None else parse_operator(text)
+    A, _, n = counting._as_source(source)
+    zeros = counting._zeros(source)
+    if text is None:
+        assert sum(map(sum, zeros)) == 8
+    rng = random.Random(n)
+
+    def cplx():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pieces = [Arc(0j, 0.25, 0.3, 2.5), Segment(0.1 - 0.2j, -0.2 + 0.15j)]
+    nonzero = next((i, k) for i in range(n) for k in range(n) if not zeros[i][k])
+    wrong = tuple(tuple(z or (i, k) == nonzero for k, z in enumerate(row))
+                  for i, row in enumerate(zeros))
+    for piece, m, tracked in itertools.product(pieces, sorted({1, n}), (False, True)):
+        combo = [cplx() if k % 2 == 0 else 0j for k in range(n)] if tracked else None
+        zero_combo = tuple(c == 0 for c in combo) if tracked else None
+        args = (A, *counting._point_values(piece)) + ((combo, [math.inf]) if tracked else ())
+        generic = dop853.step_function(n * m + tracked)
+        fun = _dense_rhs(A, piece, n, m, combo)
+
+        def hexes(zeros, zero_combo):
+            rhs = counting._derivative(n, m, tracked, type(piece), zeros, zero_combo)
+            return _step_hexes(dop853.step_function(n * m + tracked, rhs)(*args), fun, t, h, y)
+        for _ in range(3):
+            y = [cplx() for _ in range(n * m)] + ([complex(rng.uniform(-3, 3))] if tracked else [])
+            t, h = rng.uniform(0, 0.8), rng.uniform(0.01, 0.2)
+            want = _step_hexes(generic, fun, t, h, y)
+            assert hexes(zeros, zero_combo) == want
+            assert hexes(wrong, zero_combo) != want
+            if tracked and n > 2:   # combo keeps a nonzero entry
+                assert hexes(zeros, (True,) + zero_combo[1:]) != want

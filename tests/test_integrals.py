@@ -2,12 +2,13 @@
 
 import math
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from abelint import integrals
+from abelint import dop853, integrals
 from abelint.division import basis_exponents
 from abelint.errors import SeedOffCurve, ToleranceNotMet, UnsupportedInput
 from abelint.integrals import (abelian_integral, count_real_zeros,
@@ -92,13 +93,14 @@ def test_drift_off_the_curve_is_caught(monkeypatch):
     field = integrals._field
 
     def turned(curve, forms):
-        rhs = field(curve, forms)
+        rhs = field(curve, forms)[0]
 
         def turned_rhs(s, y):
             d = rhs(s, y)
             d[0], d[1] = d[0] - 1e-6 * d[1], d[1] + 1e-6 * d[0]
             return d
-        return turned_rhs
+        # the generic step, which calls the turned field at every stage
+        return turned_rhs, dop853.step_function(len(forms) + 3)
     monkeypatch.setattr(integrals, "_field", turned)
     with pytest.raises(ToleranceNotMet, match="drifted"):
         abelian_integral(circle_poly(), 0.5, (1.0, 0.0), [(0, 0)])
@@ -184,3 +186,23 @@ def test_trace_oval_golden():
         assert info["ccw"]
         assert (info["perimeter"].hex(), info["area"].hex(),
                 tuple(float(v).hex() for v in info["start"])) == ref
+
+
+def test_oval_step_matches_generic_step():
+    """The oval step, with the call of the rates written into its stages,
+    returns bit for bit what the generic step returns with `_field`."""
+    curve = integrals.LevelCurve(elliptic_poly())
+    forms = [MultiPoly(X, {(a1 + 1, a2): Fraction(1, a1 + 1)}) for a1, a2 in basis_exponents(2)]
+    field, step = integrals._field(curve, forms)
+    n = len(forms) + 3
+    generic = dop853.step_function(n)
+    rng = random.Random(7)
+    for t in (-0.2, 0.0, 0.2):
+        x0, y0 = curve.project((0.5, 1.0), t)
+        for _ in range(5):
+            y = [x0 + rng.uniform(-1e-3, 1e-3), y0] + [rng.uniform(-2, 2) for _ in range(n - 2)]
+            s, h, tol = rng.uniform(0, 3), rng.uniform(0.01, 0.3), 10 ** rng.uniform(-12, -8)
+            f = field(s, y)
+            got, want = (stepper(field, s, h, y, f, tol, tol) for stepper in (step, generic))
+            assert [v.hex() for v in got[0] + got[1] + [got[2]]] == \
+                [v.hex() for v in want[0] + want[1] + [want[2]]]

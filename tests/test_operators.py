@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 
 from abelint import counting, operators
-from abelint.errors import NoSolution
+from abelint.errors import NoSolution, NumericOverflow
 from abelint.linalg import FieldMatrix, solve_dense, solve_linear
 from abelint.operators import (DiffOperator, MobiusMap, REAL_AXIS,
                                affine_slope, circle_to_real_axis_map, lclm,
@@ -109,6 +110,15 @@ def test_affine_slope_exact():
     assert affine_slope(D) == Fraction(1, 2)
     D2 = mk("D^2 + 7*t^3*D - 2")
     assert affine_slope(D2) == 7
+
+
+def test_affine_slope_of_norms_beyond_the_float_range():
+    """|2^1100 (3 + 4i)| is beyond the float range; the slope 1/2 is not, and
+    it is the slope of the operator divided by 2^1100."""
+    D = mk("2^1100*(3+4*i)*D + 2^1099*(3+4*i)*t")
+    assert affine_slope(D) == 0.5 == affine_slope(mk("(3+4*i)*D + (3+4*i)/2*t"))
+    with pytest.raises(NumericOverflow, match="float range"):
+        affine_slope(mk("2^1100*(1+i)*D + 1"))     # the slope 2^-1100 / sqrt 2
 
 
 def test_pullback_maps_solutions():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelint.errors import NumericOverflow
+from abelint.errors import NumericOverflow, UnsupportedInput
 from abelint.polynomials import MultiPoly, integer_parts, poly_lcm, primitive_parts
 from abelint.qi import GaussianRational
 
@@ -264,6 +264,22 @@ def test_univar_roots_beyond_the_float_range_raise():
     for p in (t - 10 ** 400, MultiPoly.const(Fraction(1, 10 ** 400)) * t + 1):
         with pytest.raises(NumericOverflow, match="float range"):
             p.univar_roots("t")
+
+
+def test_univar_coeffs_in_a_larger_ring():
+    """A polynomial in t stored over (t, x1, x2), as a system loaded from
+    JSON stores its entries, gives the coefficients of its shrunk form; one
+    that uses x1 is not univariate in t."""
+    vs = ("t", "x1", "x2")
+    t = MultiPoly.var("t", vs)
+    i = MultiPoly.const(GaussianRational(0, 1), vs)
+    for p in (t ** 3 * Fraction(2, 3) - 5, i * t + 1, MultiPoly.const(7, vs), MultiPoly.zero(vs),
+              t * i):
+        got, want = p.univar_coeffs("t"), p.shrink().univar_coeffs("t")
+        assert got == want and list(map(type, got)) == list(map(type, want))
+    assert MultiPoly.zero(vs).univar_coeffs("t") == [0]
+    with pytest.raises(UnsupportedInput, match="not univariate in t"):
+        (t + MultiPoly.var("x1", vs)).univar_coeffs("t")
 
 
 def _over_integers(p):

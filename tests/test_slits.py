@@ -98,6 +98,27 @@ def test_at_velocity_is_the_point_and_its_derivative():
             assert abs(dz - fd) < 1e-6 * piece.length()
 
 
+def test_segment_distance_to_a_set():
+    """`Segment.dist_to_set` is, bit for bit, the least distance from each
+    point to its projection on the segment clamped to the ends, also for a
+    segment of length 0 and an empty set."""
+    def dist(seg, p):
+        d = seg.z1 - seg.z0
+        L2 = abs(d) ** 2
+        if L2 == 0:
+            return abs(p - seg.z0)
+        s = min(1.0, max(0.0, ((p - seg.z0).real * d.real + (p - seg.z0).imag * d.imag) / L2))
+        return abs(p - (seg.z0 + s * d))
+    rng = random.Random(11)
+    for _ in range(50):
+        z0, z1 = (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(2))
+        pts = rand_points(rng, rng.randint(1, 12), spread=4.0)
+        for seg in (Segment(z0, z1), Segment(z0, z0)):
+            assert seg.dist_to_set(pts).hex() == min(dist(seg, p) for p in pts).hex()
+            assert seg.dist_to_point(pts[0]) == dist(seg, pts[0])
+    assert Segment(0j, 1 + 0j).dist_to_set([]) == math.inf
+
+
 def test_inadmissible_examples():
     # two circles crossed by nothing but both containing a point: the region
     # between two disjoint circles inside a third is an annulus only if the
