@@ -7,15 +7,22 @@ the realified search of a complex reflection run), `reduce --hamiltonian`
 and `derive-pf` without `--pencil` and at the pencils 0, 1/2 and -3 on
 Hamiltonians of degree n + 1 for n = 1, 2, 3, and `derive-pf` at the same
 four pencils on Hamiltonians whose principal parts are not regular but
-whose critical points are isolated, and on one Hamiltonian with n = 4.  `golden_hashes.json` maps each case to its exit code and
-the SHA-256 of its stdout; `test_golden.py` replays it in process.
+whose critical points are isolated, and on one Hamiltonian with n = 4.  It
+also covers the numeric commands: `count` on operators and on polynomials,
+`monodromy` and `integrate`.  `golden_hashes.json` maps each case to its
+exit code and the SHA-256 of its stdout; `test_golden.py` replays it in
+process.  The cases in SLOW (`reduce` at n = 4, about 5 minutes) carry the
+`slow` marker, which the default run deselects; run them with
+
+    PYTHONPATH=src python -m pytest tests/test_golden.py -m slow
 
 Record the hashes again, after a change that moves an output on purpose,
 with
 
     PYTHONPATH=src python tests/golden_corpus.py --record
 
-and list every moved case, with the reason, in CHANGES.md.
+(which runs the slow cases too) and list every moved case, with the reason,
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -99,6 +106,28 @@ DERIVE_ONLY = ["x1^3 + x2^2 + x1*x2", "x1^2*x2 + x2^2 + x1", "(x1+x2)^3 + x1^2 -
 # `derive-pf` without `--pencil`, then at each of these pencil values
 PENCILS = ["1/2", "-3"]
 
+# (operator, y0, centre, radius) for `count --operator`: real and Gaussian,
+# with a zero coefficient and with constant coefficients
+COUNT_OPERATORS = [("D^2 + 1", "1;0", "0", "2"),
+                   ("(t^2+4)*D^2 + t*D + 1", "1;0.5i", "0", "1"),
+                   ("D^3 + t*D + 1", "1;0;-1", "1/4", "1.5"),
+                   ("D - i*t + 1/2", "1+i", "0", "1.5"),
+                   ("(1 + i)*D^2 + i*t*D + 1/3", "1;i", "1/2-1/4*i", "1")]
+# (polynomial, centre, radius) for `count --poly`
+COUNT_POLYS = [("t^3 - 1/8", "0", "1"), ("(t-2)*(t^2+1/4)", "0", "1"),
+               ("(t - i/2)^2*(t + 3/2)", "1/4", "1")]
+# (operator, centre, radius) for `monodromy`: around regular singular points
+# and around none
+MONODROMY = [("t*D - 1/2", "0", "1"), ("t^2*D^2 + t*D - 1/4", "0", "0.5"),
+             ("2*t*D^2 + D + (1 + i)*t", "0", "0.5"), ("D^2 + 1", "1+i", "2")]
+# (H, level, seed) for `integrate`
+INTEGRATE = [("x2^2/2 + x1^3 - x1", "0.1", "0.5+1i"),
+             ("x1^4 + x2^4 + x1*x2 - x1", "1", "1+0.5i"),
+             ("x1^2 + 3*x2^2 + x1*x2 - x2", "0.5", "0.8+0.2i")]
+
+# cases too slow for the default run, under the `slow` marker
+SLOW = {"reduce/x4": ["reduce", "--hamiltonian", "x1^5+x2^5+x1*x2^2-x2"]}
+
 
 def cases():
     """{name: argv} for every case of the corpus."""
@@ -125,6 +154,16 @@ def cases():
             for c in PENCILS:
                 out[f"derive-pf/{tag}{i}/pencil={c}"] = ["derive-pf", "--hamiltonian", H,
                                                          "--pencil", c]
+    for i, (text, y0, c, r) in enumerate(COUNT_OPERATORS):
+        out[f"count/op{i}"] = ["count", "--operator", text, "--y0", y0, "--center", c,
+                               "--radius", r]
+    for i, (text, c, r) in enumerate(COUNT_POLYS):
+        out[f"count/poly{i}"] = ["count", "--poly", text, "--center", c, "--radius", r]
+    for i, (text, c, r) in enumerate(MONODROMY):
+        out[f"monodromy/{i}"] = ["monodromy", "--operator", text, "--center", c, "--radius", r]
+    for i, (H, t, seed) in enumerate(INTEGRATE):
+        out[f"integrate/{i}"] = ["integrate", "--hamiltonian", H, "--t", t, "--seed", seed]
+    out.update(SLOW)
     return out
 
 
