@@ -193,7 +193,7 @@ def cmd_count(args):
     center = parse_complex(args.center)
     loop = ContourPath.from_circle(Circle(center, args.radius))
     if args.poly:
-        p = parse_poly(args.poly, ("t",))
+        p = parse_poly(args.poly, ("t",)).in_float_range()
         n = count_zeros(lambda z: p.eval_complex({"t": z}), loop)
     else:
         D = _load_operator(args)

@@ -13,20 +13,26 @@ It steps Python complex scalars, because numpy's per-call cost dominates on
 states of a few entries; states of more than UNROLL scalars step as numpy
 arrays.  The derivative dY = dz A(z) Y, with the tracked Im(dw / w), is
 written into the generated step as source lines (`_derivative`), with the
-point and velocity of an Arc or a Segment written out, so a stage makes no
-call but the one of A: the step builds stage sums only for the components
-that the derivative reads, and leaves out every product by an entry that
-is exactly 0 in the exact source (a zero entry of a system's A, a
-structural zero of a companion matrix or one from a zero coefficient, a
-zero entry of the tracked combination).  Such a product can change a sum
-only in the sign of a zero.  The same lines give the standalone
-right-hand side for the first evaluation and the initial step.  A(t) comes
-as rows of Python complex from the kernels that `LinearODESystem.eval` and
-`DiffOperator.companion_rhs` generate once per system or operator, read
-once per stage, so the scalar step makes no numpy call.  numpy is imported
-inside the functions that call it (the states of continuation, monodromy
-and eigenvalues), not with the module: the argument variation of an
-explicit function samples at s = k / 32 and never loads it.
+point and velocity of an Arc or a Segment written out, and so are the
+entries of A(z): the Horner sums and quotients of a system's entries, the
+coefficient sums and quotients of a companion matrix, from the same
+`stage_lines` of `LinearODESystem` and `DiffOperator` that their `eval`
+and `companion_rhs` kernels run, with the coefficients bound as values.
+So a stage calls nothing but exp on an Arc; entries that do not depend on
+z (the whole companion row of D^2 + 1) are computed once per piece, and a
+divisor that rounds to 0 or a power that overflows raises at its stage
+the NumericOverflow the kernel raises.  The step builds stage sums only
+for the components that the derivative reads, and leaves out every entry
+and product by an entry that is exactly 0 in the exact source (a zero
+entry of a system's A, a structural zero of a companion matrix or one
+from a zero coefficient, a zero entry of the tracked combination).  Such a
+product can change a sum only in the sign of a zero.  The same lines give
+the standalone right-hand side for the first evaluation and the initial
+step.  A point of numpy scalars, and an A without lines, make the step
+call A once per stage.  numpy is imported inside the functions that call
+it (the states of continuation, monodromy and eigenvalues), not with the
+module: the argument variation of an explicit function samples at
+s = k / 32 and never loads it.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
                      PathTooClose, ToleranceNotMet, UnsupportedInput,
                      ZeroOnPath)
 from .operators import DiffOperator, MobiusMap, affine_slope, pullback, symmetrize
-from .polynomials import _sum
+from .polynomials import _sum, matrix_source
 from .qi import GaussianRational
 from .slits import Arc, Circle, Segment, SlitSystem, _dist_to_set, regions
 
@@ -122,24 +128,12 @@ def _as_source(obj):
     raise UnsupportedInput(f"cannot continue solutions of {type(obj).__name__}")
 
 
-def _zeros(obj):
-    """Per entry of the matrix A(t) of obj, whether the exact source makes
-    it 0: the structural zeros of a companion matrix and the entries of the
-    operator's zero coefficients, or the zero entries of a system's exact
-    A; None, for no zero, when obj has no exact source."""
-    if isinstance(obj, DiffOperator):
-        k = obj.order
-        return tuple(tuple(j != i + 1 for j in range(k)) for i in range(k - 1)) + (
-            tuple(obj.coeffs[k - j].is_zero() for j in range(k)),)
-    if hasattr(obj, "A"):
-        return tuple(tuple(e.num.is_zero() for e in row) for row in obj.A.data)
-    return None
-
-
-def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0, zeros=None):
+def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0, lines=None):
     """Continue Y (matrix columns) along one piece; with combo, also track
-    arg(w) for w = combo . Y[:, 0] (Y is then a matrix).  zeros marks the
-    entries of A that are exactly 0 (see `_zeros`)."""
+    arg(w) for w = combo . Y[:, 0] (Y is then a matrix).  lines, the
+    `stage_lines` method of the source of A, gives the scalar step on an
+    Arc or a Segment of Python numbers A's lines to write in; otherwise
+    the step calls A once per stage."""
     import numpy as np
     dist = _dist_to_set(piece, sing)
     # every point of the piece lies within its length of its start
@@ -154,7 +148,8 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0, zeros=None):
     state = Y0.T.ravel()    # column by column
     scalars = len(state) + tracked <= UNROLL
     kind = type(piece) if scalars and type(piece) in _POINT else None
-    args = (A, *(_point_values(piece) if kind else (piece.at_velocity,)))
+    point = _point_values(piece) if kind else (piece.at_velocity,)
+    written = kind is not None and lines is not None and _python_numbers(point)
     zero_combo = None
     if tracked:
         combo = [complex(c) for c in combo]
@@ -162,12 +157,17 @@ def _integrate_piece(A, sing, piece, Y0, combo=None, phi0=0.0, zeros=None):
             raise ZeroOnPath("tracked combination vanishes at path start")
         state = np.append(state, phi0)
         low = [math.inf]    # the smallest |w| at any evaluation
-        args += (combo, low)
+        point += (combo, low)
         zero_combo = tuple(c == 0 for c in combo)
+    args, shape = (A, *point), None
+    if written:
+        program, cells, failure = lines()
+        args = (program.consts, failure, *point)
+        shape = (program.setup, program.lines, cells)
     if scalars:
-        shape = (n, Y0.size // n, tracked, kind, zeros, zero_combo)
-        step = dop853.step_function(len(state), _derivative(*shape))(*args)
-        final = dop853.solve(_scalar_rhs(*shape)(*args), state.tolist(), max_step,
+        spec = (n, Y0.size // n, tracked, kind, shape, zero_combo)
+        step = dop853.step_function(len(state), _derivative(*spec))(*args)
+        final = dop853.solve(_scalar_rhs(*spec)(*args), state.tolist(), max_step,
                              RTOL, ATOL, step=step)
     else:
         final = dop853.solve(_array_rhs(n, tracked)(*args), state, max_step, RTOL, ATOL)
@@ -205,50 +205,68 @@ def _point_values(piece):
     return cmath.exp, piece.center, piece.radius, piece.a0, sweep, piece.radius * sweep * 1j
 
 
+def _python_numbers(point):
+    """Whether the values of `_point_values` are Python numbers, exp aside:
+    a point of numpy scalars would take A's lines in numpy arithmetic,
+    where `LinearODESystem.eval` takes A at complex(z)."""
+    return all(type(v) in (int, float, complex) for v in point if v is not cmath.exp)
+
+
 @lru_cache(maxsize=256)
-def _derivative(n, m, tracked, kind=None, zeros=None, zero_combo=None):
+def _derivative(n, m, tracked, kind=None, shape=None, zero_combo=None):
     """The dop853.Derivative of dY/dt = A(t) Y along a piece, for the n x m
     matrix Y stored column by column in the state: dY = dz * (A(z) Y) on
-    Python complex scalars, with z and dz those of `_POINT[kind]` and A(z)
-    unpacked from the rows it returns.  Its parameters are A, those of the
-    point and, tracked, combo and low: the state then ends with arg w for
-    w = combo . Y[:, 0], whose derivative is Im(dw / w) (0 where w = 0),
-    and low[0] keeps the smallest |w| seen.  Every product is written out
-    but those with an entry of A that `zeros` marks or an entry of combo
-    that `zero_combo` marks, which are exactly 0; a row of A with no entry
-    left gives 0j."""
-    nonzero = [[not (zeros and zeros[i][k]) for k in range(n)] for i in range(n)]
+    Python complex scalars, with z and dz those of `_POINT[kind]`.  shape
+    is (setup, lines, cells) of the `stage_lines` of A's source, its setup
+    unpacking c0, c1, ... from `coefficients`: A(z) is then written in,
+    from the parameters coefficients and failure, which maps an
+    OverflowError or a ZeroDivisionError of A's lines at z to the error
+    its kernel raises; without shape, the parameter A is called and its
+    rows unpacked.  Then come the parameters of the point and, tracked,
+    combo and low: the state then ends with arg w for w = combo . Y[:, 0],
+    whose derivative is Im(dw / w) (0 where w = 0), and low[0] keeps the
+    smallest |w| seen.  Every product is written out but those with an
+    entry of A whose cell is None or an entry of combo that `zero_combo`
+    marks, which are exactly 0; a row of A with no entry left gives 0j."""
     point_params, lines = _POINT[kind]
-    rows = ", ".join("(" + "".join(f"a{i}_{k}, " if nonzero[i][k] else "_, " for k in range(n))
-                     + ")" for i in range(n))
-    lines = [*lines, f"{rows}, = A(z)"]
+    if shape is None:
+        cells = tuple(tuple(f"a{i}_{k}" for k in range(n)) for i in range(n))
+        params, setup = ("A", *point_params), []
+        lines = [*lines, f"{matrix_source(cells)} = A(z)"]
+    else:
+        setup, entries, cells = shape
+        params, setup = ("coefficients", "failure", *point_params), list(setup)
+        lines = [*lines, "try:", *(f"    {line}" for line in entries),
+                 "except (OverflowError, ZeroDivisionError) as exc:",
+                 "    raise failure(exc, z) from None"] if entries else list(lines)
     for j in range(m):
         for i in range(n):
-            terms = [f"a{i}_{k} * u_{j * n + k}" for k in range(n) if nonzero[i][k]]
+            terms = [f"{cells[i][k]} * u_{j * n + k}" for k in range(n)
+                     if cells[i][k] is not None]
             lines.append(f"{{k}}{j * n + i} = "
                          + (f"dz * ({_sum(terms)})" if terms else "0j"))
     reads = {j * n + k for j in range(m) for k in range(n)
-             if any(nonzero[i][k] for i in range(n))}
-    params, setup = ("A", *point_params), ()
+             if any(cells[i][k] is not None for i in range(n))}
     if tracked:
         live = [k for k in range(n) if not (zero_combo and zero_combo[k])]
         reads.update(live)
         params += ("combo", "low")
-        setup = ("".join(f"q{k}, " for k in range(n)) + "= combo",)
+        setup.append("".join(f"q{k}, " for k in range(n)) + "= combo")
         lines += [f"w = {_sum(f'q{k} * u_{k}' for k in live)}",
                   "aw = abs(w)",
                   "if aw < low[0]:",
                   "    low[0] = aw",
                   f"dw = {_sum(f'q{k} * {{k}}{k}' for k in live)}",
                   f"{{k}}{n * m} = (dw / w).imag if aw > 0 else 0.0"]
-    return dop853.Derivative(params, setup, tuple(sorted(reads)), tuple(lines))
+    return dop853.Derivative(params, tuple(setup), tuple(sorted(reads)), tuple(lines))
 
 
-def _scalar_rhs(n, m, tracked, kind=None, zeros=None, zero_combo=None):
+def _scalar_rhs(n, m, tracked, kind=None, shape=None, zero_combo=None):
     """make(*parameters of `_derivative`) -> the right-hand side s, y ->
-    dy/ds of `_derivative(n, m, tracked, kind, zeros, zero_combo)` on a
+    dy/ds of `_derivative(n, m, tracked, kind, shape, zero_combo)` on a
     list y, for the evaluations outside the step."""
-    return dop853.rhs_function(n * m + tracked, _derivative(n, m, tracked, kind, zeros, zero_combo))
+    return dop853.rhs_function(n * m + tracked,
+                               _derivative(n, m, tracked, kind, shape, zero_combo))
 
 
 def _array_rhs(n, tracked):
@@ -279,10 +297,10 @@ def _continue(obj, path: ContourPath, Y, combo=None):
     """(Y, phi): Y continued along every piece of the path and, when combo is
     given, the variation phi of arg(combo . Y[:, 0]) along it (else None)."""
     A, sing, _ = _as_source(obj)
-    zeros = _zeros(obj)
     phi = 0.0
     for piece in path.pieces:
-        Y, phi = _integrate_piece(A, sing, piece, Y, combo=combo, phi0=phi, zeros=zeros)
+        Y, phi = _integrate_piece(A, sing, piece, Y, combo=combo, phi0=phi,
+                                  lines=getattr(obj, "stage_lines", None))
     return Y, phi
 
 

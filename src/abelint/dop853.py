@@ -16,8 +16,10 @@ the generated step then writes the derivative into every stage instead of
 calling a function per stage, builds stage sums only for the components
 that the derivative reads, and `rhs_function` makes the standalone
 right-hand side, for the first evaluation and the initial step, from the
-same lines.  Continuation writes in dY = dz A(z) Y with the products by
-the exact zeros of A left out, oval quadrature the call of its rates.
+same lines.  Continuation writes in dY = dz A(z) Y with the entries of
+A(z) computed in the stage and the products by its exact zeros left out,
+oval quadrature its unit tangent and integrand sums, so that a stage
+calls only exp (on an Arc) or hypot.
 """
 
 from __future__ import annotations
@@ -84,16 +86,11 @@ class Derivative(NamedTuple):
     F to the name `{k}i`, for every i, with k a format field.  Names of
     their own must differ from the step's: t, h, s, y, f, fun, rtol, atol,
     y_i, u_i, k*_i, g_i, a, b, sc, e5, e3, n5, n3, y_new, f_new, sqrt,
-    maximum and c0, c1, ..."""
+    maximum and the tableau's b0, b1, ..."""
     params: tuple
     setup: tuple
     reads: tuple
     lines: tuple
-
-
-def _make_head(names, setup):
-    """The header of `make(names)` with the setup lines of its body."""
-    return f"def make({', '.join(names)}):" + "".join(f"\n    {line}" for line in setup)
 
 
 @lru_cache(maxsize=256)
@@ -103,8 +100,8 @@ def step_function(n, rhs=None):
     `DOP853._estimate_error_norm` take it, on a list y of n Python scalars,
     with f = fun(t, y), f_new = fun(t + h, y_new) and err the error norm.
     Every stage sum is written out, without the tableau's zeros, with the
-    tableau as closure constants, and so is every component; n = None
-    takes the step on numpy arrays instead.
+    tableau as closure constants b0, b1, ..., and so is every component;
+    n = None takes the step on numpy arrays instead.
 
     With a Derivative rhs, each stage computes fun from rhs.lines written
     into the step instead of calling fun, which the step then does not
@@ -113,7 +110,7 @@ def step_function(n, rhs=None):
     consts = {}     # value -> its name in the source
 
     def const(c):
-        return consts.setdefault(c, f"c{len(consts)}")
+        return consts.setdefault(c, f"b{len(consts)}")
 
     def comb(coeffs, i):
         """sum_j coeffs[j] * (stage j at component i), without zeros."""
@@ -167,7 +164,7 @@ def step_function(n, rhs=None):
               "    return y_new, f_new, 0.0",
               "return y_new, f_new, h * n5 / sqrt((n5 + 0.01 * n3) * len(y))"]
     params, setup = (rhs.params, rhs.setup) if rhs else ((), ())
-    make = _generate(_make_head(["sqrt", "maximum", *consts.values(), *params], setup),
+    make = _generate(["sqrt", "maximum", *consts.values(), *params], setup,
                      "step", "fun, t, h, y, f, rtol, atol", lines)
     maximum = None
     if n is None:   # only the array step calls numpy
@@ -184,7 +181,7 @@ def rhs_function(n, rhs):
     unpack = "".join(f"u_{i}, " if i in rhs.reads else "_, " for i in range(n))
     lines = [f"{unpack}= y", *(line.format(k="k_") for line in rhs.lines),
              f"return [{', '.join(f'k_{i}' for i in range(n))}]"]
-    return _generate(_make_head(rhs.params, rhs.setup), "rhs", "s, y", lines)
+    return _generate(rhs.params, rhs.setup, "rhs", "s, y", lines)
 
 
 def _rms(xs, scale):

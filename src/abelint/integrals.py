@@ -5,15 +5,16 @@ A pass traces the oval {H = t} in arc length along the unit tangent
 integral of g dx2 for each form g and the area 1/2 (x1 dx2 - x2 dx1), whose
 sign is the orientation.  The pass closes at the step that crosses the
 normal line at the start within one step of it, once more than two steps
-away, and a secant on that step's length puts the end on the line.  H, its
-gradient, the unit tangent and the integrands are straight-line kernels
-generated once per level curve (`polynomials.straight_line`), with the
-floats of a loop over the terms in stored order.  The call of the rates
-kernel is written into the generated `dop853` step, so a stage makes that
-one call, and its stage sums are built for x1 and x2 only, the components
-the rates read; the integrals and the area get none.  Products by exact
-zeros are left out as in every generated step: those of the tableau (the
-rates have none of their own).
+away, and a secant on that step's length puts the end on the line.  H and
+its gradient are straight-line kernels generated once per level curve
+(`polynomials.straight_line`), with the floats of a loop over the terms in
+stored order.  The integrand sums, the gradient and the unit tangent are
+one program, `_oval_lines`, which gives the `tangent` kernel and is
+written into the generated `dop853` step, so a stage calls only hypot; its
+stage sums are built for x1 and x2 only, the components the lines read,
+and the integrals and the area get none.  Products by exact zeros are
+left out as in every generated step: those of the tableau (the rates have
+none of their own).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import dop853
 from .errors import NotClosed, SeedOffCurve, ToleranceNotMet, UnsupportedInput
-from .polynomials import MultiPoly, straight_line
+from .polynomials import MultiPoly, straight_line, straight_lines
 
 REL_TOL = 1e-8                          # default agreement of two passes
 RTOL_FLOOR = 100 * sys.float_info.epsilon   # the smallest pass tolerance
@@ -61,15 +62,35 @@ def _compile(polys, tail=None, env=None):
     summed from 0.0 in stored term order as c * x1 ** e1 * x2 ** e2; `tail`
     replaces the return, reading the values as v0, v1, ..."""
     names = [f"v{i}" for i in range(len(polys))]
-    sums = [(v, "0.0", _terms(p)) for v, p in zip(names, polys)]
+    program = straight_lines(sums=[(v, 0.0, _terms(p)) for v, p in zip(names, polys)])
     tail = tail or [f"return ({''.join(v + ', ' for v in names)})"]
-    return straight_line(("x1", "x2"), sums, tail, env)
+    return straight_line(("x1", "x2"), program, tail, env)
+
+
+# the names that the lines of `_oval_lines` read besides x1 and x2
+_OVAL_ENV = {"hypot": math.hypot, "NotClosed": NotClosed}
+
+
+def _oval_lines(grad, forms):
+    """The StraightLine of a pass at (x1, x2): the sums w0, w1, ... of the
+    integrands forms, then the gradient g0, g1 and the unit tangent
+    (ta, tb) = (-g1, g0) / hypot(g0, g1).  A gradient below 1e-14 raises
+    NotClosed."""
+    sums = [(f"w{i}", 0.0, _terms(p)) for i, p in enumerate(forms)]
+    program = straight_lines(sums=sums + [(f"g{i}", 0.0, _terms(p)) for i, p in enumerate(grad)])
+    return program._replace(lines=program.lines + (
+        "tn = hypot(g0, g1)",
+        "if tn < 1e-14:",
+        "    raise NotClosed('level curve passes through a critical point')",
+        "ta = -g1 / tn",
+        "tb = g0 / tn"))
 
 
 class LevelCurve:
     """Real level curves of a polynomial in (x1, x2) with float evaluation:
     H, its gradient and the unit tangent (-H_x2, H_x1) / |grad H| are each
-    one compiled kernel."""
+    one compiled kernel, the tangent from the lines of a pass without
+    integrands."""
 
     def __init__(self, H: MultiPoly):
         if tuple(H.vars) != ("x1", "x2"):
@@ -80,14 +101,11 @@ class LevelCurve:
                     f"level curves need a polynomial in x1, x2; got {sorted(extra)}")
             H = H.extend(("x1", "x2"))
         self.H = H
-        grad = [H.diff("x1"), H.diff("x2")]
+        self.gradient = [H.diff("x1"), H.diff("x2")]
         self.f = _compile([H], ["return v0"])
-        self.grad = _compile(grad)
-        self.tangent = _compile(grad, [
-            "n = hypot(v0, v1)",
-            "if n < 1e-14:",
-            "    raise NotClosed('level curve passes through a critical point')",
-            "return -v1 / n, v0 / n"], {"hypot": math.hypot, "NotClosed": NotClosed})
+        self.grad = _compile(self.gradient)
+        self.tangent = straight_line(("x1", "x2"), _oval_lines(self.gradient, []),
+                                     ["return ta, tb"], _OVAL_ENV)
 
     def project(self, p, t):
         """Newton projection of the float pair p to {H = t} along the
@@ -150,17 +168,17 @@ def critical_values(H: MultiPoly):
 
 def _field(curve: LevelCurve, forms):
     """(field, step): field(s, y) = dy/ds of a pass for y = [x1, x2,
-    integral of g dx2 for g in forms, area], from the unit tangent (a, b)
-    and one kernel of the integrands, `rates`, and the dop853 step with
-    the call of rates written into its stages, which read only x1 and x2."""
-    rates = _compile(forms, [
-        "a, b = tangent(x1, x2)",
-        f"return [a, b, {''.join(f'v{i} * b, ' for i in range(len(forms)))}"
-        "0.5 * (x1 * b - x2 * a)]"], {"tangent": curve.tangent})
+    integral of g dx2 for g in forms, area], from the lines of
+    `_oval_lines`, and the dop853 step with those lines written into its
+    stages, which read only x1 and x2."""
+    program = _oval_lines(curve.gradient, forms)
     n = len(forms) + 3
-    rhs = dop853.Derivative(("rates",), (), (0, 1),
-                            ("".join(f"{{k}}{i}, " for i in range(n)) + "= rates(u_0, u_1)",))
-    return dop853.rhs_function(n, rhs)(rates), dop853.step_function(n, rhs)(rates)
+    rates = ("{k}0 = ta", "{k}1 = tb", *(f"{{k}}{i + 2} = w{i} * tb" for i in range(len(forms))),
+             f"{{k}}{n - 1} = 0.5 * (x1 * tb - x2 * ta)")
+    rhs = dop853.Derivative(("coefficients", *_OVAL_ENV), program.setup,
+                            (0, 1), ("x1 = u_0", "x2 = u_1", *program.lines, *rates))
+    args = (program.consts, *_OVAL_ENV.values())
+    return dop853.rhs_function(n, rhs)(*args), dop853.step_function(n, rhs)(*args)
 
 
 def _oval(H: MultiPoly, t, seed, forms, rel_tol):

@@ -47,8 +47,8 @@ from .errors import NoSolution, NumericOverflow, UnsupportedInput
 from .linalg import check_dense, solve_dense
 from .polynomials import (ExactQuotientFailed, MultiPoly, dense_exquo, dense_gcd, dense_mul,
                           dup_add, dup_diff, dup_mul_ground, dup_neg, dup_pow, dup_primitive,
-                          dup_sub, float_overflow, from_dense, integer_parts, primitive_parts,
-                          straight_line, to_dense, unit_scale)
+                          dup_sub, evaluation_error, from_dense, integer_parts, matrix_source,
+                          primitive_parts, straight_line, straight_lines, to_dense, unit_scale)
 from .qi import GaussianRational
 from .ratfunc import ratfunc_lcm_den
 
@@ -69,6 +69,7 @@ class DiffOperator:
         self.coeffs = coeffs
         self.standard = False   # set by standard_form
         self._companion = None
+        self._stage = None
 
     @property
     def order(self):
@@ -97,35 +98,52 @@ class DiffOperator:
         complex, with the floats of `-eval_complex(p_j) / eval_complex(p0)`
         in the last row, from a kernel compiled on the first call."""
         if self._companion is None:
-            self._companion = _companion_kernel(self.coeffs)
+            program, cells = _companion_lines(self.coeffs)
+            self._companion = straight_line(("z",), program, [f"return {matrix_source(cells)}"])
         try:
             return self._companion(t)
-        except OverflowError as exc:
-            raise float_overflow(exc) from None
-        except ZeroDivisionError:
-            raise NumericOverflow(f"the leading coefficient rounds to 0 at t = {t}") from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise self.failure(exc, t) from None
+
+    def stage_lines(self):
+        """(program, cells, failure) of `companion_rhs` at z, for a step to
+        write in: the cells of the structural zeros and of the entries of
+        zero coefficients are None, and their lines are left out; built on
+        the first call."""
+        if self._stage is None:
+            self._stage = (*_companion_lines(self.coeffs, skip_zeros=True), self.failure)
+        return self._stage
+
+    @staticmethod
+    def failure(exc, t):
+        return evaluation_error(exc, t, "the leading coefficient")
 
     def leading_roots(self):
         return self.coeffs[0].univar_roots("t")
 
 
-def _companion_kernel(coeffs):
-    """t -> the rows of the companion matrix of p0 d^k + ... + pk (k >= 1):
-    a unit in the next column in each row above the last, which holds
-    -p_j(t) / p0(t) at column k - j, each p_j(t) summed in the order and
-    with the floats of `eval_complex`."""
+def _companion_lines(coeffs, skip_zeros=False):
+    """(StraightLine, cells) of the companion matrix at z of p0 d^k + ...
+    + pk (k >= 1): a unit (1+0j) in the next column in each row above the
+    last, which holds a{k-1}_{k-j} = -p_j(z) / p0(z) at column k - j, each
+    p_j(z) summed in the order and with the floats of `eval_complex`.  cells
+    holds the source of each entry; skip_zeros makes it None for the zeros
+    above the last row and the entries of zero coefficients, and leaves
+    out their lines."""
     k = len(coeffs) - 1
     if k < 1:
         raise UnsupportedInput("an operator of order 0 has no companion system")
     if any(set(p.effective_vars()) - {"t"} for p in coeffs):
         raise UnsupportedInput("operator coefficients must be polynomials in t")
-    sums = [(f"p{j}", "0j", [(c, [f"t ** {e}" for _, e in mono])
-                             for c, mono in p.numeric_terms()])
-            for j, p in enumerate(coeffs)]
-    rows = ["(" + "".join("(1+0j), " if j == i + 1 else "0j, " for j in range(k)) + ")"
-            for i in range(k - 1)]
-    rows.append("(" + "".join(f"-p{j} / p0, " for j in range(k, 0, -1)) + ")")
-    return straight_line(("t",), sums, [f"return ({''.join(r + ', ' for r in rows)})"])
+    live = [j for j in range(k, 0, -1) if not (skip_zeros and coeffs[j].is_zero())]
+    sums = [(f"p{j}", 0j, [(c, [f"z ** {e}" for _, e in mono])
+                           for c, mono in coeffs[j].numeric_terms()])
+            for j in [0, *sorted(live)]]
+    zero = None if skip_zeros else "0j"
+    cells = [tuple("(1+0j)" if j == i + 1 else zero for j in range(k)) for i in range(k - 1)]
+    cells.append(tuple(f"a{k - 1}_{k - j}" if j in live else None for j in range(k, 0, -1)))
+    quotients = [(f"a{k - 1}_{k - j}", True, f"p{j}", "p0") for j in live]
+    return straight_lines((), sums, quotients), tuple(cells)
 
 
 def standard_form(coeffs, g=None) -> DiffOperator:

@@ -27,10 +27,11 @@ from fractions import Fraction
 
 from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                        basis_two_form, divide_one_form, divide_two_form)
-from .errors import (DegenerateBasis, LineInLocus, NoSolution, NumericOverflow,
+from .errors import (DegenerateBasis, LineInLocus, NoSolution,
                      UnsupportedInput)
 from .linalg import FieldMatrix, solve_linear
-from .polynomials import MultiPoly, float_overflow, integer_parts, straight_line
+from .polynomials import (MultiPoly, evaluation_error, float_overflow, integer_parts,
+                          matrix_source, straight_line, straight_lines)
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
 # the free term lambda_00 of H = H0 + lambda_00, the one symbolic coefficient
@@ -120,7 +121,8 @@ def _translated(p, shift, pvars, extra=0):
 
 class LinearODESystem:
     """dX/dt = A(t) X with exact rational entries; `eval` gives A(t) in
-    floats from a kernel generated on its first call."""
+    floats from a kernel generated on its first call, and `stage_lines`
+    the same program as source lines for the continuation step."""
 
     def __init__(self, A: FieldMatrix, singular_poly: MultiPoly):
         self.A = A
@@ -128,6 +130,7 @@ class LinearODESystem:
         self.singular_poly = singular_poly
         self._roots = None
         self._kernel = None
+        self._stage = None
 
     @property
     def singular_points(self):
@@ -138,45 +141,58 @@ class LinearODESystem:
     def eval(self, t: complex):
         """A(complex(t)) as a tuple of row tuples of Python complex, so that
         the floats do not depend on the type of t."""
+        if self._kernel is None:
+            program, cells = _system_lines(self.A)
+            self._kernel = straight_line(("z",), program, [f"return {matrix_source(cells)}"])
         try:
-            if self._kernel is None:
-                self._kernel = _system_kernel(self.A)
             return self._kernel(complex(t))
-        except OverflowError as exc:
-            raise float_overflow(exc) from None
-        except ZeroDivisionError:
-            raise NumericOverflow(f"a denominator of A(t) rounds to 0 at t = {t}") from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise self.failure(exc, t) from None
+
+    def stage_lines(self):
+        """(program, cells, failure) of `eval` at z, for a step to write in:
+        the cells of the entries that are exactly 0 are None, and their
+        lines are left out; built on the first call."""
+        if self._stage is None:
+            self._stage = (*_system_lines(self.A, skip_zeros=True), self.failure)
+        return self._stage
+
+    @staticmethod
+    def failure(exc, t):
+        return evaluation_error(exc, t, "a denominator of A(t)")
 
 
-def _system_kernel(A):
-    """t -> A(t): each entry's numerator by Horner in `np.polyval`'s order,
-    divided by its denominator, which is evaluated once for all entries
-    whose denominators have the same floats.  A zero entry over the
-    denominator 1 is 0j, the quotient."""
+def _system_lines(A, skip_zeros=False):
+    """(StraightLine, cells) of A(z): each entry's numerator by Horner in
+    `np.polyval`'s order, divided by its denominator, which is evaluated
+    once for all entries whose denominators have the same floats.  cells
+    holds the source of each entry: a zero entry over the denominator 1 is
+    0j, the quotient, or None with skip_zeros, which leaves out every zero
+    entry and the lines that only it reads."""
     dens = {}
-    horners = []
-    rows = []
-    for row in A.data:
-        cells = []
-        for e in row:
+    horners, quotients, cells = [], [], []
+    for i, row in enumerate(A.data):
+        cells.append([])
+        for k, e in enumerate(row):
             den = tuple(_coefficients(e.den))
-            if e.num.is_zero() and den == (1,):
-                cells.append("0j")
+            if e.num.is_zero() and (skip_zeros or den == (1,)):
+                cells[-1].append(None if skip_zeros else "0j")
                 continue
             if den not in dens:
                 dens[den] = f"d{len(dens)}"
-                horners.append((dens[den], "t", den))
-            num = f"n{len(horners)}"
-            horners.append((num, "t", _coefficients(e.num)))
-            cells.append(f"{num} / {dens[den]}")
-        rows.append("(" + "".join(f"{c}, " for c in cells) + ")")
-    return straight_line(("t",), [], [f"return ({''.join(r + ', ' for r in rows)})"],
-                         horners=horners)
+                horners.append((dens[den], "z", den))
+            horners.append((f"n{i}_{k}", "z", _coefficients(e.num)))
+            quotients.append((f"a{i}_{k}", False, f"n{i}_{k}", dens[den]))
+            cells[-1].append(f"a{i}_{k}")
+    return straight_lines(horners, (), quotients), tuple(map(tuple, cells))
 
 
 def _coefficients(p):
     """The complex coefficients of p(t), highest degree first."""
-    return [complex(c) for c in reversed(p.univar_coeffs("t"))]
+    try:
+        return [complex(c) for c in reversed(p.univar_coeffs("t"))]
+    except OverflowError as exc:
+        raise float_overflow(exc) from None
 
 
 def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESystem:

@@ -40,18 +40,22 @@ first nonzero polynomial, then by the positive joint rational content),
 which gives every object over Q or Q(i) one representative, the lcm, the
 reduced row echelon form of a constant matrix and the roots of a
 univariate polynomial.  It is the
-only module that imports sympy.  `straight_line` generates the float kernels
-of the numeric layers: sums of terms and Horner evaluations written out as
-one expression each, with the float operations of the loop they replace;
-`_generate` compiles the generated steps and right-hand sides of the
-integrator.
+only module that imports sympy.  `straight_lines` generates the source
+lines of the float programs of the numeric layers: Horner evaluations, sums
+of terms and quotients written out as one expression each, with the float
+operations of the loop they replace, the coefficients as bound values and
+what reads no argument in setup lines; `straight_line` compiles such a
+program into a kernel, and `_generate` compiles the generated steps and
+right-hand sides of the integrator, into which the same lines are written.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from sympy import Symbol
 from sympy.polys.densearith import dup_add, dup_mul_ground, dup_neg, dup_pow, dup_sub
@@ -138,6 +142,16 @@ def _log2_abs(c):
     parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
     return max(q.numerator.bit_length() - q.denominator.bit_length()
                for q in map(Fraction, parts) if q)
+
+
+def _floats(coeffs):
+    """The complex values of coeffs (Fractions or GaussianRationals), or
+    None when one is beyond the float range or a nonzero one rounds to 0."""
+    try:
+        fs = [_complex(c) for c in coeffs]
+    except OverflowError:
+        return None
+    return fs if all(f or not c for c, f in zip(coeffs, fs)) else None
 
 
 def unit_scale(coeffs):
@@ -436,6 +450,13 @@ class MultiPoly:
                 raise float_overflow(exc) from None
         return self._numeric
 
+    def in_float_range(self):
+        """self, when every coefficient has a float value, nonzero where it
+        is nonzero; otherwise self scaled exactly by `unit_scale` of its
+        coefficients, which moves no zero."""
+        cs = list(self.terms.values())
+        return self if _floats(cs) is not None else self * unit_scale(cs)
+
     def eval_complex(self, point):
         """Numeric evaluation; point maps every variable to a complex number.
         A coefficient or power beyond the float range raises NumericOverflow."""
@@ -527,12 +548,8 @@ class MultiPoly:
         out of reach: that raises NumericOverflow."""
         import numpy as np
         cs = self.univar_coeffs(name)
-        try:
-            fs = [_complex(c) for c in cs]
-            in_range = all(f or not c for c, f in zip(cs, fs))
-        except OverflowError:
-            in_range = False
-        if not in_range:
+        fs = _floats(cs)
+        if fs is None:
             scale = unit_scale(cs)
             fs = [_complex(c * scale) for c in cs]
             if not fs[-1]:
@@ -852,60 +869,104 @@ def _sum(terms):
     return " + ".join(terms)
 
 
-def _generate(head, name, args, lines):
-    """The function `make` of the source: the header line head, then the
-    function name(args) with the body lines, which make returns."""
-    return _kernel_factory("".join([f"{head}\n    def {name}({args}):\n"]
+def _generate(params, setup, name, args, lines):
+    """The function make(*params) of the source that runs the setup lines
+    and returns the function name(args) with the body lines."""
+    return _kernel_factory("".join([f"def make({', '.join(params)}):\n"]
+                                   + [f"    {line}\n" for line in setup]
+                                   + [f"    def {name}({args}):\n"]
                                    + [f"        {line}\n" for line in lines]
                                    + [f"    return {name}\n"]))
 
 
-def straight_line(args, sums, tail, env=None, horners=()):
-    """A function of `args` that evaluates each Horner and then each sum into
-    its local `target`, then runs the source lines `tail`.
+class StraightLine(NamedTuple):
+    """Source lines of a straight-line program: `setup` unpacks the
+    coefficients c0, c1, ... from the name `coefficients`, whose value must
+    be `consts`, and computes what reads no argument; `lines` read the
+    arguments too.  Its text holds only the shape of the program, so every
+    program of one shape compiles to the same code."""
+    consts: tuple
+    setup: tuple
+    lines: tuple
+
+
+def straight_lines(horners=(), sums=(), quotients=()):
+    """The StraightLine that evaluates each Horner, then each sum, then
+    each quotient into its local `target`.
 
     Each Horner (target, x, coefficients), highest degree first, is the text
     `target = (c0 * x + c1) * x + c2`: the float operations of the loop
     `v = c0; for c in rest: v = v * x + c`, which are `np.polyval`'s at a
     finite x (its first step, 0 * x + c0, gives c0 there).  Each sum
-    (target, start, terms) has terms (coefficient, factor sources): the text
+    (target, start, terms), with start a value such as 0j or 0.0 and terms
+    (coefficient, factor sources), is the text
     `target = start + c0 * f00 * f01 + c1 * f10 + ...` that Python evaluates
     left to right, so it makes the float operations of the loop
     `s = start; for c, fs in terms: v = c; for f in fs: v = v * f; s = s + v`
-    in the same order.  Coefficients and the names in `env` reach the
-    function as closure variables, so the source text holds only the shape
-    of the sums, and its compiled code is shared by every caller with that
-    shape.  Every source fragment must be built from fixed names and
-    integers, never from input text.
-    """
-    env = dict(env or {})
-    consts, lines = [], []
+    in the same order.  Each quotient (target, negate, numerator,
+    denominator) of two targets is `target = numerator / denominator`, with
+    the numerator negated first when negate is true.
+
+    A Horner of one coefficient, a sum of terms without factors and a
+    quotient of two such values whose denominator is not 0 read no
+    argument: they go to the setup lines, which run once per binding of
+    the coefficients.  A quotient by a constant 0 stays in `lines`, where
+    it raises ZeroDivisionError at the point it is evaluated at.  Every
+    source fragment must be built from fixed names and integers, never from
+    input text."""
+    consts, setup, lines = [], [], []
+    values = {}    # target -> its value, for the targets that read no argument
+
+    def name(c):
+        consts.append(c)
+        return f"c{len(consts) - 1}"
+
     for target, x, coeffs in horners:
-        names = []
-        for c in coeffs:
-            names.append(f"c{len(consts)}")
-            consts.append(c)
+        names = [name(c) for c in coeffs]
         value, rest = names[0], names[1:]
-        while True:
+        if not rest:
+            setup.append(f"{target} = {value}")
+            values[target] = coeffs[0]
+        while rest:
             step, rest = rest[:TERMS_PER_LINE], rest[TERMS_PER_LINE:]
             value = "(" * len(step) + value + "".join(f" * {x} + {c})" for c in step)
             lines.append(f"{target} = {value}")
-            if not rest:
-                break
             value = target
     for target, start, terms in sums:
-        parts = []
-        for c, factors in terms:
-            parts.append(" * ".join([f"c{len(consts)}", *factors]))
-            consts.append(c)
-        lines.append(f"{target} = " + " + ".join([start] + parts[:TERMS_PER_LINE]))
+        parts = [" * ".join([name(c), *factors]) for c, factors in terms]
+        out = setup if all(not factors for _, factors in terms) else lines
+        if out is setup:
+            values[target] = reduce(operator.add, (c for c, _ in terms), start)
+        out.append(f"{target} = " + " + ".join([repr(start)] + parts[:TERMS_PER_LINE]))
         for i in range(TERMS_PER_LINE, len(parts), TERMS_PER_LINE):
-            lines.append(f"{target} = " + " + ".join([target] + parts[i:i + TERMS_PER_LINE]))
+            out.append(f"{target} = " + " + ".join([target] + parts[i:i + TERMS_PER_LINE]))
+    for target, negate, num, den in quotients:
+        out = setup if num in values and values.get(den) else lines
+        out.append(f"{target} = {'-' if negate else ''}{num} / {den}")
     names = "".join(f"c{i}, " for i in range(len(consts)))
-    source = "".join(
-        [f"def make(_c, {', '.join(env)}):\n",
-         f"    {names}= _c\n" if consts else "",
-         f"    def kernel({', '.join(args)}):\n"]
-        + [f"        {line}\n" for line in lines + list(tail)]
-        + ["    return kernel\n"])
-    return _kernel_factory(source)(tuple(consts), **env)
+    head = [f"{names}= coefficients"] if consts else []
+    return StraightLine(tuple(consts), tuple(head + setup), tuple(lines))
+
+
+def straight_line(args, program, tail, env=None):
+    """The function of `args` that runs the lines of the StraightLine
+    program, then the source lines `tail`.  Its coefficients and the names
+    in `env` reach it as closure variables, and its setup lines run once,
+    when it is made."""
+    env = dict(env or {})
+    make = _generate(("coefficients", *env), program.setup, "kernel", ", ".join(args),
+                     program.lines + tuple(tail))
+    return make(program.consts, **env)
+
+
+def matrix_source(cells):
+    """The source of the tuple of the row tuples of cells."""
+    return "(" + "".join("(" + "".join(f"{c}, " for c in row) + "), " for row in cells) + ")"
+
+
+def evaluation_error(exc, t, zero):
+    """The NumericOverflow for the OverflowError or the ZeroDivisionError
+    exc of a float kernel at t; `zero` names the divisor that rounds to 0."""
+    if isinstance(exc, ZeroDivisionError):
+        return NumericOverflow(f"{zero} rounds to 0 at t = {t}")
+    return float_overflow(exc)

@@ -115,7 +115,9 @@ COUNT_OPERATORS = [("D^2 + 1", "1;0", "0", "2"),
                    ("(1 + i)*D^2 + i*t*D + 1/3", "1;i", "1/2-1/4*i", "1")]
 # (polynomial, centre, radius) for `count --poly`
 COUNT_POLYS = [("t^3 - 1/8", "0", "1"), ("(t-2)*(t^2+1/4)", "0", "1"),
-               ("(t - i/2)^2*(t + 3/2)", "1/4", "1")]
+               ("(t - i/2)^2*(t + 3/2)", "1/4", "1"),
+               # coefficients that all round to 0, or all overflow
+               ("1e-400*(t^2+1/4)", "0", "1"), ("10^400*(t-1/2)", "0", "1")]
 # (operator, centre, radius) for `monodromy`: around regular singular points
 # and around none
 MONODROMY = [("t*D - 1/2", "0", "1"), ("t^2*D^2 + t*D - 1/4", "0", "0.5"),

@@ -27,6 +27,16 @@ def test_count_poly(capsys):
     assert json.loads(out)["zeros"] == 3
 
 
+@pytest.mark.parametrize("poly, zeros", [
+    ("1e-400*(t^2+1/4)", 2),    # every coefficient rounds to 0
+    ("10^400*(t-1/2)", 1),      # every coefficient overflows
+])
+def test_count_poly_beyond_the_float_range(capsys, poly, zeros):
+    # p is scaled exactly by a power of two, which moves no zero
+    code, out, err = run(capsys, "count", "--poly", poly, "--radius", "1")
+    assert (code, json.loads(out)["zeros"], err) == (0, zeros, "")
+
+
 def test_count_needs_closed_data(capsys):
     code, _, err = run(capsys, "count", "--operator", "D - 1", "--radius", "1")
     assert code == 2

@@ -19,8 +19,12 @@ from abelint.counting import (QU_MAX_ORDER, AnnulusBound, ContourPath,
                               var_arg_bound, variation_of_argument)
 from abelint.errors import (NonIntegerWinding, NotQuasiunipotent, NumericOverflow,
                             PathTooClose, UnsupportedInput, ZeroOnPath)
+from abelint.linalg import FieldMatrix
 from abelint.operators import MobiusMap
-from abelint.parsing import parse_operator
+from abelint.parsing import parse_operator, parse_poly
+from abelint.picard_fuchs import LinearODESystem
+from abelint.polynomials import TERMS_PER_LINE, MultiPoly
+from abelint.ratfunc import RatFunc
 from abelint.qi import GaussianRational
 from abelint.slits import Arc, Circle, Segment, build_slits
 
@@ -445,47 +449,101 @@ def _step_hexes(step, fun, t, h, y):
     return [v.hex() for z in y_new + f_new for v in (z.real, z.imag)] + [err.hex()]
 
 
+# a coefficient of more than TERMS_PER_LINE terms, small on |t| < 1
+MANY = " + ".join(f"{k % 7 - 3}/{k + 2}*t^{k}" for k in range(TERMS_PER_LINE + 6))
+
+
 @pytest.mark.parametrize("text", [
     "(t - 3)*D + t^2",
+    "D - 1",                    # constant: the whole row is set up once
+    "D^2 + 1",                  # constant, with a zero coefficient of D
     "D^2 + t + 1",              # a zero coefficient of D
+    "(1 + i)*D^2 + i*t*D + 1/3",    # Gaussian
+    pytest.param(f"D^2 + ({MANY})*D + 1", id="many-terms"),     # more than TERMS_PER_LINE
     "D^3 + t*D + 1",            # a zero coefficient of D^2
     "D^4 + (t^2 - 1)*D^2 + 1",  # zero coefficients of D^3 and D
     None,                       # the elliptic A(t), with 8 zero entries
 ])
 def test_generated_step_matches_generic_step(elliptic, text):
-    """The continuation step with dY = dz A(z) Y written into its stages and
-    the products by exact zeros of A and of combo left out returns, bit for
-    bit, what the generic step returns with every product formed, on Arc and
-    Segment pieces, with and without the tracked phase; marking one nonzero
-    entry of A or of combo as zero changes the result."""
+    """The continuation step with the lines of A(z) and dY = dz A(z) Y
+    written into its stages, and the products by exact zeros of A and of
+    combo left out, returns, bit for bit, what the generic step returns
+    with A(z) called and every product formed, on Arc and Segment pieces
+    (one with float end points), with and without the tracked phase, and
+    so does the right-hand side made from the same lines; marking one
+    nonzero entry of A or of combo as zero, or changing one coefficient,
+    changes the result."""
     source = elliptic.ode if text is None else parse_operator(text)
     A, _, n = counting._as_source(source)
-    zeros = counting._zeros(source)
+    program, cells, failure = source.stage_lines()
     if text is None:
-        assert sum(map(sum, zeros)) == 8
+        assert sum(c is None for row in cells for c in row) == 8
+    if text in ("D - 1", "D^2 + 1"):
+        assert not program.lines
     rng = random.Random(n)
 
     def cplx():
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    pieces = [Arc(0j, 0.25, 0.3, 2.5), Segment(0.1 - 0.2j, -0.2 + 0.15j)]
-    nonzero = next((i, k) for i in range(n) for k in range(n) if not zeros[i][k])
-    wrong = tuple(tuple(z or (i, k) == nonzero for k, z in enumerate(row))
-                  for i, row in enumerate(zeros))
+    pieces = [Arc(0j, 0.25, 0.3, 2.5), Segment(0.1 - 0.2j, -0.2 + 0.15j), Segment(0.05, 0.2)]
+    nonzero = next((i, k) for i in range(n) for k in range(n) if cells[i][k] is not None)
+    wrong = tuple(tuple(None if (i, k) == nonzero else c for k, c in enumerate(row))
+                  for i, row in enumerate(cells))
+    changed = program.consts[:-1] + (2 * program.consts[-1] + 0.5,)
     for piece, m, tracked in itertools.product(pieces, sorted({1, n}), (False, True)):
         combo = [cplx() if k % 2 == 0 else 0j for k in range(n)] if tracked else None
         zero_combo = tuple(c == 0 for c in combo) if tracked else None
-        args = (A, *counting._point_values(piece)) + ((combo, [math.inf]) if tracked else ())
+        point = (*counting._point_values(piece), *((combo, [math.inf]) if tracked else ()))
         generic = dop853.step_function(n * m + tracked)
         fun = _dense_rhs(A, piece, n, m, combo)
 
-        def hexes(zeros, zero_combo):
-            rhs = counting._derivative(n, m, tracked, type(piece), zeros, zero_combo)
-            return _step_hexes(dop853.step_function(n * m + tracked, rhs)(*args), fun, t, h, y)
+        def derivative(cells, zero_combo):
+            shape = (program.setup, program.lines, cells)
+            return counting._derivative(n, m, tracked, type(piece), shape, zero_combo)
+
+        def hexes(cells=cells, zero_combo=zero_combo, consts=program.consts):
+            step = dop853.step_function(n * m + tracked, derivative(cells, zero_combo))
+            return _step_hexes(step(consts, failure, *point), fun, t, h, y)
         for _ in range(3):
             y = [cplx() for _ in range(n * m)] + ([complex(rng.uniform(-3, 3))] if tracked else [])
             t, h = rng.uniform(0, 0.8), rng.uniform(0.01, 0.2)
             want = _step_hexes(generic, fun, t, h, y)
-            assert hexes(zeros, zero_combo) == want
-            assert hexes(wrong, zero_combo) != want
+            assert hexes() == want
+            rhs = dop853.rhs_function(n * m + tracked, derivative(cells, zero_combo))
+            assert [v.hex() for z in rhs(program.consts, failure, *point)(t, y)
+                    for v in (z.real, z.imag)] == [v.hex() for z in fun(t, y)
+                                                   for v in (z.real, z.imag)]
+            assert hexes(cells=wrong) != want
+            assert hexes(consts=changed) != want
             if tracked and n > 2:   # combo keeps a nonzero entry
-                assert hexes(zeros, (True,) + zero_combo[1:]) != want
+                assert hexes(zero_combo=(True,) + zero_combo[1:]) != want
+
+
+def test_denominator_underflow_on_the_path():
+    """A(t) = 2^-1200 / t^400 is 0 in floats, so Y stays put, until t^400
+    rounds to 0 at a stage near |t| = 0.1545: NumericOverflow there, with
+    the point of that stage, as `LinearODESystem.eval` reports it."""
+    tiny = RatFunc(MultiPoly.const(Fraction(1, 2 ** 1200), ("t",)), parse_poly("t^400", ("t",)))
+    ode = LinearODESystem(FieldMatrix([[tiny]]), parse_poly("t", ("t",)))
+    for run in (lambda: continue_solution(ode, ContourPath.from_points([0.5, 0.1]), [1]),
+                lambda: variation_of_argument(ode, ContourPath.from_points([0.5, 0.1 + 0.01j]),
+                                              [1])):
+        with pytest.raises(NumericOverflow, match="denominator of A") as info:
+            run()
+        t = complex(str(info.value).rsplit("at t = ", 1)[1])
+        assert 0.15 < abs(t) < 0.16
+        with pytest.raises(NumericOverflow, match="denominator of A"):
+            ode.eval(t)
+
+
+def test_constant_leading_coefficient_underflow():
+    """A constant leading coefficient that rounds to 0 is not set up once
+    with the rest of a constant companion row: the first evaluation raises,
+    with its point, what `DiffOperator.companion_rhs` raises."""
+    D = parse_operator("1e-400*D^2 + 1")
+    for run, start in ((lambda: continue_solution(D, ContourPath.from_points([0.5, 0.5j]), [1, 0]),
+                        0.5 + 0j),
+                       (lambda: variation_of_argument(D, ContourPath.from_circle(Circle(0j, 1.0)),
+                                                      [1, 0]), 1 + 0j)):
+        with pytest.raises(NumericOverflow, match=f"leading coefficient rounds to 0 at t = "
+                                                  rf"\({start.real:g}\+0j\)"):
+            run()

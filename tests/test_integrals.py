@@ -189,11 +189,15 @@ def test_trace_oval_golden():
 
 
 def test_oval_step_matches_generic_step():
-    """The oval step, with the call of the rates written into its stages,
-    returns bit for bit what the generic step returns with `_field`."""
+    """The oval step, with the lines of the unit tangent and the integrand
+    sums written into its stages, returns bit for bit what the generic
+    step returns with `_field`; a Hamiltonian with one coefficient changed
+    changes the result."""
     curve = integrals.LevelCurve(elliptic_poly())
     forms = [MultiPoly(X, {(a1 + 1, a2): Fraction(1, a1 + 1)}) for a1, a2 in basis_exponents(2)]
     field, step = integrals._field(curve, forms)
+    changed = integrals._field(integrals.LevelCurve(
+        elliptic_poly() + MultiPoly(X, {(1, 0): Fraction(1, 2 ** 40)})), forms)[1]
     n = len(forms) + 3
     generic = dop853.step_function(n)
     rng = random.Random(7)
@@ -203,6 +207,8 @@ def test_oval_step_matches_generic_step():
             y = [x0 + rng.uniform(-1e-3, 1e-3), y0] + [rng.uniform(-2, 2) for _ in range(n - 2)]
             s, h, tol = rng.uniform(0, 3), rng.uniform(0.01, 0.3), 10 ** rng.uniform(-12, -8)
             f = field(s, y)
-            got, want = (stepper(field, s, h, y, f, tol, tol) for stepper in (step, generic))
+            got, want, other = (stepper(field, s, h, y, f, tol, tol)
+                                for stepper in (step, generic, changed))
             assert [v.hex() for v in got[0] + got[1] + [got[2]]] == \
                 [v.hex() for v in want[0] + want[1] + [want[2]]]
+            assert other[0] != want[0]
