@@ -80,8 +80,17 @@ def _positive_int(text):
     return n
 
 
+def _json(obj):
+    """dumps(obj); an infinite or NaN float, which JSON cannot hold, raises
+    NumericOverflow."""
+    try:
+        return dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise NumericOverflow(f"an output float is beyond the float range: {exc}") from None
+
+
 def _emit(obj):
-    print(dumps(obj))
+    print(_json(obj))
 
 
 def _load_operator(args):
@@ -169,9 +178,11 @@ def cmd_slits(args):
            "num_circles": len(system.circles),
            "num_segments": len(system.segments)}
     if args.svg:
-        svg_export(system, args.svg)
         out["svg"] = args.svg
-    _emit(out)
+    text = _json(out)   # before the drawing, so that a refused output writes none
+    if args.svg:
+        svg_export(system, args.svg)
+    print(text)
     return 0
 
 

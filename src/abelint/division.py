@@ -32,10 +32,11 @@ its coefficients.  h1, h2 and each power H^j are split once, and every
 column is one of these splits with its exponents shifted by a monomial
 (x^beta h_i, or H^j times the monomial of a basis form) and its values
 scaled by that monomial's coefficient when it is not 1; the column of
-d(x^beta) has one term per component.  So building the columns multiplies
-no polynomials.  Every entry is a constant, so each (d, cap) is one reduced
-row echelon form over Q or Q(i) (`linalg.solve_columns`), and the p_a (in
-t), eta, u and v are polynomials over Q or Q(i).
+d(x^beta) has one integer term per component.  So building the columns
+multiplies no polynomials.  A split maps x-monomials to exact scalars
+(Fraction, int or GaussianRational), so each (d, cap) is one reduced row
+echelon form over Q or Q(i) of sparse scalar rows (`linalg.solve_columns`),
+and the p_a (in t), eta, u and v are built from its scalars.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 
 from .errors import SingularDivision, UnsupportedInput
 from .linalg import solve_columns
-from .polynomials import MultiPoly, NEG_INF, constant_rref, monomial_sum
+from .polynomials import MultiPoly, NEG_INF, rref
 
 XVARS = ("x1", "x2")
 
@@ -141,10 +142,8 @@ def is_basis_regular(H: Hamiltonian) -> bool:
 def _rank(rows, d):
     """The exact rank over Q or Q(i) of the degree-d coefficients of rows,
     each given by its terms {x-exponent: coefficient}."""
-    entries = {(i, e[0]): MultiPoly.const(c) for i, row in enumerate(rows)
-               for e, c in row.items() if sum(e) == d}
-    gaussian = any(p.has_gaussian() for p in entries.values())
-    return len(constant_rref(entries, (len(rows), d + 1), (), gaussian)[0])
+    top = {i: {e[0]: c for e, c in row.items() if sum(e) == d} for i, row in enumerate(rows)}
+    return len(rref(top, (len(rows), d + 1))[0])
 
 
 class Decomposition:
@@ -197,8 +196,12 @@ def _monomials_upto(d):
 
 
 def _split_x(poly: MultiPoly):
-    """x-monomial -> its coefficient, a constant MultiPoly."""
-    return poly.extend(XVARS).coeff_split(XVARS)
+    """x-monomial -> its coefficient in poly, a polynomial in x1, x2: a
+    Fraction, int or GaussianRational."""
+    poly = poly.shrink().extend(XVARS)
+    if poly.vars != XVARS:
+        raise UnsupportedInput(f"a form uses variables other than x1, x2: {poly.vars}")
+    return poly.terms
 
 
 def _shifted(split, terms):
@@ -226,6 +229,8 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     caps at each d, until one admits a solution.  Returns, per target, p
     and the dict name -> cofactor.
     """
+    if not targets:
+        return []
     n = H.n
     slack = 3 * (n + 1)
     rhs = [[_split_x(c) for c in comps] for comps in targets]
@@ -234,7 +239,6 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
     s1, s2 = (_split_x(h) for h in H.grad())
     weights = [max(f.degree_in(XVARS) for f in form) for form in forms]
     form_terms = [tuple(f.terms for f in form) for form in forms]
-    zero = MultiPoly.zero()
     # H^j and its split, kept across degrees and caps; the column of the
     # unknown (a, j) is the split of H^j shifted by the terms of form a
     Hpow = [MultiPoly.const(1, H.poly.vars)]
@@ -269,10 +273,12 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
             # one equation per component and x-monomial, over Q or Q(i);
             # the targets' coefficients form the last columns
             columns = [splits for _, splits in unknowns] + [rhs[k] for k in open_]
-            xmonos = sorted(set().union(*(s.keys() for col in columns for s in col)))
-            rows = [[col[ci].get(m, zero) for col in columns]
-                    for ci in range(len(forms[0])) for m in xmonos]
-            ys = solve_columns(rows, len(unknowns))
+            rows = defaultdict(dict)
+            for j, col in enumerate(columns):
+                for ci, split in enumerate(col):
+                    for m, c in split.items():
+                        rows[ci, m][j] = c
+            ys = solve_columns(rows, (len(rows), len(columns)), len(unknowns))
             for k, y in zip(open_, ys):
                 if y is not None:
                     found[k] = _assemble(n, unknowns, y)
@@ -286,22 +292,19 @@ def _divide(H: Hamiltonian, targets, forms, cofactor_unknowns):
 
 def _assemble(n, unknowns, y):
     """p_a = sum_j y_(a,j) t^j and each cofactor sum_beta y_beta x^beta,
-    each built from one term dict."""
-    pparts = [[] for _ in basis_exponents(n)]
-    cparts = defaultdict(list)
-    for (label, _), val in zip(unknowns, y):
-        if val.is_zero():
-            continue
+    for y {unknown: nonzero scalar}, each built from one term dict in the
+    order of the unknowns."""
+    pterms = [{} for _ in basis_exponents(n)]
+    cterms = defaultdict(dict)
+    for k in sorted(y):
+        label = unknowns[k][0]
         if label[0] == "p":
-            _, ai, j = label
-            pparts[ai].append((val, {"t": j}))
+            pterms[label[1]][(label[2],)] = y[k]
         else:
-            name, beta = label
-            cparts[name].append((val, dict(zip(XVARS, beta))))
-    p = [monomial_sum(parts, ("t",)) if parts else MultiPoly.zero(("t",)) for parts in pparts]
-    cofactors = defaultdict(MultiPoly.zero, {name: monomial_sum(parts, XVARS)
-                                             for name, parts in cparts.items()})
-    return p, cofactors
+            cterms[label[0]][label[1]] = y[k]
+    p = [MultiPoly(("t",), terms) for terms in pterms]
+    return p, defaultdict(MultiPoly.zero, {name: MultiPoly(XVARS, terms)
+                                           for name, terms in cterms.items()})
 
 
 def _eta_unknowns(d, n, s1, s2):
@@ -324,8 +327,7 @@ def _uv_unknowns(d, n, s1, s2):
         if (b1, b2) == (0, 0):
             continue  # constants do not contribute to dv
         out.append((("v", (b1, b2)),
-                    ({(b1 - 1, b2): MultiPoly.const(b1)} if b1 else {},
-                     {(b1, b2 - 1): MultiPoly.const(b2)} if b2 else {})))
+                    ({(b1 - 1, b2): b1} if b1 else {}, {(b1, b2 - 1): b2} if b2 else {})))
     return out
 
 

@@ -1,11 +1,13 @@
 """Exact linear algebra: two solves, one per kind of row.
 
-`solve_columns(rows, n)` takes constant rows [a_1 .. a_n | c_1 .. c_m] of
-MultiPoly over Q or Q(i), as the form divisions hand them in, and returns
-one x per column c, with A x = c and the free variables zero, or None
-where c is inconsistent: all from one sparse reduced row echelon form
-(sympy's, through `polynomials`), whose pivots at or after n lie in the
-rows below rank(A) exactly for the inconsistent columns.
+`solve_columns(rows, shape, n)` takes the sparse rows {label: {column:
+scalar}}, in any order, of a matrix [a_1 .. a_n | c_1 .. c_m] of Fraction,
+int or GaussianRational scalars, zeros left out, as the form divisions hand
+them in, and returns one x per column c, {unknown: scalar} with A x = c and the
+free variables zero, or None where c is inconsistent: all from one sparse
+reduced row echelon form (`polynomials.rref`, sympy's over Q or Q(i)),
+whose pivots at or after n lie in the rows below rank(A) exactly for the
+inconsistent columns.
 
 `solve_linear(rows, n)` takes rows of polynomials in t, as the pencil
 restriction hands them in over Z[t] or Z[i][t], and returns (d, Y): d a
@@ -40,12 +42,9 @@ d c (`check_dense`).
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import attrgetter
-
-from .errors import NoSolution, UnsupportedInput
-from .polynomials import (MODULUS, MultiPoly, constant_rref, dense_exquo, dense_mul, dup_add,
-                          dup_neg, dup_sub, from_dense, residue, to_dense)
+from .errors import NoSolution
+from .polynomials import (MODULUS, dense_exquo, dense_mul, dup_add, dup_neg, dup_sub, from_dense,
+                          residue, rref, to_dense)
 from .ratfunc import RatFunc
 
 
@@ -139,47 +138,16 @@ def _refuted_dense(rows, n, K):
             if _rank_mod_p([row[:n] + [row[n + j]] for row in values]) == n + 1]
 
 
-_VARS, _POLY = attrgetter("vars"), attrgetter("poly")
-
-
-def _constant_entries(rows):
-    """(entries, vs, gaussian) for rows whose nonzero entries are all
-    constant, from one pass that reads each nonzero entry once: entries
-    {(i, j): MultiPoly} holds the nonzero ones, vs is the union of every
-    entry's variables and gaussian whether a coefficient is complex.
-    UnsupportedInput at the first entry that is not constant."""
-    entries, varsets, gaussian = {}, set(), False
-    for i, row in enumerate(rows):
-        varsets.update(map(_VARS, row))
-        # compress skips the zero entries without a Python-level test
-        for j in compress(count(), map(_POLY, row)):
-            e = row[j]
-            if not e.poly.is_ground:
-                raise UnsupportedInput("solve_columns takes constant rows")
-            entries[i, j] = e
-            gaussian = gaussian or e.has_gaussian()
-    return entries, tuple(sorted(set().union(*varsets))), gaussian
-
-
-def solve_columns(rows, n):
-    """Solve constant rows [A | C] column by column: per column c, x over
-    the variables of the entries with A x = c, free variables zero, or None
-    when c is inconsistent, from one reduced row echelon form.  A
-    nonconstant entry raises UnsupportedInput."""
-    entries, vs, gaussian = _constant_entries(rows)
-    pivots, R = constant_rref(entries, (len(rows), len(rows[0])), vs, gaussian)
-    zero = MultiPoly.zero(vs)
+def solve_columns(rows, shape, n):
+    """Solve the sparse scalar rows {label: {column: scalar}} of [A | C], of
+    the given shape, column by column: per column c, {unknown: scalar}
+    holding the nonzero entries of x with A x = c, free variables zero, or
+    None when c is inconsistent, from one reduced row echelon form."""
+    pivots, R = rref(rows, shape)
     rank = sum(c < n for c in pivots)
-    ys = []
-    for j in range(n, len(rows[0])):
-        if any(j in R[i] for i in range(rank, len(pivots))):
-            ys.append(None)
-            continue
-        y = [zero] * n
-        for i in range(rank):
-            y[pivots[i]] = R[i].get(j, zero)
-        ys.append(y)
-    return ys
+    return [None if any(j in R[i] for i in range(rank, len(pivots)))
+            else {pivots[i]: R[i][j] for i in range(rank) if j in R[i]}
+            for j in range(n, shape[1])]
 
 
 def _bareiss(rows, n, K):

@@ -38,13 +38,14 @@ The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
 first nonzero polynomial, then by the positive joint rational content),
 which gives every object over Q or Q(i) one representative, the lcm, the
-reduced row echelon form of a constant matrix and the roots of a
-univariate polynomial.  It is the
-only module that imports sympy.  `straight_lines` generates the source
-lines of the float programs of the numeric layers: Horner evaluations, sums
-of terms and quotients written out as one expression each, with the float
-operations of the loop they replace, the coefficients as bound values and
-what reads no argument in setup lines; `straight_line` compiles such a
+reduced row echelon form (`rref`) of a sparse matrix of exact scalars,
+the one place where such a matrix is brought to Q or Q(i) and back, and
+the roots of a univariate polynomial.  It is the only module that imports
+sympy, and no module imports numpy at module level.  `straight_lines`
+generates the source lines of the float programs of the numeric layers:
+Horner evaluations, sums of terms and quotients written out as one
+expression each, with the float operations of the loop they replace, the
+coefficients as bound values and what reads no argument in setup lines; `straight_line` compiles such a
 program into a kernel, and `_generate` compiles the generated steps and
 right-hand sides of the integrator, into which the same lines are written.
 """
@@ -672,26 +673,6 @@ def integer_parts(polys):
     return c, parts
 
 
-def monomial_sum(parts, base=()):
-    """sum c * m over the parts (c, m), c a MultiPoly and m a monomial
-    {variable: exponent} such that no two parts make a common monomial:
-    built as one term dict, over the variables of base and of every c and
-    over Q or Q(i), with its terms stored in the order in which the sum of
-    the products would store them."""
-    vs = tuple(sorted(set(base).union(*(c.vars for c, _ in parts))))
-    domain = QQ
-    for c, _ in parts:
-        domain = _join(domain, c.poly.ring.domain)
-    terms = {}
-    for c, mono in parts:
-        src = c.poly.ring.domain
-        pos = list(zip(_positions(c.vars, vs), [mono.get(v, 0) for v in vs]))
-        for m, x in c.poly.items():
-            exp = tuple((m[i] if i is not None else 0) + e for i, e in pos)
-            terms[exp] = x if src is domain else domain.convert_from(x, src)
-    return MultiPoly._new(vs, _ring(vs, domain).dtype(terms))
-
-
 def poly_lcm(a, b):
     g = MultiPoly.gcd(a, b)
     if g.is_zero():
@@ -831,23 +812,18 @@ def residue(f, K):
     return v
 
 
-def constant_rref(entries, shape, vs, gaussian):
-    """Reduced row echelon form over Q, or over Q(i) when gaussian, of a
-    matrix of constant MultiPoly, given by its nonzero entries {(i, j):
-    MultiPoly} and its shape, by sympy's sparse elimination: (pivots, R),
-    R[i] the nonzero entries {column: MultiPoly over vs} of row i <
-    len(pivots), whose pivot column is pivots[i]; the rows after them are
-    zero."""
-    domain = QQ_I if gaussian else QQ
-    data = {}
-    for (i, j), p in entries.items():
-        # the one term of a nonzero constant, with no search for the leading one
-        data.setdefault(i, {})[j] = domain.convert(next(iter(p.poly.values())))
+def rref(rows, shape):
+    """Reduced row echelon form over Q, or over Q(i) when a scalar is
+    complex, of the matrix of the given shape whose rows, in any order, are
+    given by their nonzero Fraction, int or GaussianRational entries
+    {label: {column: scalar}}, by sympy's sparse elimination: (pivots, R),
+    R[i] the nonzero entries {column: scalar} of row i < len(pivots), whose
+    pivot column is pivots[i]; the rows after them are zero."""
+    domain = _domain_of(c for row in rows.values() for c in row.values())
+    data = {i: {j: _coef_in(c, domain) for j, c in row.items()}
+            for i, row in enumerate(rows.values()) if row}
     R, pivots = DomainMatrix(data, shape, domain).rref()
-    ring = _ring(vs, domain)
-    zero_exp = (0,) * len(vs)
-    return pivots, [{j: MultiPoly._new(vs, ring.dtype({zero_exp: c}))
-                     for j, c in R.rep.get(i, {}).items()}
+    return pivots, [{j: _coef_out(c, domain) for j, c in R.rep.get(i, {}).items()}
                     for i in range(len(pivots))]
 
 

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedInput
+from .errors import NumericOverflow, UnsupportedInput
 
 THETA = 0.1        # scale-separation threshold of the clustering
 GEOM_TOL = 1e-9    # relative tolerance of the geometric checks
@@ -524,8 +524,10 @@ def build_slits(points, theta=THETA) -> SlitSystem:
         outer = Circle(inner.center, max(1.0 + inner.radius, 3 * inner.radius))
         circles.extend([outer, inner])
         segments.append(_connect_segment(inner, outer, nested=True))
-    system = SlitSystem(circles, segments, pts)
-    return system
+    if not all(map(cmath.isfinite, [x for c in circles for x in (c.center, c.radius)]
+                   + [z for s in segments for z in (s.z0, s.z1)])):
+        raise NumericOverflow("a circle or slit of the system is beyond the float range")
+    return SlitSystem(circles, segments, pts)
 
 
 def cluster_diameter_upper(points):

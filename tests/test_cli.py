@@ -201,6 +201,16 @@ def test_slits_svg(capsys, tmp_path):
     assert svg.exists()
 
 
+@pytest.mark.parametrize("points", ["1e308; -1e308", "1e308"])
+def test_slits_beyond_the_float_range(capsys, tmp_path, points):
+    """A circle of infinite radius, or a normalized length that overflows,
+    has no JSON: exit 3 with nothing on stdout and no drawing."""
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "slits", "--points", points, "--svg", str(svg))
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert not svg.exists()
+
+
 def test_slits_theta(capsys):
     """A smaller scale separation splits {0, 1} from {100, 101} sooner."""
     counts = []

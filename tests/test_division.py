@@ -92,6 +92,36 @@ def test_regularity_detects_degenerate():
     assert not is_basis_regular(K)
 
 
+@pytest.mark.parametrize("text, regular", [
+    ("x1^3+x2^3+i*x1*x2-x1", True),
+    ("x1^4+x2^4+i*x1^2*x2^2-x1", True),
+    # the principal part (x1 + i x2)^2 x2 is not square-free
+    ("(x1+i*x2)^2*x2+x1", False),
+    # square-free, but only the rank test over Q(i) rejects it
+    ("i*(x1^3+6*x1^2*x2+6*x1*x2^2+4*x2^3)+x1", False),
+])
+def test_regularity_over_gaussian_rationals(text, regular):
+    assert is_basis_regular(Hamiltonian(parse_poly(text, X))) is regular
+
+
+def test_empty_batches_divide_to_nothing():
+    H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1", X))
+    assert divide_two_form(H, []) == []
+    assert divide_one_form(H, [], []) == []
+
+
+def test_form_in_another_variable_is_refused():
+    H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1", X))
+    a = MultiPoly.var("a", X)
+    with pytest.raises(UnsupportedInput) as exc:
+        divide_two_form(H, a * MultiPoly.var("x1", X))
+    assert exc.value.exit_code == 2
+    with pytest.raises(UnsupportedInput):
+        divide_one_form(H, MultiPoly.zero(X), a)
+    # a variable that does not occur is no variable of the form
+    assert divide_two_form(H, MultiPoly.var("x1", ("a",) + X)).verify()
+
+
 def test_constant_hamiltonian_rejected():
     with pytest.raises(UnsupportedInput):
         Hamiltonian(MultiPoly.const(Fraction(1), X))

@@ -354,14 +354,14 @@ def test_columns_of_rank_deficient_rows_match_their_own_solves(gaussian):
             cols.append([c + (bump if r == i else 0) for r, c in enumerate(cols[0])])
         cols.append(list(cols[-1]))
         rows = [row[:n] + [c[i] for c in cols] for i, row in enumerate(base)]
-        Y = solve_columns(rows, n)
+        Y = solve_columns(*_sparse([[e.constant_value() for e in row] for row in rows]), n)
         for j, y in enumerate(Y):
             try:
                 own_d, (own_y,) = solve_linear([row[:n] + [row[n + j]] for row in rows], n)
             except NoSolution:
                 assert y is None
                 continue
-            assert [RatFunc(yk) for yk in y] == [RatFunc(yk, own_d) for yk in own_y]
+            assert [y.get(k, 0) for k in range(n)] == _quotients(own_d, own_y)
         assert Y[0] is not None and Y[-1] is None
 
 
@@ -393,6 +393,13 @@ def test_inconsistent_column_raises_by_rank_check_and_by_bareiss(gaussian, monke
 
 def _quotients(d, y):
     return [yk.constant_value() / d.constant_value() for yk in y]
+
+
+def _sparse(matrix):
+    """(rows, shape) of a matrix of scalars: its nonzero entries as sparse
+    rows {row: {column: scalar}}, the form that `solve_columns` takes."""
+    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(matrix)}
+    return rows, (len(matrix), len(matrix[0]))
 
 
 @st.composite
@@ -432,24 +439,25 @@ def constant_systems(draw):
         else:
             a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
             cols.append([u + v for u, v in zip(a, b)])
-    return n, [[MultiPoly.const(e, T) for e in row + [c[i] for c in cols]]
-               for i, row in enumerate(A)]
+    return n, [row + [c[i] for c in cols] for i, row in enumerate(A)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(constant_systems())
 def test_constant_systems_match_dense_bareiss(system):
-    """The reduced row echelon form on constant rows refuses exactly the
-    columns that the Bareiss loop refuses, and gives every consistent
-    column its x = y / d, entry by entry, with no Bareiss step; the dense
-    `solve_linear` on the same rows, degree-0 lists, refuses exactly the
-    systems that the loop refuses and gives the same quotients."""
-    n, rows = system
+    """The reduced row echelon form on sparse scalar rows refuses exactly
+    the columns that the Bareiss loop refuses on the same matrix of
+    constant polynomials, and gives every consistent column its x = y / d,
+    entry by entry, with no Bareiss step; the dense `solve_linear` on the
+    constant rows, degree-0 lists, refuses exactly the systems that the
+    loop refuses and gives the same quotients."""
+    n, matrix = system
+    rows = [[MultiPoly.const(e, T) for e in row] for row in matrix]
     steps = []
     step = linalg._bareiss_step
     linalg._bareiss_step = lambda *a: steps.append(1) or step(*a)
     try:
-        Y = solve_columns(rows, n)
+        Y = solve_columns(*_sparse(matrix), n)
     finally:
         linalg._bareiss_step = step
     assert not steps
@@ -460,7 +468,7 @@ def test_constant_systems_match_dense_bareiss(system):
             assert y is None
             continue
         assert y is not None
-        assert [yk.constant_value() for yk in y] == _quotients(ref_d, ref_y)
+        assert [y.get(k, 0) for k in range(n)] == _quotients(ref_d, ref_y)
     try:
         ref = bareiss_reference(rows, n)
     except NoSolution:
@@ -477,17 +485,15 @@ def test_constant_systems_match_dense_bareiss(system):
 def test_copied_inconsistent_column_is_inconsistent():
     """c2 = c1 with c1 inconsistent: the echelon form has its pivot in c1's
     column, and c2 has none, but c2 is not in the span of A either."""
-    one, zero = MultiPoly.const(1, T), MultiPoly.zero(T)
-    rows = [[one, zero, zero, one], [zero, one, one, zero]]
-    assert solve_columns(rows, 1) == [None, None, [one]]
+    rows = {0: {0: 1, 3: 1}, 1: {1: 1, 2: 1}}
+    assert solve_columns(rows, (2, 4), 1) == [None, None, {0: 1}]
 
 
 def test_each_solve_refuses_the_other_kind_of_row():
-    """`solve_columns` takes constant rows only, and `solve_linear` rows in
-    t only: rows in another variable, or in several, exit 2."""
+    """`solve_linear` takes rows in t only: rows in another variable, or
+    in several, exit 2.  (`solve_columns` takes rows of scalars, which
+    cannot hold a polynomial.)"""
     t, l = MultiPoly.var("t"), MultiPoly.var("l")
-    with pytest.raises(UnsupportedInput):
-        solve_columns([[t, MultiPoly.const(1)]], 1)
     for rows in ([[l, l + 1]], [[t, l]], [[t * l, t]]):
         with pytest.raises(UnsupportedInput) as exc:
             solve_linear(rows, 1)

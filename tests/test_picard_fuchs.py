@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abelint import linalg, picard_fuchs
+from abelint import division, linalg, picard_fuchs
 from abelint.division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                               basis_two_form, divide_one_form, divide_two_form)
 from abelint.errors import LineInLocus, UnsupportedInput
@@ -328,9 +328,8 @@ def test_elliptic_derivation_splits_each_form_once(monkeypatch):
     split."""
     H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1", X))
     calls = []
-    split = MultiPoly.coeff_split
-    monkeypatch.setattr(MultiPoly, "coeff_split",
-                        lambda self, front: calls.append(1) or split(self, front))
+    split = division._split_x
+    monkeypatch.setattr(division, "_split_x", lambda poly: calls.append(1) or split(poly))
     system = derive_pfaffian(H)
     assert len(calls) == 19
     assert system.check_identities()
