@@ -10,15 +10,20 @@ whence  Pstar(0) dX/dlambda_s = Q^s(0) X  for every coefficient lambda_s.
 For H = H0 + lambda_00 the Gauss-Manin connection of {H = t} depends on
 the free term only through a translation of t: the divisions run over Q
 (or Q(i)) on the concrete H0, and Pstar(t) = P0(t - lambda_00) +
-lambda_00 I, Q^s(t) = Q0^s(t - lambda_00) for their P0 and Q0^s.
+lambda_00 I, Q^s(t) = Q0^s(t - lambda_00) for their P0 and Q0^s, each
+translation a binomial expansion of a dense coefficient list in t.
 Restricting to the pencil {H0 = t} (i.e. lambda_00 = c0 - t) yields a linear
 ODE system dX/dt = A(t) X with A = -(Pstar(0)^{-1} Q^{(0,0)}(0)) evaluated at
 lambda_00 = c0 - t, so `derive_pfaffian` derives only Q^(0,0) unless asked
 for more.  Both evaluations are one substitution {t: 0, lambda_00: c0 - t}
-per entry, each a polynomial; each row of [Pstar(0) | Q^(0,0)(0)] is then
+per entry, each a polynomial, written out as a dense list in t from a
+table of the powers of c0 - t; each row of [Pstar(0) | Q^(0,0)(0)] is then
 scaled into Z[t] (Z[i][t] for a Gaussian H), and A comes from one
 fraction-free solve Pstar(0) Y = d Q^(0,0)(0) there, whose single
-elimination serves all ell columns.
+elimination serves all ell columns.  Each entry -y/d of A is cancelled on
+dense lists too, so from the division outputs to the stored A(t) no
+arithmetic runs in a ring in more variables than t: P* and Q^s are
+written out, and read back, term by term.
 """
 
 from __future__ import annotations
@@ -30,13 +35,17 @@ from .division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
 from .errors import (DegenerateBasis, LineInLocus, NoSolution,
                      UnsupportedInput)
 from .linalg import FieldMatrix, solve_linear
-from .polynomials import (MultiPoly, evaluation_error, float_overflow, integer_parts,
-                          matrix_source, straight_line, straight_lines)
+from .polynomials import (MultiPoly, dense_cancel, dense_integer_parts, dense_pencil,
+                          dense_translated, dup_neg, evaluation_error, float_overflow,
+                          from_dense, matrix_source, straight_line, straight_lines,
+                          to_dense)
 from .ratfunc import RatFunc, ratfunc_lcm_den, size_of
 
 # the free term lambda_00 of H = H0 + lambda_00, the one symbolic coefficient
 # of a derived system
 FREE_TERM = "l00"
+# the variables of a nonzero entry of P* or Q^s
+SYSTEM_VARS = (FREE_TERM, "t", *XVARS)
 
 
 class PfaffianSystem:
@@ -91,12 +100,11 @@ def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
     n = H.n
     if n < 1:
         raise DegenerateBasis("Hamiltonian of degree 1: the form basis is empty")
-    l00 = MultiPoly.var(FREE_TERM)
-    shift = {"t": MultiPoly.var("t", (FREE_TERM,)) - l00}
-    pvars = (FREE_TERM, "t")
     decs = divide_two_form(H, [H.poly * basis_two_form(alpha) for alpha in basis_exponents(n)])
-    Pstar = FieldMatrix([[_translated(p, shift, pvars, l00 if a == b else 0)
-                          for b, p in enumerate(dec.p)] for a, dec in enumerate(decs)])
+    # every zero entry, and every denominator, is one shared object
+    ends = RatFunc.zero((FREE_TERM, "t")), MultiPoly.const(1, SYSTEM_VARS)
+    Pstar = FieldMatrix([[_translated(p, ends, 1 if a == b else 0) for b, p in enumerate(dec.p)]
+                         for a, dec in enumerate(decs)])
     etas0 = [dec.eta for dec in decs]
     etas = [tuple(RatFunc(e if e.is_zero() else e.extend((FREE_TERM,))) for e in eta)
             for eta in etas0]
@@ -104,19 +112,24 @@ def derive_pfaffian(H: Hamiltonian, s_list=((0, 0),)) -> PfaffianSystem:
     for s in s_list:
         xs = MultiPoly(XVARS, {tuple(s): Fraction(1)})
         decs = divide_one_form(H, [e1 * xs for e1, _ in etas0], [e2 * xs for _, e2 in etas0])
-        Q[tuple(s)] = FieldMatrix([[_translated(p, shift, pvars) for p in dec.p]
-                                   for dec in decs])
+        Q[tuple(s)] = FieldMatrix([[_translated(p, ends) for p in dec.p] for dec in decs])
     return PfaffianSystem(H, Pstar, etas, Q)
 
 
-def _translated(p, shift, pvars, extra=0):
-    """p(t - l00) + extra for a polynomial p in t of the divisions on H0:
-    over (l00, t, x1, x2) when nonzero and over (l00, t) when zero, the
-    variables that the system's JSON records."""
-    num = p.subs(shift) + extra
-    if num.is_zero():
-        return RatFunc.zero(pvars)
-    return RatFunc(num.extend(XVARS), canonical=True)
+def _translated(p, ends, extra=0):
+    """p(t - l00) + extra l00 for a polynomial p in t of the divisions on
+    H0, by the binomial expansion of p's dense list (`dense_translated`):
+    over (l00, t, x1, x2) when nonzero, and the zero over (l00, t) of ends
+    otherwise, the variables that the system's JSON records; its
+    denominator is the 1 of ends.  The divisions store p's terms from the
+    constant term up, so its terms are stored as the substitution t -> t -
+    l00 of sympy's `compose` stored them."""
+    (f,), K = to_dense((p,))
+    zero, one = ends
+    if not (f or extra):
+        return zero
+    return RatFunc(dense_translated(f, K, SYSTEM_VARS, "t", FREE_TERM, extra), one,
+                   canonical=True)
 
 
 class LinearODESystem:
@@ -200,42 +213,54 @@ def restrict_to_pencil(sys: PfaffianSystem, free_term_value=0) -> LinearODESyste
     free_term_value.
 
     Each entry of P* and Q^(0,0) is a polynomial, as `derive_pfaffian`
-    makes it, and takes the substitution {t: 0, l00: c0 - t} once, shrunk
-    to the variables it uses; an entry with a nonconstant denominator, or
-    one that keeps another symbolic coefficient, raises UnsupportedInput.
-    Each row of [P0 | Qs] is scaled into Z[t], or Z[i][t], by
-    `integer_parts`, and one solve there gives P0 Y = d Qs.  A = -Y/d,
-    each entry cancelled once and stored in descending term order, so that
-    A's storage is a function of its value, over the variables of the
-    substituted entries."""
-    pencil = {"t": MultiPoly.const(0),
-              FREE_TERM: MultiPoly.const(Fraction(free_term_value), ("t",)) - MultiPoly.var("t")}
-    rows = []
+    makes it, and takes the substitution {t: 0, l00: c0 - t} on its dense
+    list in t (`dense_pencil`): terms with a power of t drop out, and l00^a
+    becomes (c0 - t)^a.  A system without Q^(0,0), an entry with a
+    nonconstant denominator, or one that keeps another symbolic
+    coefficient, raises UnsupportedInput.  Each row of [P0 | Qs] is scaled
+    into Z[t], or Z[i][t], and one solve there gives P0 Y = d Qs.  A =
+    -Y/d, each entry cancelled once on dense lists (`dense_cancel`: a gcd,
+    then the normal form of `primitive_parts` for its denominator), built
+    over the variables of the entries of P* and Q^(0,0) but l00, its terms
+    in descending order, so that A's storage is a function of its value."""
+    Q = sys.Q.get((0, 0))
+    if Q is None:
+        raise UnsupportedInput("the system has no Q^(0,0), which the pencil restriction reads")
+    entries = []
     avars = {"t"}
-    for row in (a + q for a, q in zip(sys.Pstar.data, sys.Q[(0, 0)].data)):
+    for row in (a + q for a, q in zip(sys.Pstar.data, Q.data)):
         if not all(e.is_poly() for e in row):
             raise UnsupportedInput("the entries of P* and Q^(0,0) must be polynomials")
         for e in row:
             avars.update(e.vars)
-        rows.append([e.as_poly().shrink().subs(pencil).shrink() for e in row])
+            entries.append(e.as_poly())
     avars = tuple(sorted(avars - {FREE_TERM}))
-    leftover = set().union(*(p.vars for row in rows for p in row)) - {"t"}
+    flat, K, leftover = dense_pencil(entries, "t", FREE_TERM, Fraction(free_term_value))
     if leftover:
         raise UnsupportedInput(f"unresolved symbolic coefficients: {sorted(leftover)}")
-    rows = [integer_parts(p.extend(("t",)) for p in row)[1] for row in rows]
+    w = sys.Pstar.cols + Q.cols
+    rows = []
+    for i in range(0, len(flat), w):
+        parts, R = dense_integer_parts(flat[i:i + w], K)
+        rows.append([from_dense(f, R) for f in parts])
     try:
         d, Y = solve_linear(rows, sys.Pstar.cols)
     except NoSolution as exc:
         raise LineInLocus(f"constant term is singular along the pencil: {exc}") from exc
-    A = FieldMatrix([[_descending(RatFunc(-y[i], d), avars) for y in Y]
-                     for i in range(sys.Pstar.rows)])
+    (d, *ys), K = to_dense([d, *(e for y in Y for e in y)])
+    ell = sys.Pstar.rows
+    zero = RatFunc(from_dense([], K, avars), MultiPoly.const(1, avars), canonical=True)
+    A = FieldMatrix([[_entry(y, d, K, avars) if y else zero for y in ys[i::ell]]
+                     for i in range(ell)])
     sing = ratfunc_lcm_den(A.flatten()).extend(("t",))
     return LinearODESystem(A, sing)
 
 
-def _descending(r, variables):
-    return RatFunc(r.num.extend(variables).descending(),
-                   r.den.extend(variables).descending(), canonical=True)
+def _entry(y, d, K, avars):
+    """-y/d in canonical form over avars, for dense lists y (nonzero) and d
+    over Z or Z[i]."""
+    num, den = dense_cancel(dup_neg(y, K), d, K)
+    return RatFunc(from_dense(*num, avars), from_dense(*den, avars), canonical=True)
 
 
 def size_report(sys: PfaffianSystem) -> dict:

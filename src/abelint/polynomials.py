@@ -17,22 +17,30 @@ Arithmetic, exact division, gcd, differentiation and substitution are ring
 calls; coefficients leave the module as Fraction or GaussianRational.  The graded lexicographic order fixes
 leading terms, canonical signs and printed order.
 
-Every polynomial that the relation search, the pullback and the
-univariate solves of `linalg` compute with is univariate in t, so they run
-on dense coefficient lists instead: sympy's `dup` format, highest degree
-first and [] for zero, over one domain K (Z or Z[i], or Q or Q(i) for rows
-that hand in fractions), with sympy's `densearith`, `densetools` and
-`euclidtools` routines, which this module re-exports (`dup_add`,
+Every polynomial that the relation search, the pullback, the univariate
+solves of `linalg`, and the translation, pencil restriction and
+cancellation of `picard_fuchs` compute with is univariate in t, so they
+run on dense coefficient lists instead: sympy's `dup` format, highest
+degree first and [] for zero, over one domain K (Z or Z[i], or Q or Q(i)
+for rows that hand in fractions), with sympy's `densearith`, `densetools`
+and `euclidtools` routines, which this module re-exports (`dup_add`,
 `dup_diff`, `dup_gcd`, ...).  Products and exact quotients, where the time
 goes, are `dense_mul` and `dense_exquo`: schoolbook multiplication and
 long division like sympy's `dup_mul` and `dup_exquo`, but over the nonzero
 coefficients only, since the restriction's rows fill about every other
 degree and the pullbacks multiply by monomials.  `to_dense` and
-`from_dense` convert where a polynomial enters or leaves that algebra.  `residue` maps a dense list to
-its value at one fixed integer point modulo one fixed 61-bit prime p = 1
-(mod 4), sending i to a fixed square root of -1 mod p: a ring
-homomorphism, so a minor that is nonzero mod p is nonzero over Q(t) or
-Q(i)(t), which makes the rank mod p a sound refutation for `linalg`.
+`from_dense` convert where a polynomial enters or leaves that algebra;
+`dense_translated` leaves it as p(t - s) + c s, its terms in the order
+sympy's substitution stored them, and `dense_pencil` enters it from a
+polynomial in more variables by the substitution of the pencil.  The
+normal-form rule and the joint content apply to dense lists as they do to
+MultiPolys (`dense_cancel`, `dense_integer_parts`), and
+`cleared_l1_norms` takes the l1 norms of the parts of `primitive_parts`
+without building them.  `residue` maps a dense list to its value at one
+fixed integer point modulo one fixed 61-bit prime p = 1 (mod 4), sending
+i to a fixed square root of -1 mod p: a ring homomorphism, so a minor
+that is nonzero mod p is nonzero over Q(t) or Q(i)(t), which makes the
+rank mod p a sound refutation for `linalg`.
 
 The module owns the normal forms that the other layers share: the
 normal-form rule (`primitive_parts`: divide by the leading coefficient of the
@@ -476,15 +484,7 @@ class MultiPoly:
         """Sum of absolute values of coefficients; exact when all are exact."""
         if not self.has_gaussian():
             return _frac(self.poly.l1_norm())
-        total = Fraction(0)
-        try:
-            for c in self.poly.itercoeffs():
-                total = total + (_abs_float(c) if c.x and c.y else _frac(abs(c.x or c.y)))
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            raise NumericOverflow("l1 norm of a Q(i) polynomial exceeds the float range")
-        return total
+        return _gaussian_l1(self.poly.itercoeffs())
 
     def conj_coeffs(self):
         if not self.has_gaussian():
@@ -610,17 +610,61 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-def _content(polys):
-    """Joint positive rational content of polys: the gcd of their rational
-    coefficients, or of the real and imaginary parts of Gaussian ones."""
+def _parts(coeffs, domain):
+    """The rationals of sympy coefficients over domain: the real and
+    imaginary parts of each over Q(i) or Z[i], else the coefficients."""
+    if domain in _REAL:
+        return (q for c in coeffs for q in (c.x, c.y))
+    return coeffs
+
+
+def _content(parts):
+    """Joint positive rational content of the rationals parts: the gcd of
+    their numerators over the lcm of their denominators."""
     num, den = 0, 1
-    for p in polys:
-        gauss = p.has_gaussian()
-        for c in p.poly.itercoeffs():
-            for q in ((c.x, c.y) if gauss else (c,)):
-                num = math.gcd(num, q.numerator)
-                den = math.lcm(den, q.denominator)
+    for q in parts:
+        num = math.gcd(num, q.numerator)
+        den = math.lcm(den, q.denominator)
     return Fraction(num, den)
+
+
+def _gaussian_l1(coeffs):
+    """Sum of |c| over sympy coefficients over Q(i) or Z[i], in their order:
+    exact, except that |c| of a coefficient with two nonzero parts is a
+    float, which makes the sum one."""
+    total = Fraction(0)
+    try:
+        for c in coeffs:
+            total = total + (_abs_float(c) if c.x and c.y else _frac(abs(c.x or c.y)))
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise NumericOverflow("l1 norm of a Q(i) polynomial exceeds the float range")
+    return total
+
+
+def _normal_scalar(lead, groups):
+    """The scalar c of the normal-form rule for polynomials whose leading
+    coefficient, that of the first nonzero one, is lead (a Fraction or
+    GaussianRational), and whose sympy coefficients the pairs (domain,
+    coefficients) of groups hold: lead times the positive joint rational
+    content of the p / lead when lead is not real, else the positive joint
+    content signed by lead."""
+    if isinstance(lead, GaussianRational):
+        u = _coef_in(lead, QQ_I)
+        return lead * _content(_parts((QQ_I.quo(QQ_I.convert_from(c, K), u)
+                                       for K, cs in groups for c in cs), QQ_I))
+    c = _content(q for K, cs in groups for q in _parts(cs, K))
+    return c if lead > 0 else -c
+
+
+def _polys_scalar(polys):
+    """`_normal_scalar` of the MultiPolys polys, or None when all are zero."""
+    first = next((p.poly for p in polys if p.poly), None)
+    if first is None:
+        return None
+    return _normal_scalar(_coef_out(first.LC, first.ring.domain),
+                          [(p.poly.ring.domain, p.poly.itercoeffs()) for p in polys])
 
 
 def primitive_parts(polys):
@@ -632,19 +676,45 @@ def primitive_parts(polys):
     Q, c is the joint content signed by the lead.
 
     This is the canonical form of a denominator, of a cleared rational
-    function [den, num] and of an operator's coefficient list.
+    function [den, num] and of an operator's coefficient list.  The rule
+    itself is `_normal_scalar`, which `dense_cancel` and `cleared_l1_norms`
+    apply too.
     """
     polys = list(polys)
-    first = next((p for p in polys if p.poly), None)
-    if first is None:
+    c = _polys_scalar(polys)
+    if c is None:
         return Fraction(0), polys
-    lead = _coef_out(first.poly.LC, first.poly.ring.domain)
-    if isinstance(lead, GaussianRational):
-        polys = [p.divexact(lead) for p in polys]
-        c = _content(polys)
-        return lead * c, [p.divexact(c) for p in polys]
-    c = _content(polys) if lead > 0 else -_content(polys)
     return c, [p.divexact(c) for p in polys]
+
+
+def cleared_l1_norms(polys):
+    """[part.l1_norm() for part in primitive_parts(polys)[1]], each of the
+    same value and type, without building the parts: a real p over a real
+    c gives ||p||_1 / |c| exactly, and any other p sums |x / c| over its
+    coefficients x in stored order, as `l1_norm` sums its part."""
+    polys = list(polys)
+    c = _polys_scalar(polys)
+    if c is None:
+        return [p.l1_norm() for p in polys]
+    out = []
+    for p in polys:
+        domain = p.poly.ring.domain
+        if domain not in _REAL and not isinstance(c, GaussianRational):
+            s = p.poly.l1_norm()
+            out.append(Fraction(s.numerator * c.denominator, s.denominator * abs(c.numerator)))
+            continue
+        u = _coef_in(c, QQ_I)
+        qs = [QQ_I.quo(QQ_I.convert_from(x, domain), u) for x in p.poly.itercoeffs()]
+        out.append(_gaussian_l1(qs) if any(q.y for q in qs)
+                   else _frac(sum((abs(q.x) for q in qs), QQ.zero)))
+    return out
+
+
+def _scaler(c):
+    """x -> x / c for rationals x whose quotient by the positive rational c
+    is an integer."""
+    num, den = c.numerator, c.denominator
+    return lambda x: x.numerator * den // (x.denominator * num)
 
 
 def integer_parts(polys):
@@ -655,12 +725,9 @@ def integer_parts(polys):
     that ring; a quotient that the ring does not hold is taken over the
     field."""
     polys = list(polys)
-    c = _content(polys) or Fraction(1)
-    num, den = c.numerator, c.denominator
-
-    def scaled(x):
-        return x.numerator * den // (x.denominator * num)
-
+    c = _content(q for p in polys for q in _parts(p.poly.itercoeffs(), p.poly.ring.domain))
+    c = c or Fraction(1)
+    scaled = _scaler(c)
     parts = []
     for p in polys:
         if p.has_gaussian():
@@ -779,6 +846,126 @@ def dense_gcd(f, g, K):
     unit) and monic over a field."""
     h = dup_gcd(f, g, K)
     return h if K.is_Field else dup_primitive(h, K)[1]
+
+
+def dense_integer_parts(fs, K):
+    """`integer_parts` of the dense lists fs over K: (parts, R), each part
+    f / c over R, which is Z, or Z[i] when K is Gaussian, for c the
+    positive joint rational content of fs (1 when every f is zero)."""
+    scaled = _scaler(_content(q for f in fs for q in _parts(f, K)) or Fraction(1))
+    if K in _REAL:
+        new = ZZ_I.dtype.new
+        return [[new(scaled(x.x), scaled(x.y)) for x in f] for f in fs], ZZ_I
+    return [[scaled(x) for x in f] for f in fs], ZZ
+
+
+def dense_cancel(num, den, K):
+    """num/den in the canonical form of `RatFunc`, for dense lists over Z or
+    Z[i], den nonzero: cancelled by `dense_gcd`, then both divided by the
+    scalar c of `primitive_parts` for den.  Returns ((num, D), (den, D')),
+    each quotient by c over the domain in which `MultiPoly.divexact` takes
+    it: the ring that holds K and c when c divides every coefficient there,
+    else its field."""
+    if len(num) > 1 and len(den) > 1:
+        g = dense_gcd(num, den, K)
+        if len(g) > 1:
+            num, den = dense_exquo(num, g, K), dense_exquo(den, g, K)
+    c = _normal_scalar(_coef_out(den[0], K), [(K, den)])
+    return _quo_ground(num, c, K), _quo_ground(den, c, K)
+
+
+def _quo_ground(f, c, K):
+    """(f / c, D) for the dense list f over K and a nonzero Fraction or
+    GaussianRational c, D as `dense_cancel` describes it."""
+    D = _join(K, _scalar_domain(c))
+    if D is not K:
+        f = [D.convert_from(x, K) for x in f]
+    u = _coef_in(c, D)
+    if D.is_Field:
+        return [D.quo(x, u) for x in f], D
+    if not any(x % u for x in f):
+        return [x // u for x in f], D
+    F = _FIELD[D]
+    u = _coef_in(c, F)
+    return [F.quo(F.convert_from(x, D), u) for x in f], F
+
+
+def dense_pencil(polys, var, line, value):
+    """(lists, K, leftover): each of polys with var -> 0 and line -> value -
+    var, as a dense list in var over K, Q or Q(i), the field that holds
+    them all, and the names of the other variables that a term of the
+    result uses.  A term with a positive power of var drops out, and line^a
+    becomes (value - var)^a, from one table of the powers.  No two
+    surviving terms cancel, since their monomials in the other variables
+    differ or their powers of (value - var) have different degrees."""
+    polys = list(polys)
+    K = QQ_I if any(p.poly.ring.domain in _REAL for p in polys) else QQ
+    step = _coef_in(value, K)
+    powers = [[K.one]]   # (value - var)^a from the constant term up
+    out, leftover = [], set()
+    for p in polys:
+        vs, src = p.vars, p.poly.ring.domain
+        i = vs.index(var) if var in vs else None
+        j = vs.index(line) if line in vs else None
+        acc = []
+        for m, c in p.poly.items():
+            if i is not None and m[i]:
+                continue
+            a = m[j] if j is not None else 0
+            if sum(m) != a:
+                leftover.update(v for v, e in zip(vs, m) if e and v != line)
+                continue
+            while len(powers) <= a:
+                low = powers[-1]
+                powers.append([step * x - y for x, y in zip(low + [K.zero], [K.zero] + low)])
+            if src is not K:
+                c = K.convert_from(c, src)
+            acc += [K.zero] * (a + 1 - len(acc))
+            for k, x in enumerate(powers[a]):
+                if x:
+                    acc[k] += c * x
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(acc[::-1])
+    return out, K, leftover
+
+
+@lru_cache(maxsize=None)
+def _binomial_terms(k):
+    """((a, b), n) per term n s^a t^b of (t - s)^k, in the order in which
+    sympy's ring power stores the terms of t - s raised to k."""
+    R = _ring(("s", "t"), ZZ)
+    return tuple((m, int(n)) for m, n in (R.dtype({(0, 1): 1, (1, 0): -1}) ** k).items())
+
+
+def dense_translated(f, K, variables, var, by, plus=0):
+    """f(var - by) + plus by for the dense list f over K, as a MultiPoly over
+    variables (which hold var and by) and over Q or Q(i), by the binomial
+    expansion: for each nonzero coefficient c of var^k, from the constant
+    term up, the terms of c (var - by)^k in the order of `_binomial_terms`,
+    then plus by, which updates its term in place, deletes it when it
+    cancels, or comes last.  That is the order in which sympy's `compose`
+    and sum store the terms of a polynomial in var whose terms are stored
+    from the constant term up; no two of its powers share a term."""
+    vs = tuple(variables)
+    i, j = vs.index(by), vs.index(var)
+    F = _FIELD[K]
+    base = [0] * len(vs)
+    terms = {}
+    for k, c in enumerate(reversed(f)):
+        if c:
+            c = F.convert_from(c, K)
+            for (base[i], base[j]), n in _binomial_terms(k):
+                terms[tuple(base)] = c * n
+    if plus:
+        base[i], base[j] = 1, 0
+        key = tuple(base)
+        c = terms.get(key, F.zero) + plus
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return MultiPoly._new(vs, _ring(vs, F).dtype(terms))
 
 
 # 61-bit prime p = 1 (mod 4), a square root of -1 mod p and an integer point:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import MultiPoly, poly_lcm, primitive_parts
+from .polynomials import MultiPoly, cleared_l1_norms, poly_lcm, primitive_parts
 from .qi import GaussianRational
 
 
@@ -66,7 +66,8 @@ class RatFunc:
     def as_poly(self):
         if not self.is_poly():
             raise ValueError("not a polynomial")
-        return self.num.divexact(self.den.constant_value())
+        c = self.den.constant_value()
+        return self.num if c == 1 else self.num.divexact(c)
 
     def cleared(self, den):
         """self * den as a polynomial, for a multiple den of self.den.
@@ -173,12 +174,13 @@ def integer_cleared(r: RatFunc):
 
 
 def size_of(r: RatFunc) -> Fraction:
-    """l1 size of the canonical integer representation ||P|| + ||Q||.
+    """l1 size of the canonical integer representation ||P|| + ||Q||, the
+    norms of `integer_cleared(r)` taken without building it.
 
     Upper bound for the representation-minimizing size.
     """
-    num, den = integer_cleared(r)
-    return num.l1_norm() + den.l1_norm()
+    den, num = cleared_l1_norms((r.den, r.num))
+    return num + den
 
 
 def raw_sum_size(r1: RatFunc, r2: RatFunc) -> Fraction:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from golden_corpus import DERIVE_ONLY, HAMILTONIANS
+
 from abelint import division, linalg, picard_fuchs
 from abelint.division import (XVARS, Decomposition, Hamiltonian, basis_exponents,
                               basis_two_form, divide_one_form, divide_two_form)
 from abelint.errors import LineInLocus, UnsupportedInput
-from abelint.linalg import FieldMatrix
+from abelint.linalg import FieldMatrix, solve_columns
 from abelint.parsing import parse_poly
 from abelint.picard_fuchs import (LinearODESystem, PfaffianSystem, derive_pfaffian,
                                   restrict_to_pencil, size_report)
@@ -95,10 +97,11 @@ def test_elliptic_parity_block_structure(elliptic):
 
 
 def test_size_report(elliptic):
-    rep = size_report(elliptic.system)
-    assert rep["n"] == 2 and rep["ell"] == 4
-    assert rep["num_coeffs"] == 9
-    assert Fraction(rep["total_size"]) > 0
+    """The measured sizes of the elliptic system, pinned: the l1 sizes of
+    its 32 entries sum to 99, the largest being 13."""
+    assert size_report(elliptic.system) == {
+        "n": 2, "ell": 4, "num_coeffs": 9, "total_size": "99", "max_entry_size": "13",
+        "max_t_degree": 0, "max_lambda_degree": 1}
 
 
 def _polyval_entries(ode, t):
@@ -362,3 +365,68 @@ def test_rational_entries_are_refused(elliptic, monkeypatch):
     ode = restrict_to_pencil(sys, free_term_value=0)
     assert _fingerprints(ode.A) == _fingerprints(elliptic.ode.A)
     assert ode.singular_poly == elliptic.ode.singular_poly
+
+
+def test_restriction_needs_the_free_term_q():
+    """A system derived without Q^(0,0) cannot be restricted: exit 2, with
+    Q^(0,0) named."""
+    H = Hamiltonian(parse_poly("x2^2/2 + x1^3 - x1", X))
+    system = derive_pfaffian(H, s_list=[(1, 0)])
+    with pytest.raises(UnsupportedInput, match=r"Q\^\(0,0\)") as exc:
+        restrict_to_pencil(system, free_term_value=0)
+    assert exc.value.exit_code == 2
+
+
+# the golden corpus's Hamiltonians with n <= 3, the Gaussian one included
+ORACLE_H = [text for text in HAMILTONIANS + DERIVE_ONLY
+            if Hamiltonian(parse_poly(text, X)).n <= 3]
+# a point off every singular point of these systems
+T_ORACLE = Fraction(7, 3)
+
+
+def _exact_value(p, t):
+    """p(t) exactly, for a polynomial p in t alone."""
+    value = 0
+    for c in reversed(p.univar_coeffs("t")):
+        value = value * t + c
+    return value
+
+
+def _constant_solve(system, l00):
+    """-(P*(0)^(-1) Q^(0,0)(0)) at the free term l00, by one reduced row
+    echelon form of the constant rows [P*(0) | Q^(0,0)(0) | I]: no Bareiss
+    step and no gcd.  None when P*(0) is singular there, which leaves some
+    column of I outside its range."""
+    ell = system.ell
+    point = {"t": 0, "l00": l00}
+    rows = {}
+    for a, row in enumerate(p + q for p, q in zip(system.Pstar.data, system.Q[(0, 0)].data)):
+        values = [e.as_poly().subs(point).constant_value() for e in row]
+        rows[a] = {j: v for j, v in enumerate(values + [int(a == b) for b in range(ell)]) if v}
+    xs = solve_columns(rows, (ell, 3 * ell), ell)
+    if None in xs:
+        return None
+    return [[-xs[c].get(i, 0) for c in range(ell)] for i in range(ell)]
+
+
+def _matches_constant_solve(A, system, c0):
+    expected = _constant_solve(system, c0 - T_ORACLE)
+    return expected is not None and all(
+        _exact_value(e.num, T_ORACLE) / _exact_value(e.den, T_ORACLE) == want
+        for row, wants in zip(A.data, expected) for e, want in zip(row, wants))
+
+
+@pytest.mark.parametrize("c0", [Fraction(0), Fraction(1, 2), Fraction(-3)])
+@pytest.mark.parametrize("text", ORACLE_H)
+def test_pencil_matrix_matches_a_constant_solve(text, c0):
+    """A(7/3) of the restriction equals the solve at the one point l00 =
+    c0 - 7/3 of the constant system P*(0) X = -Q^(0,0)(0), exactly; a copy
+    of A with one nonzero entry negated does not."""
+    system = derive_pfaffian(Hamiltonian(parse_poly(text, X)))
+    A = restrict_to_pencil(system, free_term_value=c0).A
+    assert _matches_constant_solve(A, system, c0)
+    i, j = next((i, j) for i, row in enumerate(A.data) for j, e in enumerate(row)
+                if not e.is_zero())
+    mutant = FieldMatrix([[-e if (a, b) == (i, j) else e for b, e in enumerate(row)]
+                          for a, row in enumerate(A.data)])
+    assert not _matches_constant_solve(mutant, system, c0)

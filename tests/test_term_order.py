@@ -98,6 +98,10 @@ DERIVE_PF_SHA256 = {
     # recorded while the derivation still divided over Q[l00]
     "x1^4+x2^4+x1*x2-x1":
         "f5b2b58e6f68b0a21c19cb8a300babc030035bc8f707bae7e853a145979278f5",
+    # n = 6 with Q01 != 0, so its rows of Q^(0,0) depend on t; recorded
+    # before translation and restriction ran on dense lists in t
+    "x1^7+x2^7+x1^3*x2^2-x1":
+        "0026ab578b1d549a0fa99eeddb81b3392f0e90e639d49d680d64a9f60a1bf629",
 }
 
 # sha256 of the stdout of `abelint derive-pf --hamiltonian H`, without
